@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import expr, gadgets, ising_kernel, pauli, stabilizer, symmetric
-from .errors import PBKernelError
+from .errors import EnumerationCapError, PBKernelError
 from .pbf import PseudoBoolean, index_of
 
 
@@ -69,6 +69,8 @@ def _load_state(path: str) -> pauli.StateVector:
         bits = _parse_bits(parts[0])
         if n is None:
             n = len(bits)
+            if n > pauli.STATE_CAP:  # before any 2^n allocation; StateVector's message
+                raise EnumerationCapError(f"statevector arity {n} outside 0..{pauli.STATE_CAP}")
         elif len(bits) != n:
             raise PBKernelError(f"state line {lineno}: inconsistent width")
         entries[index_of(bits)] = pauli.ExactComplex(Fraction(parts[1]), Fraction(parts[2]))

@@ -151,7 +151,10 @@ def parse(text: str, arity: int | None = None) -> PseudoBoolean:
     elif arity < max_idx:
         raise ParseError(f"expression uses x{max_idx} but arity {arity} was requested", 0)
     parser = _Parser(tokens, arity, text)
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.pos != len(tokens):
         tok = parser.peek()
         raise ParseError(

@@ -20,8 +20,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import EnumerationCapError, NetlistError
-from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, bits_of
+from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, bits_of, index_of
 from .pauli import STATE_CAP, DiagonalOperator, StateVector, _amp_is_zero
 
 ROLE_INPUT = "input"
@@ -268,10 +270,10 @@ def minimize_bruteforce(
     f: PseudoBoolean, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MinimizeResult:
     """Exact global minimum and the full argmin set over {0,1}^n."""
-    table = f.to_disjoint_form(cap=cap)
-    best = min(table)
-    argmin = frozenset(bits_of(i, f.n) for i, v in enumerate(table) if v == best)
-    return MinimizeResult(best, argmin)
+    vals, denom = f._cube_values(cap, "disjoint-form table")
+    best = vals.min()
+    argmin = frozenset(_assignments(np.flatnonzero(vals == best), f.n))
+    return MinimizeResult(Fraction(int(best), denom), argmin)
 
 
 def sat_embed(clauses: Sequence[Sequence[int]], num_vars: int) -> PseudoBoolean:
@@ -346,9 +348,8 @@ def support_parent(s: SupportSet) -> DiagonalOperator:
         raise ValueError("empty support has no parent")
     if s.n > STATE_CAP:
         raise EnumerationCapError(f"arity {s.n} over diagonal cap {STATE_CAP}")
-    members = {bits for bits in s.members}
-    diag = [
-        Fraction(0) if bits_of(idx, s.n) in members else Fraction(1)
-        for idx in range(1 << s.n)
-    ]
+    diag = [Fraction(1)] * (1 << s.n)
+    for bits in s.members:
+        if len(bits) == s.n and set(bits) <= {0, 1}:  # other members name no basis state
+            diag[index_of(bits)] = Fraction(0)
     return DiagonalOperator(s.n, diag)

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DimensionError, EnumerationCapError
-from .pbf import PseudoBoolean, _coerce, bits_of
+from .pbf import PseudoBoolean, _coerce, _swap_order, bits_of, index_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -566,31 +568,26 @@ class QuadraticRealization:
     couplings: dict | None = None
     certificate: list | None = None
 
+    def _boolean_form(self) -> PseudoBoolean:
+        fields = {(l,): h for l, h in enumerate(self.fields)}
+        spin = PseudoBoolean.from_terms(self.n, {(): self.constant, **fields, **self.couplings})
+        return spin_to_boolean(spin)
+
     def energy(self, bits: Sequence[int]) -> Fraction:
         if not self.feasible:
             raise ValueError("infeasible realization has no energy function")
-        pairs = _pair_order(self.n)
-        zs = [1 - 2 * b for b in bits]
-        total = self.constant
-        for l, h in enumerate(self.fields):
-            total += h * zs[l]
-        for (l, k), j in self.couplings.items():
-            total += j * zs[l] * zs[k]
-        return total
+        return self._boolean_form().eval(bits)
 
     def verify(self, target: set) -> bool:
-        """Exhaustive margin check of the returned coefficients."""
+        """Exhaustive margin check, uncapped (the decision capped n): the
+        scaled values denom * f(x) must be 0 on S and at least denom off S."""
         if not self.feasible:
             return False
-        for idx in range(1 << self.n):
-            bits = bits_of(idx, self.n)
-            e = self.energy(bits)
-            if bits in target:
-                if e != 0:
-                    return False
-            elif e < 1:
-                return False
-        return True
+        vals, denom = self._boolean_form()._cube_values(self.n, "margin check")
+        on_s = np.zeros(vals.size, dtype=bool)
+        on_s[[index_of(b) for b in target if len(b) == self.n and set(b) <= {0, 1}]] = True
+        vals = _swap_order(vals, self.n)
+        return bool((vals[on_s] == 0).all() and (vals[~on_s] >= denom).all())
 
     def to_dict(self) -> dict:
         if self.feasible:

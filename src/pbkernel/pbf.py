@@ -17,12 +17,21 @@ Conventions used throughout the package:
 
 All coefficients are `fractions.Fraction`; every mutation prunes zero
 coefficients so structural equality coincides with semantic equality.
+
+Every oracle over the whole cube runs on one exact engine: values or
+coefficients become integer numerators over the LCM of their denominators
+in one numpy array (int64 under a proven bound, Python ints above it, so
+exact either way), and the zeta transform (coefficients -> values) or its
+Moebius inverse runs as n in-place passes over that array.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
 
@@ -47,8 +56,33 @@ def bits_of(index: int, n: int) -> tuple:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def _bits_of_varmask(mask: int, n: int) -> tuple:
-    return tuple((mask >> i) & 1 for i in range(n))
+def _assignments(masks: np.ndarray, n: int) -> list:
+    """Assignment tuples of an array of varmask-order positions."""
+    return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
+
+
+def _scaled(values: list) -> tuple:
+    """(numerators, denom): Fractions as one integer array over their LCM.
+
+    Every intermediate of either subset transform is a +-1 combination of
+    distinct inputs, so sum(|numerators|) < 2^62 rules out int64 overflow;
+    above that bound the same code runs on Python ints.
+    """
+    denom = math.lcm(*{v.denominator for v in values})
+    nums = [v.numerator * (denom // v.denominator) for v in values]
+    return np.array(nums, dtype=np.int64 if sum(map(abs, nums)) < 1 << 62 else object), denom
+
+
+def _subset_transform(vals: np.ndarray, n: int, sign: int) -> None:
+    """In-place zeta (sign 1) or Moebius (sign -1) transform, varmask order."""
+    for i in range(n):
+        halves = vals.reshape(-1, 2, 1 << i)  # halves[:, 1] has variable i set
+        halves[:, 1] += sign * halves[:, 0]
+
+
+def _swap_order(vals: np.ndarray, n: int) -> np.ndarray:
+    """Varmask order <-> state order: reverse the axes of the (2,)*n view."""
+    return vals.reshape((2,) * n).transpose().reshape(-1)
 
 
 def _coerce(value) -> Fraction:
@@ -130,20 +164,11 @@ class PseudoBoolean:
         if size == 0 or size & (size - 1):
             raise ValueError(f"table length {size} is not a power of two")
         n = size.bit_length() - 1
-        # reindex: position in varmask packing (bit i <-> variable i)
-        vals = [Fraction(0)] * size
-        for idx in range(size):
-            mask = 0
-            for i in range(n):
-                if (idx >> (n - 1 - i)) & 1:
-                    mask |= 1 << i
-            vals[mask] = _coerce(table[idx])
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(size):
-                if mask & bit:
-                    vals[mask] -= vals[mask ^ bit]
-        return cls(n, {mask: c for mask, c in enumerate(vals) if c != 0})
+        vals, denom = _scaled([_coerce(v) for v in table])
+        vals = _swap_order(vals, n)
+        _subset_transform(vals, n, -1)
+        masks = np.flatnonzero(vals)
+        return cls(n, {m: Fraction(c, denom) for m, c in zip(masks.tolist(), vals[masks].tolist())})
 
     # -- inspection ----------------------------------------------------
 
@@ -335,53 +360,33 @@ class PseudoBoolean:
             total += p
         return total
 
-    def _value_table(self) -> list:
-        """Values over all assignments, indexed by varmask (bit i = var i).
-
-        Zeta transform over the subset lattice: n * 2^n Fraction additions.
-        """
-        size = 1 << self.n
-        vals = [Fraction(0)] * size
-        for mask, c in self._terms.items():
-            vals[mask] = c
-        for i in range(self.n):
-            bit = 1 << i
-            for mask in range(size):
-                if mask & bit:
-                    vals[mask] += vals[mask ^ bit]
-        return vals
+    def _cube_values(self, cap: int, what: str) -> tuple:
+        """(vals, denom) with vals[mask] == denom * f(x) for every varmask."""
+        _check_cap(self.n, cap, what)
+        coeffs, denom = _scaled(list(self._terms.values()))
+        vals = np.zeros(1 << self.n, dtype=coeffs.dtype)
+        vals[list(self._terms)] = coeffs
+        _subset_transform(vals, self.n, 1)
+        return vals, denom
 
     def to_disjoint_form(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
         """Value table a with a[index_of(x)] = f(x) for all 2^n assignments."""
-        _check_cap(self.n, cap, "disjoint-form table")
-        vals = self._value_table()
-        out = [Fraction(0)] * (1 << self.n)
-        for mask, v in enumerate(vals):
-            idx = 0
-            for i in range(self.n):
-                if mask & (1 << i):
-                    idx |= 1 << (self.n - 1 - i)
-            out[idx] = v
-        return out
+        vals, denom = self._cube_values(cap, "disjoint-form table")
+        # one Fraction per distinct value: building 2^n of them dominates otherwise
+        distinct, index = np.unique(_swap_order(vals, self.n), return_inverse=True)
+        fractions = [Fraction(v, denom) for v in distinct.tolist()]
+        return [fractions[i] for i in index.tolist()]
 
     def kernel(self, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
         """The set of assignments where f vanishes (exact zero test)."""
-        _check_cap(self.n, cap, "kernel")
-        vals = self._value_table()
-        return {
-            _bits_of_varmask(mask, self.n)
-            for mask, v in enumerate(vals)
-            if v == 0
-        }
+        vals, _ = self._cube_values(cap, "kernel")
+        return set(_assignments(np.flatnonzero(vals == 0), self.n))
 
     def is_nonnegative(self, cap: int = DEFAULT_ENUMERATION_CAP) -> NonNegativity:
-        """Exhaustive check f(x) >= 0; on failure returns a witness point."""
-        _check_cap(self.n, cap, "non-negativity scan")
-        vals = self._value_table()
-        for mask, v in enumerate(vals):
-            if v < 0:
-                return NonNegativity(False, _bits_of_varmask(mask, self.n))
-        return NonNegativity(True, None)
+        """Exhaustive check f(x) >= 0; the witness is the first negative point in varmask order."""
+        vals, _ = self._cube_values(cap, "non-negativity scan")
+        witness = _assignments(np.flatnonzero(vals < 0)[:1], self.n)
+        return NonNegativity(not witness, witness[0] if witness else None)
 
     # -- serialization ---------------------------------------------------
 

@@ -28,13 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapError
-from .pbf import (
-    DEFAULT_ENUMERATION_CAP,
-    PseudoBoolean,
-    _bits_of_varmask,
-    _coerce,
-)
+from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _coerce, _scaled
 
 #: numeric roots with |Im| below tol*(1+|root|) are treated as real
 REAL_ROOT_TOL = 1e-9
@@ -122,18 +116,20 @@ class SymmetryResult(NamedTuple):
 def detect_symmetric(
     f: PseudoBoolean, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SymmetryResult:
-    """Exhaustively test invariance under permutations of the input bits."""
-    if f.n > cap:
-        raise EnumerationCapError(f"symmetry scan would enumerate 2^{f.n} points (cap 2^{cap})")
-    vals = f._value_table()
-    seen = {}  # weight -> (value, representative assignment)
-    for mask, v in enumerate(vals):
-        w = mask.bit_count()
-        if w not in seen:
-            seen[w] = (v, _bits_of_varmask(mask, f.n))
-        elif seen[w][0] != v:
-            return SymmetryResult(None, (seen[w][1], _bits_of_varmask(mask, f.n)))
-    profile = WeightProfile(f.n, tuple(seen[w][0] for w in range(f.n + 1)))
+    """Exhaustively test invariance under permutations of the input bits.
+
+    The witness pairs the first assignment of the offending weight w in
+    varmask order, mask 2^w - 1, with the first one that differs from it.
+    """
+    vals, denom = f._cube_values(cap, "symmetry scan")
+    ones = PseudoBoolean(f.n, {1 << i: 1 for i in range(f.n)})  # x_1 + ... + x_n
+    weights, _ = ones._cube_values(cap, "symmetry scan")  # Hamming weight of each mask
+    firsts = (1 << np.arange(f.n + 1)) - 1
+    mismatch = np.flatnonzero(vals != vals[firsts][weights])[:1]
+    if mismatch.size:
+        pair = np.append(firsts[weights[mismatch]], mismatch)
+        return SymmetryResult(None, tuple(_assignments(pair, f.n)))
+    profile = WeightProfile(f.n, tuple(Fraction(v, denom) for v in vals[firsts].tolist()))
     return SymmetryResult(profile, None)
 
 
@@ -245,13 +241,8 @@ def _rational_roots(coeffs: list) -> tuple:
         roots.append(Fraction(0))
         poly = poly[1:]
     while len(poly) > 1:
-        denom_lcm = 1
-        for c in poly:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in poly]
-        content = 0
-        for v in ints:
-            content = math.gcd(content, v)
+        ints = _scaled(poly)[0].tolist()
+        content = math.gcd(*ints)
         ints = [v // content for v in ints]
         if abs(ints[0]) > 10**15 or abs(ints[-1]) > 10**15:
             break

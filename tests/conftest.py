@@ -1,9 +1,11 @@
 """Shared independent oracles for the test suite.
 
 Everything here recomputes expected values through a different route
-than the library code under test: naive term-by-term evaluation, dense
-numpy matrices built from hard-coded gate definitions, a brute-force
-CNF solution scanner, and an exact minimal-face feasibility decider.
+than the library code under test: naive term-by-term evaluation, the
+per-point Fraction cube scans the library used before its exact integer
+engine, dense numpy matrices built from hard-coded gate definitions, a
+brute-force CNF solution scanner, and an exact minimal-face feasibility
+decider.
 """
 
 from __future__ import annotations
@@ -51,6 +53,111 @@ def random_nonneg_pbf(rng: random.Random, n: int, max_terms: int = 4) -> PseudoB
     """Square of a small random polynomial: non-negative, stays sparse."""
     g = random_pbf(rng, n, max_terms=max_terms, lo=-2, hi=2)
     return g * g
+
+
+# -- per-point Fraction cube scans (reference for the integer engine) ------
+
+def _bits_of_varmask(mask, n):
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def _varmask_to_state(mask, n):
+    idx = 0
+    for i in range(n):
+        if mask & (1 << i):
+            idx |= 1 << (n - 1 - i)
+    return idx
+
+
+def ref_value_table(f):
+    """Values indexed by varmask (bit i = variable i): Fraction zeta loop."""
+    size = 1 << f.n
+    vals = [Fraction(0)] * size
+    for mask, c in f.masked_terms().items():
+        vals[mask] = c
+    for i in range(f.n):
+        bit = 1 << i
+        for mask in range(size):
+            if mask & bit:
+                vals[mask] += vals[mask ^ bit]
+    return vals
+
+
+def ref_to_disjoint_form(f):
+    vals = ref_value_table(f)
+    out = [Fraction(0)] * (1 << f.n)
+    for mask, v in enumerate(vals):
+        out[_varmask_to_state(mask, f.n)] = v
+    return out
+
+
+def ref_from_disjoint_form(table):
+    """Moebius inversion of a state-order table, one Fraction at a time."""
+    size = len(table)
+    n = size.bit_length() - 1
+    vals = [Fraction(0)] * size
+    for idx in range(size):
+        vals[_varmask_to_state(idx, n)] = Fraction(table[idx])
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(size):
+            if mask & bit:
+                vals[mask] -= vals[mask ^ bit]
+    return PseudoBoolean(n, {mask: c for mask, c in enumerate(vals) if c != 0})
+
+
+def ref_kernel(f):
+    return {_bits_of_varmask(m, f.n) for m, v in enumerate(ref_value_table(f)) if v == 0}
+
+
+def ref_nonnegative(f):
+    """(ok, witness): the first negative point in varmask order."""
+    for mask, v in enumerate(ref_value_table(f)):
+        if v < 0:
+            return False, _bits_of_varmask(mask, f.n)
+    return True, None
+
+
+def ref_symmetry(f):
+    """(profile values, witness pair) from one pass in varmask order."""
+    seen = {}
+    for mask, v in enumerate(ref_value_table(f)):
+        w = mask.bit_count()
+        if w not in seen:
+            seen[w] = (v, _bits_of_varmask(mask, f.n))
+        elif seen[w][0] != v:
+            return None, (seen[w][1], _bits_of_varmask(mask, f.n))
+    return tuple(seen[w][0] for w in range(f.n + 1)), None
+
+
+def ref_minimize(f):
+    table = ref_to_disjoint_form(f)
+    best = min(table)
+    points = assignments(f.n)
+    return best, frozenset(points[i] for i, v in enumerate(table) if v == best)
+
+
+def ref_energy(real, bits):
+    """Z-basis energy of a feasible realization, spin by spin."""
+    zs = [1 - 2 * b for b in bits]
+    total = real.constant
+    for l, h in enumerate(real.fields):
+        total += h * zs[l]
+    for (l, k), j in real.couplings.items():
+        total += j * zs[l] * zs[k]
+    return total
+
+
+def ref_margin_check(real, target):
+    """QuadraticRealization.verify by per-string energy evaluation."""
+    for bits in assignments(real.n):
+        e = ref_energy(real, bits)
+        if bits in target:
+            if e != 0:
+                return False
+        elif e < 1:
+            return False
+    return True
 
 
 # -- dense quantum oracles (own hard-coded matrices) ------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, deterministic JSON."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,25 @@ class TestExitCodesAndDeterminism:
         path.write_text("x1 + x30\n")
         code, _, err = run(capsys, "pbf", "kernel", str(path))
         assert code == 2 and "cap" in err
+
+    def test_deep_nesting_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.pbf"
+        path.write_text("(" * 3000 + "x1" + ")" * 3000 + "\n")
+        code, out, err = run(capsys, "pbf", "kernel", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: expression nested too deeply\n"
+
+    def test_wide_state_line_rejected_before_allocation(self, capsys, tmp_path):
+        path = tmp_path / "wide.state"
+        path.write_text("0" * 20 + " 1 0\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "parent", "support", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and err == "error: statevector arity 20 outside 0..16\n"
+        assert peak < 1 << 20
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:

@@ -20,10 +20,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import EnumerationCapError, NetlistError
-from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, bits_of, index_of
+from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _point_indices, bits_of
 from .pauli import STATE_CAP, DiagonalOperator, StateVector, _amp_is_zero
 
 ROLE_INPUT = "input"
@@ -270,10 +268,10 @@ def minimize_bruteforce(
     f: PseudoBoolean, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MinimizeResult:
     """Exact global minimum and the full argmin set over {0,1}^n."""
-    vals, denom = f._cube_values(cap, "disjoint-form table")
-    best = vals.min()
-    argmin = frozenset(_assignments(np.flatnonzero(vals == best), f.n))
-    return MinimizeResult(Fraction(int(best), denom), argmin)
+    table = f.to_disjoint_form(cap=cap)
+    best = min(table)
+    argmin = frozenset(bits_of(i, f.n) for i, v in enumerate(table) if v == best)
+    return MinimizeResult(best, argmin)
 
 
 def sat_embed(clauses: Sequence[Sequence[int]], num_vars: int) -> PseudoBoolean:
@@ -349,7 +347,6 @@ def support_parent(s: SupportSet) -> DiagonalOperator:
     if s.n > STATE_CAP:
         raise EnumerationCapError(f"arity {s.n} over diagonal cap {STATE_CAP}")
     diag = [Fraction(1)] * (1 << s.n)
-    for bits in s.members:
-        if len(bits) == s.n and set(bits) <= {0, 1}:  # other members name no basis state
-            diag[index_of(bits)] = Fraction(0)
+    for idx in _point_indices(s.members, s.n):
+        diag[idx] = Fraction(0)
     return DiagonalOperator(s.n, diag)

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import PseudoBoolean, _coerce, _swap_order, bits_of, index_of, spin_to_boolean
+from .pbf import PseudoBoolean, _coerce, _point_indices, _swap_order, bits_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -585,7 +585,7 @@ class QuadraticRealization:
             return False
         vals, denom = self._boolean_form()._cube_values(self.n, "margin check")
         on_s = np.zeros(vals.size, dtype=bool)
-        on_s[[index_of(b) for b in target if len(b) == self.n and set(b) <= {0, 1}]] = True
+        on_s[_point_indices(target, self.n)] = True
         vals = _swap_order(vals, self.n)
         return bool((vals[on_s] == 0).all() and (vals[~on_s] >= denom).all())
 

@@ -56,6 +56,11 @@ def bits_of(index: int, n: int) -> tuple:
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
 
 
+def _point_indices(members, n: int) -> list:
+    """Basis-state indices of the members that are n-bit assignments; others name no point."""
+    return [index_of(b) for b in members if len(b) == n and set(b) <= {0, 1}]
+
+
 def _assignments(masks: np.ndarray, n: int) -> list:
     """Assignment tuples of an array of varmask-order positions."""
     return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
@@ -372,10 +377,7 @@ class PseudoBoolean:
     def to_disjoint_form(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
         """Value table a with a[index_of(x)] = f(x) for all 2^n assignments."""
         vals, denom = self._cube_values(cap, "disjoint-form table")
-        # one Fraction per distinct value: building 2^n of them dominates otherwise
-        distinct, index = np.unique(_swap_order(vals, self.n), return_inverse=True)
-        fractions = [Fraction(v, denom) for v in distinct.tolist()]
-        return [fractions[i] for i in index.tolist()]
+        return [Fraction(v, denom) for v in _swap_order(vals, self.n).tolist()]
 
     def kernel(self, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
         """The set of assignments where f vanishes (exact zero test)."""

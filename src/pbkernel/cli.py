@@ -10,7 +10,9 @@ Subcommands mirror the library surface::
     pbkernel gadget compose NETLIST.json [--clamp WIRE=BIT] [--minimize]
     pbkernel ising realize STRINGSFILE -n N
 
-Exit codes: 0 success, 1 verification failure, 2 usage/input error.
+Exit codes: 0 success, 1 verification failure, 2 usage/input error,
+3 internal error (a failed exact re-check or any other unexpected
+exception, reported on one stderr line without a traceback).
 ``--json`` selects machine output: sorted keys, deterministic ordering,
 and no timing field, so identical inputs give byte-identical bytes (the
 human-readable report does include elapsed time).
@@ -366,6 +368,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a failed exact re-check or a library bug, not bad input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

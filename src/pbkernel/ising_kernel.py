@@ -13,16 +13,24 @@ is normalized to the margin system
     f(s) = 0  for s in S,      f(x) >= 1  for x not in S,
 
 over the 1 + n + n(n-1)/2 unknowns (c0, h_l, J_lk of the Z-basis form).
-Feasibility is decided by an exact-rational two-phase simplex with
-Bland's rule; the margin system itself has 2^n rows, so the solve runs
-on its dual (whose row count is the number of unknowns) and recovers
-either a coefficient vector (from the optimal dual multipliers) or a
-Farkas certificate (from the unbounded ray).  Both outcomes are
-re-verified exhaustively in exact arithmetic.
+Feasibility is decided by an exact two-phase simplex with Bland's rule;
+the margin system itself has 2^n rows, so the solve runs on its dual
+(whose row count is the number of unknowns) and recovers either a
+coefficient vector (from the optimal dual multipliers) or a Farkas
+certificate (from the unbounded ray).  Both outcomes are re-verified
+exhaustively in exact arithmetic.
+
+The simplex tableau is fraction-free: Python-int rows over one common
+denominator, the determinant of the current basis once each input row
+is cleared of its denominators, updated by exact integer division at
+each pivot (Bareiss, Edmonds).  It holds the same exact values a
+Fraction tableau would, so Bland's rule takes the same pivots and every
+answer is the same; Fractions appear only in the results.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,153 +235,143 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Dense exact simplex tableau with Bland's anti-cycling rule."""
+    """Dense fraction-free simplex tableau with Bland's anti-cycling rule.
+
+    Row i of the input is cleared by the LCM L_i of its own denominators,
+    so the initial basis (surplus and artificial unit columns) has
+    determinant ``den`` = prod(L_i).  Each row of ``matrix`` holds
+    den * (B^-1 [A | b])_i as Python ints, right-hand side last, where B
+    is the current basis and den > 0 its absolute determinant in the
+    cleared system.  By Cramer's rule every entry is a minor of the
+    cleared data, so the pivot update (p * a - f * b) // den is exact
+    (Bareiss 1968, Edmonds 1967).  The reduced-cost row ``z`` carries the
+    same update at den * zscale * (c - c_B B^-1 [A | b]), zscale being the
+    LCM of the cost denominators, so its signs are the exact ones.
+    """
 
     def __init__(self, lp: LPInstance):
         self.lp = lp
-        self.cols = []  # ("var", v, sign) | ("surplus", row) | ("art", row)
+        self.cols = []  # ("var", v, sign) | ("surplus", None) | ("art", row)
         for v in range(lp.num_vars):
             self.cols.append(("var", v, 1))
             if not lp.nonneg[v]:
                 self.cols.append(("var", v, -1))
-        nstruct = len(self.cols)
-        rows = []
-        self.sigma = []  # std row = sigma * original row
-        refs = lp.row_refs()
-        for ref in refs:
-            coeffs, rhs = (lp.eq if ref[0] == "eq" else lp.geq)[ref[1]]
-            rows.append((list(coeffs), rhs, ref))
-        m = len(rows)
-        surplus_col = {}
-        for i, (coeffs, rhs, ref) in enumerate(rows):
-            if ref[0] == "geq":
-                surplus_col[i] = nstruct + len(surplus_col)
-        ncols = nstruct + len(surplus_col)
-        self.matrix = []
-        self.rhs = []
-        self.refs = []
-        for i, (coeffs, rhs, ref) in enumerate(rows):
-            row = [Fraction(0)] * ncols
-            for j, col in enumerate(self.cols):
-                _, v, sign = col
-                if coeffs[v]:
-                    row[j] = sign * coeffs[v]
-            if i in surplus_col:
-                row[surplus_col[i]] = Fraction(-1)
-            sigma = 1
-            if rhs < 0:
-                sigma = -1
-                row = [-val for val in row]
-                rhs = -rhs
-            self.sigma.append(sigma)
-            self.matrix.append(row)
-            self.rhs.append(rhs)
-            self.refs.append(ref)
-        for _ in surplus_col:
-            self.cols.append(("surplus", None))
+        struct = [(v, sign) for _, v, sign in self.cols]
+        rows = lp.eq + lp.geq  # the order of lp.row_refs()
+        neq, m = len(lp.eq), len(rows)
+        self.sigma = [-1 if rhs < 0 else 1 for _, rhs in rows]  # std row = sigma * original row
         # initial basis: a negated geq row exposes its surplus at +1;
         # everything else gets an artificial column
-        self.basis = [None] * m
-        self.init_col = [None] * m
-        self.init_cost = [Fraction(0)] * m
-        self.artificial = set()
+        surplus = len(struct) - neq  # geq row i has its surplus in column surplus + i
+        self.init_col = [surplus + i if i >= neq and self.sigma[i] < 0 else None for i in range(m)]
+        self.cols += [("surplus", None)] * (m - neq)
         for i in range(m):
-            j = surplus_col.get(i)
-            if j is not None and self.matrix[i][j] == 1:
-                self.basis[i] = j
-                self.init_col[i] = j
-                continue
-            col = len(self.cols)
-            self.cols.append(("art", i))
-            self.artificial.add(col)
-            for r in range(m):
-                self.matrix[r].append(Fraction(1) if r == i else Fraction(0))
-            self.basis[i] = col
-            self.init_col[i] = col
-            self.init_cost[i] = Fraction(1)
+            if self.init_col[i] is None:
+                self.init_col[i] = len(self.cols)
+                self.cols.append(("art", i))
+        self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
+        self.basis = list(self.init_col)
+        self.den = math.prod(
+            math.lcm(rhs.denominator, *(c.denominator for c in coeffs)) for coeffs, rhs in rows
+        )
+        self.matrix = []
+        for i, (coeffs, rhs) in enumerate(rows):
+            scale = self.sigma[i] * self.den
+            nums = [c.numerator * (scale // c.denominator) for c in coeffs]
+            row = [sign * nums[v] for v, sign in struct]
+            row += [0] * (self.ncols - len(row)) + [rhs.numerator * (scale // rhs.denominator)]
+            if i >= neq:
+                row[surplus + i] = -scale
+            row[self.init_col[i]] = self.den
+            self.matrix.append(row)
+        self.z = None
+        self.zscale = 1
 
     @property
     def ncols(self) -> int:
         return len(self.cols)
 
-    def _pivot(self, r: int, j: int, z: list) -> None:
-        row = self.matrix[r]
-        piv = row[j]
-        if piv != 1:
-            inv = 1 / piv
-            self.matrix[r] = row = [val * inv for val in row]
-            self.rhs[r] *= inv
-        for i in range(len(self.matrix)):
-            if i == r:
-                continue
-            factor = self.matrix[i][j]
-            if factor:
-                other = self.matrix[i]
-                self.matrix[i] = [a - factor * b for a, b in zip(other, row)]
-                self.rhs[i] -= factor * self.rhs[r]
-        factor = z[j]
-        if factor:
-            for k in range(len(z)):
-                z[k] -= factor * row[k]
+    def _pivot(self, r: int, j: int) -> None:
+        prow = self.matrix[r]
+        p = prow[j]
+        if p < 0:
+            self.matrix[r] = prow = [-a for a in prow]
+            p = -p
+        den = self.den
+        self.matrix = [
+            row if i == r else _eliminate(row, prow, p, den, j)
+            for i, row in enumerate(self.matrix)
+        ]
+        self.z = _eliminate(self.z, prow, p, den, j)
+        self.den = p
         self.basis[r] = j
 
-    def run(self, cost: list, banned: set) -> list:
-        """Bland-rule simplex on the given cost vector; returns the final
-        reduced-cost row.  Raises on unbounded via _Unbounded."""
-        z = list(cost)
+    def run(self, cost: list, banned: set) -> None:
+        """Bland-rule simplex on the given cost vector, leaving the final
+        reduced-cost row in ``z``.  Raises on unbounded via _Unbounded."""
+        self.zscale = math.lcm(*(c.denominator for c in cost))
+        scaled = [c.numerator * (self.zscale // c.denominator) for c in cost]
+        z = [self.den * c for c in scaled] + [0]
         for i, b in enumerate(self.basis):
-            if cost[b]:
-                factor = cost[b]
-                row = self.matrix[i]
-                for k in range(len(z)):
-                    z[k] -= factor * row[k]
+            if scaled[b]:
+                z = [a - scaled[b] * v for a, v in zip(z, self.matrix[i])]
+        self.z = z
         while True:
             basic = set(self.basis)
             enter = None
             for j in range(self.ncols):
                 if j in banned or j in basic:
                     continue
-                if z[j] < 0:
+                if self.z[j] < 0:
                     enter = j
                     break
             if enter is None:
-                return z
+                return
+            # exact min of rhs / a over a > 0; den cancels from the ratio
             leave = None
-            best = None
             for i, row in enumerate(self.matrix):
                 a = row[enter]
                 if a > 0:
-                    theta = self.rhs[i] / a
-                    if best is None or theta < best or (
-                        theta == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = theta
+                    if leave is None:
+                        leave = i
+                        continue
+                    lhs = row[-1] * self.matrix[leave][enter]
+                    rhs = self.matrix[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:
                 raise _Unbounded(enter)
-            self._pivot(leave, enter, z)
+            self._pivot(leave, enter)
 
-    def objective_value(self, cost: list) -> Fraction:
-        return sum(
-            (cost[b] * self.rhs[i] for i, b in enumerate(self.basis)), Fraction(0)
-        )
+    def objective_value(self) -> Fraction:
+        return Fraction(-self.z[-1], self.den * self.zscale)
 
     def solution(self) -> list:
         x = [Fraction(0)] * self.lp.num_vars
         for i, b in enumerate(self.basis):
             kind = self.cols[b]
             if kind[0] == "var":
-                x[kind[1]] += kind[2] * self.rhs[i]
+                x[kind[1]] += kind[2] * Fraction(self.matrix[i][-1], self.den)
         return x
 
-    def row_multipliers(self, cost: list, z: list) -> list:
+    def row_multipliers(self, cost: list) -> list:
         """Multipliers per original row from the initial identity columns."""
         out = []
         for i in range(len(self.matrix)):
             j = self.init_col[i]
-            y = cost[j] - z[j]
+            y = cost[j] - Fraction(self.z[j], self.den * self.zscale)
             out.append(self.sigma[i] * y)
         return out
+
+
+def _eliminate(row: list, prow: list, p: int, den: int, j: int) -> list:
+    """One row of the fraction-free pivot update (exact division)."""
+    f = row[j]
+    if f:
+        return [(p * a - f * b) // den for a, b in zip(row, prow)]
+    if p == den:
+        return row
+    return [p * a // den for a in row]
 
 
 class _Unbounded(Exception):
@@ -395,10 +393,10 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     # phase 1: minimize the artificial sum
     if tab.artificial:
         cost1 = [Fraction(1) if j in tab.artificial else Fraction(0) for j in range(tab.ncols)]
-        z1 = tab.run(cost1, banned=set())
-        value1 = tab.objective_value(cost1)
+        tab.run(cost1, banned=set())
+        value1 = tab.objective_value()
         if value1 > 0:
-            mults = tab.row_multipliers(cost1, z1)
+            mults = tab.row_multipliers(cost1)
             certificate = _infeasibility_certificate(lp, mults, value1)
             return SimplexResult(status="infeasible", certificate=certificate)
         # drive leftover artificials out of the basis (degenerate pivots;
@@ -407,7 +405,7 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
             if tab.basis[i] in tab.artificial:
                 for j in range(tab.ncols):
                     if j not in tab.artificial and tab.matrix[i][j] != 0:
-                        tab._pivot(i, j, z1)
+                        tab._pivot(i, j)
                         break
 
     # phase 2
@@ -417,7 +415,7 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
         if col[0] == "var":
             cost2[j] = sign * col[2] * lp.objective[col[1]]
     try:
-        z2 = tab.run(cost2, banned=tab.artificial)
+        tab.run(cost2, banned=tab.artificial)
     except _Unbounded as unb:
         ray = _extract_ray(tab, unb.col)
         _check_ray(lp, ray)
@@ -425,7 +423,7 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     x = tab.solution()
     value = sum((lp.objective[v] * x[v] for v in range(lp.num_vars)), Fraction(0))
     _check_point(lp, x)
-    mults = tab.row_multipliers(cost2, z2)
+    mults = tab.row_multipliers(cost2)
     duals = tuple(sign * y for y in mults)
     _check_duals(lp, duals, value)
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
@@ -510,7 +508,7 @@ def _extract_ray(tab: _Tableau, enter: int) -> dict:
     for i, b in enumerate(tab.basis):
         a = tab.matrix[i][enter]
         if a:
-            ray_std[b] = -a
+            ray_std[b] = Fraction(-a, tab.den)
     ray: dict = {}
     for j, delta in ray_std.items():
         col = tab.cols[j]

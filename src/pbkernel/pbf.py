@@ -66,15 +66,20 @@ def _assignments(masks: np.ndarray, n: int) -> list:
     return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
 
 
-def _scaled(values: list) -> tuple:
-    """(numerators, denom): Fractions as one integer array over their LCM.
+def _scaled(values: Iterable) -> tuple:
+    """(numerators, denom): exact values as one integer array over their LCM.
 
+    Entries are ints, Fractions or anything else ``Fraction()`` accepts.
     Every intermediate of either subset transform is a +-1 combination of
     distinct inputs, so sum(|numerators|) < 2^62 rules out int64 overflow;
     above that bound the same code runs on Python ints.
     """
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     denom = math.lcm(*{v.denominator for v in values})
-    nums = [v.numerator * (denom // v.denominator) for v in values]
+    if denom == 1:
+        nums = [v.numerator for v in values]
+    else:
+        nums = [v.numerator * (denom // v.denominator) for v in values]
     return np.array(nums, dtype=np.int64 if sum(map(abs, nums)) < 1 << 62 else object), denom
 
 
@@ -169,7 +174,7 @@ class PseudoBoolean:
         if size == 0 or size & (size - 1):
             raise ValueError(f"table length {size} is not a power of two")
         n = size.bit_length() - 1
-        vals, denom = _scaled([_coerce(v) for v in table])
+        vals, denom = _scaled(table)
         vals = _swap_order(vals, n)
         _subset_transform(vals, n, -1)
         masks = np.flatnonzero(vals)
@@ -368,7 +373,7 @@ class PseudoBoolean:
     def _cube_values(self, cap: int, what: str) -> tuple:
         """(vals, denom) with vals[mask] == denom * f(x) for every varmask."""
         _check_cap(self.n, cap, what)
-        coeffs, denom = _scaled(list(self._terms.values()))
+        coeffs, denom = _scaled(self._terms.values())
         vals = np.zeros(1 << self.n, dtype=coeffs.dtype)
         vals[list(self._terms)] = coeffs
         _subset_transform(vals, self.n, 1)

@@ -3,9 +3,10 @@
 Everything here recomputes expected values through a different route
 than the library code under test: naive term-by-term evaluation, the
 per-point Fraction cube scans the library used before its exact integer
-engine, dense numpy matrices built from hard-coded gate definitions, a
-brute-force CNF solution scanner, and an exact minimal-face feasibility
-decider.
+engine, the dense Fraction simplex tableau the library used before its
+fraction-free integer tableau, dense numpy matrices built from hard-coded
+gate definitions, a brute-force CNF solution scanner, and an exact
+minimal-face feasibility decider.
 """
 
 from __future__ import annotations
@@ -343,6 +344,280 @@ def face_enumeration_feasible(eqs, geqs, num_vars) -> bool:
             ):
                 return True
     return False
+
+
+# -- random LP instances -----------------------------------------------------
+
+def fuzz_lp(rng: random.Random):
+    """Small integer LP: at most 3 variables, 1 equality and 3 inequality
+    rows, a random sign pattern and sense."""
+    from pbkernel import LPInstance
+
+    nv = rng.randint(1, 3)
+    return LPInstance(
+        num_vars=nv,
+        objective=[Fraction(rng.randint(-3, 3)) for _ in range(nv)],
+        eq=[
+            ([Fraction(rng.randint(-3, 3)) for _ in range(nv)],
+             Fraction(rng.randint(-3, 3)))
+            for _ in range(rng.randint(0, 1))
+        ],
+        geq=[
+            ([Fraction(rng.randint(-3, 3)) for _ in range(nv)],
+             Fraction(rng.randint(-3, 3)))
+            for _ in range(rng.randint(0, 3))
+        ],
+        nonneg=[rng.random() < 0.6 for _ in range(nv)],
+        sense=rng.choice(["min", "max"]),
+    )
+
+
+def random_target(rng: random.Random):
+    """(target set, n): a random proper nonempty subset of {0,1}^n, n = 2..3."""
+    n = rng.randint(2, 3)
+    size = rng.randint(1, (1 << n) - 1)
+    return set(rng.sample(assignments(n), size)), n
+
+
+def rational_lp(rng: random.Random):
+    """LP on rational data with a distinct denominator LCM per row, rows
+    with negative right-hand sides, free variables, mixed eq/geq rows,
+    either sense, and sometimes a redundant equality (a rational multiple
+    of another row) whose artificial stays basic after phase 1."""
+    from pbkernel import LPInstance
+
+    def rat():
+        return Fraction(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 4, 5, 6, 9)))
+
+    nv = rng.randint(1, 5)
+    eq = [([rat() for _ in range(nv)], rat()) for _ in range(rng.randint(0, 2))]
+    geq = [([rat() for _ in range(nv)], rat()) for _ in range(rng.randint(0, 4))]
+    if eq and rng.random() < 0.4:
+        k = Fraction(rng.choice((-3, -2, -1, 1, 2)), rng.choice((1, 2, 5, 7)))
+        coeffs, rhs = rng.choice(eq)
+        eq.insert(rng.randint(0, len(eq)), ([k * c for c in coeffs], k * rhs))
+    return LPInstance(
+        num_vars=nv,
+        objective=[rat() for _ in range(nv)],
+        eq=eq,
+        geq=geq,
+        nonneg=[rng.random() < 0.6 for _ in range(nv)],
+        sense=rng.choice(["min", "max"]),
+    )
+
+
+# -- Fraction simplex tableau (reference for the integer tableau) -----------
+
+class RefTableau:
+    """Dense Fraction simplex tableau with Bland's anti-cycling rule: the
+    solver the library used before its fraction-free integer tableau."""
+
+    def __init__(self, lp):
+        self.lp = lp
+        self.cols = []  # ("var", v, sign) | ("surplus", row) | ("art", row)
+        for v in range(lp.num_vars):
+            self.cols.append(("var", v, 1))
+            if not lp.nonneg[v]:
+                self.cols.append(("var", v, -1))
+        nstruct = len(self.cols)
+        rows = []
+        self.sigma = []  # std row = sigma * original row
+        refs = lp.row_refs()
+        for ref in refs:
+            coeffs, rhs = (lp.eq if ref[0] == "eq" else lp.geq)[ref[1]]
+            rows.append((list(coeffs), rhs, ref))
+        m = len(rows)
+        surplus_col = {}
+        for i, (coeffs, rhs, ref) in enumerate(rows):
+            if ref[0] == "geq":
+                surplus_col[i] = nstruct + len(surplus_col)
+        ncols = nstruct + len(surplus_col)
+        self.matrix = []
+        self.rhs = []
+        self.refs = []
+        for i, (coeffs, rhs, ref) in enumerate(rows):
+            row = [Fraction(0)] * ncols
+            for j, col in enumerate(self.cols):
+                _, v, sign = col
+                if coeffs[v]:
+                    row[j] = sign * coeffs[v]
+            if i in surplus_col:
+                row[surplus_col[i]] = Fraction(-1)
+            sigma = 1
+            if rhs < 0:
+                sigma = -1
+                row = [-val for val in row]
+                rhs = -rhs
+            self.sigma.append(sigma)
+            self.matrix.append(row)
+            self.rhs.append(rhs)
+            self.refs.append(ref)
+        for _ in surplus_col:
+            self.cols.append(("surplus", None))
+        # initial basis: a negated geq row exposes its surplus at +1;
+        # everything else gets an artificial column
+        self.basis = [None] * m
+        self.init_col = [None] * m
+        self.init_cost = [Fraction(0)] * m
+        self.artificial = set()
+        for i in range(m):
+            j = surplus_col.get(i)
+            if j is not None and self.matrix[i][j] == 1:
+                self.basis[i] = j
+                self.init_col[i] = j
+                continue
+            col = len(self.cols)
+            self.cols.append(("art", i))
+            self.artificial.add(col)
+            for r in range(m):
+                self.matrix[r].append(Fraction(1) if r == i else Fraction(0))
+            self.basis[i] = col
+            self.init_col[i] = col
+            self.init_cost[i] = Fraction(1)
+
+    @property
+    def ncols(self):
+        return len(self.cols)
+
+    def _pivot(self, r, j, z):
+        row = self.matrix[r]
+        piv = row[j]
+        if piv != 1:
+            inv = 1 / piv
+            self.matrix[r] = row = [val * inv for val in row]
+            self.rhs[r] *= inv
+        for i in range(len(self.matrix)):
+            if i == r:
+                continue
+            factor = self.matrix[i][j]
+            if factor:
+                other = self.matrix[i]
+                self.matrix[i] = [a - factor * b for a, b in zip(other, row)]
+                self.rhs[i] -= factor * self.rhs[r]
+        factor = z[j]
+        if factor:
+            for k in range(len(z)):
+                z[k] -= factor * row[k]
+        self.basis[r] = j
+
+    def run(self, cost, banned):
+        from pbkernel.ising_kernel import _Unbounded
+
+        z = list(cost)
+        for i, b in enumerate(self.basis):
+            if cost[b]:
+                factor = cost[b]
+                row = self.matrix[i]
+                for k in range(len(z)):
+                    z[k] -= factor * row[k]
+        while True:
+            basic = set(self.basis)
+            enter = None
+            for j in range(self.ncols):
+                if j in banned or j in basic:
+                    continue
+                if z[j] < 0:
+                    enter = j
+                    break
+            if enter is None:
+                return z
+            leave = None
+            best = None
+            for i, row in enumerate(self.matrix):
+                a = row[enter]
+                if a > 0:
+                    theta = self.rhs[i] / a
+                    if best is None or theta < best or (
+                        theta == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = theta
+                        leave = i
+            if leave is None:
+                raise _Unbounded(enter)
+            self._pivot(leave, enter, z)
+
+    def objective_value(self, cost):
+        return sum(
+            (cost[b] * self.rhs[i] for i, b in enumerate(self.basis)), Fraction(0)
+        )
+
+    def solution(self):
+        x = [Fraction(0)] * self.lp.num_vars
+        for i, b in enumerate(self.basis):
+            kind = self.cols[b]
+            if kind[0] == "var":
+                x[kind[1]] += kind[2] * self.rhs[i]
+        return x
+
+    def row_multipliers(self, cost, z):
+        out = []
+        for i in range(len(self.matrix)):
+            j = self.init_col[i]
+            y = cost[j] - z[j]
+            out.append(self.sigma[i] * y)
+        return out
+
+
+def _ref_extract_ray(tab, enter):
+    ray_std = {enter: Fraction(1)}
+    for i, b in enumerate(tab.basis):
+        a = tab.matrix[i][enter]
+        if a:
+            ray_std[b] = -a
+    ray = {}
+    for j, delta in ray_std.items():
+        col = tab.cols[j]
+        if col[0] == "var":
+            ray[col[1]] = ray.get(col[1], Fraction(0)) + col[2] * delta
+    return {v: d for v, d in ray.items() if d}
+
+
+def ref_simplex_solve(lp):
+    """``simplex_solve`` on the Fraction tableau, with the same exact
+    re-checks on every exit."""
+    from pbkernel.ising_kernel import (
+        SimplexResult,
+        _Unbounded,
+        _check_duals,
+        _check_point,
+        _check_ray,
+        _infeasibility_certificate,
+    )
+
+    tab = RefTableau(lp)
+    m = len(tab.matrix)
+    if tab.artificial:
+        cost1 = [Fraction(1) if j in tab.artificial else Fraction(0) for j in range(tab.ncols)]
+        z1 = tab.run(cost1, banned=set())
+        value1 = tab.objective_value(cost1)
+        if value1 > 0:
+            mults = tab.row_multipliers(cost1, z1)
+            certificate = _infeasibility_certificate(lp, mults, value1)
+            return SimplexResult(status="infeasible", certificate=certificate)
+        for i in range(m):
+            if tab.basis[i] in tab.artificial:
+                for j in range(tab.ncols):
+                    if j not in tab.artificial and tab.matrix[i][j] != 0:
+                        tab._pivot(i, j, z1)
+                        break
+    sign = 1 if lp.sense == "min" else -1
+    cost2 = [Fraction(0)] * tab.ncols
+    for j, col in enumerate(tab.cols):
+        if col[0] == "var":
+            cost2[j] = sign * col[2] * lp.objective[col[1]]
+    try:
+        z2 = tab.run(cost2, banned=tab.artificial)
+    except _Unbounded as unb:
+        ray = _ref_extract_ray(tab, unb.col)
+        _check_ray(lp, ray)
+        return SimplexResult(status="unbounded", ray=ray)
+    x = tab.solution()
+    value = sum((lp.objective[v] * x[v] for v in range(lp.num_vars)), Fraction(0))
+    _check_point(lp, x)
+    mults = tab.row_multipliers(cost2, z2)
+    duals = tuple(sign * y for y in mults)
+    _check_duals(lp, duals, value)
+    return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
 
 
 @pytest.fixture

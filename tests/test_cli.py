@@ -211,6 +211,20 @@ class TestExitCodesAndDeterminism:
         assert code == 2 and err == "error: statevector arity 20 outside 0..16\n"
         assert peak < 1 << 20
 
+    def test_failed_recheck_is_an_internal_error(self, capsys, tmp_path, monkeypatch):
+        from pbkernel.ising_kernel import QuadraticRealization
+
+        path = tmp_path / "pair.txt"
+        path.write_text("0000\n1111\n")
+        monkeypatch.setattr(QuadraticRealization, "verify", lambda self, target: False)
+        code, out, err = run(capsys, "ising", "realize", str(path), "-n", "4", "--json")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: internal error: AssertionError: "
+            "recovered coefficients fail the margin re-verification\n"
+        )
+        assert "Traceback" not in err
+
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:
             main(["pbf", "frobnicate", "x"])

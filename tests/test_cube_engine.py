@@ -25,6 +25,7 @@ from pbkernel import (
     quadratic_realizability,
     support_parent,
 )
+from pbkernel.pbf import _scaled
 from conftest import (
     assignments,
     random_pbf,
@@ -130,6 +131,38 @@ def test_from_disjoint_form_at_the_bound():
     for total in (BIG - 1, BIG, 1 << 70):
         table = [0] * 7 + [total]
         assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table)
+
+
+def test_from_disjoint_form_on_mixed_entry_types():
+    rng = random.Random(5)
+    for n in range(7):
+        table = []
+        for _ in range(1 << n):
+            v = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+            table.append(rng.choice((v, str(v), v.numerator if v.denominator == 1 else v)))
+        assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table)
+
+
+@pytest.mark.parametrize("table, dtype", [
+    ([0, str(BIG // 2), Fraction(BIG // 4), BIG // 4 - 1], np.int64),
+    ([0, str(BIG // 2), Fraction(BIG // 4), BIG // 4], object),
+    ([-(BIG // 2), "0", Fraction(-(BIG // 2)), 0], object),
+    # below 2^61 each, pushed over 2^62 by the LCM 15 of the denominators
+    ([Fraction(1 << 61, 3), "0", f"-{1 << 60}/5", -1], object),
+    ([Fraction(1 << 58, 3), "0", f"-{1 << 57}/5", -1], np.int64),
+])
+def test_from_disjoint_form_on_mixed_tables_at_the_bound(table, dtype):
+    assert _scaled(table)[0].dtype == dtype
+    assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table)
+
+
+@pytest.mark.parametrize("bad", ["1/0x", None, "two"])
+def test_from_disjoint_form_keeps_the_coercion_errors(bad):
+    with pytest.raises(Exception) as want:
+        Fraction(bad)
+    with pytest.raises(type(want.value)) as got:
+        PseudoBoolean.from_disjoint_form([0, 1, bad, 2])
+    assert str(got.value) == str(want.value)
 
 
 def symmetric_cases():

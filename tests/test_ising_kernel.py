@@ -22,7 +22,7 @@ from pbkernel import (
 )
 from pbkernel.gadgets import SupportSet
 from pbkernel.ising_kernel import _features, _pair_order
-from conftest import assignments, face_enumeration_feasible
+from conftest import assignments, face_enumeration_feasible, random_target
 
 EVEN_PARITY_3 = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
@@ -288,9 +288,7 @@ class TestRealizability:
 
     def test_random_sets_match_face_enumeration(self, rng):
         for _ in range(12):
-            n = rng.randint(2, 3)
-            size = rng.randint(1, (1 << n) - 1)
-            target = set(rng.sample(assignments(n), size))
+            target, n = random_target(rng)
             real = quadratic_realizability(target, n)
             eqs, geqs, dim = margin_system(target, n)
             assert real.feasible == face_enumeration_feasible(eqs, geqs, dim)
@@ -354,26 +352,11 @@ class TestSimplexFuzz:
         return eqs, geqs
 
     def test_random_lps_match_face_enumeration(self, rng):
-        from conftest import face_enumeration_optimum
+        from conftest import face_enumeration_optimum, fuzz_lp
 
         for _ in range(60):
-            nv = rng.randint(1, 3)
-            lp = LPInstance(
-                num_vars=nv,
-                objective=[Fraction(rng.randint(-3, 3)) for _ in range(nv)],
-                eq=[
-                    ([Fraction(rng.randint(-3, 3)) for _ in range(nv)],
-                     Fraction(rng.randint(-3, 3)))
-                    for _ in range(rng.randint(0, 1))
-                ],
-                geq=[
-                    ([Fraction(rng.randint(-3, 3)) for _ in range(nv)],
-                     Fraction(rng.randint(-3, 3)))
-                    for _ in range(rng.randint(0, 3))
-                ],
-                nonneg=[rng.random() < 0.6 for _ in range(nv)],
-                sense=rng.choice(["min", "max"]),
-            )
+            lp = fuzz_lp(rng)
+            nv = lp.num_vars
             res = simplex_solve(lp)
             eqs, geqs = self._oracle_rows(lp)
             feasible = face_enumeration_feasible(eqs, geqs, nv)

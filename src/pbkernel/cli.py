@@ -75,7 +75,10 @@ def _load_state(path: str) -> pauli.StateVector:
                 raise EnumerationCapError(f"statevector arity {n} outside 0..{pauli.STATE_CAP}")
         elif len(bits) != n:
             raise PBKernelError(f"state line {lineno}: inconsistent width")
-        entries[index_of(bits)] = pauli.ExactComplex(Fraction(parts[1]), Fraction(parts[2]))
+        try:
+            entries[index_of(bits)] = pauli.ExactComplex(Fraction(parts[1]), Fraction(parts[2]))
+        except ZeroDivisionError:
+            raise PBKernelError(f"state line {lineno}: zero denominator") from None
     if n is None:
         raise PBKernelError("state file has no amplitude lines")
     amps = [entries.get(i, Fraction(0)) for i in range(1 << n)]

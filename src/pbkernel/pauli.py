@@ -12,6 +12,23 @@ amplitudes are Fractions and the factors of i introduced by Y letters
 (or S gates) are handled by :class:`ExactComplex`, a complex number with
 Fraction components.  Float and complex amplitudes are also accepted and
 simply propagate.
+
+Every statevector action (:meth:`PauliSum.apply` and
+:func:`pbkernel.stabilizer.apply_circuit`) runs on one engine,
+:class:`_Amplitudes`.  An exact vector becomes two integer arrays
+``(re, im)`` over one common denominator, the LCM of every real and
+imaginary denominator, so each amplitude is a Gaussian integer over it.
+The arrays are int64 when max(1, max|numerator|) times the caller's
+growth bound is below 2^62 (2^(number of H gates) for a circuit, the sum
+of |coefficient numerators| over their LCM for a Pauli sum), which rules
+out overflow, and object arrays of Python ints above it, with one code
+path.  A vector with any float or complex amplitude runs the same code on
+float64 ``(re, im)`` arrays.  Gates act on halves of the ``(2,)*n`` view
+of the arrays, and a Pauli word is one gather by ``idx ^ flip``, one sign
+from the parity of ``idx & zmask`` and one rotation by i^(number of Y).
+Results come back as one shared ``Fraction(0)`` per zero amplitude, a
+``Fraction`` per real amplitude and an :class:`ExactComplex` only where
+the imaginary part is nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
-from .pbf import PseudoBoolean, _coerce, index_of
+from .pbf import PseudoBoolean, _coerce, _numerators, index_of
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
@@ -35,6 +52,14 @@ _PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _pauli_matrix(word: str) -> np.ndarray:
+    """Dense matrix of one Pauli string: the Kronecker product, letter 0 first."""
+    m = np.array([[1.0]], dtype=complex)
+    for ch in word:
+        m = np.kron(m, _PAULI_MATRICES[ch])
+    return m
 
 
 class ExactComplex:
@@ -99,22 +124,8 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im})"
 
 
-def _mul_i_power(value, k: int):
-    """value * i**k, staying exact for Fraction / ExactComplex inputs."""
-    k &= 3
-    if k == 0:
-        return value
-    if isinstance(value, (complex, float)):
-        return value * (1j**k)
-    if k == 2:
-        return -value
-    if isinstance(value, ExactComplex):
-        re, im = value.re, value.im
-    else:
-        re, im = value, Fraction(0)
-    if k == 1:
-        return ExactComplex(-im, re)
-    return ExactComplex(im, -re)
+#: the one zero amplitude the constructors and the engine share
+_ZERO = Fraction(0)
 
 
 def _amp_is_zero(value, tol: float = 0.0) -> bool:
@@ -140,12 +151,12 @@ class StateVector:
 
     @classmethod
     def zeros(cls, arity: int) -> "StateVector":
-        return cls(arity, [Fraction(0)] * (1 << arity))
+        return cls(arity, [_ZERO] * (1 << arity))
 
     @classmethod
     def basis_state(cls, arity: int, x) -> "StateVector":
         idx = x if isinstance(x, int) else index_of(x)
-        amps = [Fraction(0)] * (1 << arity)
+        amps = [_ZERO] * (1 << arity)
         amps[idx] = Fraction(1)
         return cls(arity, amps)
 
@@ -167,7 +178,7 @@ class StateVector:
         if arity < 1:
             raise ValueError("GHZ state needs at least one qubit")
         end = 2.0 ** (-1 / 2) if normalized else Fraction(1)
-        amps = [end] + [Fraction(0)] * ((1 << arity) - 2) + [end]
+        amps = [end] + [_ZERO] * ((1 << arity) - 2) + [end]
         return cls(arity, amps)
 
     def amplitude(self, x) -> object:
@@ -181,7 +192,7 @@ class StateVector:
         return np.array([complex(a) for a in self.amps])
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(_amp_is_zero(a, tol) for a in self.amps)
+        return all(a is _ZERO or _amp_is_zero(a, tol) for a in self.amps)
 
     def scaled(self, c) -> "StateVector":
         return StateVector(self.n, [c * a for a in self.amps])
@@ -208,6 +219,127 @@ class StateVector:
 
     def __repr__(self):
         return f"StateVector(n={self.n})"
+
+
+def _odd_parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry (entries below 2^STATE_CAP)."""
+    for shift in (8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return (x & 1).astype(bool)
+
+
+class _Amplitudes:
+    """The statevector engine: amplitude k is (re[k] + i im[k]) / denom.
+
+    Exact vectors hold integer numerators over the LCM of every real and
+    imaginary denominator: int64 when max(1, max|numerator|) * growth <
+    2^62, where ``growth`` bounds how much the caller's arithmetic can
+    multiply an entry, and Python ints (object arrays) above it.  A vector
+    with any float or complex amplitude holds float64 parts over denom 1.
+    Every operation is the same code for all three dtypes.
+    """
+
+    __slots__ = ("n", "re", "im", "denom")
+
+    def __init__(self, n: int, re: np.ndarray, im: np.ndarray, denom: int):
+        self.n, self.re, self.im, self.denom = n, re, im, denom
+
+    @classmethod
+    def of(cls, v: StateVector, growth: int) -> "_Amplitudes":
+        """The engine form of v, for arithmetic that multiplies entries by at most growth."""
+        nonzero = {}  # index -> (re, im); only these are scaled
+        for k, a in enumerate(v.amps):
+            if a is _ZERO:
+                continue
+            if isinstance(a, ExactComplex):
+                if a.re or a.im:
+                    nonzero[k] = a.re, a.im
+            elif isinstance(a, (float, complex)):
+                z = np.array([complex(b) for b in v.amps])
+                return cls(v.n, z.real.copy(), z.imag.copy(), 1)
+            elif a:
+                nonzero[k] = a, 0
+        nums, denom = _numerators(x for pair in nonzero.values() for x in pair)
+        small = max(1, max(map(abs, nums), default=0)) * growth < 1 << 62
+        re = np.zeros(1 << v.n, dtype=np.int64 if small else object)
+        im = re.copy()
+        re[list(nonzero)], im[list(nonzero)] = nums[0::2], nums[1::2]
+        return cls(v.n, re, im, denom)
+
+    @property
+    def exact(self) -> bool:
+        return self.re.dtype != np.float64
+
+    def state(self) -> StateVector:
+        amps = [_ZERO] * (1 << self.n)
+        nz = np.flatnonzero((self.re != 0) | (self.im != 0))
+        d, exact = self.denom, self.exact
+        for k, r, m in zip(nz.tolist(), self.re[nz].tolist(), self.im[nz].tolist()):
+            if not exact:
+                amps[k] = complex(r, m) if m else r
+            elif m:
+                amps[k] = ExactComplex(Fraction(r, d), Fraction(m, d))
+            else:
+                amps[k] = Fraction(r, d)
+        return StateVector(self.n, amps)
+
+    def _halves(self, target: int, control: int | None) -> tuple:
+        """Views of (re, im) with the target qubit 0, then with it 1, inside
+        the control-1 slab when there is a control; qubit 0 is the first axis."""
+        out = []
+        for bit in (0, 1):  # slices, not ints, so that even n = 1 gives views
+            key = [slice(None)] * self.n
+            key[target] = slice(bit, bit + 1)
+            if control is not None:
+                key[control] = slice(1, 2)
+            out.append([a.reshape((2,) * self.n)[tuple(key)] for a in (self.re, self.im)])
+        return out
+
+    def gate(self, kind: str, target: int, control: int | None = None) -> None:
+        """Apply one Clifford gate in place; H is unnormalized (a + b, a - b)."""
+        lo, hi = self._halves(target, control)
+        if kind == "h":
+            for a, b in zip(lo, hi):
+                old = a.copy()
+                a += b
+                b[...] = old - b
+        elif kind == "s":  # times i on the target-1 half
+            re, im = hi
+            old = re.copy()
+            re[...] = -im
+            im[...] = old
+        elif kind == "z":
+            for b in hi:
+                b[...] = -b
+        else:  # x, or cnot inside its control-1 slab: swap the halves
+            for a, b in zip(lo, hi):
+                old = a.copy()
+                a[...] = b
+                b[...] = old
+
+    def pauli_sum(self, words: list, coeffs: list, lcm: int) -> "_Amplitudes":
+        """sum_w (coeffs[w] / lcm) P_w applied to this vector, as a new one."""
+        idx = np.arange(1 << self.n)
+        out_re = np.zeros(idx.size, dtype=self.re.dtype)
+        out_im = np.zeros_like(out_re)
+        for word, c in zip(words, coeffs):
+            flip = zmask = 0
+            for ch in word:  # letter 0 is the most significant bit
+                flip = flip << 1 | (ch in "XY")
+                zmask = zmask << 1 | (ch in "ZY")
+            src = idx ^ flip  # (P_w v)[j] = i^#Y (-1)^|src_j & zmask| v[src_j]
+            scale = np.where(_odd_parity(src & zmask), -1, 1).astype(out_re.dtype) * c
+            t_re, t_im = self.re[src] * scale, self.im[src] * scale
+            ny = word.count("Y")
+            if ny & 1:  # times i
+                t_re, t_im = -t_im, t_re
+            if ny & 2:
+                out_re -= t_re
+                out_im -= t_im
+            else:
+                out_re += t_re
+                out_im += t_im
+        return _Amplitudes(self.n, out_re, out_im, self.denom * lcm)
 
 
 class DiagonalOperator:
@@ -331,30 +463,19 @@ class PauliSum:
 
     def apply(self, v: StateVector) -> StateVector:
         """Matrix-free action: each string is a bit-flip permutation with
-        a +-1 / +-i phase per basis state."""
+        a +-1 / +-i phase per basis state, run on :class:`_Amplitudes`.
+
+        The coefficients become integer numerators over their LCM, and
+        each output entry is a sum of those numerators times +-1 / +-i
+        times one input numerator, which bounds the int64 check.
+        """
         if v.n != self.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {v.n}")
-        n = self.n
-        size = 1 << n
-        out = [Fraction(0)] * size
-        for word, coeff in self._terms.items():
-            flip = 0
-            zmask = 0
-            y_count = 0
-            for i, ch in enumerate(word):
-                bit = 1 << (n - 1 - i)
-                if ch in "XY":
-                    flip |= bit
-                if ch in "ZY":
-                    zmask |= bit
-                if ch == "Y":
-                    y_count += 1
-            for idx, amp in enumerate(v.amps):
-                if _amp_is_zero(amp):
-                    continue
-                k = (y_count + 2 * (idx & zmask).bit_count()) & 3
-                out[idx ^ flip] = out[idx ^ flip] + _mul_i_power(coeff * amp, k)
-        return StateVector(n, out)
+        coeffs, lcm = _numerators(self._terms.values())
+        amps = _Amplitudes.of(v, sum(map(abs, coeffs)))
+        if not amps.exact:
+            coeffs, lcm = [float(c) for c in self._terms.values()], 1
+        return amps.pauli_sum(list(self._terms), coeffs, lcm).state()
 
     def to_dense(self) -> np.ndarray:
         """Dense complex matrix; desk-scale only."""
@@ -363,10 +484,7 @@ class PauliSum:
         size = 1 << self.n
         out = np.zeros((size, size), dtype=complex)
         for word, coeff in self._terms.items():
-            m = np.array([[1.0]], dtype=complex)
-            for ch in word:
-                m = np.kron(m, _PAULI_MATRICES[ch])
-            out += float(coeff) * m
+            out += float(coeff) * _pauli_matrix(word)
         return out
 
     def to_text(self) -> str:
@@ -491,10 +609,7 @@ def dense_pauli_coefficients(mat: np.ndarray, tol: float = 1e-12) -> dict:
     for _ in range(n):
         words = [w + ch for w in words for ch in PAULI_LETTERS]
     for word in words:
-        m = np.array([[1.0]], dtype=complex)
-        for ch in word:
-            m = np.kron(m, _PAULI_MATRICES[ch])
-        c = np.trace(m @ mat) / size
+        c = np.trace(_pauli_matrix(word) @ mat) / size
         if abs(c) > tol:
             coeffs[word] = complex(c)
     return coeffs

@@ -66,20 +66,26 @@ def _assignments(masks: np.ndarray, n: int) -> list:
     return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
 
 
-def _scaled(values: Iterable) -> tuple:
-    """(numerators, denom): exact values as one integer array over their LCM.
+def _numerators(values: Iterable) -> tuple:
+    """(numerators, denom): exact values as a list of ints over their LCM.
 
     Entries are ints, Fractions or anything else ``Fraction()`` accepts.
-    Every intermediate of either subset transform is a +-1 combination of
-    distinct inputs, so sum(|numerators|) < 2^62 rules out int64 overflow;
-    above that bound the same code runs on Python ints.
     """
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     denom = math.lcm(*{v.denominator for v in values})
     if denom == 1:
-        nums = [v.numerator for v in values]
-    else:
-        nums = [v.numerator * (denom // v.denominator) for v in values]
+        return [v.numerator for v in values], denom
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def _scaled(values: Iterable) -> tuple:
+    """(numerators, denom): exact values as one integer array over their LCM.
+
+    Every intermediate of either subset transform is a +-1 combination of
+    distinct inputs, so sum(|numerators|) < 2^62 rules out int64 overflow;
+    above that bound the same code runs on Python ints.
+    """
+    nums, denom = _numerators(values)
     return np.array(nums, dtype=np.int64 if sum(map(abs, nums)) < 1 << 62 else object), denom
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, ParseError
-from .pauli import PauliSum, StateVector, _mul_i_power
+from .pauli import PauliSum, StateVector, _Amplitudes
 
 GATE_KINDS = ("h", "s", "x", "z", "cnot")
 
@@ -110,9 +110,22 @@ class CliffordCircuit:
 
     @classmethod
     def from_text(cls, text: str) -> "CliffordCircuit":
-        """Parse the 1-based text format ('qubits n' header, one gate per line)."""
+        """Parse the 1-based text format ('qubits n' header, one gate per line).
+
+        Diagnostics name the line and the index as written in the file.
+        """
         n = None
         gates = []
+
+        def number(token: str, what: str, high: int) -> int:
+            try:
+                value = int(token)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad {what} {token!r}") from None
+            if not 1 <= value <= high:
+                raise ParseError(f"line {lineno}: {what} {value} out of range 1..{high}")
+            return value
+
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip().lower()
             if not line or line.startswith("#"):
@@ -121,18 +134,21 @@ class CliffordCircuit:
             if parts[0] == "qubits":
                 if n is not None or len(parts) != 2:
                     raise ParseError(f"line {lineno}: bad or repeated 'qubits' header")
-                n = int(parts[1])
+                n = number(parts[1], "qubit count", MAX_QUBITS)
                 continue
             if n is None:
                 raise ParseError(f"line {lineno}: 'qubits n' header must come first")
             if parts[0] == "cnot":
                 if len(parts) != 3:
                     raise ParseError(f"line {lineno}: cnot takes two indices")
-                gates.append(cnot(int(parts[1]) - 1, int(parts[2]) - 1))
+                control, target = (number(t, "qubit index", n) - 1 for t in parts[1:])
+                if control == target:
+                    raise ParseError(f"line {lineno}: cnot control and target must differ")
+                gates.append(cnot(control, target))
             elif parts[0] in GATE_KINDS:
                 if len(parts) != 2:
                     raise ParseError(f"line {lineno}: {parts[0]} takes one index")
-                gates.append(CliffordGate(parts[0], int(parts[1]) - 1))
+                gates.append(CliffordGate(parts[0], number(parts[1], "qubit index", n) - 1))
             else:
                 raise ParseError(f"line {lineno}: unknown gate {parts[0]!r}")
         if n is None:
@@ -328,37 +344,21 @@ def apply_circuit(circuit: CliffordCircuit, v: StateVector) -> StateVector:
     equals 2^(k/2) U|v> with k the number of H gates; kernel membership
     and eigenvalue checks are scale-invariant, and amplitudes stay
     rational.  S gates introduce exact factors of i.
+
+    The gates run on the statevector engine of :mod:`pbkernel.pauli`:
+    integer (re, im) numerator arrays over the LCM of the input's
+    denominators, each gate one slice operation on the ``(2,)*n`` view
+    (qubit 0 is the first axis, the most significant index bit).  Only H
+    grows entries, by at most a factor 2, so the arrays are int64 when
+    max|numerator| * 2^k < 2^62 and Python ints above it.  Float or
+    complex inputs run the same gates on float64 arrays.
     """
     if circuit.n != v.n:
         raise DimensionError(f"arity mismatch: circuit {circuit.n} vs state {v.n}")
-    n = circuit.n
-    amps = list(v.amps)
-    size = 1 << n
-    for gate in circuit.gates:
-        t = 1 << (n - 1 - gate.target)
-        if gate.kind == "h":
-            for idx in range(size):
-                if not idx & t:
-                    a, b = amps[idx], amps[idx | t]
-                    amps[idx], amps[idx | t] = a + b, a - b
-        elif gate.kind == "s":
-            for idx in range(size):
-                if idx & t:
-                    amps[idx] = _mul_i_power(amps[idx], 1)
-        elif gate.kind == "x":
-            for idx in range(size):
-                if not idx & t:
-                    amps[idx], amps[idx | t] = amps[idx | t], amps[idx]
-        elif gate.kind == "z":
-            for idx in range(size):
-                if idx & t:
-                    amps[idx] = -amps[idx]
-        else:  # cnot
-            c = 1 << (n - 1 - gate.control)
-            for idx in range(size):
-                if idx & c and not idx & t:
-                    amps[idx], amps[idx | t] = amps[idx | t], amps[idx]
-    return StateVector(n, amps)
+    amps = _Amplitudes.of(v, 1 << sum(g.kind == "h" for g in circuit.gates))
+    for g in circuit.gates:
+        amps.gate(g.kind, g.target, g.control)
+    return amps.state()
 
 
 def trivial_parent(v: StateVector, tol: float = 1e-9) -> np.ndarray:

@@ -4,9 +4,10 @@ Everything here recomputes expected values through a different route
 than the library code under test: naive term-by-term evaluation, the
 per-point Fraction cube scans the library used before its exact integer
 engine, the dense Fraction simplex tableau the library used before its
-fraction-free integer tableau, dense numpy matrices built from hard-coded
-gate definitions, a brute-force CNF solution scanner, and an exact
-minimal-face feasibility decider.
+fraction-free integer tableau, the per-index gate and Pauli-term loops
+the library used before its integer statevector engine, dense numpy
+matrices built from hard-coded gate definitions, a brute-force CNF
+solution scanner, and an exact minimal-face feasibility decider.
 """
 
 from __future__ import annotations
@@ -159,6 +160,87 @@ def ref_margin_check(real, target):
         elif e < 1:
             return False
     return True
+
+
+# -- per-index statevector loops (the library's code before its engine) ------
+
+def ref_mul_i_power(value, k: int):
+    """value * i**k, staying exact for Fraction / ExactComplex inputs."""
+    from pbkernel import ExactComplex
+
+    k &= 3
+    if k == 0:
+        return value
+    if isinstance(value, (complex, float)):
+        return value * (1j**k)
+    if k == 2:
+        return -value
+    if isinstance(value, ExactComplex):
+        re, im = value.re, value.im
+    else:
+        re, im = value, Fraction(0)
+    if k == 1:
+        return ExactComplex(-im, re)
+    return ExactComplex(im, -re)
+
+
+def ref_apply_circuit(circuit, v):
+    """Gate-by-gate application, one amplitude at a time (H unnormalized)."""
+    from pbkernel import StateVector
+
+    n = circuit.n
+    amps = list(v.amps)
+    size = 1 << n
+    for gate in circuit.gates:
+        t = 1 << (n - 1 - gate.target)
+        if gate.kind == "h":
+            for idx in range(size):
+                if not idx & t:
+                    a, b = amps[idx], amps[idx | t]
+                    amps[idx], amps[idx | t] = a + b, a - b
+        elif gate.kind == "s":
+            for idx in range(size):
+                if idx & t:
+                    amps[idx] = ref_mul_i_power(amps[idx], 1)
+        elif gate.kind == "x":
+            for idx in range(size):
+                if not idx & t:
+                    amps[idx], amps[idx | t] = amps[idx | t], amps[idx]
+        elif gate.kind == "z":
+            for idx in range(size):
+                if idx & t:
+                    amps[idx] = -amps[idx]
+        else:  # cnot
+            c = 1 << (n - 1 - gate.control)
+            for idx in range(size):
+                if idx & c and not idx & t:
+                    amps[idx], amps[idx | t] = amps[idx | t], amps[idx]
+    return StateVector(n, amps)
+
+
+def ref_pauli_apply(psum, v):
+    """Pauli-sum action term by term, one amplitude at a time."""
+    from pbkernel import StateVector
+    from pbkernel.pauli import _amp_is_zero
+
+    n = psum.n
+    out = [Fraction(0)] * (1 << n)
+    for word, coeff in psum.terms():
+        flip = zmask = y_count = 0
+        for i, ch in enumerate(word):
+            bit = 1 << (n - 1 - i)
+            if ch in "XY":
+                flip |= bit
+            if ch in "ZY":
+                zmask |= bit
+            if ch == "Y":
+                y_count += 1
+        for idx, amp in enumerate(v.amps):
+            if _amp_is_zero(amp):
+                continue
+            k = (y_count + 2 * (idx & zmask).bit_count()) & 3
+            out[idx ^ flip] = out[idx ^ flip] + ref_mul_i_power(coeff * amp, k)
+    return StateVector(n, out)
 
 
 # -- dense quantum oracles (own hard-coded matrices) ------------------------

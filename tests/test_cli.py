@@ -211,6 +211,28 @@ class TestExitCodesAndDeterminism:
         assert code == 2 and err == "error: statevector arity 20 outside 0..16\n"
         assert peak < 1 << 20
 
+    def test_zero_denominator_in_state_file(self, capsys, tmp_path):
+        path = tmp_path / "zero.state"
+        path.write_text("00 1 0\n01 1/0 0\n")
+        code, out, err = run(capsys, "parent", "support", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: state line 2: zero denominator\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("qubits 3\nh 0\n", "line 2: qubit index 0 out of range 1..3"),
+        ("qubits 3\nh 1.5\n", "line 2: bad qubit index '1.5'"),
+        ("qubits 3\n\ncnot 1 4\n", "line 3: qubit index 4 out of range 1..3"),
+        ("qubits 2\ncnot 2 2\n", "line 2: cnot control and target must differ"),
+        ("qubits x\n", "line 1: bad qubit count 'x'"),
+        ("qubits 65\n", "line 1: qubit count 65 out of range 1..64"),
+    ])
+    def test_circuit_diagnostics_name_the_line_and_index(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.qc"
+        path.write_text(text)
+        code, out, err = run(capsys, "parent", "clifford", str(path), "--verify")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_failed_recheck_is_an_internal_error(self, capsys, tmp_path, monkeypatch):
         from pbkernel.ising_kernel import QuadraticRealization
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import expr, gadgets, ising_kernel, pauli, stabilizer, symmetric
 from .errors import EnumerationCapError, PBKernelError
-from .pbf import PseudoBoolean, index_of
+from .pbf import PseudoBoolean, _check_arity, index_of
 
 
 class _UsageError(Exception):
@@ -57,6 +57,22 @@ def _load_expression(path: str, arity: int | None) -> PseudoBoolean:
     return expr.parse(_read(path), arity=arity)
 
 
+def _amplitude(token: str, lineno: int) -> Fraction:
+    """One exact amplitude of a state file.  A decimal exponent may expand to
+    no more digits than the interpreter lets ``int()`` read from a string, so
+    a short token such as ``1e10000000`` cannot stall the loader."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    _, sep, exponent = token.lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    over = digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit)
+    if sep and limit and over:
+        raise PBKernelError(f"state line {lineno}: decimal exponent over {limit} digits")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise PBKernelError(f"state line {lineno}: zero denominator") from None
+
+
 def _load_state(path: str) -> pauli.StateVector:
     """State file: lines of 'bitstring amplitude_re amplitude_im'."""
     entries = {}
@@ -75,10 +91,8 @@ def _load_state(path: str) -> pauli.StateVector:
                 raise EnumerationCapError(f"statevector arity {n} outside 0..{pauli.STATE_CAP}")
         elif len(bits) != n:
             raise PBKernelError(f"state line {lineno}: inconsistent width")
-        try:
-            entries[index_of(bits)] = pauli.ExactComplex(Fraction(parts[1]), Fraction(parts[2]))
-        except ZeroDivisionError:
-            raise PBKernelError(f"state line {lineno}: zero denominator") from None
+        re, im = (_amplitude(token, lineno) for token in parts[1:])
+        entries[index_of(bits)] = pauli.ExactComplex(re, im)
     if n is None:
         raise PBKernelError("state file has no amplitude lines")
     amps = [entries.get(i, Fraction(0)) for i in range(1 << n)]
@@ -215,6 +229,8 @@ def _cmd_parent_support(args, started: float) -> int:
 
 def _cmd_parent_ghz_quadratic(args, started: float) -> int:
     n = args.n
+    if n > 0:  # ghz_quadratic rejects n <= 0; a large n fails here, before n-entry lists
+        _check_arity(n)
     ones = [Fraction(1)] * n
     f = ising_kernel.ghz_quadratic(ones, ones)
     form = pauli.ising_form(f)

@@ -149,17 +149,36 @@ class Netlist:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Netlist":
+        """Read ``{"gates": [{"type", "inputs", "output"}, ...], "clamps": {wire: bit}}``.
+
+        Wire names are strings, ``inputs`` is a list of them and clamp
+        values are 0 or 1; any other shape is a :class:`NetlistError`.
+        """
+        if not isinstance(data, Mapping):
+            raise NetlistError(f"netlist must be an object, got {type(data).__name__}")
+        entries = data.get("gates", [])
+        if not isinstance(entries, (list, tuple)):
+            raise NetlistError(f"'gates' must be a list of gate objects, got {type(entries).__name__}")
         gates = []
-        for entry in data.get("gates", []):
-            gates.append(
-                GateInstance(
-                    type=str(entry["type"]).lower(),
-                    inputs=tuple(str(v) for v in entry["inputs"]),
-                    output=str(entry["output"]),
-                )
-            )
-        clamps = tuple(sorted((str(k), int(v)) for k, v in data.get("clamps", {}).items()))
-        return cls(tuple(gates), clamps)
+        for idx, entry in enumerate(entries):
+            if not isinstance(entry, Mapping):
+                raise NetlistError(f"gate {idx}: expected an object, got {type(entry).__name__}")
+            missing = [key for key in ("type", "inputs", "output") if key not in entry]
+            if missing:
+                raise NetlistError(f"gate {idx}: missing {missing[0]!r}")
+            inputs, output = entry["inputs"], entry["output"]
+            if not isinstance(inputs, (list, tuple)):
+                raise NetlistError(f"gate {idx}: 'inputs' must be a list of wire names")
+            if not all(isinstance(w, str) for w in (*inputs, output)):
+                raise NetlistError(f"gate {idx}: wire names must be strings")
+            gates.append(GateInstance(str(entry["type"]).lower(), tuple(inputs), output))
+        clamps = data.get("clamps", {})
+        if not isinstance(clamps, Mapping):
+            raise NetlistError(f"'clamps' must be an object, got {type(clamps).__name__}")
+        for wire, value in clamps.items():
+            if value not in (0, 1):
+                raise NetlistError(f"clamp on wire {wire!r}: value must be 0 or 1, got {value!r}")
+        return cls(tuple(gates), tuple(sorted((str(k), int(v)) for k, v in clamps.items())))
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":

@@ -7,6 +7,15 @@ and qubit 0 occupies the MOST significant bit of a basis-state index
 canonicalized into the rational coefficients, which keeps every sum
 Hermitian by construction.
 
+The Z-basis expansion of a diagonal penalty f is its spin polynomial:
+substitute x_i = (1 - z_i)/2 (:func:`pbkernel.pbf.boolean_to_spin`) and
+read each spin monomial z_T as the Z word on the qubits in T.
+:func:`pbf_to_pauli`, :func:`pauli_to_pbf` and :func:`ising_form` are
+readings of that one change of variables.  One codec (``_pauli_masks``
+and ``_pauli_word``, bit i = letter i) turns words into binary
+symplectic x/z masks and back, here and in
+:class:`pbkernel.stabilizer.SymplecticPauli`.
+
 Statevector amplitudes stay exact whenever the inputs are exact: real
 amplitudes are Fractions and the factors of i introduced by Y letters
 (or S gates) are handled by :class:`ExactComplex`, a complex number with
@@ -39,7 +48,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
-from .pbf import PseudoBoolean, _coerce, _numerators, index_of
+from .pbf import PseudoBoolean, _coerce, _numerators, boolean_to_spin, index_of, spin_to_boolean
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
@@ -52,6 +61,22 @@ _PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _pauli_masks(word: str) -> tuple:
+    """(x, z) bitmasks of a Pauli word; bit i stands for letter i."""
+    x = z = 0
+    for i, ch in enumerate(word):
+        if ch not in PAULI_LETTERS:
+            raise ValueError(f"bad Pauli letter {ch!r}")
+        x |= (ch in "XY") << i
+        z |= (ch in "ZY") << i
+    return x, z
+
+
+def _pauli_word(x: int, z: int, n: int) -> str:
+    """Inverse of :func:`_pauli_masks` for n letters."""
+    return "".join("IXZY"[(x >> i & 1) | (z >> i & 1) << 1] for i in range(n))
 
 
 def _pauli_matrix(word: str) -> np.ndarray:
@@ -519,25 +544,10 @@ def pauli_cardinality(h: PauliSum) -> int:
 
 
 def pbf_to_pauli(f: PseudoBoolean) -> PauliSum:
-    """Diagonal Z-basis expansion via x_i -> (I - Z_i)/2 per monomial."""
-    n = f.n
-    acc: dict = {}
-    for mask, coeff in f.masked_terms().items():
-        scale = coeff / (1 << mask.bit_count())
-        sub = mask
-        while True:
-            sign = -1 if sub.bit_count() & 1 else 1
-            acc[sub] = acc.get(sub, Fraction(0)) + sign * scale
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-    terms = {}
-    for zmask, c in acc.items():
-        if c:
-            word = "".join("Z" if zmask & (1 << i) else "I" for i in range(n))
-            terms[word] = c
-    out = PauliSum(n)
-    out._terms = terms
+    """Diagonal Z-basis expansion (x_i -> (I - Z_i)/2): the spin polynomial
+    :func:`pbkernel.pbf.boolean_to_spin`, with z_T read as the Z word on T."""
+    out = PauliSum(f.n)
+    out._terms = {_pauli_word(0, zmask, f.n): c for zmask, c in boolean_to_spin(f)._terms.items()}
     return out
 
 
@@ -545,22 +555,8 @@ def pauli_to_pbf(h: PauliSum) -> PseudoBoolean:
     """Exact inverse of :func:`pbf_to_pauli`; rejects X/Y letters."""
     if not h.is_diagonal():
         raise NotDiagonalError("operator has X or Y letters; not diagonal")
-    n = h.n
-    acc: dict = {}
-    for word, coeff in h._terms.items():
-        zmask = 0
-        for i, ch in enumerate(word):
-            if ch == "Z":
-                zmask |= 1 << i
-        # Z_T = prod (1 - 2 x_i): expand over subsets of T
-        sub = zmask
-        while True:
-            c = coeff * Fraction((-2) ** sub.bit_count())
-            acc[sub] = acc.get(sub, Fraction(0)) + c
-            if sub == 0:
-                break
-            sub = (sub - 1) & zmask
-    return PseudoBoolean(n, acc)
+    spin = {_pauli_masks(word)[1]: c for word, c in h._terms.items()}
+    return spin_to_boolean(PseudoBoolean(h.n, spin))
 
 
 class IsingForm(NamedTuple):
@@ -572,24 +568,15 @@ class IsingForm(NamedTuple):
 
 
 def ising_form(f: PseudoBoolean) -> IsingForm:
-    """Fields and couplings of a degree-<=2 function's Z expansion."""
+    """Fields and couplings of a degree-<=2 function's Z expansion, read off
+    its spin polynomial :func:`pbkernel.pbf.boolean_to_spin`."""
     if f.degree > 2:
         raise ValueError(f"degree {f.degree} > 2; not an Ising-form function")
-    ps = pbf_to_pauli(f)
-    n = f.n
-    constant = ps.coefficient("I" * n)
-    fields = []
-    for l in range(n):
-        word = "".join("Z" if i == l else "I" for i in range(n))
-        fields.append(ps.coefficient(word))
-    couplings = {}
-    for l in range(n):
-        for k in range(l + 1, n):
-            word = "".join("Z" if i in (l, k) else "I" for i in range(n))
-            c = ps.coefficient(word)
-            if c:
-                couplings[(l, k)] = c
-    return IsingForm(constant, tuple(fields), couplings)
+    spin, n = boolean_to_spin(f)._terms, f.n
+    fields = tuple(spin.get(1 << l, Fraction(0)) for l in range(n))
+    pairs = [(l, k) for l in range(n) for k in range(l + 1, n) if 1 << l | 1 << k in spin]
+    couplings = {(l, k): spin[1 << l | 1 << k] for l, k in pairs}
+    return IsingForm(spin.get(0, Fraction(0)), fields, couplings)
 
 
 def dense_pauli_coefficients(mat: np.ndarray, tol: float = 1e-12) -> dict:

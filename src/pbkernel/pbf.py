@@ -107,6 +107,11 @@ def _coerce(value) -> Fraction:
     return Fraction(value)
 
 
+def _check_arity(arity: int) -> None:
+    if arity < 0 or arity > MAX_ARITY:
+        raise ValueError(f"arity must be in 0..{MAX_ARITY}, got {arity}")
+
+
 def _check_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise EnumerationCapError(f"{what} would enumerate 2^{n} points (cap 2^{cap})")
@@ -125,8 +130,7 @@ class PseudoBoolean:
     __slots__ = ("n", "_terms")
 
     def __init__(self, arity: int, masked_terms: Mapping[int, Fraction] | None = None):
-        if arity < 0 or arity > MAX_ARITY:
-            raise ValueError(f"arity must be in 0..{MAX_ARITY}, got {arity}")
+        _check_arity(arity)
         self.n = int(arity)
         terms = {}
         if masked_terms:
@@ -158,6 +162,7 @@ class PseudoBoolean:
     @classmethod
     def from_terms(cls, arity: int, terms: Mapping[Iterable[int], object]) -> "PseudoBoolean":
         """Build from a map {iterable of variable indices: coefficient}."""
+        _check_arity(arity)  # before building masks up to arity bits wide
         masked = {}
         for vars_, coeff in terms.items():
             mask = 0
@@ -438,28 +443,19 @@ def spin_to_boolean(g: PseudoBoolean) -> PseudoBoolean:
 
 
 def _substitute_affine(f: PseudoBoolean, alpha: Fraction, beta: Fraction) -> PseudoBoolean:
-    # replaces every variable v by (alpha + beta * v'); no squares arise
-    # because each variable occurs at most once per monomial
+    """Replace every variable v by (alpha + beta * v'), both nonzero: the
+    monomial c * v_M becomes the sum over subsets T of M of
+    c * alpha^(|M|-|T|) * beta^|T| * v'_T, one dict update per subset."""
     terms: dict = {}
+    ratio = beta / alpha
     for mask, c in f._terms.items():
-        expansion = {0: c}
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt: dict = {}
-            for sub, coeff in expansion.items():
-                a = coeff * alpha
-                if a:
-                    nxt[sub] = nxt.get(sub, Fraction(0)) + a
-                b = coeff * beta
-                if b:
-                    nxt[sub | (1 << i)] = nxt.get(sub | (1 << i), Fraction(0)) + b
-            expansion = nxt
-        for sub, coeff in expansion.items():
-            s = terms.get(sub, Fraction(0)) + coeff
-            if s:
-                terms[sub] = s
-            else:
-                terms.pop(sub, None)
+        ladder = [c * alpha ** mask.bit_count()]
+        for _ in range(mask.bit_count()):
+            ladder.append(ladder[-1] * ratio)
+        sub = mask
+        while True:
+            terms[sub] = terms.get(sub, 0) + ladder[sub.bit_count()]
+            if not sub:
+                break
+            sub = (sub - 1) & mask
     return PseudoBoolean(f.n, terms)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, ParseError
-from .pauli import PauliSum, StateVector, _Amplitudes
+from .pauli import PauliSum, StateVector, _Amplitudes, _pauli_masks, _pauli_word
 
 GATE_KINDS = ("h", "s", "x", "z", "cnot")
 
@@ -173,22 +173,10 @@ class SymplecticPauli:
 
     @classmethod
     def from_letters(cls, letters: str, sign: int = 1) -> "SymplecticPauli":
-        xbits = zbits = 0
-        for i, ch in enumerate(letters):
-            if ch in "XY":
-                xbits |= 1 << i
-            if ch in "ZY":
-                zbits |= 1 << i
-            if ch not in "IXYZ":
-                raise ValueError(f"bad Pauli letter {ch!r}")
-        return cls(len(letters), xbits, zbits, sign)
+        return cls(len(letters), *_pauli_masks(letters), sign)
 
     def letters(self) -> str:
-        out = []
-        for i in range(self.n):
-            xb, zb = (self.x >> i) & 1, (self.z >> i) & 1
-            out.append("IXZY"[xb + 2 * zb])
-        return "".join(out)
+        return _pauli_word(self.x, self.z, self.n)
 
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0

@@ -5,7 +5,9 @@ than the library code under test: naive term-by-term evaluation, the
 per-point Fraction cube scans the library used before its exact integer
 engine, the dense Fraction simplex tableau the library used before its
 fraction-free integer tableau, the per-index gate and Pauli-term loops
-the library used before its integer statevector engine, dense numpy
+the library used before its integer statevector engine, the per-variable
+and per-word Boolean/spin/Pauli-Z conversions the library used before its
+one subset expansion, dense numpy
 matrices built from hard-coded gate definitions, a brute-force CNF
 solution scanner, and an exact minimal-face feasibility decider.
 """
@@ -241,6 +243,115 @@ def ref_pauli_apply(psum, v):
             k = (y_count + 2 * (idx & zmask).bit_count()) & 3
             out[idx ^ flip] = out[idx ^ flip] + ref_mul_i_power(coeff * amp, k)
     return StateVector(n, out)
+
+
+# -- Boolean / spin / Pauli-Z conversions (the library's code before one expansion)
+
+def ref_substitute_affine(f, alpha, beta):
+    """Replace every variable v by (alpha + beta * v'), one variable at a time."""
+    terms: dict = {}
+    for mask, c in f.masked_terms().items():
+        expansion = {0: c}
+        m = mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            nxt: dict = {}
+            for sub, coeff in expansion.items():
+                a = coeff * alpha
+                if a:
+                    nxt[sub] = nxt.get(sub, Fraction(0)) + a
+                b = coeff * beta
+                if b:
+                    nxt[sub | (1 << i)] = nxt.get(sub | (1 << i), Fraction(0)) + b
+            expansion = nxt
+        for sub, coeff in expansion.items():
+            s = terms.get(sub, Fraction(0)) + coeff
+            if s:
+                terms[sub] = s
+            else:
+                terms.pop(sub, None)
+    return PseudoBoolean(f.n, terms)
+
+
+def ref_boolean_to_spin(f):
+    return ref_substitute_affine(f, Fraction(1, 2), Fraction(-1, 2))
+
+
+def ref_spin_to_boolean(g):
+    return ref_substitute_affine(g, Fraction(1), Fraction(-2))
+
+
+def ref_pbf_to_pauli(f):
+    """x_i -> (I - Z_i)/2 per monomial: a signed 2^-|M| subset loop."""
+    from pbkernel import PauliSum
+
+    n = f.n
+    acc: dict = {}
+    for mask, coeff in f.masked_terms().items():
+        scale = coeff / (1 << mask.bit_count())
+        sub = mask
+        while True:
+            sign = -1 if sub.bit_count() & 1 else 1
+            acc[sub] = acc.get(sub, Fraction(0)) + sign * scale
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+    terms = {}
+    for zmask, c in acc.items():
+        if c:
+            terms["".join("Z" if zmask & (1 << i) else "I" for i in range(n))] = c
+    return PauliSum(n, terms)
+
+
+def ref_pauli_to_pbf(h):
+    """Z_T = prod (1 - 2 x_i): a (-2)^|S| subset loop per word."""
+    acc: dict = {}
+    for word, coeff in h.terms():
+        zmask = 0
+        for i, ch in enumerate(word):
+            if ch == "Z":
+                zmask |= 1 << i
+        sub = zmask
+        while True:
+            acc[sub] = acc.get(sub, Fraction(0)) + coeff * Fraction((-2) ** sub.bit_count())
+            if sub == 0:
+                break
+            sub = (sub - 1) & zmask
+    return PseudoBoolean(h.n, acc)
+
+
+def ref_ising_form(f):
+    """(constant, fields, couplings) by looking up one n-letter word each."""
+    ps = ref_pbf_to_pauli(f)
+    n = f.n
+    constant = ps.coefficient("I" * n)
+    fields = tuple(ps.coefficient("".join("Z" if i == l else "I" for i in range(n)))
+                   for l in range(n))
+    couplings = {}
+    for l in range(n):
+        for k in range(l + 1, n):
+            c = ps.coefficient("".join("Z" if i in (l, k) else "I" for i in range(n)))
+            if c:
+                couplings[(l, k)] = c
+    return constant, fields, couplings
+
+
+def ref_letter_masks(letters):
+    """(x, z) of a Pauli word, bit i = letter i, as SymplecticPauli read it."""
+    xbits = zbits = 0
+    for i, ch in enumerate(letters):
+        if ch in "XY":
+            xbits |= 1 << i
+        if ch in "ZY":
+            zbits |= 1 << i
+        if ch not in "IXYZ":
+            raise ValueError(f"bad Pauli letter {ch!r}")
+    return xbits, zbits
+
+
+def ref_letters(x, z, n):
+    return "".join("IXZY"[((x >> i) & 1) + 2 * ((z >> i) & 1)] for i in range(n))
 
 
 # -- dense quantum oracles (own hard-coded matrices) ------------------------

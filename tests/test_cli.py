@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, deterministic JSON."""
 
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -217,6 +218,56 @@ class TestExitCodesAndDeterminism:
         code, out, err = run(capsys, "parent", "support", str(path))
         assert code == 2 and out == ""
         assert err == "error: state line 2: zero denominator\n"
+
+    def test_huge_exponent_in_state_file(self, capsys, tmp_path):
+        path = tmp_path / "huge.state"
+        path.write_text("00 1 0\n01 1e10000000 0\n")
+        code, out, err = run(capsys, "parent", "support", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: state line 2: decimal exponent over {sys.get_int_max_str_digits()} digits\n"
+
+    def test_exponent_at_the_digit_limit_is_read(self, capsys, tmp_path):
+        path = tmp_path / "edge.state"
+        limit = sys.get_int_max_str_digits()
+        path.write_text(f"00 1e{limit} 0\n01 1E-{limit} 0\n10 0e+0{limit} 0\n")
+        code, out, _ = run(capsys, "parent", "support", str(path), "--json")
+        assert code == 0 and json.loads(out)["support"] == ["00", "01"]
+
+    def test_ghz_quadratic_arity_checked_before_allocation(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "parent", "ghz-quadratic", "-n", "30000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == "error: malformed input: arity must be in 0..64, got 30000\n"
+        assert peak < 5 << 20
+
+    @pytest.mark.parametrize("netlist, message", [
+        ("[1, 2]", "netlist must be an object, got list"),
+        ('{"gates": {"a": 1}}', "'gates' must be a list of gate objects, got dict"),
+        ('{"gates": [5]}', "gate 0: expected an object, got int"),
+        ('{"gates": [{"type": "not", "inputs": ["a"]}]}', "gate 0: missing 'output'"),
+        ('{"gates": [{"type": "and", "inputs": "ab", "output": "c"}]}',
+         "gate 0: 'inputs' must be a list of wire names"),
+        ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"},'
+         ' {"type": "not", "inputs": [null], "output": "c"}]}', "gate 1: wire names must be strings"),
+        ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"}], "clamps": [["b", 1]]}',
+         "'clamps' must be an object, got list"),
+        ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"}], "clamps": {"b": 1e400}}',
+         "clamp on wire 'b': value must be 0 or 1, got inf"),
+        ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"}], "clamps": {"b": 1.5}}',
+         "clamp on wire 'b': value must be 0 or 1, got 1.5"),
+        ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"}], "clamps": {"b": "1"}}',
+         "clamp on wire 'b': value must be 0 or 1, got '1'"),
+    ])
+    def test_malformed_netlist_shapes(self, capsys, tmp_path, netlist, message):
+        path = tmp_path / "net.json"
+        path.write_text(netlist)
+        code, out, err = run(capsys, "gadget", "compose", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text, message", [
         ("qubits 3\nh 0\n", "line 2: qubit index 0 out of range 1..3"),

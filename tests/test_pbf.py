@@ -1,5 +1,6 @@
 """Core polynomial algebra: evaluation, canonical forms, spin map, kernels."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,17 @@ class TestParser:
 
 
 class TestErrorPaths:
+    def test_from_terms_checks_the_arity_before_building_masks(self):
+        terms = {(k,): 1 for k in range(30000)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^arity must be in 0\.\.64, got 30000$"):
+                PseudoBoolean.from_terms(30000, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_multiply_arity_mismatch(self):
         with pytest.raises(DimensionError):
             PseudoBoolean.variable(2, 0) * PseudoBoolean.variable(3, 0)

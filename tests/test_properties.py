@@ -6,8 +6,10 @@ reproducible, and the example counts keep the module to seconds.
 
 import contextlib
 import io
+import json
 import tempfile
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -21,12 +23,16 @@ from pbkernel import (
     PseudoBoolean,
     StateVector,
     apply_circuit,
+    boolean_to_spin,
+    clamp,
     conjugate_sum,
+    ising_form,
     parse,
     pauli_to_pbf,
     pbf_to_pauli,
     projector_parent,
     simplex_solve,
+    spin_to_boolean,
 )
 from pbkernel.cli import main
 from pbkernel.stabilizer import cnot
@@ -44,6 +50,22 @@ def polynomials(draw, max_arity=6):
     n = draw(st.integers(0, max_arity))
     masks = st.integers(0, (1 << n) - 1)
     return PseudoBoolean(n, draw(st.dictionaries(masks, rationals, max_size=8)))
+
+
+@st.composite
+def quadratics(draw, max_arity=7):
+    n = draw(st.integers(0, max_arity))
+    masks = st.sets(st.integers(0, max(n - 1, 0)), max_size=min(2, n)).map(
+        lambda vs: sum(1 << i for i in vs)
+    )
+    return PseudoBoolean(n, draw(st.dictionaries(masks, rationals, max_size=12)))
+
+
+@st.composite
+def polynomial_pairs(draw, max_arity=5):
+    n = draw(st.integers(0, max_arity))
+    masks = st.integers(0, (1 << n) - 1)
+    return tuple(PseudoBoolean(n, draw(st.dictionaries(masks, rationals, max_size=6))) for _ in "fg")
 
 
 @st.composite
@@ -76,6 +98,52 @@ def test_pauli_round_trip(f):
 @given(polynomials())
 def test_disjoint_form_round_trip(f):
     assert PseudoBoolean.from_disjoint_form(f.to_disjoint_form()) == f
+
+
+@FIXED
+@given(polynomials())
+def test_spin_round_trip(f):
+    assert spin_to_boolean(boolean_to_spin(f)) == f
+    assert boolean_to_spin(spin_to_boolean(f)) == f
+
+
+@FIXED
+@given(quadratics())
+def test_ising_form_agrees_with_the_z_expansion(f):
+    def word(qubits):
+        return "".join("Z" if i in qubits else "I" for i in range(f.n))
+
+    form = ising_form(f)
+    terms = {word(()): form.constant}
+    terms.update({word((l,)): h for l, h in enumerate(form.fields)})
+    terms.update({word(pair): j for pair, j in form.couplings.items()})
+    assert all(form.couplings.values()) and len(terms) == 1 + f.n + len(form.couplings)
+    assert PauliSum(f.n, terms) == pbf_to_pauli(f)
+
+
+@FIXED
+@given(polynomials(), st.data())
+def test_clamp_commutes_with_eval(f, data):
+    if f.n == 0:
+        return
+    var, value = data.draw(st.integers(0, f.n - 1)), data.draw(st.integers(0, 1))
+    clamped = clamp(f, var, value)
+    for x in product((0, 1), repeat=f.n - 1):
+        assert clamped.eval(x) == f.eval(x[:var] + (value,) + x[var:])
+
+
+@FIXED
+@given(polynomial_pairs())
+def test_sum_of_non_negative_penalties_intersects_kernels(pair):
+    f, g = (h * h for h in pair)  # squares are non-negative on the cube
+    assert (f + g).kernel() == f.kernel() & g.kernel()
+
+
+@FIXED
+@given(polynomial_pairs())
+def test_product_unites_kernels(pair):
+    f, g = pair
+    assert (f * g).kernel() == f.kernel() | g.kernel()
 
 
 @settings(FIXED, max_examples=150)
@@ -153,3 +221,70 @@ def test_malformed_circuit_files_exit_cleanly(text, verify):
 @example("01 1/0 0\n")
 def test_malformed_state_files_exit_cleanly(text):
     assert_clean_exit(*run_cli(["parent", "support"], text))
+
+
+expression_lines = st.lists(
+    st.sampled_from(("x1", "x2", "x3", "~x2", "x0", "x21", "x65", "x", "~", "+", "-", "*", "/", "(",
+                     ")", "@", "1/0", "1/2", "-3") + TOKENS),
+    max_size=6,
+).map(" ".join)
+expression_commands = st.sampled_from((
+    ["pbf", "kernel"], ["pbf", "nonneg"], ["pbf", "pauli"], ["pbf", "eval"], ["sym", "profile"],
+))
+
+
+@FIXED
+@given(st.lists(expression_lines, max_size=4).map("\n".join), expression_commands)
+@example("x1 + x99999999999999999999", ["pbf", "pauli"])
+def test_malformed_expression_files_exit_cleanly(text, command):
+    tail = ["--at", "101"] if command[1] == "eval" else []
+    assert_clean_exit(*run_cli(command, text, tail))
+
+
+wires = st.sampled_from(("a", "b", "c", "p"))
+json_leaves = st.sampled_from((None, True, False, 0, 1, 2, -1, 1.5, 1e400, float("nan"), "a", "p",
+                               "and", "not", "xor", "nand", ""))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(("type", "inputs", "output", "gates", "clamps", "a")), inner,
+                        max_size=3),
+    ),
+    max_leaves=8,
+)
+gate_objects = st.fixed_dictionaries({
+    "type": st.sampled_from(("and", "or", "not", "xor", "nand", "AND")),
+    "inputs": st.one_of(st.lists(wires, max_size=3), json_values),
+    "output": st.one_of(wires, json_values),
+})
+netlists = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {"gates": st.one_of(st.lists(st.one_of(gate_objects, json_values), max_size=4), json_values)},
+        optional={"clamps": st.one_of(st.dictionaries(wires, json_leaves, max_size=2), json_values)},
+    ),
+)
+
+
+@FIXED
+@given(netlists, st.booleans(), st.sampled_from(([], ["--clamp", "p=1"], ["--clamp", "c=2"])))
+@example([1, 2], False, [])
+@example({"gates": {"a": 1}}, False, [])
+@example({"gates": [5]}, False, [])
+@example({"gates": [{"type": "not", "inputs": ["a"], "output": "p"}], "clamps": {"p": 1e400}}, True, [])
+def test_malformed_netlist_files_exit_cleanly(data, minimize, clamp_args):
+    tail = ["--minimize"] * minimize + clamp_args
+    assert_clean_exit(*run_cli(["gadget", "compose"], json.dumps(data), tail))
+
+
+strings_lines = st.one_of(
+    st.sampled_from(("# note", "", "01", "0101", "2", "ab", " 011 ", "0 1")),
+    st.text(alphabet="01", min_size=1, max_size=5),
+)
+
+
+@FIXED
+@given(st.lists(strings_lines, max_size=6).map("\n".join), st.sampled_from(("-1", "0", "1", "2", "3", "13")))
+def test_malformed_strings_files_exit_cleanly(text, n):
+    assert_clean_exit(*run_cli(["ising", "realize"], text, ["-n", n]))

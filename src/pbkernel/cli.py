@@ -99,30 +99,29 @@ def _load_state(path: str) -> pauli.StateVector:
     return pauli.StateVector(n, amps)
 
 
-def _emit(payload: dict, as_json: bool, human_lines, started: float) -> None:
+def _emit(payload: dict, as_json: bool, human_lines) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
-        print(f"elapsed: {time.perf_counter() - started:.3f}s")
 
 
 # -- pbf ----------------------------------------------------------------
 
 
-def _cmd_pbf(args, started: float) -> int:
+def _cmd_pbf(args) -> int:
     f = _load_expression(args.exprfile, args.arity)
     if args.action == "kernel":
         ker = sorted(_bitstring(x) for x in f.kernel())
         payload = {"command": "pbf kernel", "arity": f.n, "kernel": ker}
-        _emit(payload, args.json, [f"arity {f.n}"] + ker, started)
+        _emit(payload, args.json, [f"arity {f.n}"] + ker)
     elif args.action == "eval":
         if args.at is None:
             raise _UsageError("pbf eval needs --at BITSTRING")
         value = f.eval(_parse_bits(args.at))
         payload = {"command": "pbf eval", "at": args.at, "value": str(value)}
-        _emit(payload, args.json, [f"f({args.at}) = {value}"], started)
+        _emit(payload, args.json, [f"f({args.at}) = {value}"])
     elif args.action == "nonneg":
         res = f.is_nonnegative()
         payload = {
@@ -131,21 +130,21 @@ def _cmd_pbf(args, started: float) -> int:
             "witness": None if res.ok else _bitstring(res.witness),
         }
         human = ["non-negative" if res.ok else f"negative at {_bitstring(res.witness)}"]
-        _emit(payload, args.json, human, started)
+        _emit(payload, args.json, human)
     else:  # pauli
         ps = pauli.pbf_to_pauli(f)
         payload = {
             "command": "pbf pauli",
             "terms": [[str(c), w] for w, c in ps.terms()],
         }
-        _emit(payload, args.json, ps.to_text().splitlines(), started)
+        _emit(payload, args.json, ps.to_text().splitlines())
     return 0
 
 
 # -- sym ----------------------------------------------------------------
 
 
-def _cmd_sym(args, started: float) -> int:
+def _cmd_sym(args) -> int:
     f = _load_expression(args.exprfile, args.arity)
     sym = symmetric.detect_symmetric(f)
     if args.action == "profile":
@@ -164,7 +163,7 @@ def _cmd_sym(args, started: float) -> int:
                 "profile": [str(v) for v in sym.profile.values],
             }
             human = [f"weight {j}: {v}" for j, v in enumerate(sym.profile.values)]
-        _emit(payload, args.json, human, started)
+        _emit(payload, args.json, human)
         return 0
     # factor
     if sym.profile is None:
@@ -174,14 +173,14 @@ def _cmd_sym(args, started: float) -> int:
     payload = {"command": "sym factor"}
     payload.update(rf.to_dict())
     human = [f"K = {rf.scale}"] + [f"root: {r}" for r in rf.roots]
-    _emit(payload, args.json, human, started)
+    _emit(payload, args.json, human)
     return 0
 
 
 # -- parent ---------------------------------------------------------------
 
 
-def _cmd_parent_clifford(args, started: float) -> int:
+def _cmd_parent_clifford(args) -> int:
     circuit = stabilizer.CliffordCircuit.from_text(_read(args.circuitfile))
     parent = stabilizer.projector_parent(circuit)
     payload = {
@@ -208,11 +207,11 @@ def _cmd_parent_clifford(args, started: float) -> int:
         }
         human.append(f"verify: kernel dimension {kdim}, annihilates state: {annihilates}")
         failed = not ok
-    _emit(payload, args.json, human, started)
+    _emit(payload, args.json, human)
     return 1 if failed else 0
 
 
-def _cmd_parent_support(args, started: float) -> int:
+def _cmd_parent_support(args) -> int:
     state = _load_state(args.statefile)
     sup = gadgets.support(state)
     op = gadgets.support_parent(sup)
@@ -223,11 +222,11 @@ def _cmd_parent_support(args, started: float) -> int:
         "diag": [str(v) for v in op.diag],
     }
     human = [f"support size {len(sup.members)}"] + payload["support"]
-    _emit(payload, args.json, human, started)
+    _emit(payload, args.json, human)
     return 0
 
 
-def _cmd_parent_ghz_quadratic(args, started: float) -> int:
+def _cmd_parent_ghz_quadratic(args) -> int:
     n = args.n
     if n > 0:  # ghz_quadratic rejects n <= 0; a large n fails here, before n-entry lists
         _check_arity(n)
@@ -244,14 +243,14 @@ def _cmd_parent_ghz_quadratic(args, started: float) -> int:
         "kernel": sorted(_bitstring(x) for x in f.kernel()),
     }
     human = [f.to_text(), f"kernel: {', '.join(payload['kernel'])}"]
-    _emit(payload, args.json, human, started)
+    _emit(payload, args.json, human)
     return 0
 
 
 # -- gadget ---------------------------------------------------------------
 
 
-def _cmd_gadget_compose(args, started: float) -> int:
+def _cmd_gadget_compose(args) -> int:
     try:
         data = json.loads(_read(args.netlist))
     except json.JSONDecodeError as exc:
@@ -280,14 +279,14 @@ def _cmd_gadget_compose(args, started: float) -> int:
         payload["minimum"] = str(res.value)
         payload["argmin"] = sorted(_bitstring(x) for x in res.argmin)
         human.append(f"minimum {res.value} at {', '.join(payload['argmin'])}")
-    _emit(payload, args.json, human, started)
+    _emit(payload, args.json, human)
     return 0
 
 
 # -- ising ----------------------------------------------------------------
 
 
-def _cmd_ising_realize(args, started: float) -> int:
+def _cmd_ising_realize(args) -> int:
     strings = []
     for lineno, raw in enumerate(_read(args.stringsfile).splitlines(), 1):
         line = raw.strip()
@@ -304,7 +303,7 @@ def _cmd_ising_realize(args, started: float) -> int:
     else:
         human = ["infeasible; certificate rows:"]
         human += [f"  {_bitstring(b)} * {m}" for b, m in real.certificate]
-    _emit(payload, args.json, human, started)
+    _emit(payload, args.json, human)
     return 0
 
 
@@ -377,11 +376,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, started)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PBKernelError as exc:
+        code = args.func(args)
+    except (_UsageError, PBKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
@@ -390,6 +386,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a failed exact re-check or a library bug, not bad input
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if not args.json:
+        print(f"elapsed: {time.perf_counter() - started:.3f}s")
+    return code
 
 
 if __name__ == "__main__":

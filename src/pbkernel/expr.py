@@ -20,6 +20,8 @@ from .errors import ParseError
 from .pbf import PseudoBoolean
 
 _OPS = set("+-*()/")
+#: term products one multiplication may form (len(acc) * len(factor))
+PRODUCT_CAP = 1 << 16
 
 
 def _line_col(text: str, pos: int) -> str:
@@ -104,8 +106,15 @@ class _Parser:
         else:
             acc = self.parse_factor()
         while self.peek()[0] == "*":
-            self.take()
-            acc = acc * self.parse_factor()
+            pos = self.take()[2]
+            factor = self.parse_factor()
+            count = len(acc._terms) * len(factor._terms)
+            if count > PRODUCT_CAP:
+                raise ParseError(
+                    f"product at {self.where(pos)} needs {count} term products, over cap {PRODUCT_CAP}",
+                    pos,
+                )
+            acc = acc * factor
         return acc if sign > 0 else -acc
 
     def parse_rational(self) -> Fraction:

@@ -17,29 +17,32 @@ Feasibility is decided by an exact two-phase simplex with Bland's rule;
 the margin system itself has 2^n rows, so the solve runs on its dual
 (whose row count is the number of unknowns) and recovers either a
 coefficient vector (from the optimal dual multipliers) or a Farkas
-certificate (from the unbounded ray).  Both outcomes are re-verified
-exhaustively in exact arithmetic.
+certificate (from the unbounded ray).  Its rows come from one integer
+feature matrix over the basis-state indices of the points.
 
-The simplex tableau is fraction-free: Python-int rows over one common
-denominator, the determinant of the current basis once each input row
-is cleared of its denominators, updated by exact integer division at
-each pivot (Bareiss, Edmonds).  It holds the same exact values a
-Fraction tableau would, so Bland's rule takes the same pivots and every
-answer is the same; Fractions appear only in the results.
+Each LP row is cleared once, when the LPInstance is built, to integers
+over the LCM of its own denominators.  The tableau starts from those rows
+and stays fraction-free over one common denominator, the determinant of
+the current basis, with exact integer division at each pivot (Bareiss,
+Edmonds), so Bland's rule takes the pivots a Fraction tableau would.
+Every answer is re-checked on the same integer rows: one primal check
+(A x against b, or 0 for a ray) and one dual check (y^T A against c,
+returning y^T b) cover points, rays, duals and Farkas certificates.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import PseudoBoolean, _coerce, _point_indices, _swap_order, bits_of, spin_to_boolean
+from .pbf import PseudoBoolean, _coerce, _numerators, _point_indices, _swap_order
+from .pbf import bits_of, index_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -172,7 +175,9 @@ class LPInstance:
     """min/max objective . x subject to eq rows (= rhs), geq rows (>= rhs).
 
     ``nonneg[i]`` constrains x_i >= 0; False leaves it free.  All data is
-    coerced to Fraction.
+    coerced to Fraction; ``_rows`` keeps each row (eq rows first) once more
+    as (numerators, L): integers over the LCM L of the row's own
+    denominators, right-hand side last.
     """
 
     num_vars: int
@@ -181,6 +186,7 @@ class LPInstance:
     geq: tuple = ()
     nonneg: tuple = ()
     sense: str = "min"
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -205,6 +211,8 @@ class LPInstance:
         object.__setattr__(self, "nonneg", nonneg)
         object.__setattr__(self, "eq", rows(self.eq))
         object.__setattr__(self, "geq", rows(self.geq))
+        ints = [_numerators(coeffs + (rhs,)) for coeffs, rhs in self.eq + self.geq]
+        object.__setattr__(self, "_rows", tuple(ints))
 
     def row_refs(self) -> list:
         return [("eq", i) for i in range(len(self.eq))] + [
@@ -257,9 +265,8 @@ class _Tableau:
             if not lp.nonneg[v]:
                 self.cols.append(("var", v, -1))
         struct = [(v, sign) for _, v, sign in self.cols]
-        rows = lp.eq + lp.geq  # the order of lp.row_refs()
-        neq, m = len(lp.eq), len(rows)
-        self.sigma = [-1 if rhs < 0 else 1 for _, rhs in rows]  # std row = sigma * original row
+        neq, m = len(lp.eq), len(lp._rows)
+        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in lp._rows]  # std row = sigma * row
         # initial basis: a negated geq row exposes its surplus at +1;
         # everything else gets an artificial column
         surplus = len(struct) - neq  # geq row i has its surplus in column surplus + i
@@ -271,17 +278,14 @@ class _Tableau:
                 self.cols.append(("art", i))
         self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
         self.basis = list(self.init_col)
-        self.den = math.prod(
-            math.lcm(rhs.denominator, *(c.denominator for c in coeffs)) for coeffs, rhs in rows
-        )
+        self.den = math.prod(lcm for _, lcm in lp._rows)
         self.matrix = []
-        for i, (coeffs, rhs) in enumerate(rows):
-            scale = self.sigma[i] * self.den
-            nums = [c.numerator * (scale // c.denominator) for c in coeffs]
-            row = [sign * nums[v] for v, sign in struct]
-            row += [0] * (self.ncols - len(row)) + [rhs.numerator * (scale // rhs.denominator)]
+        for i, (nums, lcm) in enumerate(lp._rows):
+            scale = self.sigma[i] * (self.den // lcm)
+            row = [sign * scale * nums[v] for v, sign in struct]
+            row += [0] * (self.ncols - len(row)) + [scale * nums[-1]]
             if i >= neq:
-                row[surplus + i] = -scale
+                row[surplus + i] = -self.sigma[i] * self.den
             row[self.init_col[i]] = self.den
             self.matrix.append(row)
         self.z = None
@@ -396,8 +400,9 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
         tab.run(cost1, banned=set())
         value1 = tab.objective_value()
         if value1 > 0:
-            mults = tab.row_multipliers(cost1)
-            certificate = _infeasibility_certificate(lp, mults, value1)
+            mults = zip(lp.row_refs(), tab.row_multipliers(cost1))
+            certificate = [(ref, y / value1) for ref, y in mults if y]
+            verify_certificate(lp, certificate)
             return SimplexResult(status="infeasible", certificate=certificate)
         # drive leftover artificials out of the basis (degenerate pivots;
         # their rows carry rhs 0, so any nonzero entry will do)
@@ -425,16 +430,9 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     _check_point(lp, x)
     mults = tab.row_multipliers(cost2)
     duals = tuple(sign * y for y in mults)
-    _check_duals(lp, duals, value)
+    if _check_duals(lp, duals, lp.objective, lp.sense) != value:
+        raise AssertionError("dual bound does not match the optimal value")
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
-
-
-def _infeasibility_certificate(lp: LPInstance, mults: list, value1: Fraction) -> list:
-    refs = lp.row_refs()
-    scaled = [y / value1 for y in mults]
-    cert = [(ref, y) for ref, y in zip(refs, scaled) if y != 0]
-    verify_certificate(lp, cert)
-    return cert
 
 
 def verify_certificate(lp: LPInstance, cert: list) -> None:
@@ -445,62 +443,63 @@ def verify_certificate(lp: LPInstance, cert: list) -> None:
     multipliers on inequality rows, and combine right-hand sides to a
     positive value (normalized to 1).
     """
-    combo = [Fraction(0)] * lp.num_vars
-    total_rhs = Fraction(0)
-    for (kind, i), mult in cert:
-        coeffs, rhs = (lp.eq if kind == "eq" else lp.geq)[i]
-        if kind == "geq" and mult < 0:
-            raise AssertionError("negative multiplier on an inequality row")
-        for v in range(lp.num_vars):
-            combo[v] += mult * coeffs[v]
-        total_rhs += mult * rhs
-    for v in range(lp.num_vars):
-        if lp.nonneg[v]:
-            if combo[v] > 0:
-                raise AssertionError(f"certificate leaves positive weight on x{v}")
-        elif combo[v] != 0:
-            raise AssertionError(f"certificate leaves free variable x{v} uncancelled")
-    if total_rhs <= 0:
+    position = {ref: i for i, ref in enumerate(lp.row_refs())}
+    y = [Fraction(0)] * len(position)
+    for ref, mult in cert:
+        y[position[ref]] += mult
+    if _check_duals(lp, y, (0,) * lp.num_vars, "min") <= 0:
         raise AssertionError("certificate right-hand side is not positive")
 
 
-def _check_point(lp: LPInstance, x: list) -> None:
+def _weighted_row_sum(weights: Sequence, rows: Sequence, width: int) -> tuple:
+    """sum_i weights[i] * rows[i] over integer rows, as (integer column
+    sums, their common denominator)."""
+    nums, denom = _numerators(weights)
+    sums = [0] * width
+    for w, row in zip(nums, rows):
+        if w:
+            sums = [s + w * a for s, a in zip(sums, row)]
+    return sums, denom
+
+
+def _check_point(lp: LPInstance, x: Sequence, ray: bool = False) -> None:
+    """One primal check: x_v >= 0 on every sign-constrained variable, then
+    each row A_i x = b_i (eq) or >= b_i (geq), with b = 0 for a ray.  The
+    rows are the integer ones and x goes over one common denominator."""
     for v in range(lp.num_vars):
         if lp.nonneg[v] and x[v] < 0:
             raise AssertionError("negative value on a sign-constrained variable")
-    for coeffs, rhs in lp.eq:
-        if sum((c * xv for c, xv in zip(coeffs, x)), Fraction(0)) != rhs:
+    nums, denom = _numerators(x)
+    support = [(v, a) for v, a in enumerate(nums) if a]
+    for i, (row, _) in enumerate(lp._rows):
+        gap = sum(row[v] * a for v, a in support) - (0 if ray else row[-1] * denom)
+        if i < len(lp.eq) and gap != 0:
             raise AssertionError("equality row violated")
-    for coeffs, rhs in lp.geq:
-        if sum((c * xv for c, xv in zip(coeffs, x)), Fraction(0)) < rhs:
+        if gap < 0:
             raise AssertionError("inequality row violated")
 
 
-def _check_duals(lp: LPInstance, duals: tuple, value: Fraction) -> None:
-    refs = lp.row_refs()
-    rows = [
-        (lp.eq if kind == "eq" else lp.geq)[i] for kind, i in refs
-    ]
-    for (kind, _), y in zip(refs, duals):
-        if kind == "geq":
-            if lp.sense == "min" and y < 0:
-                raise AssertionError("min-sense inequality dual must be >= 0")
-            if lp.sense == "max" and y > 0:
-                raise AssertionError("max-sense inequality dual must be <= 0")
-    bound = sum((y * rhs for y, (_, rhs) in zip(duals, rows)), Fraction(0))
-    if bound != value:
-        raise AssertionError("dual bound does not match the optimal value")
+def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -> Fraction:
+    """One dual check, returning y^T b: y (one per row, eq rows first) is
+    >= 0 on geq rows for min sense (<= 0 for max), and y^T A, the integer
+    rows weighted by y_i / L_i, meets c: = c on a free column, <= c (min)
+    or >= c (max) on a sign-constrained one.  Optimal duals take the LP's
+    objective and sense, a Farkas certificate c = 0 and min."""
+    flip = 1 if sense == "min" else -1
+    for i in range(len(lp.eq), len(y)):
+        if flip * y[i] < 0:
+            raise AssertionError("dual sign violated on an inequality row")
+    weights = [Fraction(yi, lcm) for yi, (_, lcm) in zip(y, lp._rows)]
+    combo, denom = _weighted_row_sum(weights, [row for row, _ in lp._rows], lp.num_vars + 1)
+    cost, cden = _numerators(objective)
     for v in range(lp.num_vars):
-        w = sum((y * coeffs[v] for y, (coeffs, _) in zip(duals, rows)), Fraction(0))
-        c = lp.objective[v]
+        slack = flip * (cost[v] * denom - combo[v] * cden)  # sign of c - (y^T A)_v, flipped for max
         if not lp.nonneg[v]:
-            if w != c:
+            if slack != 0:
                 raise AssertionError(f"dual equality violated on free x{v}")
-        elif lp.sense == "min":
-            if w > c:
-                raise AssertionError(f"dual feasibility violated on x{v}")
-        elif w < c:
+        elif slack < 0:
             raise AssertionError(f"dual feasibility violated on x{v}")
+    return Fraction(combo[-1], denom)
 
 
 def _extract_ray(tab: _Tableau, enter: int) -> dict:
@@ -518,17 +517,9 @@ def _extract_ray(tab: _Tableau, enter: int) -> dict:
 
 
 def _check_ray(lp: LPInstance, ray: dict) -> None:
-    vec = [ray.get(v, Fraction(0)) for v in range(lp.num_vars)]
-    for v in range(lp.num_vars):
-        if lp.nonneg[v] and vec[v] < 0:
-            raise AssertionError("ray leaves the variable cone")
-    for coeffs, _ in lp.eq:
-        if sum((c * d for c, d in zip(coeffs, vec)), Fraction(0)) != 0:
-            raise AssertionError("ray violates an equality row")
-    for coeffs, _ in lp.geq:
-        if sum((c * d for c, d in zip(coeffs, vec)), Fraction(0)) < 0:
-            raise AssertionError("ray violates an inequality row")
-    gain = sum((lp.objective[v] * vec[v] for v in range(lp.num_vars)), Fraction(0))
+    vec = [ray.get(v, 0) for v in range(lp.num_vars)]
+    _check_point(lp, vec, ray=True)
+    gain = sum((c * d for c, d in zip(lp.objective, vec) if d), Fraction(0))
     if lp.sense == "max" and gain <= 0:
         raise AssertionError("ray does not improve a max objective")
     if lp.sense == "min" and gain >= 0:
@@ -540,13 +531,13 @@ def _check_ray(lp: LPInstance, ray: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pair_order(n: int) -> list:
-    return [(l, k) for l in range(n) for k in range(l + 1, n)]
-
-
-def _features(bits: Sequence[int], pairs: list) -> list:
-    zs = [1 - 2 * b for b in bits]
-    return [1] + zs + [zs[l] * zs[k] for l, k in pairs]
+def _feature_rows(idx: np.ndarray, n: int) -> np.ndarray:
+    """Margin-row features (1, z_l, z_l * z_k for l < k) of the points with
+    basis-state indices ``idx``, one row each: z = 1 - 2x, x_l the bit of
+    variable l (variable 0 the most significant)."""
+    z = 1 - 2 * ((np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    first, second = np.triu_indices(n, 1)
+    return np.hstack([np.ones((len(z), 1), dtype=np.int64), z, z[:, first] * z[:, second]])
 
 
 @dataclass
@@ -629,28 +620,19 @@ def quadratic_realizability(
     if not target:
         raise ValueError("S must be nonempty")
 
-    pairs = _pair_order(n)
-    dim = 1 + n + len(pairs)
-    s_list = sorted(target)
-    others = [
-        bits_of(idx, n) for idx in range(1 << n) if bits_of(idx, n) not in target
-    ]
-    feat = {bits: _features(bits, pairs) for bits in s_list + others}
+    # the points by basis-state index, S first, then the rest
+    on_s = np.zeros(1 << n, dtype=bool)
+    on_s[[index_of(bits) for bits in target]] = True
+    idx = np.concatenate([np.flatnonzero(on_s), np.flatnonzero(~on_s)])
+    ns = len(target)
 
     # dual of {phi(s).w = 0, phi(x).w >= 1}: free v per s row, u >= 0 per
     # x row, maximize sum(u) subject to sum v phi(s) + sum u phi(x) = 0.
-    num_vars = len(s_list) + len(others)
     lp = LPInstance(
-        num_vars=num_vars,
-        objective=[Fraction(0)] * len(s_list) + [Fraction(1)] * len(others),
-        eq=[
-            (
-                [feat[b][d] for b in s_list] + [feat[b][d] for b in others],
-                Fraction(0),
-            )
-            for d in range(dim)
-        ],
-        nonneg=[False] * len(s_list) + [True] * len(others),
+        num_vars=len(idx),
+        objective=[0] * ns + [1] * (len(idx) - ns),
+        eq=[(column, 0) for column in _feature_rows(idx, n).T.tolist()],
+        nonneg=[False] * ns + [True] * (len(idx) - ns),
         sense="max",
     )
     result = simplex_solve(lp)
@@ -660,6 +642,7 @@ def quadratic_realizability(
         w = result.duals
         constant = w[0]
         fields = tuple(w[1 + l] for l in range(n))
+        pairs = zip(*(ks.tolist() for ks in np.triu_indices(n, 1)))  # Python-int keys
         couplings = {pair: w[1 + n + i] for i, pair in enumerate(pairs)}
         real = QuadraticRealization(
             feasible=True,
@@ -674,20 +657,10 @@ def quadratic_realizability(
     if result.status != "unbounded":
         raise AssertionError(f"unexpected simplex status {result.status}")
     ray = result.ray
-    total = sum(
-        (ray.get(len(s_list) + i, Fraction(0)) for i in range(len(others))), Fraction(0)
-    )
+    total = sum((d for j, d in ray.items() if j >= ns), Fraction(0))
     if total <= 0:
         raise AssertionError("unbounded ray carries no inequality mass")
-    certificate = []
-    for i, bits in enumerate(s_list):
-        mult = ray.get(i, Fraction(0)) / total
-        if mult:
-            certificate.append((bits, mult))
-    for i, bits in enumerate(others):
-        mult = ray.get(len(s_list) + i, Fraction(0)) / total
-        if mult:
-            certificate.append((bits, mult))
+    certificate = [(bits_of(int(idx[j]), n), ray[j] / total) for j in sorted(ray)]
     real = QuadraticRealization(feasible=False, n=n, certificate=certificate)
     verify_infeasibility(real, target, n)
     return real
@@ -699,19 +672,16 @@ def verify_infeasibility(
     """Exact Farkas check: the certificate multipliers cancel every
     feature column, are non-negative off S, and carry unit total mass on
     the margin rows, so any form vanishing on S would need 0 >= 1."""
-    pairs = _pair_order(n)
-    dim = 1 + n + len(pairs)
-    combo = [Fraction(0)] * dim
     mass = Fraction(0)
     for bits, mult in real.certificate:
         if bits not in target:
             if mult < 0:
                 raise AssertionError("negative multiplier on a margin row")
             mass += mult
-        phi = _features(bits, pairs)
-        for d in range(dim):
-            combo[d] += mult * phi[d]
-    if any(c != 0 for c in combo):
+    rows = _feature_rows([index_of(bits) for bits, _ in real.certificate], n)
+    mults = [mult for _, mult in real.certificate]
+    combo, _ = _weighted_row_sum(mults, rows.tolist(), rows.shape[1])
+    if any(combo):
         raise AssertionError("certificate does not cancel the feature columns")
     if mass <= 0:
         raise AssertionError("certificate has no mass on the margin rows")

@@ -52,6 +52,8 @@ from .pbf import PseudoBoolean, _coerce, _numerators, boolean_to_spin, index_of,
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
+#: subset terms the Z-basis expansion may enumerate (2^|M| per monomial M)
+EXPANSION_CAP = 1 << 16
 
 PAULI_LETTERS = "IXYZ"
 
@@ -545,7 +547,14 @@ def pauli_cardinality(h: PauliSum) -> int:
 
 def pbf_to_pauli(f: PseudoBoolean) -> PauliSum:
     """Diagonal Z-basis expansion (x_i -> (I - Z_i)/2): the spin polynomial
-    :func:`pbkernel.pbf.boolean_to_spin`, with z_T read as the Z word on T."""
+    :func:`pbkernel.pbf.boolean_to_spin`, with z_T read as the Z word on T.
+    The expansion visits 2^|M| subsets per monomial M; more than
+    ``EXPANSION_CAP`` in all raises EnumerationCapError before it starts."""
+    count = sum(1 << mask.bit_count() for mask in f._terms)
+    if count > EXPANSION_CAP:
+        raise EnumerationCapError(
+            f"Z-basis expansion needs {count} subset terms, over cap {EXPANSION_CAP}"
+        )
     out = PauliSum(f.n)
     out._terms = {_pauli_word(0, zmask, f.n): c for zmask, c in boolean_to_spin(f)._terms.items()}
     return out

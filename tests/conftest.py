@@ -7,7 +7,9 @@ engine, the dense Fraction simplex tableau the library used before its
 fraction-free integer tableau, the per-index gate and Pauli-term loops
 the library used before its integer statevector engine, the per-variable
 and per-word Boolean/spin/Pauli-Z conversions the library used before its
-one subset expansion, dense numpy
+one subset expansion, the Fraction re-checks of LP answers and the
+per-point margin-row features the library used before its integer LP
+rows and feature matrix, dense numpy
 matrices built from hard-coded gate definitions, a brute-force CNF
 solution scanner, and an exact minimal-face feasibility decider.
 """
@@ -765,17 +767,121 @@ def _ref_extract_ray(tab, enter):
     return {v: d for v, d in ray.items() if d}
 
 
+# -- Fraction re-checks of LP answers and margin rows -------------------------
+
+def ref_verify_certificate(lp, cert):
+    """Exact check that a certificate proves 0 >= 1 (Fraction sums)."""
+    combo = [Fraction(0)] * lp.num_vars
+    total_rhs = Fraction(0)
+    for (kind, i), mult in cert:
+        coeffs, rhs = (lp.eq if kind == "eq" else lp.geq)[i]
+        if kind == "geq" and mult < 0:
+            raise AssertionError("negative multiplier on an inequality row")
+        for v in range(lp.num_vars):
+            combo[v] += mult * coeffs[v]
+        total_rhs += mult * rhs
+    for v in range(lp.num_vars):
+        if lp.nonneg[v]:
+            if combo[v] > 0:
+                raise AssertionError(f"certificate leaves positive weight on x{v}")
+        elif combo[v] != 0:
+            raise AssertionError(f"certificate leaves free variable x{v} uncancelled")
+    if total_rhs <= 0:
+        raise AssertionError("certificate right-hand side is not positive")
+
+
+def ref_check_point(lp, x):
+    for v in range(lp.num_vars):
+        if lp.nonneg[v] and x[v] < 0:
+            raise AssertionError("negative value on a sign-constrained variable")
+    for coeffs, rhs in lp.eq:
+        if sum((c * xv for c, xv in zip(coeffs, x)), Fraction(0)) != rhs:
+            raise AssertionError("equality row violated")
+    for coeffs, rhs in lp.geq:
+        if sum((c * xv for c, xv in zip(coeffs, x)), Fraction(0)) < rhs:
+            raise AssertionError("inequality row violated")
+
+
+def ref_check_duals(lp, duals, value):
+    refs = lp.row_refs()
+    rows = [
+        (lp.eq if kind == "eq" else lp.geq)[i] for kind, i in refs
+    ]
+    for (kind, _), y in zip(refs, duals):
+        if kind == "geq":
+            if lp.sense == "min" and y < 0:
+                raise AssertionError("min-sense inequality dual must be >= 0")
+            if lp.sense == "max" and y > 0:
+                raise AssertionError("max-sense inequality dual must be <= 0")
+    bound = sum((y * rhs for y, (_, rhs) in zip(duals, rows)), Fraction(0))
+    if bound != value:
+        raise AssertionError("dual bound does not match the optimal value")
+    for v in range(lp.num_vars):
+        w = sum((y * coeffs[v] for y, (coeffs, _) in zip(duals, rows)), Fraction(0))
+        c = lp.objective[v]
+        if not lp.nonneg[v]:
+            if w != c:
+                raise AssertionError(f"dual equality violated on free x{v}")
+        elif lp.sense == "min":
+            if w > c:
+                raise AssertionError(f"dual feasibility violated on x{v}")
+        elif w < c:
+            raise AssertionError(f"dual feasibility violated on x{v}")
+
+
+def ref_check_ray(lp, ray):
+    vec = [ray.get(v, Fraction(0)) for v in range(lp.num_vars)]
+    for v in range(lp.num_vars):
+        if lp.nonneg[v] and vec[v] < 0:
+            raise AssertionError("ray leaves the variable cone")
+    for coeffs, _ in lp.eq:
+        if sum((c * d for c, d in zip(coeffs, vec)), Fraction(0)) != 0:
+            raise AssertionError("ray violates an equality row")
+    for coeffs, _ in lp.geq:
+        if sum((c * d for c, d in zip(coeffs, vec)), Fraction(0)) < 0:
+            raise AssertionError("ray violates an inequality row")
+    gain = sum((lp.objective[v] * vec[v] for v in range(lp.num_vars)), Fraction(0))
+    if lp.sense == "max" and gain <= 0:
+        raise AssertionError("ray does not improve a max objective")
+    if lp.sense == "min" and gain >= 0:
+        raise AssertionError("ray does not improve a min objective")
+
+
+def ref_pair_order(n):
+    return [(l, k) for l in range(n) for k in range(l + 1, n)]
+
+
+def ref_features(bits, pairs):
+    """The margin-row feature vector (1, z_l, z_l z_k) of one point, z = 1 - 2x."""
+    zs = [1 - 2 * b for b in bits]
+    return [1] + zs + [zs[l] * zs[k] for l, k in pairs]
+
+
+def ref_verify_infeasibility(real, target, n):
+    """Farkas check of a realizability certificate with per-point
+    feature vectors and Fraction sums."""
+    pairs = ref_pair_order(n)
+    dim = 1 + n + len(pairs)
+    combo = [Fraction(0)] * dim
+    mass = Fraction(0)
+    for bits, mult in real.certificate:
+        if bits not in target:
+            if mult < 0:
+                raise AssertionError("negative multiplier on a margin row")
+            mass += mult
+        phi = ref_features(bits, pairs)
+        for d in range(dim):
+            combo[d] += mult * phi[d]
+    if any(c != 0 for c in combo):
+        raise AssertionError("certificate does not cancel the feature columns")
+    if mass <= 0:
+        raise AssertionError("certificate has no mass on the margin rows")
+
+
 def ref_simplex_solve(lp):
-    """``simplex_solve`` on the Fraction tableau, with the same exact
-    re-checks on every exit."""
-    from pbkernel.ising_kernel import (
-        SimplexResult,
-        _Unbounded,
-        _check_duals,
-        _check_point,
-        _check_ray,
-        _infeasibility_certificate,
-    )
+    """``simplex_solve`` on the Fraction tableau, with the Fraction
+    re-checks above on every exit."""
+    from pbkernel.ising_kernel import SimplexResult, _Unbounded
 
     tab = RefTableau(lp)
     m = len(tab.matrix)
@@ -785,7 +891,9 @@ def ref_simplex_solve(lp):
         value1 = tab.objective_value(cost1)
         if value1 > 0:
             mults = tab.row_multipliers(cost1, z1)
-            certificate = _infeasibility_certificate(lp, mults, value1)
+            scaled = [y / value1 for y in mults]
+            certificate = [(ref, y) for ref, y in zip(lp.row_refs(), scaled) if y != 0]
+            ref_verify_certificate(lp, certificate)
             return SimplexResult(status="infeasible", certificate=certificate)
         for i in range(m):
             if tab.basis[i] in tab.artificial:
@@ -802,14 +910,14 @@ def ref_simplex_solve(lp):
         z2 = tab.run(cost2, banned=tab.artificial)
     except _Unbounded as unb:
         ray = _ref_extract_ray(tab, unb.col)
-        _check_ray(lp, ray)
+        ref_check_ray(lp, ray)
         return SimplexResult(status="unbounded", ray=ray)
     x = tab.solution()
     value = sum((lp.objective[v] * x[v] for v in range(lp.num_vars)), Fraction(0))
-    _check_point(lp, x)
+    ref_check_point(lp, x)
     mults = tab.row_multipliers(cost2, z2)
     duals = tuple(sign * y for y in mults)
-    _check_duals(lp, duals, value)
+    ref_check_duals(lp, duals, value)
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
 
 

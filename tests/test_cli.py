@@ -311,3 +311,88 @@ class TestExitCodesAndDeterminism:
     def test_json_has_no_timing(self, capsys, delta_file):
         _, out, _ = run(capsys, "pbf", "kernel", delta_file, "--json")
         assert "elapsed" not in out
+
+    def test_human_report_ends_with_one_elapsed_line(self, capsys, delta_file):
+        code, out, _ = run(capsys, "pbf", "kernel", delta_file)
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "arity 3"
+        assert [line for line in lines if line.startswith("elapsed: ")] == [lines[-1]]
+
+    def test_failed_command_prints_no_elapsed_line(self, capsys, tmp_path):
+        path = tmp_path / "asym.pbf"
+        path.write_text("x1 + 2*x2\n")
+        code, out, err = run(capsys, "sym", "factor", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: input is not a symmetric function\n"
+
+
+def monomial(k):
+    return "*".join(f"x{i}" for i in range(1, k + 1))
+
+
+def binomial_product(k):
+    return "*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(k))
+
+
+class TestWorkCaps:
+    def test_pauli_expansion_cap_boundary(self, monkeypatch):
+        from pbkernel import EnumerationCapError, pauli
+        from pbkernel.expr import parse as parse_expression
+
+        monkeypatch.setattr(pauli, "EXPANSION_CAP", 8)
+        assert len(pauli.pbf_to_pauli(parse_expression(monomial(3)))) == 8
+        assert len(pauli.pbf_to_pauli(parse_expression("x1*x2 + x3*x4"))) == 7
+        for text, count in ((monomial(4), 16), ("x1*x2 + x3*x4 + x5", 10)):
+            with pytest.raises(EnumerationCapError, match=f"needs {count} subset terms, over cap 8"):
+                pauli.pbf_to_pauli(parse_expression(text))
+
+    def test_pauli_degree_30_monomial_exits_2_in_bounded_memory(self, capsys, tmp_path):
+        path = tmp_path / "deg30.pbf"
+        path.write_text(monomial(30) + "\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "pbf", "pauli", str(path), "--json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == "error: Z-basis expansion needs 1073741824 subset terms, over cap 65536\n"
+        assert peak < 1 << 20
+
+    def test_pauli_at_the_default_cap_expands(self):
+        from pbkernel.expr import parse as parse_expression
+        from pbkernel.pauli import pbf_to_pauli
+
+        assert len(pbf_to_pauli(parse_expression(monomial(16)))) == 1 << 16
+
+    def test_product_cap_boundary(self, monkeypatch):
+        from pbkernel import ParseError, expr
+        from pbkernel.expr import parse as parse_expression
+
+        monkeypatch.setattr(expr, "PRODUCT_CAP", 16)
+        assert len(list(parse_expression(binomial_product(4)).terms())) == 16
+        assert len(list(parse_expression("(x1+x2+x3+x4)*(x5+x6+x7+x8)").terms())) == 16
+        with pytest.raises(ParseError, match="needs 32 term products, over cap 16"):
+            parse_expression(binomial_product(5))
+        with pytest.raises(ParseError, match="needs 20 term products, over cap 16"):
+            parse_expression("(x1+x2+x3+x4)*(x5+x6+x7+x8+x9)")
+
+    def test_product_over_cap_exits_2_naming_position_count_and_cap(self, capsys, tmp_path, monkeypatch):
+        from pbkernel import expr
+
+        monkeypatch.setattr(expr, "PRODUCT_CAP", 1 << 10)
+        path = tmp_path / "product.pbf"
+        path.write_text(binomial_product(20) + "\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "pbf", "kernel", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pos = len(binomial_product(10))  # the '*' before the eleventh factor
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: product at line 1, column {pos + 1} needs 2048 term products, over cap 1024"
+            f" (at position {pos})\n"
+        )
+        assert peak < 4 << 20

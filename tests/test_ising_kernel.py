@@ -21,18 +21,23 @@ from pbkernel import (
     verify_infeasibility,
 )
 from pbkernel.gadgets import SupportSet
-from pbkernel.ising_kernel import _features, _pair_order
-from conftest import assignments, face_enumeration_feasible, random_target
+from conftest import (
+    assignments,
+    face_enumeration_feasible,
+    random_target,
+    ref_features,
+    ref_pair_order,
+)
 
 EVEN_PARITY_3 = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
 
 def margin_system(target, n):
     """The raw margin rows, for the independent feasibility cross-check."""
-    pairs = _pair_order(n)
+    pairs = ref_pair_order(n)
     eqs, geqs = [], []
     for bits in assignments(n):
-        row = _features(bits, pairs)
+        row = ref_features(bits, pairs)
         if bits in target:
             eqs.append((row, 0))
         else:
@@ -273,13 +278,13 @@ class TestRealizability:
         # rows by -1 on even strings and +1 on odd strings cancels all
         # columns while the odd rows contribute total mass 4 -- an
         # infeasibility certificate built without any LP machinery
-        pairs = _pair_order(3)
+        pairs = ref_pair_order(3)
         target = set(EVEN_PARITY_3)
         combo = [0] * (1 + 3 + len(pairs))
         mass = 0
         for bits in assignments(3):
             sign = -1 if bits in target else 1
-            phi = _features(bits, pairs)
+            phi = ref_features(bits, pairs)
             combo = [c + sign * v for c, v in zip(combo, phi)]
             if bits not in target:
                 mass += 1

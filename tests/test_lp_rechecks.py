@@ -1,0 +1,179 @@
+"""The exact re-checks of LP answers against their Fraction references.
+
+Every answer ``simplex_solve`` and ``quadratic_realizability`` return is
+re-checked on the integer rows of the LP: one primal check for points and
+rays, one dual check for optimal duals and Farkas certificates, and the
+integer feature matrix for realizability certificates.  Here each check
+sees the solver's own answer and tampered copies of it (one entry nudged
+or negated, realizability multipliers doubled, negated or dropped), and
+must raise exactly when the Fraction check it replaced (``conftest``)
+raises.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pbkernel import LPInstance, ising_kernel, quadratic_realizability, simplex_solve
+from pbkernel.ising_kernel import _check_duals, _check_point, _check_ray, verify_certificate
+from pbkernel.pbf import bits_of
+from conftest import (
+    assignments,
+    fuzz_lp,
+    random_target,
+    rational_lp,
+    ref_check_duals,
+    ref_check_point,
+    ref_check_ray,
+    ref_features,
+    ref_pair_order,
+    ref_verify_certificate,
+    ref_verify_infeasibility,
+)
+from test_integer_tableau import NAMED_LPS
+
+NUDGE = Fraction(1, 3)
+
+
+def passes(check, *args):
+    try:
+        check(*args)
+    except AssertionError:
+        return False
+    return True
+
+
+def check_duals(lp, duals, value):
+    """The dual re-check of an optimal solve, as ``simplex_solve`` makes it."""
+    if _check_duals(lp, duals, lp.objective, lp.sense) != value:
+        raise AssertionError("dual bound does not match the optimal value")
+
+
+def tampered(values):
+    """The values as given, then with one entry nudged or negated at a time."""
+    yield list(values)
+    for i, v in enumerate(values):
+        for new in (v + NUDGE, -v):
+            if new != v:
+                yield [new if j == i else w for j, w in enumerate(values)]
+
+
+def lp_pool():
+    rng = random.Random(0xC0FFEE)  # the seed of the ``rng`` fixture: TestSimplexFuzz's LPs
+    fuzz = [fuzz_lp(rng) for _ in range(60)]
+    rng = random.Random(20231)
+    return NAMED_LPS + fuzz + [rational_lp(rng) for _ in range(150)]
+
+
+def lp_verdicts():
+    """{check name: [(library verdict, reference verdict)]} over the pool."""
+    seen = {name: [] for name in ("point", "duals", "ray", "certificate")}
+    for lp in lp_pool():
+        res = simplex_solve(lp)
+        if res.status == "optimal":
+            for x in tampered(res.x):
+                seen["point"].append((passes(_check_point, lp, x), passes(ref_check_point, lp, x)))
+            for y in tampered(res.duals):
+                got = passes(check_duals, lp, y, res.value)
+                seen["duals"].append((got, passes(ref_check_duals, lp, y, res.value)))
+        elif res.status == "unbounded":
+            keys = range(lp.num_vars)
+            for vec in tampered([res.ray.get(v, Fraction(0)) for v in keys]):
+                ray = {v: d for v, d in zip(keys, vec) if d}
+                seen["ray"].append((passes(_check_ray, lp, ray), passes(ref_check_ray, lp, ray)))
+        else:
+            refs = [ref for ref, _ in res.certificate]
+            for mults in tampered([m for _, m in res.certificate]):
+                cert = list(zip(refs, mults))
+                got = passes(verify_certificate, lp, cert)
+                seen["certificate"].append((got, passes(ref_verify_certificate, lp, cert)))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def verdicts():
+    return lp_verdicts()
+
+
+@pytest.mark.parametrize("name", ["point", "duals", "ray", "certificate"])
+def test_lp_rechecks_reject_exactly_what_the_reference_rejects(verdicts, name):
+    pairs = verdicts[name]
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+    assert {got for got, _ in pairs} == {True, False}
+
+
+def test_rechecks_on_rational_rows():
+    # row LCMs 6 and 10, a rational objective: x = (1/2, 1/3) is the optimum
+    lp = LPInstance(
+        2, [Fraction(1, 2), Fraction(1, 3)],
+        eq=[([Fraction(1, 3), Fraction(1, 2)], Fraction(1, 3))],
+        geq=[([Fraction(2, 5), 0], Fraction(1, 5))],
+    )
+    res = simplex_solve(lp)
+    assert res.status == "optimal" and res.x == (Fraction(1, 2), Fraction(1, 3))
+    for x in ([Fraction(1, 2), Fraction(1, 3) + Fraction(1, 10**9)], [Fraction(1, 3), Fraction(4, 9)]):
+        with pytest.raises(AssertionError):
+            _check_point(lp, x)
+        with pytest.raises(AssertionError):
+            ref_check_point(lp, x)
+
+
+def test_certificate_with_a_repeated_row_is_summed():
+    lp = LPInstance(1, [0], geq=[([1], 1), ([-1], 0)], nonneg=[False])
+    verify_certificate(lp, [(("geq", 0), Fraction(1, 2)), (("geq", 1), 1), (("geq", 0), Fraction(1, 2))])
+    with pytest.raises(AssertionError):
+        verify_certificate(lp, [(("geq", 0), 1), (("geq", 1), 1), (("geq", 1), 1)])
+
+
+def test_integer_rows_stay_out_of_equality_and_repr():
+    a = LPInstance(2, [1, 1], eq=[([Fraction(1, 2), 1], Fraction(1, 3))])
+    b = LPInstance(2, [1, 1], eq=[([Fraction(2, 4), 1], Fraction(2, 6))])
+    assert a == b and hash(a) == hash(b)
+    assert "_rows" not in repr(a)
+    assert a._rows == (([3, 6, 2], 6),)
+
+
+# -- realizability certificates ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_feature_rows_match_the_per_point_features(n):
+    pairs = ref_pair_order(n)
+    rows = ising_kernel._feature_rows(np.arange(1 << n), n)
+    assert rows.tolist() == [ref_features(bits, pairs) for bits in assignments(n)]
+    assert [bits_of(i, n) for i in range(1 << n)] == assignments(n)
+
+
+def realizability_certificates():
+    rng = random.Random(611)
+    targets = [({x for x in assignments(n) if sum(x) % 2 == p}, n) for n in (3, 4) for p in (0, 1)]
+    targets += [random_target(rng) for _ in range(40)]
+    for target, n in targets:
+        real = quadratic_realizability(target, n)
+        if not real.feasible:
+            yield real, target, n
+
+
+def tampered_certificates(real, target):
+    cert = real.certificate
+    yield cert
+    for i in range(len(cert)):
+        yield [(b, 2 * m if j == i else m) for j, (b, m) in enumerate(cert)]
+        if cert[i][0] not in target:
+            yield [(b, -m if j == i else m) for j, (b, m) in enumerate(cert)]
+    yield [(b, m) for b, m in cert if b in target]
+
+
+def test_realizability_certificates_reject_exactly_what_the_reference_rejects():
+    pairs, count = [], 0
+    for real, target, n in realizability_certificates():
+        count += 1
+        for cert in tampered_certificates(real, target):
+            copy = ising_kernel.QuadraticRealization(feasible=False, n=n, certificate=cert)
+            got = passes(ising_kernel.verify_infeasibility, copy, target, n)
+            pairs.append((got, passes(ref_verify_infeasibility, copy, target, n)))
+    assert count >= 6
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+    assert {got for got, _ in pairs} == {True, False}

@@ -236,6 +236,8 @@ expression_commands = st.sampled_from((
 @FIXED
 @given(st.lists(expression_lines, max_size=4).map("\n".join), expression_commands)
 @example("x1 + x99999999999999999999", ["pbf", "pauli"])
+@example("*".join(f"x{i}" for i in range(1, 31)), ["pbf", "pauli"])
+@example("*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(20)), ["pbf", "kernel"])
 def test_malformed_expression_files_exit_cleanly(text, command):
     tail = ["--at", "101"] if command[1] == "eval" else []
     assert_clean_exit(*run_cli(command, text, tail))

@@ -21,6 +21,7 @@ human-readable report does include elapsed time).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -371,10 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use rather than at import
+    and reused by every later call in the process (parsing leaves it as it was)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
     except (_UsageError, PBKernelError) as exc:

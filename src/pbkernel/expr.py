@@ -10,6 +10,13 @@ Grammar (whitespace insignificant)::
 ``~x3`` is the complemented literal and is replaced by 1 - x3 while
 parsing, so complements are never stored.  Variable indices are 1-based
 in the text (``x1`` is variable 0 of the resulting polynomial).
+
+The parse is one pass.  The terms of a sum go into one term table, not a
+new polynomial per ``+``.  A run of plain-variable factors (``x2*x5`` in
+``3*x2*x5*(x1+x4)``) becomes one monomial, multiplied in with one
+``PseudoBoolean.__mul__``.  Every product is checked against
+:data:`PRODUCT_CAP` before it is formed; a run is checked at its first
+``*``, since multiplying by a monomial never adds terms.
 """
 
 from __future__ import annotations
@@ -87,35 +94,59 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> PseudoBoolean:
-        acc = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            t = self.parse_term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
+    def check_product(self, pos, count):
+        if count > PRODUCT_CAP:
+            raise ParseError(
+                f"product at {self.where(pos)} needs {count} term products, over cap {PRODUCT_CAP}",
+                pos,
+            )
 
-    def parse_term(self) -> PseudoBoolean:
-        sign = 1
+    def parse_expr(self) -> PseudoBoolean:
+        # one table for the whole sum, updated as adding the terms one by one would
+        table = {}
+        while True:
+            negate, term = self.parse_term()
+            for mask, c in term._terms.items():
+                s = table.get(mask, 0) + (-c if negate else c)
+                if s:
+                    table[mask] = s
+                else:
+                    table.pop(mask, None)
+            if self.peek()[0] not in ("+", "-"):
+                break
+        out = PseudoBoolean(self.arity)
+        out._terms = table
+        return out
+
+    def parse_term(self) -> tuple:
+        """(negate, product) for one term and the signs before it."""
+        negate = False
         while self.peek()[0] in ("+", "-"):
             if self.take()[0] == "-":
-                sign = -sign
-        kind = self.peek()[0]
-        if kind == "int":
+                negate = not negate
+        if self.peek()[0] == "int":
             acc = PseudoBoolean.constant(self.arity, self.parse_rational())
         else:
             acc = self.parse_factor()
+        run = 0  # plain-variable factors not yet multiplied in, as one monomial
         while self.peek()[0] == "*":
             pos = self.take()[2]
+            kind, value, _ = self.peek()
+            if kind == "var":
+                # a monomial never adds terms, so the run's first product bounds the rest
+                if not run:
+                    self.check_product(pos, len(acc._terms))
+                self.take()
+                run |= 1 << (value - 1)
+                continue
             factor = self.parse_factor()
-            count = len(acc._terms) * len(factor._terms)
-            if count > PRODUCT_CAP:
-                raise ParseError(
-                    f"product at {self.where(pos)} needs {count} term products, over cap {PRODUCT_CAP}",
-                    pos,
-                )
+            if run:
+                acc, run = acc * PseudoBoolean(self.arity, {run: 1}), 0
+            self.check_product(pos, len(acc._terms) * len(factor._terms))
             acc = acc * factor
-        return acc if sign > 0 else -acc
+        if run:
+            acc = acc * PseudoBoolean(self.arity, {run: 1})
+        return negate, acc
 
     def parse_rational(self) -> Fraction:
         num = self.take("int")[1]

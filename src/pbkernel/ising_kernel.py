@@ -32,6 +32,7 @@ returning y^T b) cover points, rays, duals and Farkas certificates.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -191,7 +192,10 @@ class LPInstance:
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be min or max, got {self.sense!r}")
-        obj = tuple(_coerce(v) for v in self.objective)
+        # entries repeat (the realizability rows are all -1, 0 and 1), so each
+        # distinct value becomes one Fraction that every entry equal to it shares
+        coerce = functools.cache(_coerce)
+        obj = tuple(map(coerce, self.objective))
         if len(obj) != self.num_vars:
             raise DimensionError("objective length != num_vars")
         nonneg = tuple(self.nonneg) if self.nonneg else (True,) * self.num_vars
@@ -201,10 +205,10 @@ class LPInstance:
         def rows(raw):
             out = []
             for coeffs, rhs in raw:
-                coeffs = tuple(_coerce(v) for v in coeffs)
+                coeffs = tuple(map(coerce, coeffs))
                 if len(coeffs) != self.num_vars:
                     raise DimensionError("row width != num_vars")
-                out.append((coeffs, _coerce(rhs)))
+                out.append((coeffs, coerce(rhs)))
             return tuple(out)
 
         object.__setattr__(self, "objective", obj)

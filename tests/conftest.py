@@ -9,7 +9,8 @@ the library used before its integer statevector engine, the per-variable
 and per-word Boolean/spin/Pauli-Z conversions the library used before its
 one subset expansion, the Fraction re-checks of LP answers and the
 per-point margin-row features the library used before its integer LP
-rows and feature matrix, dense numpy
+rows and feature matrix, the term-by-term expression parser the library
+used before its one-pass parse, dense numpy
 matrices built from hard-coded gate definitions, a brute-force CNF
 solution scanner, and an exact minimal-face feasibility decider.
 """
@@ -23,7 +24,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pbkernel import PseudoBoolean
+from pbkernel import PseudoBoolean, expr
+from pbkernel.errors import ParseError
 
 
 def assignments(n):
@@ -919,6 +921,64 @@ def ref_simplex_solve(lp):
     duals = tuple(sign * y for y in mults)
     ref_check_duals(lp, duals, value)
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
+
+
+class _RefParser(expr._Parser):
+    """The term-by-term grammar walk: ``acc = acc +/- t`` per term, and one
+    ``__mul__`` per factor, each checked against ``expr.PRODUCT_CAP``."""
+
+    def parse_expr(self) -> PseudoBoolean:
+        acc = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            t = self.parse_term()
+            acc = acc + t if op == "+" else acc - t
+        return acc
+
+    def parse_term(self) -> PseudoBoolean:
+        sign = 1
+        while self.peek()[0] in ("+", "-"):
+            if self.take()[0] == "-":
+                sign = -sign
+        kind = self.peek()[0]
+        if kind == "int":
+            acc = PseudoBoolean.constant(self.arity, self.parse_rational())
+        else:
+            acc = self.parse_factor()
+        while self.peek()[0] == "*":
+            pos = self.take()[2]
+            factor = self.parse_factor()
+            count = len(acc._terms) * len(factor._terms)
+            if count > expr.PRODUCT_CAP:
+                raise ParseError(
+                    f"product at {self.where(pos)} needs {count} term products, over cap {expr.PRODUCT_CAP}",
+                    pos,
+                )
+            acc = acc * factor
+        return acc if sign > 0 else -acc
+
+
+def ref_parse(text: str, arity: int | None = None) -> PseudoBoolean:
+    """``expr.parse`` on the term-by-term parser."""
+    tokens = expr._tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    max_idx = max((v for k, v, _ in tokens if k in ("var", "~var")), default=0)
+    if arity is None:
+        arity = max_idx
+    elif arity < max_idx:
+        raise ParseError(f"expression uses x{max_idx} but arity {arity} was requested", 0)
+    parser = _RefParser(tokens, arity, text)
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
+    if parser.pos != len(tokens):
+        tok = parser.peek()
+        raise ParseError(
+            f"trailing input starting with {tok[0]!r} at {parser.where(tok[2])}", tok[2]
+        )
+    return result
 
 
 @pytest.fixture

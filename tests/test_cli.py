@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, exit codes, deterministic JSON."""
 
 import json
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -396,3 +398,77 @@ class TestWorkCaps:
             f" (at position {pos})\n"
         )
         assert peak < 4 << 20
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every later call must
+    behave as it would on a freshly built parser."""
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch, tmp_path, delta_file, ghz3_file):
+        from pbkernel import cli
+
+        files = {
+            "ghz.state": "000 1 0\n111 1 0\n",
+            "net.json": json.dumps({"gates": [
+                {"type": "or", "inputs": ["x1", "x2"], "output": "w"},
+                {"type": "and", "inputs": ["w", "y2"], "output": "p"},
+            ]}),
+            "pair.txt": "0000\n1111\n",
+            "even3.txt": "000\n011\n101\n110\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        state, net, pair, even3 = (str(tmp_path / name) for name in files)
+        commands = [
+            ["pbf", "kernel", delta_file],
+            ["pbf", "eval", delta_file, "--at", "110"],
+            ["pbf", "nonneg", delta_file, "--arity", "4"],
+            ["pbf", "pauli", delta_file],
+            ["sym", "factor", delta_file],
+            ["sym", "profile", delta_file],
+            ["parent", "clifford", ghz3_file, "--verify"],
+            ["parent", "clifford", ghz3_file],
+            ["parent", "support", state],
+            ["parent", "ghz-quadratic", "-n", "3"],
+            ["gadget", "compose", net, "--clamp", "p=1", "--clamp", "x1=0", "--minimize"],
+            ["gadget", "compose", net],
+            ["ising", "realize", pair, "-n", "4"],
+            ["ising", "realize", even3, "-n", "3"],
+        ]
+        commands = [argv + mode for argv in commands for mode in ([], ["--json"])]
+        usage_errors = [
+            ["pbf", "frobnicate", delta_file],
+            ["parent", "ghz-quadratic", "--json"],
+            ["pbf", "kernel", delta_file, "--arity", "x"],
+            ["ising", "realize"],
+            [],
+        ]
+        helps = [["--help"], ["parent", "clifford", "--help"], ["gadget", "compose", "-h"]]
+        input_errors = [["pbf", "eval", delta_file], ["pbf", "kernel", str(tmp_path / "missing.pbf")]]
+        odd = usage_errors + helps + input_errors
+        calls = [argv for pair_ in zip_longest(commands, odd) for argv in pair_ if argv is not None]
+
+        def outcome(argv):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+            out = capsys.readouterr()
+            return code, re.sub(r"(?m)^elapsed: \S+$", "elapsed: -", out.out), out.err
+
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        reused = {tuple(argv): outcome(argv) for argv in calls}
+        cli._parser.cache_clear()
+        assert len(builds) == 1
+
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = {tuple(argv): outcome(argv) for argv in calls}
+        assert len(builds) == 1
+        assert reused == fresh
+        assert [reused[tuple(argv)][0] for argv in usage_errors] == ["SystemExit(2)"] * len(usage_errors)
+        assert [reused[tuple(argv)][0] for argv in helps] == ["SystemExit(0)"] * len(helps)
+        assert [reused[tuple(argv)][0] for argv in input_errors] == [2, 2]
+        assert all(reused[tuple(argv)][0] == 0 for argv in commands)

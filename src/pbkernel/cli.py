@@ -256,6 +256,8 @@ def _cmd_gadget_compose(args) -> int:
         data = json.loads(_read(args.netlist))
     except json.JSONDecodeError as exc:
         raise _UsageError(f"malformed netlist JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise _UsageError("malformed netlist JSON: nested too deeply") from None
     netlist = gadgets.Netlist.from_dict(data)
     extra = []
     for spec_ in args.clamp or []:

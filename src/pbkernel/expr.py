@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .pbf import PseudoBoolean
+from .pbf import PseudoBoolean, _accumulate
 
 _OPS = set("+-*()/")
 #: term products one multiplication may form (len(acc) * len(factor))
@@ -106,17 +106,11 @@ class _Parser:
         table = {}
         while True:
             negate, term = self.parse_term()
-            for mask, c in term._terms.items():
-                s = table.get(mask, 0) + (-c if negate else c)
-                if s:
-                    table[mask] = s
-                else:
-                    table.pop(mask, None)
+            pairs = term._terms.items()
+            _accumulate(table, ((m, -c) for m, c in pairs) if negate else pairs)
             if self.peek()[0] not in ("+", "-"):
                 break
-        out = PseudoBoolean(self.arity)
-        out._terms = table
-        return out
+        return PseudoBoolean._of(self.arity, table)
 
     def parse_term(self) -> tuple:
         """(negate, product) for one term and the signs before it."""

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import EnumerationCapError, NetlistError
-from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _point_indices, bits_of
+from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _point_indices, bits_of
 from .pauli import STATE_CAP, DiagonalOperator, StateVector, _amp_is_zero
 
 ROLE_INPUT = "input"
@@ -233,7 +233,7 @@ def compose(netlist: Netlist) -> PseudoBoolean:
     clamp_names = [name for name, _ in netlist.clamps]
     if len(set(clamp_names)) != len(clamp_names):
         raise NetlistError("a wire is clamped more than once")
-    total = PseudoBoolean.zero(arity)
+    table: dict = {}  # every re-seated gadget, summed in gate order
     for idx, (inst, gadget) in enumerate(zip(netlist.gates, gadgets)):
         mapping = []
         input_iter = iter(inst.inputs)
@@ -246,7 +246,8 @@ def compose(netlist: Netlist) -> PseudoBoolean:
             else:
                 mapping.append(index[f"__slack{idx}_{slack_counter}"])
                 slack_counter += 1
-        total = total + gadget.penalty.embed(arity, mapping)
+        _accumulate(table, gadget.penalty.embed(arity, mapping)._terms.items())
+    total = PseudoBoolean._of(arity, table)
     for name, value in sorted(netlist.clamps, key=lambda kv: -index[kv[0]]):
         total = clamp(total, index[name], value)
     return total
@@ -263,19 +264,9 @@ def clamp(f: PseudoBoolean, var: int, value: int) -> PseudoBoolean:
         raise ValueError(f"clamp value must be a bit, got {value!r}")
     bit = 1 << var
     low = bit - 1
-    terms: dict = {}
-    for mask, c in f.masked_terms().items():
-        if mask & bit:
-            if value == 0:
-                continue
-            mask ^= bit
-        new_mask = (mask & low) | ((mask >> 1) & ~low)
-        s = terms.get(new_mask, Fraction(0)) + c
-        if s:
-            terms[new_mask] = s
-        else:
-            terms.pop(new_mask, None)
-    return PseudoBoolean(f.n - 1, terms)
+    # keep the bits below var and shift those above it down one; bit var itself drops out
+    pairs = (((m & low) | (m >> 1 & ~low), c) for m, c in f._terms.items() if value or not m & bit)
+    return PseudoBoolean._of(f.n - 1, _accumulate({}, pairs))
 
 
 class MinimizeResult(NamedTuple):

@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import PseudoBoolean, _coerce, _numerators, _point_indices, _swap_order
+from .pbf import PseudoBoolean, _accumulate, _coerce, _numerators, _point_indices, _swap_order
 from .pbf import bits_of, index_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
@@ -512,12 +512,8 @@ def _extract_ray(tab: _Tableau, enter: int) -> dict:
         a = tab.matrix[i][enter]
         if a:
             ray_std[b] = Fraction(-a, tab.den)
-    ray: dict = {}
-    for j, delta in ray_std.items():
-        col = tab.cols[j]
-        if col[0] == "var":
-            ray[col[1]] = ray.get(col[1], Fraction(0)) + col[2] * delta
-    return {v: d for v, d in ray.items() if d}
+    cols = ((tab.cols[j], delta) for j, delta in ray_std.items())
+    return _accumulate({}, ((col[1], col[2] * delta) for col, delta in cols if col[0] == "var"))
 
 
 def _check_ray(lp: LPInstance, ray: dict) -> None:

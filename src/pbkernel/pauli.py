@@ -48,7 +48,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
-from .pbf import PseudoBoolean, _coerce, _numerators, boolean_to_spin, index_of, spin_to_boolean
+from .pbf import (PseudoBoolean, _accumulate, _coerce, _numerators, boolean_to_spin, index_of,
+                  spin_to_boolean)
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
@@ -432,6 +433,13 @@ class PauliSum:
         self._terms = data
 
     @classmethod
+    def _of(cls, arity: int, table: dict) -> "PauliSum":
+        """Wrap a trusted {word: nonzero Fraction} table without copying or re-checking it."""
+        out = cls(arity)
+        out._terms = table
+        return out
+
+    @classmethod
     def zero(cls, arity: int) -> "PauliSum":
         return cls(arity, {})
 
@@ -457,26 +465,14 @@ class PauliSum:
             return NotImplemented
         if self.n != other.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {other.n}")
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w, Fraction(0)) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        out = PauliSum(self.n)
-        out._terms = terms
-        return out
+        return PauliSum._of(self.n, _accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "PauliSum":
         c = _coerce(scalar)
-        out = PauliSum(self.n)
-        if c:
-            out._terms = {w: c * v for w, v in self._terms.items()}
-        return out
+        return PauliSum._of(self.n, {w: c * v for w, v in self._terms.items()} if c else {})
 
     __rmul__ = __mul__
 
@@ -555,9 +551,8 @@ def pbf_to_pauli(f: PseudoBoolean) -> PauliSum:
         raise EnumerationCapError(
             f"Z-basis expansion needs {count} subset terms, over cap {EXPANSION_CAP}"
         )
-    out = PauliSum(f.n)
-    out._terms = {_pauli_word(0, zmask, f.n): c for zmask, c in boolean_to_spin(f)._terms.items()}
-    return out
+    spin = boolean_to_spin(f)._terms
+    return PauliSum._of(f.n, {_pauli_word(0, zmask, f.n): c for zmask, c in spin.items()})
 
 
 def pauli_to_pbf(h: PauliSum) -> PseudoBoolean:

@@ -17,6 +17,12 @@ Conventions used throughout the package:
 
 All coefficients are `fractions.Fraction`; every mutation prunes zero
 coefficients so structural equality coincides with semantic equality.
+Every sum of sparse term tables in the package (polynomial sums and
+products, re-seating, clamping, the expression parser, Pauli sums and
+their Clifford conjugates) runs through one rule, :func:`_accumulate`:
+add the (key, coefficient) pairs in order and drop a key as soon as its
+sum is zero, so a table's key order is that of the pairs it was built
+from.
 
 Every oracle over the whole cube runs on one exact engine: values or
 coefficients become integer numerators over the LCM of their denominators
@@ -107,6 +113,28 @@ def _coerce(value) -> Fraction:
     return Fraction(value)
 
 
+def _accumulate(table: dict, pairs: Iterable) -> dict:
+    """Add each (key, coefficient) pair into ``table`` in order, dropping a key
+    whose sum reaches zero; returns ``table``."""
+    for key, c in pairs:
+        s = table.get(key, 0) + c
+        if s:
+            table[key] = s
+        else:
+            table.pop(key, None)
+    return table
+
+
+def _mask(vars_: Iterable[int], arity: int, what: str = "variable index") -> int:
+    """Bitmask of variable indices, each checked to lie in 0..arity-1."""
+    mask = 0
+    for i in vars_:
+        if not 0 <= i < arity:
+            raise ValueError(f"{what} {i} out of range for arity {arity}")
+        mask |= 1 << i
+    return mask
+
+
 def _check_arity(arity: int) -> None:
     if arity < 0 or arity > MAX_ARITY:
         raise ValueError(f"arity must be in 0..{MAX_ARITY}, got {arity}")
@@ -143,6 +171,13 @@ class PseudoBoolean:
                 terms[mask] = c
         self._terms = terms
 
+    @classmethod
+    def _of(cls, arity: int, table: dict) -> "PseudoBoolean":
+        """Wrap a trusted {mask: nonzero Fraction} table without copying or re-checking it."""
+        out = cls(arity)
+        out._terms = table
+        return out
+
     # -- construction -------------------------------------------------
 
     @classmethod
@@ -163,15 +198,8 @@ class PseudoBoolean:
     def from_terms(cls, arity: int, terms: Mapping[Iterable[int], object]) -> "PseudoBoolean":
         """Build from a map {iterable of variable indices: coefficient}."""
         _check_arity(arity)  # before building masks up to arity bits wide
-        masked = {}
-        for vars_, coeff in terms.items():
-            mask = 0
-            for i in vars_:
-                if not 0 <= i < arity:
-                    raise ValueError(f"variable index {i} out of range for arity {arity}")
-                mask |= 1 << i
-            masked[mask] = masked.get(mask, Fraction(0)) + _coerce(coeff)
-        return cls(arity, masked)
+        pairs = ((_mask(vars_, arity), _coerce(coeff)) for vars_, coeff in terms.items())
+        return cls(arity, _accumulate({}, pairs))
 
     @classmethod
     def from_disjoint_form(cls, table: Sequence) -> "PseudoBoolean":
@@ -264,24 +292,13 @@ class PseudoBoolean:
     def __add__(self, other):
         if isinstance(other, PseudoBoolean):
             self._require_same_arity(other)
-            terms = dict(self._terms)
-            for mask, c in other._terms.items():
-                s = terms.get(mask, Fraction(0)) + c
-                if s:
-                    terms[mask] = s
-                else:
-                    terms.pop(mask, None)
-            out = PseudoBoolean(self.n)
-            out._terms = terms
-            return out
+            return PseudoBoolean._of(self.n, _accumulate(dict(self._terms), other._terms.items()))
         return self + PseudoBoolean.constant(self.n, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PseudoBoolean(self.n)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return PseudoBoolean._of(self.n, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, PseudoBoolean):
@@ -294,24 +311,14 @@ class PseudoBoolean:
     def __mul__(self, other):
         if isinstance(other, PseudoBoolean):
             self._require_same_arity(other)
-            terms: dict = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mask = m1 | m2  # x*x = x: union of variable subsets
-                    s = terms.get(mask, Fraction(0)) + c1 * c2
-                    if s:
-                        terms[mask] = s
-                    else:
-                        terms.pop(mask, None)
-            out = PseudoBoolean(self.n)
-            out._terms = terms
-            return out
+            # x*x = x: a product monomial is the union of its factors' variable subsets
+            right = other._terms.items()
+            pairs = ((m1 | m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right)
+            return PseudoBoolean._of(self.n, _accumulate({}, pairs))
         c = _coerce(other)
         if c == 0:
             return PseudoBoolean.zero(self.n)
-        out = PseudoBoolean(self.n)
-        out._terms = {m: c * v for m, v in self._terms.items()}
-        return out
+        return PseudoBoolean._of(self.n, {m: c * v for m, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -328,21 +335,13 @@ class PseudoBoolean:
             mapping = list(range(self.n))
         if len(mapping) != self.n:
             raise DimensionError(f"mapping length {len(mapping)} != arity {self.n}")
-        terms: dict = {}
-        for mask, c in self._terms.items():
-            new_mask = 0
-            for i in range(self.n):
-                if mask & (1 << i):
-                    j = mapping[i]
-                    if not 0 <= j < arity:
-                        raise ValueError(f"mapped index {j} out of range for arity {arity}")
-                    new_mask |= 1 << j
-            s = terms.get(new_mask, Fraction(0)) + c
-            if s:
-                terms[new_mask] = s
-            else:
-                terms.pop(new_mask, None)
-        return PseudoBoolean(arity, terms)
+
+        def seat(mask: int) -> int:  # range-checks only the variables the monomial uses
+            targets = (mapping[i] for i in range(mask.bit_length()) if mask >> i & 1)
+            return _mask(targets, arity, "mapped index")
+
+        pairs = ((seat(mask), c) for mask, c in self._terms.items())
+        return PseudoBoolean._of(arity, _accumulate({}, pairs))
 
     # -- evaluation ----------------------------------------------------
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, ParseError
 from .pauli import PauliSum, StateVector, _Amplitudes, _pauli_masks, _pauli_word
+from .pbf import _accumulate
 
 GATE_KINDS = ("h", "s", "x", "z", "cnot")
 
@@ -246,16 +247,8 @@ def conjugate_sum(circuit: CliffordCircuit, hsum: PauliSum) -> PauliSum:
     """Termwise conjugation of a Pauli sum, signs folded into coefficients."""
     if circuit.n != hsum.n:
         raise DimensionError(f"arity mismatch: circuit {circuit.n} vs sum {hsum.n}")
-    terms: dict = {}
-    for word, coeff in hsum.terms():
-        q = conjugate(circuit, SymplecticPauli.from_letters(word))
-        w = q.letters()
-        c = terms.get(w, Fraction(0)) + q.sign * coeff
-        if c:
-            terms[w] = c
-        else:
-            terms.pop(w, None)
-    return PauliSum(circuit.n, terms)
+    images = ((conjugate(circuit, SymplecticPauli.from_letters(w)), c) for w, c in hsum.terms())
+    return PauliSum._of(circuit.n, _accumulate({}, ((q.letters(), q.sign * c) for q, c in images)))
 
 
 def conjugated_generators(circuit: CliffordCircuit) -> list:

@@ -313,6 +313,19 @@ def factorize(s: SymmetricForm) -> RootFactorization:
     )
 
 
+def _expand(scale, roots) -> list:
+    """Ascending coefficients of scale * prod_r (X - r), in the arithmetic of
+    ``scale`` and the roots: Fractions stay Fractions, complex stays complex."""
+    poly = [scale]
+    for r in roots:
+        nxt = [type(scale)()] * (len(poly) + 1)  # Fraction(0) or 0j
+        for k, c in enumerate(poly):
+            nxt[k + 1] += c
+            nxt[k] -= r * c
+        poly = nxt
+    return poly
+
+
 def reconstruct(rf: RootFactorization, tol: float = 1e-9) -> SymmetricForm:
     """Expand scale * prod (X - root) back into power coefficients.
 
@@ -324,22 +337,9 @@ def reconstruct(rf: RootFactorization, tol: float = 1e-9) -> SymmetricForm:
         isinstance(r, Fraction) for r in rf.roots
     )
     if all_exact:
-        poly = [rf.scale]
-        for r in rf.roots:
-            nxt = [Fraction(0)] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                nxt[k + 1] += c
-                nxt[k] -= r * c
-            poly = nxt
+        poly = _expand(rf.scale, rf.roots)
     else:
-        poly = [complex(rf.scale)]
-        for r in rf.roots:
-            rc = complex(r)
-            nxt = [0j] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                nxt[k + 1] += c
-                nxt[k] -= rc * c
-            poly = nxt
+        poly = _expand(complex(rf.scale), [complex(r) for r in rf.roots])
         cleaned = []
         for c in poly:
             if abs(c.imag) > tol * (1 + abs(c)):
@@ -368,13 +368,7 @@ def delta_product_form(k: int) -> SymmetricForm:
     """
     if not 2 <= k <= 20:
         raise ValueError(f"k must be in 2..20, got {k}")
-    poly = [Fraction((-1) ** (k - 1), math.factorial(k - 1))]
-    for j in range(1, k):
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] += c
-            nxt[i] -= j * c
-        poly = nxt
+    poly = _expand(Fraction((-1) ** (k - 1), math.factorial(k - 1)), range(1, k))
     poly += [Fraction(0)] * (k + 1 - len(poly))
     return SymmetricForm(k, tuple(poly))
 

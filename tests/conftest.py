@@ -10,13 +10,17 @@ and per-word Boolean/spin/Pauli-Z conversions the library used before its
 one subset expansion, the Fraction re-checks of LP answers and the
 per-point margin-row features the library used before its integer LP
 rows and feature matrix, the term-by-term expression parser the library
-used before its one-pass parse, dense numpy
+used before its one-pass parse, the hand-written add-and-drop-zero loops
+the library used before its one term-table rule, the three
+scale * prod (X - r) expansion loops ``symmetric`` used before its one
+helper, dense numpy
 matrices built from hard-coded gate definitions, a brute-force CNF
 solution scanner, and an exact minimal-face feasibility decider.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -24,8 +28,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pbkernel import PseudoBoolean, expr
-from pbkernel.errors import ParseError
+from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, stabilizer
+from pbkernel.errors import NetlistError, ParseError
 
 
 def assignments(n):
@@ -958,8 +962,27 @@ class _RefParser(expr._Parser):
         return acc if sign > 0 else -acc
 
 
-def ref_parse(text: str, arity: int | None = None) -> PseudoBoolean:
-    """``expr.parse`` on the term-by-term parser."""
+class _RefOnePassParser(expr._Parser):
+    """The one-pass parse with its sum table updated by a hand-written loop
+    (products still go through ``PseudoBoolean.__mul__``)."""
+
+    def parse_expr(self) -> PseudoBoolean:
+        table = {}
+        while True:
+            negate, term = self.parse_term()
+            for mask, c in term._terms.items():
+                s = table.get(mask, 0) + (-c if negate else c)
+                if s:
+                    table[mask] = s
+                else:
+                    table.pop(mask, None)
+            if self.peek()[0] not in ("+", "-"):
+                break
+        return PseudoBoolean(self.arity, table)
+
+
+def ref_parse(text: str, arity: int | None = None, parser=_RefParser) -> PseudoBoolean:
+    """``expr.parse`` on the term-by-term parser (or on ``parser``)."""
     tokens = expr._tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)
@@ -968,7 +991,7 @@ def ref_parse(text: str, arity: int | None = None) -> PseudoBoolean:
         arity = max_idx
     elif arity < max_idx:
         raise ParseError(f"expression uses x{max_idx} but arity {arity} was requested", 0)
-    parser = _RefParser(tokens, arity, text)
+    parser = parser(tokens, arity, text)
     try:
         result = parser.parse_expr()
     except RecursionError:
@@ -979,6 +1002,171 @@ def ref_parse(text: str, arity: int | None = None) -> PseudoBoolean:
             f"trailing input starting with {tok[0]!r} at {parser.where(tok[2])}", tok[2]
         )
     return result
+
+
+def ref_one_pass_parse(text: str, arity: int | None = None) -> PseudoBoolean:
+    return ref_parse(text, arity, _RefOnePassParser)
+
+
+# -- the add-and-drop-zero loops the library wrote out before pbf._accumulate --
+
+def ref_add(f, g):
+    """``f + g``: g's terms added into a copy of f's table."""
+    terms = dict(f._terms)
+    for mask, c in g._terms.items():
+        s = terms.get(mask, Fraction(0)) + c
+        if s:
+            terms[mask] = s
+        else:
+            terms.pop(mask, None)
+    return PseudoBoolean(f.n, terms)
+
+
+def ref_mul(f, g):
+    """``f * g``: every pair of terms, f's outer, g's inner."""
+    terms = {}
+    for m1, c1 in f._terms.items():
+        for m2, c2 in g._terms.items():
+            mask = m1 | m2
+            s = terms.get(mask, Fraction(0)) + c1 * c2
+            if s:
+                terms[mask] = s
+            else:
+                terms.pop(mask, None)
+    return PseudoBoolean(f.n, terms)
+
+
+def ref_embed(f, arity, mapping=None):
+    """``f.embed(arity, mapping)``, range-checking only the variables a term uses."""
+    if mapping is None:
+        mapping = list(range(f.n))
+    terms = {}
+    for mask, c in f._terms.items():
+        new_mask = 0
+        for i in range(f.n):
+            if mask & (1 << i):
+                j = mapping[i]
+                if not 0 <= j < arity:
+                    raise ValueError(f"mapped index {j} out of range for arity {arity}")
+                new_mask |= 1 << j
+        s = terms.get(new_mask, Fraction(0)) + c
+        if s:
+            terms[new_mask] = s
+        else:
+            terms.pop(new_mask, None)
+    return PseudoBoolean(arity, terms)
+
+
+def ref_clamp(f, var, value):
+    """``gadgets.clamp`` for an in-range variable and a bit value."""
+    bit = 1 << var
+    low = bit - 1
+    terms = {}
+    for mask, c in f.masked_terms().items():
+        if mask & bit:
+            if value == 0:
+                continue
+            mask ^= bit
+        new_mask = (mask & low) | ((mask >> 1) & ~low)
+        s = terms.get(new_mask, Fraction(0)) + c
+        if s:
+            terms[new_mask] = s
+        else:
+            terms.pop(new_mask, None)
+    return PseudoBoolean(f.n - 1, terms)
+
+
+def ref_compose(netlist):
+    """``gadgets.compose`` as one ``ref_add`` per gate, then one ``ref_clamp`` per pin."""
+    members = netlist._validated_gadgets()
+    names = netlist.variable_order()
+    index = {name: i for i, name in enumerate(names)}
+    arity = len(names)
+    clamp_names = [name for name, _ in netlist.clamps]
+    if len(set(clamp_names)) != len(clamp_names):
+        raise NetlistError("a wire is clamped more than once")
+    total = PseudoBoolean.zero(arity)
+    for idx, (inst, gadget) in enumerate(zip(netlist.gates, members)):
+        mapping = []
+        input_iter = iter(inst.inputs)
+        slack_counter = 0
+        for role in gadget.roles:
+            if role == gadgets.ROLE_INPUT:
+                mapping.append(index[next(input_iter)])
+            elif role == gadgets.ROLE_OUTPUT:
+                mapping.append(index[inst.output])
+            else:
+                mapping.append(index[f"__slack{idx}_{slack_counter}"])
+                slack_counter += 1
+        total = ref_add(total, ref_embed(gadget.penalty, arity, mapping))
+    for name, value in sorted(netlist.clamps, key=lambda kv: -index[kv[0]]):
+        total = ref_clamp(total, index[name], value)
+    return total
+
+
+def ref_pauli_add(h, k):
+    """``h + k`` for Pauli sums: k's terms added into a copy of h's table."""
+    terms = dict(h._terms)
+    for w, c in k._terms.items():
+        s = terms.get(w, Fraction(0)) + c
+        if s:
+            terms[w] = s
+        else:
+            terms.pop(w, None)
+    return PauliSum(h.n, terms)
+
+
+def ref_conjugate_sum(circuit, hsum):
+    """``stabilizer.conjugate_sum``: conjugated words in sorted input order."""
+    terms = {}
+    for word, coeff in hsum.terms():
+        q = stabilizer.conjugate(circuit, stabilizer.SymplecticPauli.from_letters(word))
+        w = q.letters()
+        c = terms.get(w, Fraction(0)) + q.sign * coeff
+        if c:
+            terms[w] = c
+        else:
+            terms.pop(w, None)
+    return PauliSum(circuit.n, terms)
+
+
+# -- the scale * prod (X - r) loops of symmetric before its one expansion ------
+
+def ref_expand_exact(scale, roots):
+    """``reconstruct``'s Fraction loop."""
+    poly = [scale]
+    for r in roots:
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            nxt[k + 1] += c
+            nxt[k] -= r * c
+        poly = nxt
+    return poly
+
+
+def ref_expand_complex(scale, roots):
+    """``reconstruct``'s complex loop, before its imaginary-part check."""
+    poly = [complex(scale)]
+    for r in roots:
+        rc = complex(r)
+        nxt = [0j] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            nxt[k + 1] += c
+            nxt[k] -= rc * c
+        poly = nxt
+    return poly
+
+
+def ref_delta_poly(k):
+    """``delta_product_form``'s loop over the integer roots 1..k-1, before padding."""
+    poly = [Fraction((-1) ** (k - 1), math.factorial(k - 1))]
+    for j in range(1, k):
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i + 1] += c
+            nxt[i] -= j * c
+        poly = nxt
+    return poly
 
 
 @pytest.fixture

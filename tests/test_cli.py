@@ -1,14 +1,18 @@
 """Command-line surface: subcommands, exit codes, deterministic JSON."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
+import pbkernel
 from pbkernel import PauliSum, PseudoBoolean
 from pbkernel.cli import main
 
@@ -195,6 +199,13 @@ class TestExitCodesAndDeterminism:
         code, _, err = run(capsys, "pbf", "kernel", str(path))
         assert code == 2 and "cap" in err
 
+    def test_deeply_nested_netlist_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "gadget", "compose", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: malformed netlist JSON: nested too deeply\n"
+
     def test_deep_nesting_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "deep.pbf"
         path.write_text("(" * 3000 + "x1" + ")" * 3000 + "\n")
@@ -309,6 +320,49 @@ class TestExitCodesAndDeterminism:
         _, first, _ = run(capsys, "parent", "clifford", ghz3_file, "--verify", "--json")
         _, second, _ = run(capsys, "parent", "clifford", ghz3_file, "--verify", "--json")
         assert first == second
+
+    def test_json_is_byte_identical_across_hash_seeds(self, tmp_path, delta_file, ghz3_file):
+        """Every subcommand once per process, one process per PYTHONHASHSEED."""
+        files = {
+            "ghz.state": "000 1 0\n111 1 0\n",
+            "net.json": json.dumps({"gates": [
+                {"type": "or", "inputs": ["x1", "x2"], "output": "w"},
+                {"type": "xor", "inputs": ["w", "y2"], "output": "p"},
+            ]}),
+            "even3.txt": "000\n011\n101\n110\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        state, net, even3 = (str(tmp_path / name) for name in files)
+        commands = [
+            ["pbf", "kernel", delta_file],
+            ["pbf", "eval", delta_file, "--at", "110"],
+            ["pbf", "nonneg", delta_file],
+            ["pbf", "pauli", delta_file],
+            ["sym", "factor", delta_file],
+            ["sym", "profile", delta_file],
+            ["parent", "clifford", ghz3_file, "--verify"],
+            ["parent", "support", state],
+            ["parent", "ghz-quadratic", "-n", "4"],
+            ["gadget", "compose", net, "--clamp", "p=1", "--minimize"],
+            ["ising", "realize", even3, "-n", "3"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from pbkernel.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print('exit', main(argv + ['--json']), flush=True)\n"
+        )
+        src = str(Path(pbkernel.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-c", script, json.dumps(commands)]
+        runs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            runs.append(subprocess.run(argv, env=env, capture_output=True, check=True))
+        lines = runs[0].stdout.decode().splitlines()
+        assert lines[1::2] == ["exit 0"] * len(commands) and runs[0].stderr == b""
+        assert runs[0].stdout == runs[1].stdout
 
     def test_json_has_no_timing(self, capsys, delta_file):
         _, out, _ = run(capsys, "pbf", "kernel", delta_file, "--json")

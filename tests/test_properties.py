@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +20,14 @@ from pbkernel import (
     CliffordCircuit,
     CliffordGate,
     LPInstance,
+    Netlist,
     PauliSum,
     PseudoBoolean,
     StateVector,
     apply_circuit,
     boolean_to_spin,
     clamp,
+    compose,
     conjugate_sum,
     ising_form,
     parse,
@@ -36,7 +39,17 @@ from pbkernel import (
 )
 from pbkernel.cli import main
 from pbkernel.stabilizer import cnot
-from conftest import ref_simplex_solve
+from conftest import (
+    ref_add,
+    ref_clamp,
+    ref_compose,
+    ref_conjugate_sum,
+    ref_embed,
+    ref_mul,
+    ref_one_pass_parse,
+    ref_pauli_add,
+    ref_simplex_solve,
+)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -177,6 +190,132 @@ def test_parent_eigenvalue_is_the_hamming_weight(circuit, data):
     assert projector_parent(circuit).apply(u_x) == u_x.scaled(sum(bits))
 
 
+# -- the one term-table rule against the loops it replaced --------------------
+
+few_rationals = st.sampled_from(tuple(map(Fraction, (-2, -1, 1, 2, "1/2"))))
+
+
+def cancelling_tables(draw, keys):
+    """Two {key: coefficient} tables over few keys and coefficients; the second
+    often negates an entry of the first, so sums cancel."""
+    first = draw(st.dictionaries(keys, few_rationals, max_size=6))
+    second = {}
+    for key in draw(st.lists(keys, max_size=6)):
+        second[key] = -first[key] if key in first and draw(st.booleans()) else draw(few_rationals)
+    return first, second
+
+
+@st.composite
+def cancelling_polynomials(draw, max_arity=4):
+    n = draw(st.integers(0, max_arity))
+    return tuple(PseudoBoolean(n, t) for t in cancelling_tables(draw, st.integers(0, (1 << n) - 1)))
+
+
+def items(table_owner):
+    """A term table in its key order: what the sums must reproduce exactly."""
+    return list(table_owner._terms.items())
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", items(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@FIXED
+@given(cancelling_polynomials())
+def test_sum_and_product_tables_match_the_replaced_loops(pair):
+    f, g = pair
+    assert items(f + g) == items(ref_add(f, g))
+    assert items(f - g) == items(ref_add(f, -g))
+    assert items(f * g) == items(ref_mul(f, g))
+    assert items(g * f) == items(ref_mul(g, f))
+
+
+#: many ±1 terms over few variables, so terms identified by ``embed`` cancel and come back
+unit_polynomials = st.integers(3, 5).flatmap(lambda n: st.dictionaries(
+    st.integers(0, (1 << n) - 1), st.sampled_from((Fraction(1), Fraction(-1))), min_size=3, max_size=12
+).map(lambda table: PseudoBoolean(n, table)))
+
+
+@FIXED
+@given(unit_polynomials, st.data())
+def test_embed_and_clamp_tables_match_the_replaced_loops(f, data):
+    arity = data.draw(st.integers(1, 2))
+    mapping = data.draw(st.lists(st.integers(0, arity - 1), min_size=f.n, max_size=f.n))
+    assert items(f.embed(arity, mapping)) == items(ref_embed(f, arity, mapping))
+    assert items(f.embed(f.n + 1)) == items(ref_embed(f, f.n + 1))
+    var, value = data.draw(st.integers(0, f.n - 1)), data.draw(st.integers(0, 1))
+    assert items(clamp(f, var, value)) == items(ref_clamp(f, var, value))
+
+
+@st.composite
+def wired_netlists(draw):
+    """Gate i drives wire gi and reads a, b or earlier gates' wires; clamps may name any wire."""
+    wires, gate_list = ["a", "b"], []
+    kinds = draw(st.lists(st.sampled_from(("and", "or", "not", "xor")), min_size=1, max_size=6))
+    for i, kind in enumerate(kinds):
+        width = 1 if kind == "not" else 2
+        inputs = draw(st.lists(st.sampled_from(wires), min_size=width, max_size=width))
+        gate_list.append({"type": kind, "inputs": inputs, "output": f"g{i}"})
+        wires.append(f"g{i}")
+    clamps = draw(st.dictionaries(st.sampled_from(wires), st.integers(0, 1), max_size=2))
+    return Netlist.from_dict({"gates": gate_list, "clamps": clamps})
+
+
+@FIXED
+@given(wired_netlists())
+def test_compose_table_matches_the_replaced_loops(netlist):
+    assert outcome(compose, netlist) == outcome(ref_compose, netlist)
+
+
+@FIXED
+@given(circuits(max_qubits=4), st.data())
+def test_pauli_sum_tables_match_the_replaced_loops(circuit, data):
+    words = st.text(alphabet="IXYZ", min_size=circuit.n, max_size=circuit.n)
+    h, k = (PauliSum(circuit.n, t) for t in cancelling_tables(data.draw, words))
+    assert items(h + k) == items(ref_pauli_add(h, k))
+    assert items(h - k) == items(ref_pauli_add(h, -1 * k))
+    assert items(conjugate_sum(circuit, h + k)) == items(ref_conjugate_sum(circuit, h + k))
+
+
+factors = st.sampled_from(("x1", "x2", "x1", "~x2", "(x1 - x2)", "(x2 - x1*x3 + 1)"))
+expression_terms = st.one_of(
+    st.sampled_from(("1", "2")),
+    st.tuples(st.sampled_from(("", "", "2*")), st.lists(factors, min_size=1, max_size=2))
+    .map(lambda t: t[0] + "*".join(t[1])),
+)
+
+
+@FIXED
+@given(st.lists(st.tuples(st.sampled_from("+-"), expression_terms), min_size=1, max_size=12))
+def test_parse_table_matches_the_replaced_loop(signed_terms):
+    text = " ".join(f"{sign} {term}" for sign, term in signed_terms)
+    assert items(parse(text)) == items(ref_one_pass_parse(text))
+
+
+def test_a_key_that_cancels_and_comes_back_moves_to_the_end():
+    """Dropping a key at zero and re-adding it puts it after keys first seen in between."""
+    f = PseudoBoolean(3, {0b001: 1, 0b100: 5, 0b010: -1, 0: 1})
+    xy = PseudoBoolean(3, {0b011: 1})
+    assert items(f * xy) == items(ref_mul(f, xy)) == [(0b111, 5), (0b011, 1)]
+    f = PseudoBoolean(3, {0b001: 1, 0: 7, 0b010: -1, 0b100: 1})
+    assert items(f.embed(1, [0, 0, 0])) == items(ref_embed(f, 1, [0, 0, 0])) == [(0, 7), (1, 1)]
+    # a target past the arity is checked only where a term uses it
+    x1x2 = PseudoBoolean(3, {0b011: 1})
+    assert items(x1x2.embed(3, [0, 1, 99])) == items(ref_embed(x1x2, 3, [0, 1, 99])) == [(0b011, 1)]
+    with pytest.raises(ValueError, match="mapped index 99 out of range for arity 3"):
+        PseudoBoolean(3, {0b100: 1}).embed(3, [0, 1, 99])
+    text = "x1 + 2 - x1 + x1"
+    assert items(parse(text)) == items(ref_one_pass_parse(text)) == [(0, 2), (1, 1)]
+    nots = [{"type": "not", "inputs": [i], "output": o} for i, o in (("a", "b"), ("b", "c"))]
+    netlist = Netlist.from_dict({"gates": nots})
+    assert items(compose(netlist)) == items(ref_compose(netlist))
+    h = PauliSum(2, {"XI": 1, "ZZ": 2})
+    assert items(h + PauliSum(2, {"XI": -1, "YY": 1})) == [("ZZ", 2), ("YY", 1)]
+
+
 # -- malformed input files through the CLI -----------------------------------
 
 TOKENS = ("0", "1", "2", "3", "4", "-1", "1.5", "x", "1/2", "99999999999999999999", "")
@@ -270,14 +409,15 @@ netlists = st.one_of(
 
 
 @FIXED
-@given(netlists, st.booleans(), st.sampled_from(([], ["--clamp", "p=1"], ["--clamp", "c=2"])))
-@example([1, 2], False, [])
-@example({"gates": {"a": 1}}, False, [])
-@example({"gates": [5]}, False, [])
-@example({"gates": [{"type": "not", "inputs": ["a"], "output": "p"}], "clamps": {"p": 1e400}}, True, [])
-def test_malformed_netlist_files_exit_cleanly(data, minimize, clamp_args):
+@given(netlists.map(json.dumps), st.booleans(), st.sampled_from(([], ["--clamp", "p=1"], ["--clamp", "c=2"])))
+@example("[1, 2]", False, [])
+@example('{"gates": {"a": 1}}', False, [])
+@example('{"gates": [5]}', False, [])
+@example(json.dumps({"gates": [{"type": "not", "inputs": ["a"], "output": "p"}], "clamps": {"p": 1e400}}), True, [])
+@example("[" * 100_000, False, [])  # deeper than the JSON decoder can recurse
+def test_malformed_netlist_files_exit_cleanly(text, minimize, clamp_args):
     tail = ["--minimize"] * minimize + clamp_args
-    assert_clean_exit(*run_cli(["gadget", "compose"], json.dumps(data), tail))
+    assert_clean_exit(*run_cli(["gadget", "compose"], text, tail))
 
 
 strings_lines = st.one_of(

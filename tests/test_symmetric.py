@@ -22,7 +22,8 @@ from pbkernel import (
     stirling_matrix,
     symmetric_ising,
 )
-from conftest import assignments, random_pbf
+from pbkernel.symmetric import _expand
+from conftest import assignments, random_pbf, ref_delta_poly, ref_expand_complex, ref_expand_exact
 
 DELTA3 = parse("1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2")
 
@@ -320,3 +321,34 @@ class TestRootConsistency:
             f = reconstruct(rf).to_pbf()
             root_weights = {int(r) for r in roots if r.denominator == 1 and 0 <= r <= n}
             assert {sum(x) for x in f.kernel()} == root_weights
+
+
+class TestOneExpansion:
+    """``_expand`` against the three scale * prod (X - r) loops it replaced."""
+
+    def test_exact_roots_give_the_same_fractions(self, rng):
+        for _ in range(200):
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+            degree = rng.randint(0, 7)
+            roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)]
+            got = _expand(scale, roots)
+            assert got == ref_expand_exact(scale, roots)
+            assert all(type(c) is Fraction for c in got)
+
+    def test_numeric_roots_give_the_same_complex_values(self, rng):
+        parts = (0.0, -0.0, 1.0, -2.5)  # signed zeros and exact small values as well as random ones
+        for _ in range(200):
+            roots = []
+            for _ in range(rng.randint(0, 7)):
+                re, im = (rng.choice(parts + (rng.uniform(-3, 3),)) for _ in "ri")
+                roots.append(rng.choice((complex(re, im), re, Fraction(rng.randint(-5, 5), 3))))
+            scale = rng.choice((Fraction(2, 3), -1.5, complex(0.5, -0.0)))
+            got = _expand(complex(scale), [complex(r) for r in roots])
+            assert repr(got) == repr(ref_expand_complex(scale, roots))  # repr tells -0.0 from 0.0
+            assert all(type(c) is complex for c in got)
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_delta_product_form_keeps_its_coefficients(self, k):
+        expected = ref_delta_poly(k)
+        assert _expand(Fraction((-1) ** (k - 1), math.factorial(k - 1)), range(1, k)) == expected
+        assert delta_product_form(k).power_coeffs == tuple(expected) + (Fraction(0),)

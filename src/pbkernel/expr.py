@@ -21,6 +21,7 @@ new polynomial per ``+``.  A run of plain-variable factors (``x2*x5`` in
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -37,6 +38,18 @@ def _line_col(text: str, pos: int) -> str:
     return f"line {line}, column {col}"
 
 
+def _digit_run(text: str, i: int) -> int:
+    """End of the run of decimal digits starting at ``i``.  The run may be no
+    longer than the interpreter lets ``int()`` read from a string."""
+    j = i
+    while j < len(text) and text[j].isdecimal():
+        j += 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if limit and j - i > limit:
+        raise ParseError(f"number of {j - i} digits over {limit} at {_line_col(text, i)}", i)
+    return j
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -49,19 +62,15 @@ def _tokenize(text: str):
             tokens.append((ch, None, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+        if ch.isdecimal():
+            j = _digit_run(text, i)
             tokens.append(("int", int(text[i:j]), i))
             i = j
             continue
         if ch == "x" or (ch == "~" and i + 1 < n and text[i + 1] == "x"):
             comp = ch == "~"
             j = i + (2 if comp else 1)
-            k = j
-            while k < n and text[k].isdigit():
-                k += 1
+            k = _digit_run(text, j)
             if k == j:
                 raise ParseError(f"expected a variable index after 'x' at {_line_col(text, i)}", i)
             idx = int(text[j:k])

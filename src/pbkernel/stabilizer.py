@@ -30,18 +30,6 @@ GATE_KINDS = ("h", "s", "x", "z", "cnot")
 #: symbolic circuit width limit (monomial masks elsewhere are 64-bit)
 MAX_QUBITS = 64
 
-# exponent of i in the single-qubit product P(x1,z1) * P(x2,z2),
-# with P(0,0)=I, P(1,0)=X, P(0,1)=Z, P(1,1)=Y
-_PROD_PHASE = {
-    (0, 0, 0, 0): 0, (0, 0, 1, 0): 0, (0, 0, 0, 1): 0, (0, 0, 1, 1): 0,
-    (1, 0, 0, 0): 0, (0, 1, 0, 0): 0, (1, 1, 0, 0): 0,
-    (1, 0, 1, 0): 0, (0, 1, 0, 1): 0, (1, 1, 1, 1): 0,
-    (1, 0, 0, 1): 3, (0, 1, 1, 0): 1,
-    (1, 0, 1, 1): 1, (1, 1, 1, 0): 3,
-    (1, 1, 0, 1): 1, (0, 1, 1, 1): 3,
-}
-
-
 @dataclass(frozen=True)
 class CliffordGate:
     kind: str
@@ -191,11 +179,14 @@ class SymplecticPauli:
         """Exact product; defined for commuting pairs (real sign)."""
         if self.n != other.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {other.n}")
-        phase = 0
-        for i in range(self.n):
-            key = ((self.x >> i) & 1, (self.z >> i) & 1, (other.x >> i) & 1, (other.z >> i) & 1)
-            phase += _PROD_PHASE[key]
-        phase &= 3
+        # with P(x, z) = i^(x.z) X^x Z^z (so Y = iXZ), moving Z^z1 past X^x2 gives
+        # (-1)^(z1.x2), and X^x Z^z = i^(-x.z) P(x, z) re-forms the product's letters
+        phase = (
+            (self.x & self.z).bit_count()
+            + (other.x & other.z).bit_count()
+            + 2 * (self.z & other.x).bit_count()
+            - ((self.x ^ other.x) & (self.z ^ other.z)).bit_count()
+        ) & 3
         if phase & 1:
             raise ValueError("product of anticommuting strings has imaginary phase")
         sign = self.sign * other.sign * (1 if phase == 0 else -1)
@@ -268,10 +259,9 @@ def projector_parent(circuit: CliffordCircuit) -> PauliSum:
     """
     n = circuit.n
     half = Fraction(1, 2)
-    total = PauliSum.identity(n, Fraction(n, 2))
-    for p in conjugated_generators(circuit):
-        total = total + PauliSum(n, {p.letters(): -half * p.sign})
-    return total
+    pairs = [("I" * n, Fraction(n, 2))]
+    pairs += ((p.letters(), -half * p.sign) for p in conjugated_generators(circuit))
+    return PauliSum._of(n, _accumulate({}, pairs))
 
 
 def ghz_circuit(n: int) -> CliffordCircuit:

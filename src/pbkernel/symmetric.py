@@ -13,6 +13,13 @@ polynomial Q(X) which factors over C, giving the product representation
 
     f(x) = K * prod_l (X - lambda_l),   K = leading power coefficient.
 
+:func:`factorize` first splits off the exact rational roots: the
+rational-root theorem runs on one primitive integer multiple of Q, and
+each root is divided out of it exactly.  The search is skipped when an
+end of that polynomial passes 10**15.  The rest goes to ``np.roots``, so
+a coefficient left for it, or K in a report, must fit a float; a
+ValueError names the one that does not.
+
 Note on sign conventions: the factorization is written with (X - lambda)
 factors.  Writing (lambda - X) instead flips K by (-1)^degree for odd
 degrees; the (X - lambda) form is the one that reproduces the worked
@@ -28,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _coerce, _scaled
+from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _coerce, _numerators
 
 #: numeric roots with |Im| below tol*(1+|root|) are treated as real
 REAL_ROOT_TOL = 1e-9
@@ -100,7 +107,10 @@ class RootFactorization:
         return len(self.roots)
 
     def to_dict(self) -> dict:
-        k = complex(self.scale)
+        try:
+            k = complex(self.scale)
+        except OverflowError:
+            raise ValueError("K does not fit a float") from None
         return {
             "K": [k.real, k.imag],
             "roots": [[complex(r).real, complex(r).imag] for r in self.roots],
@@ -228,52 +238,57 @@ def _divisors(m: int) -> list:
     return sorted(out)
 
 
+def _cleared_value(ints: list, p: int, q: int) -> int:
+    """q^d * P(p/q) = sum_i a_i p^i q^(d-i) for ascending integer a_0..a_d."""
+    acc, qk = ints[-1], 1
+    for c in ints[-2::-1]:
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
 def _rational_roots(coeffs: list) -> tuple:
     """Split exact rational roots (with multiplicity) off a Fraction poly.
 
-    Returns (roots, remaining coefficients, ascending).  Skips the exact
-    search when clearing denominators would need divisor enumeration on
-    integers past 10**15.
+    The leading coefficient must be nonzero.  Returns (roots, remaining
+    coefficients, ascending): the zero roots, then the others in the order
+    found, and the quotient scaled to the input's leading coefficient.
+
+    After the zero roots, the polynomial is cleared once to its primitive
+    integer multiple a_0..a_d.  Candidates p/q run over p | a_0 and q | a_d
+    in ascending order, +p/q before -p/q; a pair with a common factor is
+    skipped, as an earlier pair names the same rational.  Each candidate
+    costs one integer Horner pass, and a root is divided out exactly as the
+    primitive factor qX - p, so by Gauss's lemma the quotient is again a
+    primitive integer polynomial.  The search stops when either end passes
+    10**15, where divisor enumeration by trial division would stall.
     """
-    roots = []
-    poly = list(coeffs)
-    while len(poly) > 1 and poly[0] == 0:
-        roots.append(Fraction(0))
-        poly = poly[1:]
-    while len(poly) > 1:
-        ints = _scaled(poly)[0].tolist()
-        content = math.gcd(*ints)
-        ints = [v // content for v in ints]
-        if abs(ints[0]) > 10**15 or abs(ints[-1]) > 10**15:
-            break
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(poly):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    roots, poly = [Fraction(0)] * zeros, coeffs[zeros:]
+    ints, _ = _numerators(poly)
+    content = math.gcd(*ints)
+    ints = [v // content for v in ints]
+    while len(ints) > 1 and abs(ints[0]) <= 10**15 and abs(ints[-1]) <= 10**15:
+        qs = _divisors(ints[-1])  # listed once, not once per p
+        candidates = (
+            (sp, q)
+            for p in _divisors(ints[0])
+            for q in qs
+            if math.gcd(p, q) == 1
+            for sp in (p, -p)
+            if _cleared_value(ints, sp, q) == 0
+        )
+        found = next(candidates, None)
         if found is None:
             break
-        roots.append(found)
-        # exact synthetic division by (X - found)
-        new = [Fraction(0)] * (len(poly) - 1)
-        carry = Fraction(0)
-        for k in range(len(poly) - 1, 0, -1):
-            carry = poly[k] + carry * found
-            new[k - 1] = carry
-        poly = new
-        while len(poly) > 1 and poly[0] == 0:
-            roots.append(Fraction(0))
-            poly = poly[1:]
-    return roots, poly
+        p, q = found
+        roots.append(Fraction(p, q))
+        quotient = [0]  # ints = (qX - p) * quotient, divided out from the top
+        for c in ints[:0:-1]:
+            quotient.append((c + p * quotient[-1]) // q)
+        ints = quotient[:0:-1]
+    unit = Fraction(poly[-1], ints[-1])
+    return roots, [unit * c for c in ints]
 
 
 def _root_sort_key(r):
@@ -298,7 +313,10 @@ def factorize(s: SymmetricForm) -> RootFactorization:
     exact, residual = _rational_roots(poly)
     numeric = []
     if len(residual) > 1:
-        monic = np.array([float(c) for c in residual[::-1]])
+        try:
+            monic = np.array([float(c) for c in residual[::-1]])
+        except OverflowError:
+            raise ValueError("a coefficient left for np.roots does not fit a float") from None
         for r in np.roots(monic):
             if abs(r.imag) <= REAL_ROOT_TOL * (1 + abs(r)):
                 numeric.append(float(r.real))

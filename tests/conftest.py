@@ -11,11 +11,14 @@ one subset expansion, the Fraction re-checks of LP answers and the
 per-point margin-row features the library used before its integer LP
 rows and feature matrix, the term-by-term expression parser the library
 used before its one-pass parse, the hand-written add-and-drop-zero loops
-the library used before its one term-table rule, the three
-scale * prod (X - r) expansion loops ``symmetric`` used before its one
-helper, dense numpy
-matrices built from hard-coded gate definitions, a brute-force CNF
-solution scanner, and an exact minimal-face feasibility decider.
+the library used before its one term-table rule (the per-generator sum
+of the projector parent among them), the per-qubit phase table of the
+Pauli product before its popcount rule, the three scale * prod (X - r)
+expansion loops ``symmetric`` used before its one helper, the Fraction
+rational-root search ``symmetric`` used before its one integer
+polynomial, dense numpy matrices built from hard-coded gate definitions,
+a brute-force CNF solution scanner, and an exact minimal-face
+feasibility decider.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import pytest
 
 from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, stabilizer
 from pbkernel.errors import NetlistError, ParseError
+from pbkernel.pbf import _scaled
 
 
 def assignments(n):
@@ -1130,6 +1134,41 @@ def ref_conjugate_sum(circuit, hsum):
     return PauliSum(circuit.n, terms)
 
 
+# exponent of i in the single-qubit product P(x1,z1) * P(x2,z2),
+# with P(0,0)=I, P(1,0)=X, P(0,1)=Z, P(1,1)=Y
+REF_PROD_PHASE = {
+    (0, 0, 0, 0): 0, (0, 0, 1, 0): 0, (0, 0, 0, 1): 0, (0, 0, 1, 1): 0,
+    (1, 0, 0, 0): 0, (0, 1, 0, 0): 0, (1, 1, 0, 0): 0,
+    (1, 0, 1, 0): 0, (0, 1, 0, 1): 0, (1, 1, 1, 1): 0,
+    (1, 0, 0, 1): 3, (0, 1, 1, 0): 1,
+    (1, 0, 1, 1): 1, (1, 1, 1, 0): 3,
+    (1, 1, 0, 1): 1, (0, 1, 1, 1): 3,
+}
+
+
+def ref_pauli_mul(a, b):
+    """``SymplecticPauli.__mul__`` with one phase-table lookup per qubit."""
+    phase = 0
+    for i in range(a.n):
+        key = ((a.x >> i) & 1, (a.z >> i) & 1, (b.x >> i) & 1, (b.z >> i) & 1)
+        phase += REF_PROD_PHASE[key]
+    phase &= 3
+    if phase & 1:
+        raise ValueError("product of anticommuting strings has imaginary phase")
+    sign = a.sign * b.sign * (1 if phase == 0 else -1)
+    return stabilizer.SymplecticPauli(a.n, a.x ^ b.x, a.z ^ b.z, sign)
+
+
+def ref_projector_parent(circuit):
+    """``stabilizer.projector_parent`` adding one one-term sum per generator."""
+    n = circuit.n
+    half = Fraction(1, 2)
+    total = PauliSum.identity(n, Fraction(n, 2))
+    for p in stabilizer.conjugated_generators(circuit):
+        total = total + PauliSum(n, {p.letters(): -half * p.sign})
+    return total
+
+
 # -- the scale * prod (X - r) loops of symmetric before its one expansion ------
 
 def ref_expand_exact(scale, roots):
@@ -1167,6 +1206,66 @@ def ref_delta_poly(k):
             nxt[i] -= j * c
         poly = nxt
     return poly
+
+
+# -- the exact root search of symmetric before its one integer polynomial ------
+
+def ref_divisors(m: int) -> list:
+    """``symmetric._divisors`` as it was when the search below used it."""
+    m = abs(m)
+    out = []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            if d != m // d:
+                out.append(m // d)
+        d += 1
+    return sorted(out)
+
+
+def ref_rational_roots(coeffs: list) -> tuple:
+    """``symmetric._rational_roots`` with a Fraction Horner pass per candidate,
+    Fraction synthetic division and re-clearing to integers after every root."""
+    roots = []
+    poly = list(coeffs)
+    while len(poly) > 1 and poly[0] == 0:
+        roots.append(Fraction(0))
+        poly = poly[1:]
+    while len(poly) > 1:
+        ints = _scaled(poly)[0].tolist()
+        content = math.gcd(*ints)
+        ints = [v // content for v in ints]
+        if abs(ints[0]) > 10**15 or abs(ints[-1]) > 10**15:
+            break
+        found = None
+        for p in ref_divisors(ints[0]):
+            for q in ref_divisors(ints[-1]):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    acc = Fraction(0)
+                    for c in reversed(poly):
+                        acc = acc * cand + c
+                    if acc == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots.append(found)
+        # exact synthetic division by (X - found)
+        new = [Fraction(0)] * (len(poly) - 1)
+        carry = Fraction(0)
+        for k in range(len(poly) - 1, 0, -1):
+            carry = poly[k] + carry * found
+            new[k - 1] = carry
+        poly = new
+        while len(poly) > 1 and poly[0] == 0:
+            roots.append(Fraction(0))
+            poly = poly[1:]
+    return roots, poly
 
 
 @pytest.fixture

@@ -86,6 +86,23 @@ class TestSymCommands:
         assert code == 0
         assert json.loads(out)["profile"] == ["1", "0", "0", "1"]
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    @pytest.mark.parametrize("text, message", [
+        # power form 10**309 + X^2: the search skips it, np.roots needs floats
+        ("1" + "0" * 309 + " + x1 + x2 + 2*x1*x2\n",
+         "a coefficient left for np.roots does not fit a float"),
+        # power form K(X - 1) with K = 10**309: the root is exact, K is not a float
+        ("-{0} + {0}*x1 + {0}*x2".format("1" + "0" * 309), "K does not fit a float"),
+    ], ids=["residual", "K"])
+    def test_factor_outside_the_float_range_is_an_input_error(
+        self, capsys, tmp_path, flags, text, message
+    ):
+        path = tmp_path / "big.pbf"
+        path.write_text(text)
+        code, out, err = run(capsys, "sym", "factor", str(path), *flags)
+        assert code == 2 and out == ""
+        assert err == f"error: malformed input: {message}\n"
+
     def test_factor_rejects_asymmetric(self, capsys, tmp_path):
         path = tmp_path / "asym.pbf"
         path.write_text("x1\n")

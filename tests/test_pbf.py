@@ -1,5 +1,6 @@
 """Core polynomial algebra: evaluation, canonical forms, spin map, kernels."""
 
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from pbkernel import (
 from conftest import assignments, naive_eval, random_pbf, random_nonneg_pbf
 
 DELTA3 = parse("1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2")
+INT_DIGITS = sys.get_int_max_str_digits()  # the longest digit string int() reads
 
 
 def indicator(n, point):
@@ -324,6 +326,24 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse("x1 + @")
         assert err.value.position == 5
+
+    @pytest.mark.parametrize("text, message, position", [
+        # digits int() does not read: str.isdigit accepts them, str.isdecimal does not
+        ("x\u00b2", "expected a variable index after 'x' at line 1, column 1", 0),
+        ("2\u00b2*x1", "unexpected character '\u00b2' at line 1, column 2", 1),
+        # runs longer than int() reads from a string
+        ("x1 +\n 7" + "0" * INT_DIGITS, f"number of {INT_DIGITS + 1} digits over {INT_DIGITS} "
+         "at line 2, column 2", 6),
+        ("x" + "1" * (INT_DIGITS + 1), f"number of {INT_DIGITS + 1} digits over {INT_DIGITS} "
+         "at line 1, column 2", 1),
+    ], ids=["superscript-index", "superscript-digit", "long-literal", "long-index"])
+    def test_digit_runs_int_cannot_read_have_a_position(self, text, message, position):
+        from pbkernel import ParseError
+
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
     def test_trailing_garbage_rejected(self):
         from pbkernel import ParseError

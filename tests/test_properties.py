@@ -39,6 +39,7 @@ from pbkernel import (
 )
 from pbkernel.cli import main
 from pbkernel.stabilizer import cnot
+from pbkernel.symmetric import _expand, _rational_roots
 from conftest import (
     ref_add,
     ref_clamp,
@@ -48,6 +49,8 @@ from conftest import (
     ref_mul,
     ref_one_pass_parse,
     ref_pauli_add,
+    ref_projector_parent,
+    ref_rational_roots,
     ref_simplex_solve,
 )
 
@@ -280,6 +283,12 @@ def test_pauli_sum_tables_match_the_replaced_loops(circuit, data):
     assert items(conjugate_sum(circuit, h + k)) == items(ref_conjugate_sum(circuit, h + k))
 
 
+@FIXED
+@given(circuits())
+def test_projector_parent_table_matches_the_one_term_sums(circuit):
+    assert items(projector_parent(circuit)) == items(ref_projector_parent(circuit))
+
+
 factors = st.sampled_from(("x1", "x2", "x1", "~x2", "(x1 - x2)", "(x2 - x1*x3 + 1)"))
 expression_terms = st.one_of(
     st.sampled_from(("1", "2")),
@@ -314,6 +323,34 @@ def test_a_key_that_cancels_and_comes_back_moves_to_the_end():
     assert items(compose(netlist)) == items(ref_compose(netlist))
     h = PauliSum(2, {"XI": 1, "ZZ": 2})
     assert items(h + PauliSum(2, {"XI": -1, "YY": 1})) == [("ZZ", 2), ("YY", 1)]
+
+
+# -- the integer root search against the Fraction search it replaced ---------
+
+# ascending factors multiplied onto the planted roots: complex and irrational
+# pairs the search must leave in the residual, and ends on both sides of 10**15
+root_free_tails = st.sampled_from((
+    (1,), (1, 0, 1), (-2, 0, 1), (1, 1, 1), (3, 0, 0, 2), (10_007, 0, 1),
+    (10**15 + 1, 0, 1), (1, 0, 10**15 + 1), (-(10**15) - 1, 1, 0, 0, 1),
+))
+root_scales = st.builds(
+    Fraction, st.sampled_from((1, -1, 3, -7, 10**14, -(10**14) - 3)), st.sampled_from((1, 2, 9))
+)
+
+
+@settings(FIXED, max_examples=200)
+@given(st.lists(rationals, max_size=4), st.integers(0, 2), root_scales, root_free_tails)
+def test_rational_roots_match_the_fraction_search(roots, repeats, scale, tail):
+    planted = _expand(scale, roots + roots[:1] * repeats)  # zero, repeated, p/q roots
+    poly = [Fraction(0)] * (len(planted) + len(tail) - 1)
+    for i, a in enumerate(planted):
+        for j, b in enumerate(tail):
+            poly[i + j] += a * b
+    exact, residual = _rational_roots(poly)
+    ref_exact, ref_residual = ref_rational_roots(poly)
+    assert exact == ref_exact
+    assert residual == ref_residual
+    assert [float(c) for c in residual] == [float(c) for c in ref_residual]
 
 
 # -- malformed input files through the CLI -----------------------------------
@@ -369,7 +406,9 @@ expression_lines = st.lists(
 ).map(" ".join)
 expression_commands = st.sampled_from((
     ["pbf", "kernel"], ["pbf", "nonneg"], ["pbf", "pauli"], ["pbf", "eval"], ["sym", "profile"],
+    ["sym", "factor"],
 ))
+BIG = "1" + "0" * 309  # 10**309, past the float range
 
 
 @FIXED
@@ -377,6 +416,9 @@ expression_commands = st.sampled_from((
 @example("x1 + x99999999999999999999", ["pbf", "pauli"])
 @example("*".join(f"x{i}" for i in range(1, 31)), ["pbf", "pauli"])
 @example("*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(20)), ["pbf", "kernel"])
+@example(f"{BIG} + x1 + x2 + 2*x1*x2\n", ["sym", "factor"])
+@example(f"-{BIG} + {BIG}*x1 + {BIG}*x2", ["sym", "factor"])
+@example("735134400 + 510511*x1 + 510511*x2 + 1021020*x1*x2\n", ["sym", "factor"])
 def test_malformed_expression_files_exit_cleanly(text, command):
     tail = ["--at", "101"] if command[1] == "eval" else []
     assert_clean_exit(*run_cli(command, text, tail))

@@ -32,6 +32,7 @@ from conftest import (
     dense_word,
     random_clifford_circuit,
     random_pbf,
+    ref_pauli_mul,
 )
 
 
@@ -126,6 +127,39 @@ class TestConjugation:
             dense_pauli_sum(out),
             dense_circuit(c) @ dense_pauli_sum(ps) @ dense_circuit(c).conj().T,
         )
+
+
+def product_outcome(mul, a, b):
+    try:
+        p = mul(a, b)
+    except ValueError as exc:
+        return str(exc)
+    return p.letters(), p.sign
+
+
+class TestPauliProduct:
+    def test_every_pair_of_short_words_matches_the_phase_table(self):
+        for n in (1, 2):
+            words = [
+                SymplecticPauli.from_letters("".join(w), sign)
+                for w in product("IXYZ", repeat=n)
+                for sign in (1, -1)
+            ]
+            for a, b in product(words, repeat=2):
+                assert product_outcome(SymplecticPauli.__mul__, a, b) == product_outcome(
+                    ref_pauli_mul, a, b
+                )
+
+    def test_random_64_qubit_pairs_match_the_phase_table(self, rng):
+        # about half of random pairs commute, so both outcomes are drawn often
+        for _ in range(2000):
+            a, b = (
+                SymplecticPauli(64, rng.getrandbits(64), rng.getrandbits(64), rng.choice((1, -1)))
+                for _ in "ab"
+            )
+            assert product_outcome(SymplecticPauli.__mul__, a, b) == product_outcome(
+                ref_pauli_mul, a, b
+            )
 
 
 class TestProjectorParent:

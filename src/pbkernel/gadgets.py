@@ -20,8 +20,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import EnumerationCapError, NetlistError
-from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _point_indices, bits_of
+from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _point_indices, _scaled,
+                  bits_of)
 from .pauli import STATE_CAP, DiagonalOperator, StateVector, _amp_is_zero
 
 ROLE_INPUT = "input"
@@ -279,9 +282,10 @@ def minimize_bruteforce(
 ) -> MinimizeResult:
     """Exact global minimum and the full argmin set over {0,1}^n."""
     table = f.to_disjoint_form(cap=cap)
-    best = min(table)
-    argmin = frozenset(bits_of(i, f.n) for i, v in enumerate(table) if v == best)
-    return MinimizeResult(best, argmin)
+    vals, _ = _scaled(table)
+    hits = np.flatnonzero(vals == vals.min())
+    bits = (hits[:, None] >> np.arange(f.n - 1, -1, -1)) & 1  # state order: variable 0 is the MSB
+    return MinimizeResult(table[hits[0]], frozenset(map(tuple, bits.tolist())))
 
 
 def sat_embed(clauses: Sequence[Sequence[int]], num_vars: int) -> PseudoBoolean:

@@ -28,7 +28,11 @@ Every oracle over the whole cube runs on one exact engine: values or
 coefficients become integer numerators over the LCM of their denominators
 in one numpy array (int64 under a proven bound, Python ints above it, so
 exact either way), and the zeta transform (coefficients -> values) or its
-Moebius inverse runs as n in-place passes over that array.
+Moebius inverse runs as n in-place passes over that array.  A value
+table handed out as Fractions holds one object per distinct value, shared
+by every entry equal to it, and reading a table back coerces and scales
+each distinct object once; minimization takes its minimum on the integer
+array, not over Fractions.
 """
 
 from __future__ import annotations
@@ -76,12 +80,22 @@ def _numerators(values: Iterable) -> tuple:
     """(numerators, denom): exact values as a list of ints over their LCM.
 
     Entries are ints, Fractions or anything else ``Fraction()`` accepts.
+    Each distinct object is coerced and read once, in first-occurrence
+    order (so the first bad entry raises first); entries that share one
+    object, as value tables do, then cost one dict lookup each.
     """
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    denom = math.lcm(*{v.denominator for v in values})
+    values = list(values)  # keeps every entry alive, so equal ids mean one object
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in distinct.values()]
+    denom = math.lcm(*{v.denominator for v in exact})
     if denom == 1:
-        return [v.numerator for v in values], denom
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+        nums = [v.numerator for v in exact]
+    else:
+        nums = [v.numerator * (denom // v.denominator) for v in exact]
+    if len(nums) == len(ids):  # no entry shares an object: nums is already in entry order
+        return nums, denom
+    return list(map(dict(zip(distinct, nums)).__getitem__, ids)), denom
 
 
 def _scaled(values: Iterable) -> tuple:
@@ -392,7 +406,9 @@ class PseudoBoolean:
     def to_disjoint_form(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
         """Value table a with a[index_of(x)] = f(x) for all 2^n assignments."""
         vals, denom = self._cube_values(cap, "disjoint-form table")
-        return [Fraction(v, denom) for v in _swap_order(vals, self.n).tolist()]
+        values = _swap_order(vals, self.n).tolist()
+        shared = {v: Fraction(v, denom) for v in set(values)}  # one object per distinct value
+        return list(map(shared.__getitem__, values))
 
     def kernel(self, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
         """The set of assignments where f vanishes (exact zero test)."""

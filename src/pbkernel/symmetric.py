@@ -17,8 +17,9 @@ polynomial Q(X) which factors over C, giving the product representation
 rational-root theorem runs on one primitive integer multiple of Q, and
 each root is divided out of it exactly.  The search is skipped when an
 end of that polynomial passes 10**15.  The rest goes to ``np.roots``, so
-a coefficient left for it, or K in a report, must fit a float; a
-ValueError names the one that does not.
+a coefficient left for it, the ratio of one to the leading one, and K
+(nonzero K must not underflow to 0.0) must fit a float; a ValueError
+names the one that does not.
 
 Note on sign conventions: the factorization is written with (X - lambda)
 factors.  Writing (lambda - X) instead flips K by (-1)^degree for odd
@@ -110,7 +111,9 @@ class RootFactorization:
         try:
             k = complex(self.scale)
         except OverflowError:
-            raise ValueError("K does not fit a float") from None
+            k = 0j
+        if self.scale and not k:  # past the float range, or a nonzero K that underflows to 0
+            raise ValueError("K does not fit a float")
         return {
             "K": [k.real, k.imag],
             "roots": [[complex(r).real, complex(r).imag] for r in self.roots],
@@ -317,7 +320,14 @@ def factorize(s: SymmetricForm) -> RootFactorization:
             monic = np.array([float(c) for c in residual[::-1]])
         except OverflowError:
             raise ValueError("a coefficient left for np.roots does not fit a float") from None
-        for r in np.roots(monic):
+        if not monic[0]:  # residual[-1] is K; np.roots would strip it as a zero
+            raise ValueError("K does not fit a float")
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                numeric_roots = np.roots(monic)
+        except FloatingPointError:
+            raise ValueError("a coefficient ratio left for np.roots does not fit a float") from None
+        for r in numeric_roots:
             if abs(r.imag) <= REAL_ROOT_TOL * (1 + abs(r)):
                 numeric.append(float(r.real))
             else:

@@ -3,22 +3,23 @@
 Everything here recomputes expected values through a different route
 than the library code under test: naive term-by-term evaluation, the
 per-point Fraction cube scans the library used before its exact integer
-engine, the dense Fraction simplex tableau the library used before its
-fraction-free integer tableau, the per-index gate and Pauli-term loops
-the library used before its integer statevector engine, the per-variable
-and per-word Boolean/spin/Pauli-Z conversions the library used before its
-one subset expansion, the Fraction re-checks of LP answers and the
-per-point margin-row features the library used before its integer LP
-rows and feature matrix, the term-by-term expression parser the library
-used before its one-pass parse, the hand-written add-and-drop-zero loops
-the library used before its one term-table rule (the per-generator sum
-of the projector parent among them), the per-qubit phase table of the
-Pauli product before its popcount rule, the three scale * prod (X - r)
-expansion loops ``symmetric`` used before its one helper, the Fraction
-rational-root search ``symmetric`` used before its one integer
-polynomial, dense numpy matrices built from hard-coded gate definitions,
-a brute-force CNF solution scanner, and an exact minimal-face
-feasibility decider.
+engine, the per-entry table reader and Fraction minimum scan the library
+used before it read each distinct value once, the dense Fraction simplex
+tableau the library used before its fraction-free integer tableau, the
+per-index gate and Pauli-term loops the library used before its integer
+statevector engine, the per-variable and per-word Boolean/spin/Pauli-Z
+conversions the library used before its one subset expansion, the
+Fraction re-checks of LP answers and the per-point margin-row features
+the library used before its integer LP rows and feature matrix, the
+term-by-term expression parser the library used before its one-pass
+parse, the hand-written add-and-drop-zero loops the library used before
+its one term-table rule (the per-generator sum of the projector parent
+among them), the per-qubit phase table of the Pauli product before its
+popcount rule, the three scale * prod (X - r) expansion loops
+``symmetric`` used before its one helper, the Fraction rational-root
+search ``symmetric`` used before its one integer polynomial, dense numpy
+matrices built from hard-coded gate definitions, a brute-force CNF
+solution scanner, and an exact minimal-face feasibility decider.
 """
 
 from __future__ import annotations
@@ -122,6 +123,16 @@ def ref_from_disjoint_form(table):
     return PseudoBoolean(n, {mask: c for mask, c in enumerate(vals) if c != 0})
 
 
+def ref_numerators(values):
+    """``pbf._numerators`` before it grouped entries by object: every entry
+    coerced and its numerator and denominator read once per entry."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    denom = math.lcm(*{v.denominator for v in values})
+    if denom == 1:
+        return [v.numerator for v in values], denom
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
 def ref_kernel(f):
     return {_bits_of_varmask(m, f.n) for m, v in enumerate(ref_value_table(f)) if v == 0}
 
@@ -147,6 +158,7 @@ def ref_symmetry(f):
 
 
 def ref_minimize(f):
+    """min() and an == scan over the reference Fraction table."""
     table = ref_to_disjoint_form(f)
     best = min(table)
     points = assignments(f.n)

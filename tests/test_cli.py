@@ -93,7 +93,16 @@ class TestSymCommands:
          "a coefficient left for np.roots does not fit a float"),
         # power form K(X - 1) with K = 10**309: the root is exact, K is not a float
         ("-{0} + {0}*x1 + {0}*x2".format("1" + "0" * 309), "K does not fit a float"),
-    ], ids=["residual", "K"])
+        # power form 1 - K X + K X^2 with K = 10**-400 / 2: K is the leading
+        # coefficient left for np.roots, which would strip it as a zero
+        ("1 + 1/1" + "0" * 400 + "*x1*x2\n", "K does not fit a float"),
+        # power form K(X - 1) with K = 10**-400: the root is exact, K is not a float
+        ("-{0} + {0}*x1 + {0}*x2".format("1/1" + "0" * 400), "K does not fit a float"),
+        # power form 10**200 - K X + K X^2 with K = 10**-200 / 2: each coefficient
+        # is a float, their ratio is not
+        ("1" + "0" * 200 + " + 1/1" + "0" * 200 + "*x1*x2\n",
+         "a coefficient ratio left for np.roots does not fit a float"),
+    ], ids=["residual", "K", "K-underflow", "K-underflow-exact", "ratio"])
     def test_factor_outside_the_float_range_is_an_input_error(
         self, capsys, tmp_path, flags, text, message
     ):

@@ -4,11 +4,14 @@ Every cube oracle (kernel, non-negativity, minimization, symmetry
 detection, both disjoint-form directions and the realizability margin
 check) must give the same answer as the reference in ``conftest``,
 witnesses included, on integer and rational coefficients and on both
-sides of the int64 bound of the engine.
+sides of the int64 bound of the engine.  The table reader ``_numerators``
+must read what the per-entry reader it replaced reads, and a value table
+must hold one object per distinct value.
 """
 
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +28,7 @@ from pbkernel import (
     quadratic_realizability,
     support_parent,
 )
-from pbkernel.pbf import _scaled
+from pbkernel.pbf import _numerators, _scaled
 from conftest import (
     assignments,
     random_pbf,
@@ -35,6 +38,7 @@ from conftest import (
     ref_margin_check,
     ref_minimize,
     ref_nonnegative,
+    ref_numerators,
     ref_symmetry,
     ref_to_disjoint_form,
 )
@@ -106,12 +110,77 @@ def test_nonnegativity_verdict_and_witness(f):
     assert (res.ok, res.witness) == ref_nonnegative(f)
 
 
-@pytest.mark.parametrize("f", CASES)
+#: ties at either dtype of the read-back table, and n = 0
+TIES = [
+    PseudoBoolean.zero(0),
+    PseudoBoolean.zero(4),
+    PseudoBoolean.from_terms(3, {(0,): 1, (1,): 1, (0, 1): -2}),  # (x1 - x2)^2
+    PseudoBoolean.from_terms(3, {(0,): BIG, (1,): BIG}),
+    PseudoBoolean.from_terms(3, {(0,): -BIG, (1,): -BIG, (2,): Fraction(1, 3)}),
+]
+
+
+def test_tie_inputs_straddle_the_int64_bound():
+    dtypes = [_scaled(f.to_disjoint_form())[0].dtype for f in TIES]
+    assert dtypes == [np.int64] * 3 + [object] * 2
+    assert [len(ref_minimize(f)[1]) for f in TIES] == [1, 16, 4, 2, 1]
+
+
+@pytest.mark.parametrize("f", CASES + TIES)
 def test_minimum_and_argmin(f):
     res = minimize_bruteforce(f)
     best, argmin = ref_minimize(f)
     assert type(res.value) is Fraction
     assert (res.value, res.argmin) == (best, argmin)
+
+
+@pytest.mark.parametrize("f", CASES)
+def test_disjoint_form_shares_one_object_per_value(f):
+    table = f.to_disjoint_form()
+    assert len({id(v) for v in table}) == len(set(table))
+
+
+def numerator_tables():
+    """Value lists for the table reader: shared objects, equal but distinct
+    objects, mixed entry types and both sides of the int64 bound."""
+    rng = random.Random(9)
+    pool = [Fraction(1, 3), Fraction(-2, 5), 7, "3/4"]
+    out = [
+        [rng.choice(pool) for _ in range(64)],
+        [Fraction(rng.randint(-3, 3), 4) for _ in range(64)],
+        [3 * BIG + i % 2 for i in range(16)],
+        [0, Fraction(1, 2), "3/4", 1.25, Decimal("-0.5"), True, Fraction(1, 2), "3/4", -7],
+        [Decimal("0.1"), 0.1, "0.1", Fraction(1, 10)],
+        [Fraction(1 << 61, 3), "0", f"-{1 << 60}/5", -1, Fraction(1 << 61, 3)],
+        [Fraction(1 << 58, 3), "0", f"-{1 << 57}/5", -1, Fraction(1 << 58, 3)],
+    ]
+    out += [f.to_disjoint_form() for f in boundary_polynomials()]
+    return out
+
+
+@pytest.mark.parametrize("table", numerator_tables())
+def test_numerators_against_the_per_entry_reader(table):
+    want = ref_numerators(table)
+    assert _numerators(table) == want
+    assert _numerators(v for v in table) == want
+    assert _numerators(Fraction(v) for v in table) == want  # fresh objects, none kept by the caller
+    vals, denom = _scaled(table)
+    assert (vals.tolist(), denom) == want
+    assert vals.dtype == (np.int64 if sum(map(abs, want[0])) < BIG else object)
+
+
+@pytest.mark.parametrize("table", [
+    [0, "two", 1, "two", None],
+    [Fraction(1, 2), None, "1/0x", None],
+    ["1/0x", "two", "1/0x"],
+    [1, 2, [3], 4, [3]],
+])
+def test_numerators_raise_the_first_bad_entry(table):
+    with pytest.raises(Exception) as want:
+        ref_numerators(table)
+    with pytest.raises(type(want.value)) as got:
+        _numerators(table)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("f", CASES)

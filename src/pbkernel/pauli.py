@@ -53,7 +53,8 @@ from .pbf import (PseudoBoolean, _accumulate, _coerce, _numerators, boolean_to_s
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
-#: subset terms the Z-basis expansion may enumerate (2^|M| per monomial M)
+#: bound on the Z-basis expansion: sum of 2^|M| over the monomials M, which
+#: bounds the keys of the per-variable pass in :func:`pbkernel.pbf.boolean_to_spin`
 EXPANSION_CAP = 1 << 16
 
 PAULI_LETTERS = "IXYZ"
@@ -544,8 +545,9 @@ def pauli_cardinality(h: PauliSum) -> int:
 def pbf_to_pauli(f: PseudoBoolean) -> PauliSum:
     """Diagonal Z-basis expansion (x_i -> (I - Z_i)/2): the spin polynomial
     :func:`pbkernel.pbf.boolean_to_spin`, with z_T read as the Z word on T.
-    The expansion visits 2^|M| subsets per monomial M; more than
-    ``EXPANSION_CAP`` in all raises EnumerationCapError before it starts."""
+    The pass's table never holds more than sum 2^|M| keys over the
+    monomials M; a sum over ``EXPANSION_CAP`` raises EnumerationCapError
+    before the pass starts."""
     count = sum(1 << mask.bit_count() for mask in f._terms)
     if count > EXPANSION_CAP:
         raise EnumerationCapError(

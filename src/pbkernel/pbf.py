@@ -33,6 +33,13 @@ table handed out as Fractions holds one object per distinct value, shared
 by every entry equal to it, and reading a table back coerces and scales
 each distinct object once; minimization takes its minimum on the integer
 array, not over Fractions.
+
+The Boolean <-> spin change of variables (:func:`boolean_to_spin`,
+:func:`spin_to_boolean`) is the same kind of map on sparse input: a
+product of one 2 x 2 matrix per variable.  It runs as one pass per
+variable over a sparse table of integer numerators, cleared once, so a
+dense polynomial costs n * 2^n dict updates rather than 3^n, and
+Fractions are built only for the output.
 """
 
 from __future__ import annotations
@@ -449,28 +456,27 @@ def boolean_to_spin(f: PseudoBoolean) -> PseudoBoolean:
     The returned object reuses the multilinear representation, with
     variable i read as z_i in {-1, +1}.
     """
-    return _substitute_affine(f, Fraction(1, 2), Fraction(-1, 2))
+    return _substitute_affine(f, Fraction(1, 2), -1)
 
 
 def spin_to_boolean(g: PseudoBoolean) -> PseudoBoolean:
     """Substitute z_i = 1 - 2 x_i; exact inverse of :func:`boolean_to_spin`."""
-    return _substitute_affine(g, Fraction(1), Fraction(-2))
+    return _substitute_affine(g, Fraction(1), -2)
 
 
-def _substitute_affine(f: PseudoBoolean, alpha: Fraction, beta: Fraction) -> PseudoBoolean:
-    """Replace every variable v by (alpha + beta * v'), both nonzero: the
-    monomial c * v_M becomes the sum over subsets T of M of
-    c * alpha^(|M|-|T|) * beta^|T| * v'_T, one dict update per subset."""
-    terms: dict = {}
-    ratio = beta / alpha
-    for mask, c in f._terms.items():
-        ladder = [c * alpha ** mask.bit_count()]
-        for _ in range(mask.bit_count()):
-            ladder.append(ladder[-1] * ratio)
-        sub = mask
-        while True:
-            terms[sub] = terms.get(sub, 0) + ladder[sub.bit_count()]
-            if not sub:
-                break
-            sub = (sub - 1) & mask
-    return PseudoBoolean(f.n, terms)
+def _substitute_affine(f: PseudoBoolean, alpha: Fraction, ratio: int) -> PseudoBoolean:
+    """Replace every variable v by alpha * (1 + ratio * v'), ratio a nonzero int.
+
+    Each c * v_M is scaled by alpha^|M| and the results are cleared once to
+    integers over their LCM.  Then, one variable at a time, every term that
+    holds the variable becomes ratio times itself and adds its coefficient to
+    the term without it.  The table only ever holds subsets of input
+    monomials, so at most sum 2^|M| keys.
+    """
+    nums, denom = _numerators(c * alpha ** mask.bit_count() for mask, c in f._terms.items())
+    table = dict(zip(f._terms, nums))
+    for bit in (1 << i for i in range(f.n)):
+        held = [(mask, c) for mask, c in table.items() if mask & bit]
+        table.update((mask, ratio * c) for mask, c in held)
+        _accumulate(table, ((mask ^ bit, c) for mask, c in held))
+    return PseudoBoolean._of(f.n, {mask: Fraction(c, denom) for mask, c in table.items()})

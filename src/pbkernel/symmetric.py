@@ -135,8 +135,7 @@ def detect_symmetric(
     varmask order, mask 2^w - 1, with the first one that differs from it.
     """
     vals, denom = f._cube_values(cap, "symmetry scan")
-    ones = PseudoBoolean(f.n, {1 << i: 1 for i in range(f.n)})  # x_1 + ... + x_n
-    weights, _ = ones._cube_values(cap, "symmetry scan")  # Hamming weight of each mask
+    weights = _hamming_weights(f.n)
     firsts = (1 << np.arange(f.n + 1)) - 1
     mismatch = np.flatnonzero(vals != vals[firsts][weights])[:1]
     if mismatch.size:
@@ -146,10 +145,29 @@ def detect_symmetric(
     return SymmetryResult(profile, None)
 
 
+def _hamming_weights(n: int) -> np.ndarray:
+    """Hamming weight of every varmask 0 .. 2^n - 1."""
+    weights = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        weights = np.concatenate((weights, weights + 1))
+    return weights
+
+
 def profile_to_pbf(p: WeightProfile) -> PseudoBoolean:
-    """Multilinear polynomial taking value p.values[|x|] at every x."""
-    table = [p.values[idx.bit_count()] for idx in range(1 << p.n)]
-    return PseudoBoolean.from_disjoint_form(table)
+    """Multilinear polynomial taking value p.values[|x|] at every x.
+
+    Every monomial of size k carries the k-th forward difference of the
+    profile at 0, sum_j (-1)^(k-j) C(k, j) v_j; the monomials of one size
+    share one Fraction.
+    """
+    diffs, denom = _numerators(p.values)
+    coeffs = []
+    for _ in range(p.n + 1):
+        coeffs.append(Fraction(diffs[0], denom))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    weights = _hamming_weights(p.n)
+    masks = np.flatnonzero(np.array([c != 0 for c in coeffs])[weights])
+    return PseudoBoolean._of(p.n, {m: coeffs[w] for m, w in zip(masks.tolist(), weights[masks].tolist())})
 
 
 def canonical_coefficients(f: PseudoBoolean) -> list | None:
@@ -162,15 +180,11 @@ def canonical_coefficients(f: PseudoBoolean) -> list | None:
     by_size: dict = {}
     for mask, c in f.masked_terms().items():
         by_size.setdefault(mask.bit_count(), []).append(c)
-    out = []
-    for j in range(f.n + 1):
-        coeffs = by_size.get(j, [])
-        if not coeffs:
-            out.append(Fraction(0))
-            continue
+    out = [Fraction(0)] * (f.n + 1)
+    for j, coeffs in by_size.items():
         if len(set(coeffs)) != 1 or len(coeffs) != math.comb(f.n, j):
             return None
-        out.append(coeffs[0])
+        out[j] = coeffs[0]
     return out
 
 

@@ -9,8 +9,11 @@ tableau the library used before its fraction-free integer tableau, the
 per-index gate and Pauli-term loops the library used before its integer
 statevector engine, the per-variable and per-word Boolean/spin/Pauli-Z
 conversions the library used before its one subset expansion, the
-Fraction re-checks of LP answers and the per-point margin-row features
-the library used before its integer LP rows and feature matrix, the
+per-monomial subset expansion it used before its per-variable integer
+pass, the 2^n value table and Moebius round trip of ``profile_to_pbf``
+before its per-size differences, the Fraction re-checks of LP answers
+and the per-point margin-row features the library used before its
+integer LP rows and feature matrix, the
 term-by-term expression parser the library used before its one-pass
 parse, the hand-written add-and-drop-zero loops the library used before
 its one term-table rule (the per-generator sum of the projector parent
@@ -131,6 +134,13 @@ def ref_numerators(values):
     if denom == 1:
         return [v.numerator for v in values], denom
     return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def ref_profile_to_pbf(p):
+    """``symmetric.profile_to_pbf`` before its per-size differences: a 2^n
+    value table by ``bit_count``, Moebius-inverted by ``from_disjoint_form``."""
+    table = [p.values[idx.bit_count()] for idx in range(1 << p.n)]
+    return PseudoBoolean.from_disjoint_form(table)
 
 
 def ref_kernel(f):
@@ -295,6 +305,25 @@ def ref_substitute_affine(f, alpha, beta):
                 terms[sub] = s
             else:
                 terms.pop(sub, None)
+    return PseudoBoolean(f.n, terms)
+
+
+def ref_subset_substitute_affine(f, alpha, beta):
+    """``pbf._substitute_affine`` before its per-variable integer pass: the
+    monomial c * v_M becomes the sum over subsets T of M of
+    c * alpha^(|M|-|T|) * beta^|T| * v'_T, one dict update per subset."""
+    terms: dict = {}
+    ratio = beta / alpha
+    for mask, c in f.masked_terms().items():
+        ladder = [c * alpha ** mask.bit_count()]
+        for _ in range(mask.bit_count()):
+            ladder.append(ladder[-1] * ratio)
+        sub = mask
+        while True:
+            terms[sub] = terms.get(sub, 0) + ladder[sub.bit_count()]
+            if not sub:
+                break
+            sub = (sub - 1) & mask
     return PseudoBoolean(f.n, terms)
 
 

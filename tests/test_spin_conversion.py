@@ -1,13 +1,21 @@
 """The one Boolean <-> spin <-> Pauli-Z change of variables against the
-per-variable and per-word loops it replaced (the references in ``conftest``).
+per-monomial subset expansions and per-variable and per-word loops it
+replaced (the references in ``conftest``).
 
-``boolean_to_spin``/``spin_to_boolean`` expand each monomial over its
-subsets once; ``pbf_to_pauli``, ``pauli_to_pbf`` and ``ising_form`` read
-that expansion, and ``SymplecticPauli`` shares the Pauli-word codec of
-``pauli``.  Every answer must equal the reference exactly.
+``boolean_to_spin``/``spin_to_boolean`` make one integer pass per
+variable over a table that only holds subsets of input monomials;
+``pbf_to_pauli``, ``pauli_to_pbf`` and ``ising_form`` read that pass, and
+``SymplecticPauli`` shares the Pauli-word codec of ``pauli``.  The inputs
+include every-monomial polynomials, whose expansions sum across
+monomials, polynomials whose expansions cancel back to a few terms, and
+few-term polynomials on ``MAX_ARITY`` variables.  Every answer must equal
+the reference exactly, and the work is bounded by a count of calls into
+``fractions`` and of the integer pairs the pass adds, not by wall time.
 """
 
+import fractions
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +32,9 @@ from pbkernel import (
     pbf_to_pauli,
     spin_to_boolean,
 )
+from pbkernel import pbf
 from pbkernel.pauli import _pauli_masks, _pauli_word
+from pbkernel.pbf import MAX_ARITY
 from conftest import (
     ref_boolean_to_spin,
     ref_ising_form,
@@ -33,6 +43,7 @@ from conftest import (
     ref_pauli_to_pbf,
     ref_pbf_to_pauli,
     ref_spin_to_boolean,
+    ref_subset_substitute_affine,
 )
 
 
@@ -44,13 +55,29 @@ def random_rational_pbf(rng, n, max_terms=10, max_degree=4):
     return PseudoBoolean.from_terms(n, terms)
 
 
+def dense_pbf(rng, n):
+    """Every one of the 2^n monomials, each with a nonzero rational coefficient."""
+    return PseudoBoolean(n, {mask: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                            rng.choice((1, 2, 3, 4, 5, 7, 12)))
+                             for mask in range(1 << n)})
+
+
 def polynomial_cases():
     rng = random.Random(0x5B1)
     cases = []
     for n in range(10):
         cases += [PseudoBoolean.zero(n), PseudoBoolean.constant(n, Fraction(-7, 3))]
         cases += [random_rational_pbf(rng, n) for _ in range(12)]
-    return cases
+    cases += [dense_pbf(rng, n) for n in range(9)]
+    # a few spin (or Boolean) terms and their dense expansion in the other
+    # variables: converting the expansion back cancels across its monomials
+    for n in range(1, 9):
+        for g in (random_rational_pbf(rng, n, 4, n), PseudoBoolean.from_terms(n, {range(n): -3})):
+            cases += [ref_spin_to_boolean(g), ref_boolean_to_spin(g)]
+    wide = [random_rational_pbf(rng, MAX_ARITY, 6, 10) for _ in range(4)]
+    wide.append(PseudoBoolean.from_terms(MAX_ARITY, {(0, MAX_ARITY - 1): Fraction(5, 2), (MAX_ARITY - 1,): -1,
+                                                     tuple(range(0, MAX_ARITY, 8)): Fraction(-1, 3)}))
+    return cases + wide
 
 
 POLYS = polynomial_cases()
@@ -58,9 +85,49 @@ POLYS = polynomial_cases()
 
 @pytest.mark.parametrize("f", POLYS, ids=lambda f: f"n{f.n}")
 def test_spin_substitutions_match_the_reference(f):
-    assert boolean_to_spin(f) == ref_boolean_to_spin(f)
-    assert spin_to_boolean(f) == ref_spin_to_boolean(f)
-    assert spin_to_boolean(boolean_to_spin(f)) == f
+    spin, boolean = boolean_to_spin(f), spin_to_boolean(f)
+    assert spin == ref_boolean_to_spin(f) == ref_subset_substitute_affine(f, Fraction(1, 2), Fraction(-1, 2))
+    assert boolean == ref_spin_to_boolean(f) == ref_subset_substitute_affine(f, Fraction(1), Fraction(-2))
+    assert spin_to_boolean(spin) == f
+    assert boolean_to_spin(boolean) == f
+
+
+def fractions_calls(convert, f):
+    """Python-level calls into the ``fractions`` module while ``convert(f)`` runs."""
+    calls = 0
+
+    def count(frame, event, _):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename == fractions.__file__
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        convert(f)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("convert", [boolean_to_spin, spin_to_boolean])
+def test_substitution_work_is_linear_in_the_table(convert, monkeypatch):
+    n = 10
+    f = dense_pbf(random.Random(n), n)
+    # a few calls per input and output term; a per-subset expansion makes about 7.7 * 3^n
+    assert 0 < fractions_calls(convert, f) <= 16 << n
+    # the integer work: one (term without the variable, coefficient) pair per
+    # variable and held term, at most n * 2^(n-1), where subsets number 3^n
+    pairs = []
+    accumulate = pbf._accumulate
+
+    def counted(table, items):
+        items = list(items)
+        pairs.append(len(items))
+        return accumulate(table, items)
+
+    monkeypatch.setattr(pbf, "_accumulate", counted)
+    assert convert(f) == {boolean_to_spin: ref_boolean_to_spin, spin_to_boolean: ref_spin_to_boolean}[convert](f)
+    assert len(pairs) == n and 0 < sum(pairs) <= n << (n - 1)
 
 
 @pytest.mark.parametrize("f", POLYS, ids=lambda f: f"n{f.n}")

@@ -1,6 +1,7 @@
 """Symmetry detection, Stirling basis change, root factorization, families."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,14 @@ from pbkernel import (
     symmetric_ising,
 )
 from pbkernel.symmetric import _expand
-from conftest import assignments, random_pbf, ref_delta_poly, ref_expand_complex, ref_expand_exact
+from conftest import (
+    assignments,
+    random_pbf,
+    ref_delta_poly,
+    ref_expand_complex,
+    ref_expand_exact,
+    ref_profile_to_pbf,
+)
 
 DELTA3 = parse("1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2")
 
@@ -352,3 +360,47 @@ class TestOneExpansion:
         expected = ref_delta_poly(k)
         assert _expand(Fraction((-1) ** (k - 1), math.factorial(k - 1)), range(1, k)) == expected
         assert delta_product_form(k).power_coeffs == tuple(expected) + (Fraction(0),)
+
+
+def weight_profiles():
+    rng = random.Random(0x9F1)
+    cases = []
+    for n in range(11):
+        cases += [
+            WeightProfile(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1)]),
+            WeightProfile(n, [0] * (n + 1)),
+            WeightProfile(n, [Fraction(-5, 3)] * (n + 1)),
+            WeightProfile(n, [j % 2 for j in range(n + 1)]),
+        ]
+        cases += [WeightProfile(n, [int(j == w) for j in range(n + 1)]) for w in range(n + 1)]
+        for d in range(min(n, 4) + 1):  # a degree-d weight polynomial: differences above d vanish
+            poly = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)] + [Fraction(1, 2)]
+            cases.append(WeightProfile(n, [sum(c * j ** k for k, c in enumerate(poly)) for j in range(n + 1)]))
+    return cases
+
+
+class TestProfileDifferences:
+    """``profile_to_pbf`` against the 2^n table and Moebius round trip it replaced."""
+
+    @staticmethod
+    def check(p, f):
+        expected = ref_profile_to_pbf(p)
+        assert f == expected
+        assert list(f.masked_terms()) == list(expected.masked_terms())  # ascending masks
+        assert len({id(c) for c in f.masked_terms().values()}) <= p.n + 1  # one Fraction per size
+
+    @pytest.mark.parametrize("p", weight_profiles(), ids=lambda p: f"n{p.n}")
+    def test_profiles(self, p):
+        self.check(p, profile_to_pbf(p))
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_delta_product_forms(self, k):
+        s = delta_product_form(k)
+        self.check(s.profile(), s.to_pbf())
+
+    def test_degree_d_profiles_have_no_monomial_above_d(self):
+        n = 10
+        for d in range(n + 1):
+            f = profile_to_pbf(WeightProfile(n, [j ** d for j in range(n + 1)]))
+            assert f.degree == d
+            assert len(f.masked_terms()) == sum(math.comb(n, k) for k in range(1, d + 1)) + (d == 0)

@@ -22,9 +22,12 @@ feature matrix over the basis-state indices of the points.
 
 Each LP row is cleared once, when the LPInstance is built, to integers
 over the LCM of its own denominators.  The tableau starts from those rows
-and stays fraction-free over one common denominator, the determinant of
-the current basis, with exact integer division at each pivot (Bareiss,
-Edmonds), so Bland's rule takes the pivots a Fraction tableau would.
+and keeps each row primitive: the integer vector with gcd 1 that is a
+positive multiple of its row of B^-1 [A | b], divided by its gcd after
+each pivot.  That is the Bareiss/Edmonds row over the basis determinant
+divided by its gcd, so Bland's rule takes the pivots a Fraction tableau
+would.  The rows live in one numpy array, int64 while every |entry| is
+below 2^31 and Python ints past that.
 Every answer is re-checked on the same integer rows: one primal check
 (A x against b, or 0 for a ray) and one dual check (y^T A against c,
 returning y^T b) cover points, rays, duals and Farkas certificates.
@@ -32,8 +35,8 @@ returning y^T b) cover points, rays, duals and Farkas certificates.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -171,6 +174,14 @@ def square_form(form: OneBodyForm) -> PseudoBoolean:
 # ---------------------------------------------------------------------------
 
 
+class _Coerced(dict):
+    """value -> its Fraction, coerced once per distinct value."""
+
+    def __missing__(self, value):
+        self[value] = exact = _coerce(value)
+        return exact
+
+
 @dataclass(frozen=True)
 class LPInstance:
     """min/max objective . x subject to eq rows (= rhs), geq rows (>= rhs).
@@ -178,7 +189,8 @@ class LPInstance:
     ``nonneg[i]`` constrains x_i >= 0; False leaves it free.  All data is
     coerced to Fraction; ``_rows`` keeps each row (eq rows first) once more
     as (numerators, L): integers over the LCM L of the row's own
-    denominators, right-hand side last.
+    denominators, right-hand side last.  A row given as Python ints is its
+    own numerators over L = 1.
     """
 
     num_vars: int
@@ -194,7 +206,7 @@ class LPInstance:
             raise ValueError(f"sense must be min or max, got {self.sense!r}")
         # entries repeat (the realizability rows are all -1, 0 and 1), so each
         # distinct value becomes one Fraction that every entry equal to it shares
-        coerce = functools.cache(_coerce)
+        coerce = _Coerced().__getitem__
         obj = tuple(map(coerce, self.objective))
         if len(obj) != self.num_vars:
             raise DimensionError("objective length != num_vars")
@@ -202,20 +214,26 @@ class LPInstance:
         if len(nonneg) != self.num_vars:
             raise DimensionError("nonneg length != num_vars")
 
+        ints = []
+
         def rows(raw):
             out = []
             for coeffs, rhs in raw:
-                coeffs = tuple(map(coerce, coeffs))
-                if len(coeffs) != self.num_vars:
+                entries = (*coeffs, rhs)
+                exact = tuple(map(coerce, entries[:-1]))
+                if len(exact) != self.num_vars:
                     raise DimensionError("row width != num_vars")
-                out.append((coeffs, coerce(rhs)))
+                exact += (coerce(rhs),)
+                out.append((exact[:-1], exact[-1]))
+                # a row of Python ints (bool excluded) is its own numerators
+                own = set(map(type, entries)) == {int}
+                ints.append((entries, 1) if own else _numerators(exact))
             return tuple(out)
 
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "nonneg", nonneg)
         object.__setattr__(self, "eq", rows(self.eq))
         object.__setattr__(self, "geq", rows(self.geq))
-        ints = [_numerators(coeffs + (rhs,)) for coeffs, rhs in self.eq + self.geq]
         object.__setattr__(self, "_rows", tuple(ints))
 
     def row_refs(self) -> list:
@@ -247,18 +265,25 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Dense fraction-free simplex tableau with Bland's anti-cycling rule.
+    """Dense simplex tableau of primitive integer rows, Bland's anti-cycling rule.
 
-    Row i of the input is cleared by the LCM L_i of its own denominators,
-    so the initial basis (surplus and artificial unit columns) has
-    determinant ``den`` = prod(L_i).  Each row of ``matrix`` holds
-    den * (B^-1 [A | b])_i as Python ints, right-hand side last, where B
-    is the current basis and den > 0 its absolute determinant in the
-    cleared system.  By Cramer's rule every entry is a minor of the
-    cleared data, so the pivot update (p * a - f * b) // den is exact
-    (Bareiss 1968, Edmonds 1967).  The reduced-cost row ``z`` carries the
-    same update at den * zscale * (c - c_B B^-1 [A | b]), zscale being the
-    LCM of the cost denominators, so its signs are the exact ones.
+    Row i of ``matrix`` (right-hand side last) is the primitive integer
+    vector, gcd 1, that is a positive multiple of row i of B^-1 [A | b] for
+    the current basis B: its value is ``row / row[basis[i]]``, and that
+    basic entry is > 0.  The Bareiss row det(B) (B^-1 [A | b])_i (Bareiss
+    1968, Edmonds 1967) is the same vector times its gcd, so no entry is
+    ever larger.  Row i starts as the LP row cleared over its own LCM, with
+    the surplus and artificial entries of the initial basis.  A pivot on
+    p = prow[j] > 0 sets every row with f = row[j] != 0 to p * row - f * prow
+    over its gcd and leaves the others alone.
+
+    The rows after the m constraint rows are reduced-cost rows: the
+    phase-2 row, then, until phase 1 ends, the phase-1 row, each ``scale``
+    (> 0) times the exact c - c_B B^-1 [A | b], so their signs are the
+    exact ones.  A pivot updates them like any row, and each scale by gcd / p.
+    The array is int64 while every |entry| is below 2^31, so p * a - f * b
+    stays below 2^63; once an entry passes that it holds Python ints
+    (object dtype) for the rest of the solve.
     """
 
     def __init__(self, lp: LPInstance):
@@ -281,105 +306,130 @@ class _Tableau:
                 self.init_col[i] = len(self.cols)
                 self.cols.append(("art", i))
         self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
+        self.real = np.array([col[0] != "art" for col in self.cols], dtype=bool)
         self.basis = list(self.init_col)
-        self.den = math.prod(lcm for _, lcm in lp._rows)
-        self.matrix = []
+        rows = []
         for i, (nums, lcm) in enumerate(lp._rows):
-            scale = self.sigma[i] * (self.den // lcm)
-            row = [sign * scale * nums[v] for v, sign in struct]
-            row += [0] * (self.ncols - len(row)) + [scale * nums[-1]]
+            row = [self.sigma[i] * sign * nums[v] for v, sign in struct]
+            row += [0] * (self.ncols - len(row)) + [self.sigma[i] * nums[-1]]
             if i >= neq:
-                row[surplus + i] = -self.sigma[i] * self.den
-            row[self.init_col[i]] = self.den
-            self.matrix.append(row)
-        self.z = None
-        self.zscale = 1
+                row[surplus + i] = -self.sigma[i] * lcm
+            row[self.init_col[i]] = lcm
+            rows.append(row)
+        # phase-2 costs over the LCM of the objective's denominators; the
+        # initial basic columns cost 0, so these are its reduced costs
+        obj, denom = _numerators(lp.objective)
+        flip = 1 if lp.sense == "min" else -1
+        cost = [flip * sign * obj[v] for v, sign in struct]
+        costs = [(cost + [0] * (self.ncols + 1 - len(cost)), denom)]
+        if self.artificial:
+            # phase 1 costs 1 per artificial; over L, the LCM of their basic
+            # entries, its reduced costs are -sum (L / lcm_i) row_i (0 on the artificials)
+            art = [(j in self.artificial, lcm) for j, (_, lcm) in zip(self.init_col, lp._rows)]
+            L = math.lcm(*(lcm for is_art, lcm in art if is_art))
+            weights = [L // lcm if is_art else 0 for is_art, lcm in art]
+            z = [-sum(map(operator.mul, weights, col)) for col in zip(*rows)]
+            costs.append(([0 if j in self.artificial else c for j, c in enumerate(z)], L))
+        self.scale = []  # per reduced-cost row [a, d]: its reduced costs are row * a / d
+        for z, denom in costs:
+            g = math.gcd(*z) or 1
+            rows.append([v // g for v in z])
+            self.scale.append([g, denom])
+        self.matrix = _narrow(rows)
 
     @property
     def ncols(self) -> int:
         return len(self.cols)
 
     def _pivot(self, r: int, j: int) -> None:
-        prow = self.matrix[r]
+        matrix = self.matrix
+        if matrix[r, j] < 0:
+            matrix[r] *= -1
+        prow = matrix[r]
         p = prow[j]
-        if p < 0:
-            self.matrix[r] = prow = [-a for a in prow]
-            p = -p
-        den = self.den
-        self.matrix = [
-            row if i == r else _eliminate(row, prow, p, den, j)
-            for i, row in enumerate(self.matrix)
-        ]
-        self.z = _eliminate(self.z, prow, p, den, j)
-        self.den = p
+        touched = matrix[:, j] != 0
+        touched[r] = False
+        rows = touched.nonzero()[0]
+        new = matrix[rows]
+        f = new[:, j, None].copy()
+        new *= p
+        new -= f * prow
+        g = np.gcd.reduce(new, axis=1)
+        new //= g[:, None]
+        m = len(self.basis)
+        for k in range(rows.searchsorted(m), len(rows)):  # the reduced-cost rows
+            scale = self.scale[rows[k] - m]
+            scale[0] *= int(g[k])
+            scale[1] *= int(p)
+        if matrix.dtype != object and len(new) and np.abs(new).max() >= _LIMIT:
+            self.matrix = matrix = matrix.astype(object)
+        matrix[rows] = new
         self.basis[r] = j
 
-    def run(self, cost: list, banned: set) -> None:
-        """Bland-rule simplex on the given cost vector, leaving the final
-        reduced-cost row in ``z``.  Raises on unbounded via _Unbounded."""
-        self.zscale = math.lcm(*(c.denominator for c in cost))
-        scaled = [c.numerator * (self.zscale // c.denominator) for c in cost]
-        z = [self.den * c for c in scaled] + [0]
-        for i, b in enumerate(self.basis):
-            if scaled[b]:
-                z = [a - scaled[b] * v for a, v in zip(z, self.matrix[i])]
-        self.z = z
+    def run(self, allowed: np.ndarray) -> None:
+        """Bland-rule simplex on the last reduced-cost row, entering only
+        ``allowed`` columns (basic ones have reduced cost 0).  Raises on
+        unbounded via _Unbounded."""
+        m = len(self.basis)
         while True:
-            basic = set(self.basis)
-            enter = None
-            for j in range(self.ncols):
-                if j in banned or j in basic:
-                    continue
-                if self.z[j] < 0:
-                    enter = j
-                    break
-            if enter is None:
+            entering = ((self.matrix[-1, :-1] < 0) & allowed).nonzero()[0]
+            if not len(entering):
                 return
-            # exact min of rhs / a over a > 0; den cancels from the ratio
+            enter = int(entering[0])
+            # exact min of rhs / a over a > 0, ties to the lower basis index;
+            # each row's basic entry cancels from its ratio
             leave = None
-            for i, row in enumerate(self.matrix):
-                a = row[enter]
+            for i, (a, rhs) in enumerate(self.matrix[:m, [enter, -1]].tolist()):
                 if a > 0:
                     if leave is None:
-                        leave = i
+                        leave, lead = i, (a, rhs)
                         continue
-                    lhs = row[-1] * self.matrix[leave][enter]
-                    rhs = self.matrix[leave][-1] * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave = i
+                    lhs, bound = rhs * lead[0], lead[1] * a
+                    if lhs < bound or (lhs == bound and self.basis[i] < self.basis[leave]):
+                        leave, lead = i, (a, rhs)
             if leave is None:
                 raise _Unbounded(enter)
             self._pivot(leave, enter)
 
+    def value(self, i: int, j: int) -> Fraction:
+        """Entry j of row i of B^-1 [A | b]."""
+        return Fraction(int(self.matrix[i, j]), int(self.matrix[i, self.basis[i]]))
+
     def objective_value(self) -> Fraction:
-        return Fraction(-self.z[-1], self.den * self.zscale)
+        return -Fraction(*self.scale[-1]) * int(self.matrix[-1, -1])
 
     def solution(self) -> list:
         x = [Fraction(0)] * self.lp.num_vars
         for i, b in enumerate(self.basis):
             kind = self.cols[b]
             if kind[0] == "var":
-                x[kind[1]] += kind[2] * Fraction(self.matrix[i][-1], self.den)
+                x[kind[1]] += kind[2] * self.value(i, -1)
         return x
 
-    def row_multipliers(self, cost: list) -> list:
-        """Multipliers per original row from the initial identity columns."""
-        out = []
-        for i in range(len(self.matrix)):
-            j = self.init_col[i]
-            y = cost[j] - Fraction(self.z[j], self.den * self.zscale)
-            out.append(self.sigma[i] * y)
-        return out
+    def row_multipliers(self, unit_cost: set) -> list:
+        """Multipliers per original row from the initial identity columns,
+        whose costs are 1 on ``unit_cost`` and 0 elsewhere."""
+        z, scale = self.matrix[-1].tolist(), Fraction(*self.scale[-1])
+        return [
+            self.sigma[i] * ((j in unit_cost) - scale * z[j]) for i, j in enumerate(self.init_col)
+        ]
 
 
-def _eliminate(row: list, prow: list, p: int, den: int, j: int) -> list:
-    """One row of the fraction-free pivot update (exact division)."""
-    f = row[j]
-    if f:
-        return [(p * a - f * b) // den for a, b in zip(row, prow)]
-    if p == den:
-        return row
-    return [p * a // den for a in row]
+#: the tableau stays int64 while every |entry| is below this bound, so that
+#: p * a - f * b < 2^63
+_LIMIT = 1 << 31
+
+
+def _narrow(rows: list) -> np.ndarray:
+    """Integer rows as one int64 array when every |entry| is below _LIMIT,
+    else as one array of Python ints."""
+    try:
+        small = np.array(rows, dtype=np.int64)
+        if -_LIMIT < small.min() and small.max() < _LIMIT:
+            return small
+    except OverflowError:
+        pass
+    return np.array(rows, dtype=object)
 
 
 class _Unbounded(Exception):
@@ -396,35 +446,29 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     improving directions.
     """
     tab = _Tableau(lp)
-    m = len(tab.matrix)
 
     # phase 1: minimize the artificial sum
     if tab.artificial:
-        cost1 = [Fraction(1) if j in tab.artificial else Fraction(0) for j in range(tab.ncols)]
-        tab.run(cost1, banned=set())
+        tab.run(np.ones(tab.ncols, dtype=bool))
         value1 = tab.objective_value()
         if value1 > 0:
-            mults = zip(lp.row_refs(), tab.row_multipliers(cost1))
+            mults = zip(lp.row_refs(), tab.row_multipliers(tab.artificial))
             certificate = [(ref, y / value1) for ref, y in mults if y]
             verify_certificate(lp, certificate)
             return SimplexResult(status="infeasible", certificate=certificate)
         # drive leftover artificials out of the basis (degenerate pivots;
         # their rows carry rhs 0, so any nonzero entry will do)
-        for i in range(m):
-            if tab.basis[i] in tab.artificial:
-                for j in range(tab.ncols):
-                    if j not in tab.artificial and tab.matrix[i][j] != 0:
-                        tab._pivot(i, j)
-                        break
+        for i, b in enumerate(tab.basis):
+            if b in tab.artificial:
+                nonzero = np.flatnonzero((tab.matrix[i, :-1] != 0) & tab.real)
+                if len(nonzero):
+                    tab._pivot(i, int(nonzero[0]))
+        tab.matrix = tab.matrix[:-1]  # the phase-2 row is last again
+        tab.scale.pop()
 
     # phase 2
-    sign = 1 if lp.sense == "min" else -1
-    cost2 = [Fraction(0)] * tab.ncols
-    for j, col in enumerate(tab.cols):
-        if col[0] == "var":
-            cost2[j] = sign * col[2] * lp.objective[col[1]]
     try:
-        tab.run(cost2, banned=tab.artificial)
+        tab.run(tab.real)
     except _Unbounded as unb:
         ray = _extract_ray(tab, unb.col)
         _check_ray(lp, ray)
@@ -432,8 +476,8 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     x = tab.solution()
     value = sum((lp.objective[v] * x[v] for v in range(lp.num_vars)), Fraction(0))
     _check_point(lp, x)
-    mults = tab.row_multipliers(cost2)
-    duals = tuple(sign * y for y in mults)
+    sign = 1 if lp.sense == "min" else -1
+    duals = tuple(sign * y for y in tab.row_multipliers(set()))
     if _check_duals(lp, duals, lp.objective, lp.sense) != value:
         raise AssertionError("dual bound does not match the optimal value")
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
@@ -509,9 +553,8 @@ def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -
 def _extract_ray(tab: _Tableau, enter: int) -> dict:
     ray_std = {enter: Fraction(1)}
     for i, b in enumerate(tab.basis):
-        a = tab.matrix[i][enter]
-        if a:
-            ray_std[b] = Fraction(-a, tab.den)
+        if tab.matrix[i, enter]:
+            ray_std[b] = -tab.value(i, enter)
     cols = ((tab.cols[j], delta) for j, delta in ray_std.items())
     return _accumulate({}, ((col[1], col[2] * delta) for col, delta in cols if col[0] == "var"))
 

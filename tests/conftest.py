@@ -5,7 +5,8 @@ than the library code under test: naive term-by-term evaluation, the
 per-point Fraction cube scans the library used before its exact integer
 engine, the per-entry table reader and Fraction minimum scan the library
 used before it read each distinct value once, the dense Fraction simplex
-tableau the library used before its fraction-free integer tableau, the
+tableau the library used before its fraction-free integer tableau and the
+Bareiss integer tableau it used before its primitive rows, the
 per-index gate and Pauli-term loops the library used before its integer
 statevector engine, the per-variable and per-word Boolean/spin/Pauli-Z
 conversions the library used before its one subset expansion, the
@@ -37,7 +38,7 @@ import pytest
 
 from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, stabilizer
 from pbkernel.errors import NetlistError, ParseError
-from pbkernel.pbf import _scaled
+from pbkernel.pbf import _accumulate, _scaled
 
 
 def assignments(n):
@@ -969,6 +970,200 @@ def ref_simplex_solve(lp):
     mults = tab.row_multipliers(cost2, z2)
     duals = tuple(sign * y for y in mults)
     ref_check_duals(lp, duals, value)
+    return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
+
+
+# -- Bareiss integer tableau (reference for the primitive-row tableau) -------
+
+class RefBareissTableau:
+    """Dense fraction-free simplex tableau with Bland's anti-cycling rule:
+    the solver the library used before its primitive-row tableau.
+
+    Row i of the input is cleared by the LCM L_i of its own denominators,
+    so the initial basis (surplus and artificial unit columns) has
+    determinant ``den`` = prod(L_i).  Each row of ``matrix`` holds
+    den * (B^-1 [A | b])_i as Python ints, right-hand side last, where B
+    is the current basis and den > 0 its absolute determinant in the
+    cleared system.  By Cramer's rule every entry is a minor of the
+    cleared data, so the pivot update (p * a - f * b) // den is exact
+    (Bareiss 1968, Edmonds 1967).  The reduced-cost row ``z`` carries the
+    same update at den * zscale * (c - c_B B^-1 [A | b]), zscale being the
+    LCM of the cost denominators, so its signs are the exact ones.
+    """
+
+    def __init__(self, lp: LPInstance):
+        self.lp = lp
+        self.cols = []  # ("var", v, sign) | ("surplus", None) | ("art", row)
+        for v in range(lp.num_vars):
+            self.cols.append(("var", v, 1))
+            if not lp.nonneg[v]:
+                self.cols.append(("var", v, -1))
+        struct = [(v, sign) for _, v, sign in self.cols]
+        neq, m = len(lp.eq), len(lp._rows)
+        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in lp._rows]  # std row = sigma * row
+        # initial basis: a negated geq row exposes its surplus at +1;
+        # everything else gets an artificial column
+        surplus = len(struct) - neq  # geq row i has its surplus in column surplus + i
+        self.init_col = [surplus + i if i >= neq and self.sigma[i] < 0 else None for i in range(m)]
+        self.cols += [("surplus", None)] * (m - neq)
+        for i in range(m):
+            if self.init_col[i] is None:
+                self.init_col[i] = len(self.cols)
+                self.cols.append(("art", i))
+        self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
+        self.basis = list(self.init_col)
+        self.den = math.prod(lcm for _, lcm in lp._rows)
+        self.matrix = []
+        for i, (nums, lcm) in enumerate(lp._rows):
+            scale = self.sigma[i] * (self.den // lcm)
+            row = [sign * scale * nums[v] for v, sign in struct]
+            row += [0] * (self.ncols - len(row)) + [scale * nums[-1]]
+            if i >= neq:
+                row[surplus + i] = -self.sigma[i] * self.den
+            row[self.init_col[i]] = self.den
+            self.matrix.append(row)
+        self.z = None
+        self.zscale = 1
+
+    @property
+    def ncols(self) -> int:
+        return len(self.cols)
+
+    def _pivot(self, r: int, j: int) -> None:
+        prow = self.matrix[r]
+        p = prow[j]
+        if p < 0:
+            self.matrix[r] = prow = [-a for a in prow]
+            p = -p
+        den = self.den
+        self.matrix = [
+            row if i == r else _bareiss_eliminate(row, prow, p, den, j)
+            for i, row in enumerate(self.matrix)
+        ]
+        self.z = _bareiss_eliminate(self.z, prow, p, den, j)
+        self.den = p
+        self.basis[r] = j
+
+    def run(self, cost: list, banned: set) -> None:
+        """Bland-rule simplex on the given cost vector, leaving the final
+        reduced-cost row in ``z``.  Raises on unbounded via _Unbounded."""
+        from pbkernel.ising_kernel import _Unbounded
+
+        self.zscale = math.lcm(*(c.denominator for c in cost))
+        scaled = [c.numerator * (self.zscale // c.denominator) for c in cost]
+        z = [self.den * c for c in scaled] + [0]
+        for i, b in enumerate(self.basis):
+            if scaled[b]:
+                z = [a - scaled[b] * v for a, v in zip(z, self.matrix[i])]
+        self.z = z
+        while True:
+            basic = set(self.basis)
+            enter = None
+            for j in range(self.ncols):
+                if j in banned or j in basic:
+                    continue
+                if self.z[j] < 0:
+                    enter = j
+                    break
+            if enter is None:
+                return
+            # exact min of rhs / a over a > 0; den cancels from the ratio
+            leave = None
+            for i, row in enumerate(self.matrix):
+                a = row[enter]
+                if a > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    lhs = row[-1] * self.matrix[leave][enter]
+                    rhs = self.matrix[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave = i
+            if leave is None:
+                raise _Unbounded(enter)
+            self._pivot(leave, enter)
+
+    def objective_value(self) -> Fraction:
+        return Fraction(-self.z[-1], self.den * self.zscale)
+
+    def solution(self) -> list:
+        x = [Fraction(0)] * self.lp.num_vars
+        for i, b in enumerate(self.basis):
+            kind = self.cols[b]
+            if kind[0] == "var":
+                x[kind[1]] += kind[2] * Fraction(self.matrix[i][-1], self.den)
+        return x
+
+    def row_multipliers(self, cost: list) -> list:
+        """Multipliers per original row from the initial identity columns."""
+        out = []
+        for i in range(len(self.matrix)):
+            j = self.init_col[i]
+            y = cost[j] - Fraction(self.z[j], self.den * self.zscale)
+            out.append(self.sigma[i] * y)
+        return out
+
+
+def _bareiss_eliminate(row: list, prow: list, p: int, den: int, j: int) -> list:
+    """One row of the fraction-free pivot update (exact division)."""
+    f = row[j]
+    if f:
+        return [(p * a - f * b) // den for a, b in zip(row, prow)]
+    if p == den:
+        return row
+    return [p * a // den for a in row]
+
+def _ref_bareiss_extract_ray(tab, enter):
+    ray_std = {enter: Fraction(1)}
+    for i, b in enumerate(tab.basis):
+        a = tab.matrix[i][enter]
+        if a:
+            ray_std[b] = Fraction(-a, tab.den)
+    cols = ((tab.cols[j], delta) for j, delta in ray_std.items())
+    return _accumulate({}, ((col[1], col[2] * delta) for col, delta in cols if col[0] == "var"))
+
+
+def ref_bareiss_simplex_solve(lp):
+    """``simplex_solve`` on the Bareiss tableau, with the library's integer
+    re-checks on every exit."""
+    from pbkernel.ising_kernel import (
+        SimplexResult, _Unbounded, _check_duals, _check_point, _check_ray, verify_certificate,
+    )
+
+    tab = RefBareissTableau(lp)
+    m = len(tab.matrix)
+    if tab.artificial:
+        cost1 = [Fraction(1) if j in tab.artificial else Fraction(0) for j in range(tab.ncols)]
+        tab.run(cost1, banned=set())
+        value1 = tab.objective_value()
+        if value1 > 0:
+            mults = zip(lp.row_refs(), tab.row_multipliers(cost1))
+            certificate = [(ref, y / value1) for ref, y in mults if y]
+            verify_certificate(lp, certificate)
+            return SimplexResult(status="infeasible", certificate=certificate)
+        for i in range(m):
+            if tab.basis[i] in tab.artificial:
+                for j in range(tab.ncols):
+                    if j not in tab.artificial and tab.matrix[i][j] != 0:
+                        tab._pivot(i, j)
+                        break
+    sign = 1 if lp.sense == "min" else -1
+    cost2 = [Fraction(0)] * tab.ncols
+    for j, col in enumerate(tab.cols):
+        if col[0] == "var":
+            cost2[j] = sign * col[2] * lp.objective[col[1]]
+    try:
+        tab.run(cost2, banned=tab.artificial)
+    except _Unbounded as unb:
+        ray = _ref_bareiss_extract_ray(tab, unb.col)
+        _check_ray(lp, ray)
+        return SimplexResult(status="unbounded", ray=ray)
+    x = tab.solution()
+    value = sum((lp.objective[v] * x[v] for v in range(lp.num_vars)), Fraction(0))
+    _check_point(lp, x)
+    duals = tuple(sign * y for y in tab.row_multipliers(cost2))
+    if _check_duals(lp, duals, lp.objective, lp.sense) != value:
+        raise AssertionError("dual bound does not match the optimal value")
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
 
 

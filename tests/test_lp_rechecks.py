@@ -135,6 +135,23 @@ def test_integer_rows_stay_out_of_equality_and_repr():
     assert a._rows == (([3, 6, 2], 6),)
 
 
+def test_python_int_rows_are_their_own_numerators():
+    # an all-int row is taken as it is; a row holding a bool, a float or a
+    # Fraction goes through the coercion to the same integer row
+    ints = LPInstance(2, [1, 1], eq=[([2, -4], 6)], geq=[([0, 3], -1)])
+    assert ints._rows == (((2, -4, 6), 1), ((0, 3, -1), 1))
+    assert all(type(c) is Fraction for c in ints.eq[0][0] + ints.geq[0][0])
+    for coeffs in ([2.0, -4], [Fraction(2), -4], [2, Fraction(-8, 2)]):
+        other = LPInstance(2, [1, 1], eq=[(coeffs, 6)], geq=[([0, 3], -1)])
+        assert other == ints
+        rows = [(list(nums), lcm) for nums, lcm in other._rows]
+        assert rows == [([2, -4, 6], 1), ([0, 3, -1], 1)]
+        assert all(type(a) is int for nums, _ in other._rows for a in nums)
+    bools = LPInstance(2, [1, 1], eq=[([True, False], 1)])
+    assert bools._rows == (([1, 0, 1], 1),)
+    assert all(type(a) is int for a in bools._rows[0][0])
+
+
 # -- realizability certificates ------------------------------------------------
 
 

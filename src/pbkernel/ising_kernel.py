@@ -28,15 +28,21 @@ each pivot.  That is the Bareiss/Edmonds row over the basis determinant
 divided by its gcd, so Bland's rule takes the pivots a Fraction tableau
 would.  The rows live in one numpy array, int64 while every |entry| is
 below 2^31 and Python ints past that.
+The tableau is built with numpy from the cleared rows, and every answer
+is read off its integer rows: a Fraction is built only for each output
+entry (a nonzero coordinate of the point or ray, a multiplier per row).
 Every answer is re-checked on the same integer rows: one primal check
 (A x against b, or 0 for a ray) and one dual check (y^T A against c,
-returning y^T b) cover points, rays, duals and Farkas certificates.
+returning y^T b) cover points, rays, duals and Farkas certificates, each
+one integer matrix product.  A recovered realization is re-checked at
+every point of the cube by one Walsh-Hadamard pass over its integer
+spin coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,8 +51,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import PseudoBoolean, _accumulate, _coerce, _numerators, _point_indices, _swap_order
-from .pbf import bits_of, index_of, spin_to_boolean
+from .pbf import PseudoBoolean, _accumulate, _coerce, _hadamard_transform, _numerators, _point_indices
+from .pbf import _scaled, _swap_order, bits_of, index_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -236,6 +242,15 @@ class LPInstance:
         object.__setattr__(self, "geq", rows(self.geq))
         object.__setattr__(self, "_rows", tuple(ints))
 
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        """``_rows`` as one read-only (rows, num_vars + 1) array, built on first
+        use: int64 when every |entry| is below 2^63, else Python ints."""
+        rows = _narrow([row for row, _ in self._rows], 1 << 63)
+        matrix = rows.reshape(len(self._rows), self.num_vars + 1)
+        matrix.flags.writeable = False
+        return matrix
+
     def row_refs(self) -> list:
         return [("eq", i) for i in range(len(self.eq))] + [
             ("geq", i) for i in range(len(self.geq))
@@ -293,12 +308,12 @@ class _Tableau:
             self.cols.append(("var", v, 1))
             if not lp.nonneg[v]:
                 self.cols.append(("var", v, -1))
-        struct = [(v, sign) for _, v, sign in self.cols]
+        var, sign = [col[1] for col in self.cols], [col[2] for col in self.cols]
         neq, m = len(lp.eq), len(lp._rows)
         self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in lp._rows]  # std row = sigma * row
         # initial basis: a negated geq row exposes its surplus at +1;
         # everything else gets an artificial column
-        surplus = len(struct) - neq  # geq row i has its surplus in column surplus + i
+        surplus = len(var) - neq  # geq row i has its surplus in column surplus + i
         self.init_col = [surplus + i if i >= neq and self.sigma[i] < 0 else None for i in range(m)]
         self.cols += [("surplus", None)] * (m - neq)
         for i in range(m):
@@ -308,32 +323,40 @@ class _Tableau:
         self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
         self.real = np.array([col[0] != "art" for col in self.cols], dtype=bool)
         self.basis = list(self.init_col)
-        rows = []
-        for i, (nums, lcm) in enumerate(lp._rows):
-            row = [self.sigma[i] * sign * nums[v] for v, sign in struct]
-            row += [0] * (self.ncols - len(row)) + [self.sigma[i] * nums[-1]]
-            if i >= neq:
-                row[surplus + i] = -self.sigma[i] * lcm
-            row[self.init_col[i]] = lcm
-            rows.append(row)
+        # phase 1 costs 1 per artificial; over L, the LCM of their basic
+        # entries, its reduced costs are -sum (L / lcm_i) row_i (0 on the artificials)
+        lcm = [l for _, l in lp._rows]
+        art = [j in self.artificial for j in self.init_col]
+        L = math.lcm(*(l for a, l in zip(art, lcm) if a))
+        weights = [L // l if a else 0 for a, l in zip(art, lcm)]
         # phase-2 costs over the LCM of the objective's denominators; the
         # initial basic columns cost 0, so these are its reduced costs
         obj, denom = _numerators(lp.objective)
-        flip = 1 if lp.sense == "min" else -1
-        cost = [flip * sign * obj[v] for v, sign in struct]
-        costs = [(cost + [0] * (self.ncols + 1 - len(cost)), denom)]
+        # every |entry| below is at most top and every partial sum of the phase-1
+        # row at most sum(weights) * top, so int64 holds them under this bound
+        top = max(_top(lp._matrix), *lcm, *map(abs, obj), 0)
+        dtype = np.int64 if (sum(weights) + 1) * top < 1 << 63 else object
+        nums, lcm, sign, sigma, weights, obj = (
+            np.array(v, dtype) for v in (lp._matrix, lcm, sign, self.sigma, weights, obj)
+        )
+        rows = np.zeros((m, self.ncols + 1), dtype)
+        rows[:, : len(var)] = nums[:, var] * sign
+        rows[:, -1] = nums[:, -1]
+        geq = np.arange(neq, m)
+        rows[geq, surplus + geq] = -lcm[neq:]
+        rows *= sigma[:, None]
+        rows[np.arange(m), self.init_col] = lcm
+        cost = np.zeros(self.ncols + 1, dtype)
+        cost[: len(var)] = (1 if lp.sense == "min" else -1) * obj[var] * sign
+        costs = [(cost, denom)]
         if self.artificial:
-            # phase 1 costs 1 per artificial; over L, the LCM of their basic
-            # entries, its reduced costs are -sum (L / lcm_i) row_i (0 on the artificials)
-            art = [(j in self.artificial, lcm) for j, (_, lcm) in zip(self.init_col, lp._rows)]
-            L = math.lcm(*(lcm for is_art, lcm in art if is_art))
-            weights = [L // lcm if is_art else 0 for is_art, lcm in art]
-            z = [-sum(map(operator.mul, weights, col)) for col in zip(*rows)]
-            costs.append(([0 if j in self.artificial else c for j, c in enumerate(z)], L))
+            z = -(weights @ rows)
+            z[list(self.artificial)] = 0
+            costs.append((z, L))
         self.scale = []  # per reduced-cost row [a, d]: its reduced costs are row * a / d
         for z, denom in costs:
-            g = math.gcd(*z) or 1
-            rows.append([v // g for v in z])
+            g = int(np.gcd.reduce(z)) or 1
+            rows = np.vstack([rows, z // g])
             self.scale.append([g, denom])
         self.matrix = _narrow(rows)
 
@@ -391,27 +414,28 @@ class _Tableau:
                 raise _Unbounded(enter)
             self._pivot(leave, enter)
 
-    def value(self, i: int, j: int) -> Fraction:
-        """Entry j of row i of B^-1 [A | b]."""
-        return Fraction(int(self.matrix[i, j]), int(self.matrix[i, self.basis[i]]))
-
     def objective_value(self) -> Fraction:
         return -Fraction(*self.scale[-1]) * int(self.matrix[-1, -1])
 
-    def solution(self) -> list:
-        x = [Fraction(0)] * self.lp.num_vars
-        for i, b in enumerate(self.basis):
-            kind = self.cols[b]
-            if kind[0] == "var":
-                x[kind[1]] += kind[2] * self.value(i, -1)
-        return x
+    def column_values(self, j: int, sign: int = 1) -> dict:
+        """{v: nonzero value} of sign times column j of B^-1 [A | b] (the
+        basic solution for j = -1), summed by variable over the basic
+        structural columns.  Only rows with a nonzero entry j are read, each
+        as one Fraction."""
+        rows = np.arange(len(self.basis))
+        entries, basic = self.matrix[rows, j].tolist(), self.matrix[rows, self.basis].tolist()
+        cols = ((self.cols[b], sign * a, p) for b, a, p in zip(self.basis, entries, basic) if a)
+        return _accumulate({}, ((col[1], Fraction(col[2] * a, p)) for col, a, p in cols if col[0] == "var"))
 
-    def row_multipliers(self, unit_cost: set) -> list:
-        """Multipliers per original row from the initial identity columns,
-        whose costs are 1 on ``unit_cost`` and 0 elsewhere."""
-        z, scale = self.matrix[-1].tolist(), Fraction(*self.scale[-1])
+    def row_multipliers(self, unit_cost: set, sign: int = 1) -> list:
+        """sign times the multiplier per original row, read off the initial
+        identity columns, whose costs are 1 on ``unit_cost`` and 0
+        elsewhere: sigma * ((j in unit_cost) * d - a * z_j) / d for the
+        scale [a, d], one Fraction each."""
+        (a, d), z = self.scale[-1], self.matrix[-1, self.init_col].tolist()
         return [
-            self.sigma[i] * ((j in unit_cost) - scale * z[j]) for i, j in enumerate(self.init_col)
+            Fraction(sign * s * ((j in unit_cost) * d - a * zj), d)
+            for s, j, zj in zip(self.sigma, self.init_col, z)
         ]
 
 
@@ -420,16 +444,21 @@ class _Tableau:
 _LIMIT = 1 << 31
 
 
-def _narrow(rows: list) -> np.ndarray:
-    """Integer rows as one int64 array when every |entry| is below _LIMIT,
-    else as one array of Python ints."""
+def _narrow(rows, limit: int = _LIMIT) -> np.ndarray:
+    """Integer rows (nested lists or an array) as one int64 array when every
+    |entry| is below ``limit``, else as one array of Python ints."""
     try:
-        small = np.array(rows, dtype=np.int64)
-        if -_LIMIT < small.min() and small.max() < _LIMIT:
+        small = np.asarray(rows, dtype=np.int64)
+        if -limit < int(small.min(initial=0)) and int(small.max(initial=0)) < limit:
             return small
     except OverflowError:
         pass
-    return np.array(rows, dtype=object)
+    return np.asarray(rows, dtype=object)
+
+
+def _top(a: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int (0 if empty)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 class _Unbounded(Exception):
@@ -473,14 +502,15 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
         ray = _extract_ray(tab, unb.col)
         _check_ray(lp, ray)
         return SimplexResult(status="unbounded", ray=ray)
-    x = tab.solution()
-    value = sum((lp.objective[v] * x[v] for v in range(lp.num_vars)), Fraction(0))
+    support = tab.column_values(-1)
+    value = sum((lp.objective[v] * xv for v, xv in support.items()), Fraction(0))
+    zero = Fraction(0)
+    x = tuple(support.get(v, zero) for v in range(lp.num_vars))
     _check_point(lp, x)
-    sign = 1 if lp.sense == "min" else -1
-    duals = tuple(sign * y for y in tab.row_multipliers(set()))
+    duals = tuple(tab.row_multipliers(set(), 1 if lp.sense == "min" else -1))
     if _check_duals(lp, duals, lp.objective, lp.sense) != value:
         raise AssertionError("dual bound does not match the optimal value")
-    return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
+    return SimplexResult(status="optimal", x=x, value=value, duals=duals)
 
 
 def verify_certificate(lp: LPInstance, cert: list) -> None:
@@ -499,32 +529,28 @@ def verify_certificate(lp: LPInstance, cert: list) -> None:
         raise AssertionError("certificate right-hand side is not positive")
 
 
-def _weighted_row_sum(weights: Sequence, rows: Sequence, width: int) -> tuple:
-    """sum_i weights[i] * rows[i] over integer rows, as (integer column
-    sums, their common denominator)."""
-    nums, denom = _numerators(weights)
-    sums = [0] * width
-    for w, row in zip(nums, rows):
-        if w:
-            sums = [s + w * a for s, a in zip(sums, row)]
-    return sums, denom
+def _weighted_row_sum(weights: list, rows: np.ndarray) -> list:
+    """sum_i weights[i] * rows[i] for integer weights and an integer row
+    array, as Python ints: one int64 matrix product while sum |weights|
+    times the largest |entry| is below 2^63, which bounds every partial
+    sum, and the same product on Python ints above that."""
+    if rows.dtype != object and sum(map(abs, weights)) * max(_top(rows), 1) < 1 << 63:
+        return (np.array(weights, dtype=np.int64) @ rows).tolist()
+    return (np.array(weights, dtype=object) @ rows.astype(object)).tolist()
 
 
 def _check_point(lp: LPInstance, x: Sequence, ray: bool = False) -> None:
     """One primal check: x_v >= 0 on every sign-constrained variable, then
     each row A_i x = b_i (eq) or >= b_i (geq), with b = 0 for a ray.  The
     rows are the integer ones and x goes over one common denominator."""
-    for v in range(lp.num_vars):
-        if lp.nonneg[v] and x[v] < 0:
-            raise AssertionError("negative value on a sign-constrained variable")
     nums, denom = _numerators(x)
-    support = [(v, a) for v, a in enumerate(nums) if a]
-    for i, (row, _) in enumerate(lp._rows):
-        gap = sum(row[v] * a for v, a in support) - (0 if ray else row[-1] * denom)
-        if i < len(lp.eq) and gap != 0:
-            raise AssertionError("equality row violated")
-        if gap < 0:
-            raise AssertionError("inequality row violated")
+    if any(a < 0 for a, nonneg in zip(nums, lp.nonneg) if nonneg):
+        raise AssertionError("negative value on a sign-constrained variable")
+    gaps = _weighted_row_sum([*nums, 0 if ray else -denom], lp._matrix.T)
+    if any(gaps[: len(lp.eq)]):
+        raise AssertionError("equality row violated")
+    if any(gap < 0 for gap in gaps):
+        raise AssertionError("inequality row violated")
 
 
 def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -> Fraction:
@@ -534,11 +560,13 @@ def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -
     or >= c (max) on a sign-constrained one.  Optimal duals take the LP's
     objective and sense, a Farkas certificate c = 0 and min."""
     flip = 1 if sense == "min" else -1
-    for i in range(len(lp.eq), len(y)):
-        if flip * y[i] < 0:
-            raise AssertionError("dual sign violated on an inequality row")
-    weights = [Fraction(yi, lcm) for yi, (_, lcm) in zip(y, lp._rows)]
-    combo, denom = _weighted_row_sum(weights, [row for row, _ in lp._rows], lp.num_vars + 1)
+    nums, denom = _numerators(y)
+    if any(flip * a < 0 for a in nums[len(lp.eq):]):
+        raise AssertionError("dual sign violated on an inequality row")
+    # y_i / L_i = nums_i * (L / L_i) / (denom * L), L the LCM of the row LCMs
+    L = math.lcm(*(lcm for _, lcm in lp._rows))
+    combo = _weighted_row_sum([a * (L // lcm) for a, (_, lcm) in zip(nums, lp._rows)], lp._matrix)
+    denom *= L
     cost, cden = _numerators(objective)
     for v in range(lp.num_vars):
         slack = flip * (cost[v] * denom - combo[v] * cden)  # sign of c - (y^T A)_v, flipped for max
@@ -551,18 +579,15 @@ def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -
 
 
 def _extract_ray(tab: _Tableau, enter: int) -> dict:
-    ray_std = {enter: Fraction(1)}
-    for i, b in enumerate(tab.basis):
-        if tab.matrix[i, enter]:
-            ray_std[b] = -tab.value(i, enter)
-    cols = ((tab.cols[j], delta) for j, delta in ray_std.items())
-    return _accumulate({}, ((col[1], col[2] * delta) for col, delta in cols if col[0] == "var"))
+    """+1 on the entering column and -(B^-1 a_enter) on the basic ones, by variable."""
+    col = tab.cols[enter]
+    ray = {col[1]: Fraction(col[2])} if col[0] == "var" else {}
+    return _accumulate(ray, tab.column_values(enter, -1).items())
 
 
 def _check_ray(lp: LPInstance, ray: dict) -> None:
-    vec = [ray.get(v, 0) for v in range(lp.num_vars)]
-    _check_point(lp, vec, ray=True)
-    gain = sum((c * d for c, d in zip(lp.objective, vec) if d), Fraction(0))
+    _check_point(lp, [ray.get(v, 0) for v in range(lp.num_vars)], ray=True)
+    gain = sum((lp.objective[v] * d for v, d in ray.items()), Fraction(0))
     if lp.sense == "max" and gain <= 0:
         raise AssertionError("ray does not improve a max objective")
     if lp.sense == "min" and gain >= 0:
@@ -574,12 +599,21 @@ def _check_ray(lp: LPInstance, ray: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple:
+    """The coupling pairs l < k in feature order, as two read-only index
+    arrays built once per n."""
+    first, second = np.triu_indices(n, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
 def _feature_rows(idx: np.ndarray, n: int) -> np.ndarray:
     """Margin-row features (1, z_l, z_l * z_k for l < k) of the points with
     basis-state indices ``idx``, one row each: z = 1 - 2x, x_l the bit of
     variable l (variable 0 the most significant)."""
     z = 1 - 2 * ((np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    first, second = np.triu_indices(n, 1)
+    first, second = _pairs(n)
     return np.hstack([np.ones((len(z), 1), dtype=np.int64), z, z[:, first] * z[:, second]])
 
 
@@ -612,10 +646,17 @@ class QuadraticRealization:
 
     def verify(self, target: set) -> bool:
         """Exhaustive margin check, uncapped (the decision capped n): the
-        scaled values denom * f(x) must be 0 on S and at least denom off S."""
+        scaled values denom * f(x) must be 0 on S and at least denom off S.
+        The spin form's integer numerators sit at their masks and one
+        Walsh-Hadamard pass evaluates it at every point."""
         if not self.feasible:
             return False
-        vals, denom = self._boolean_form()._cube_values(self.n, "margin check")
+        masks = [0, *(1 << l for l in range(len(self.fields)))]
+        masks += [(1 << l) | (1 << k) for l, k in self.couplings]
+        coeffs, denom = _scaled([self.constant, *self.fields, *self.couplings.values()])
+        vals = np.zeros(1 << self.n, dtype=coeffs.dtype)
+        np.add.at(vals, masks, coeffs)  # a repeated mask adds, as from_terms would
+        _hadamard_transform(vals, self.n)
         on_s = np.zeros(vals.size, dtype=bool)
         on_s[_point_indices(target, self.n)] = True
         vals = _swap_order(vals, self.n)
@@ -685,7 +726,7 @@ def quadratic_realizability(
         w = result.duals
         constant = w[0]
         fields = tuple(w[1 + l] for l in range(n))
-        pairs = zip(*(ks.tolist() for ks in np.triu_indices(n, 1)))  # Python-int keys
+        pairs = zip(*(ks.tolist() for ks in _pairs(n)))  # Python-int keys
         couplings = {pair: w[1 + n + i] for i, pair in enumerate(pairs)}
         real = QuadraticRealization(
             feasible=True,
@@ -715,16 +756,12 @@ def verify_infeasibility(
     """Exact Farkas check: the certificate multipliers cancel every
     feature column, are non-negative off S, and carry unit total mass on
     the margin rows, so any form vanishing on S would need 0 >= 1."""
-    mass = Fraction(0)
-    for bits, mult in real.certificate:
-        if bits not in target:
-            if mult < 0:
-                raise AssertionError("negative multiplier on a margin row")
-            mass += mult
+    nums, _ = _numerators(mult for _, mult in real.certificate)
+    margin = [a for (bits, _), a in zip(real.certificate, nums) if bits not in target]
+    if any(a < 0 for a in margin):
+        raise AssertionError("negative multiplier on a margin row")
     rows = _feature_rows([index_of(bits) for bits, _ in real.certificate], n)
-    mults = [mult for _, mult in real.certificate]
-    combo, _ = _weighted_row_sum(mults, rows.tolist(), rows.shape[1])
-    if any(combo):
+    if any(_weighted_row_sum(nums, rows)):
         raise AssertionError("certificate does not cancel the feature columns")
-    if mass <= 0:
+    if sum(margin) <= 0:
         raise AssertionError("certificate has no mass on the margin rows")

@@ -123,6 +123,22 @@ def _subset_transform(vals: np.ndarray, n: int, sign: int) -> None:
         halves[:, 1] += sign * halves[:, 0]
 
 
+def _hadamard_transform(vals: np.ndarray, n: int) -> None:
+    """In-place Walsh-Hadamard transform, varmask order: the coefficients of a
+    spin polynomial become its values at z_l = 1 - 2 x_l for every varmask x.
+
+    Each pass maps (a, b) = (entry without variable i, entry with it) to
+    (a + b, a - b) through a + b and -2b.  Every a + b and a - b is a +-1
+    combination of distinct inputs and -2b is twice one, so sum(|numerators|)
+    < 2^62 keeps int64 exact, as for :func:`_subset_transform`.
+    """
+    for i in range(n):
+        halves = vals.reshape(-1, 2, 1 << i)  # halves[:, 1] has variable i set
+        halves[:, 0] += halves[:, 1]
+        halves[:, 1] *= -2
+        halves[:, 1] += halves[:, 0]
+
+
 def _swap_order(vals: np.ndarray, n: int) -> np.ndarray:
     """Varmask order <-> state order: reverse the axes of the (2,)*n view."""
     return vals.reshape((2,) * n).transpose().reshape(-1)
@@ -136,13 +152,17 @@ def _coerce(value) -> Fraction:
 
 def _accumulate(table: dict, pairs: Iterable) -> dict:
     """Add each (key, coefficient) pair into ``table`` in order, dropping a key
-    whose sum reaches zero; returns ``table``."""
+    whose sum reaches zero; returns ``table``.  An absent key takes a nonzero
+    coefficient as given, so a bool would stay a bool: callers pass numbers."""
     for key, c in pairs:
-        s = table.get(key, 0) + c
-        if s:
-            table[key] = s
-        else:
-            table.pop(key, None)
+        if key in table:
+            s = table[key] + c
+            if s:
+                table[key] = s
+            else:
+                del table[key]
+        elif c:
+            table[key] = c
     return table
 
 

@@ -7,7 +7,9 @@ engine, the per-entry table reader and Fraction minimum scan the library
 used before it read each distinct value once, the dense Fraction simplex
 tableau the library used before its fraction-free integer tableau and the
 Bareiss integer tableau it used before its primitive rows, the
-per-index gate and Pauli-term loops the library used before its integer
+list-built tableau constructor it used before its numpy one, the
+``spin_to_boolean`` plus zeta margin check it used before its
+Walsh-Hadamard pass, the per-index gate and Pauli-term loops the library used before its integer
 statevector engine, the per-variable and per-word Boolean/spin/Pauli-Z
 conversions the library used before its one subset expansion, the
 per-monomial subset expansion it used before its per-variable integer
@@ -17,7 +19,8 @@ and the per-point margin-row features the library used before its
 integer LP rows and feature matrix, the
 term-by-term expression parser the library used before its one-pass
 parse, the hand-written add-and-drop-zero loops the library used before
-its one term-table rule (the per-generator sum of the projector parent
+its one term-table rule and that rule before an absent key took its
+coefficient as given (the per-generator sum of the projector parent
 among them), the per-qubit phase table of the Pauli product before its
 popcount rule, the three scale * prod (X - r) expansion loops
 ``symmetric`` used before its one helper, the Fraction rational-root
@@ -29,6 +32,7 @@ solution scanner, and an exact minimal-face feasibility decider.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -36,9 +40,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, stabilizer
+from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, ising_kernel, stabilizer
 from pbkernel.errors import NetlistError, ParseError
-from pbkernel.pbf import _accumulate, _scaled
+from pbkernel.pbf import _accumulate, _numerators, _point_indices, _scaled, _swap_order
 
 
 def assignments(n):
@@ -1167,6 +1171,85 @@ def ref_bareiss_simplex_solve(lp):
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
 
 
+# -- list-built tableau rows and the zeta margin check (references for the
+# -- numpy-built tableau and the Walsh-Hadamard pass) --------------------------
+
+def ref_narrow(rows: list) -> np.ndarray:
+    """Integer rows as one int64 array when every |entry| is below 2^31,
+    else as one array of Python ints."""
+    limit = 1 << 31
+    try:
+        small = np.array(rows, dtype=np.int64)
+        if -limit < small.min() and small.max() < limit:
+            return small
+    except OverflowError:
+        pass
+    return np.array(rows, dtype=object)
+
+
+class RefListTableau(ising_kernel._Tableau):
+    """The primitive-row tableau with the constructor the library used
+    before its numpy one: one list comprehension per LP row, the phase-1
+    costs summed column by column over ``zip(*rows)``, then ``ref_narrow``."""
+
+    def __init__(self, lp):
+        self.lp = lp
+        self.cols = []  # ("var", v, sign) | ("surplus", None) | ("art", row)
+        for v in range(lp.num_vars):
+            self.cols.append(("var", v, 1))
+            if not lp.nonneg[v]:
+                self.cols.append(("var", v, -1))
+        struct = [(v, sign) for _, v, sign in self.cols]
+        neq, m = len(lp.eq), len(lp._rows)
+        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in lp._rows]  # std row = sigma * row
+        surplus = len(struct) - neq  # geq row i has its surplus in column surplus + i
+        self.init_col = [surplus + i if i >= neq and self.sigma[i] < 0 else None for i in range(m)]
+        self.cols += [("surplus", None)] * (m - neq)
+        for i in range(m):
+            if self.init_col[i] is None:
+                self.init_col[i] = len(self.cols)
+                self.cols.append(("art", i))
+        self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
+        self.real = np.array([col[0] != "art" for col in self.cols], dtype=bool)
+        self.basis = list(self.init_col)
+        rows = []
+        for i, (nums, lcm) in enumerate(lp._rows):
+            row = [self.sigma[i] * sign * nums[v] for v, sign in struct]
+            row += [0] * (self.ncols - len(row)) + [self.sigma[i] * nums[-1]]
+            if i >= neq:
+                row[surplus + i] = -self.sigma[i] * lcm
+            row[self.init_col[i]] = lcm
+            rows.append(row)
+        obj, denom = _numerators(lp.objective)
+        flip = 1 if lp.sense == "min" else -1
+        cost = [flip * sign * obj[v] for v, sign in struct]
+        costs = [(cost + [0] * (self.ncols + 1 - len(cost)), denom)]
+        if self.artificial:
+            art = [(j in self.artificial, lcm) for j, (_, lcm) in zip(self.init_col, lp._rows)]
+            L = math.lcm(*(lcm for is_art, lcm in art if is_art))
+            weights = [L // lcm if is_art else 0 for is_art, lcm in art]
+            z = [-sum(map(operator.mul, weights, col)) for col in zip(*rows)]
+            costs.append(([0 if j in self.artificial else c for j, c in enumerate(z)], L))
+        self.scale = []
+        for z, denom in costs:
+            g = math.gcd(*z) or 1
+            rows.append([v // g for v in z])
+            self.scale.append([g, denom])
+        self.matrix = ref_narrow(rows)
+
+
+def ref_zeta_verify(real, target):
+    """``QuadraticRealization.verify`` as the library ran it before its
+    Walsh-Hadamard pass: ``spin_to_boolean``, then the zeta transform."""
+    if not real.feasible:
+        return False
+    vals, denom = real._boolean_form()._cube_values(real.n, "margin check")
+    on_s = np.zeros(vals.size, dtype=bool)
+    on_s[_point_indices(target, real.n)] = True
+    vals = _swap_order(vals, real.n)
+    return bool((vals[on_s] == 0).all() and (vals[~on_s] >= denom).all())
+
+
 class _RefParser(expr._Parser):
     """The term-by-term grammar walk: ``acc = acc +/- t`` per term, and one
     ``__mul__`` per factor, each checked against ``expr.PRODUCT_CAP``."""
@@ -1249,6 +1332,18 @@ def ref_one_pass_parse(text: str, arity: int | None = None) -> PseudoBoolean:
 
 
 # -- the add-and-drop-zero loops the library wrote out before pbf._accumulate --
+
+def ref_accumulate(table, pairs):
+    """``pbf._accumulate`` before an absent key took its coefficient as
+    given: every pair adds into ``table.get(key, 0)``."""
+    for key, c in pairs:
+        s = table.get(key, 0) + c
+        if s:
+            table[key] = s
+        else:
+            table.pop(key, None)
+    return table
+
 
 def ref_add(f, g):
     """``f + g``: g's terms added into a copy of f's table."""

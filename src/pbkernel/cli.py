@@ -192,7 +192,10 @@ def _cmd_parent_clifford(args) -> int:
     human = parent.to_text().splitlines()
     failed = False
     if args.verify:
-        gens = stabilizer.conjugated_generators(circuit)
+        # the parent is (n I - sum_l P_l) / 2 over the n distinct images P_l of
+        # the Z_l, so each non-identity term w with coefficient c is P_l = -2c w
+        gens = [stabilizer.SymplecticPauli.from_letters(w, int(-2 * c))
+                for w, c in parent.terms() if w.strip("I")]
         kdim = stabilizer.kernel_dimension(gens)
         annihilates = None
         if circuit.n <= 12:

@@ -21,14 +21,18 @@ certificate (from the unbounded ray).  Its rows come from one integer
 feature matrix over the basis-state indices of the points.
 
 Each LP row is cleared once, when the LPInstance is built, to integers
-over the LCM of its own denominators.  The tableau starts from those rows
-and keeps each row primitive: the integer vector with gcd 1 that is a
-positive multiple of its row of B^-1 [A | b], divided by its gcd after
-each pivot.  That is the Bareiss/Edmonds row over the basis determinant
-divided by its gcd, so Bland's rule takes the pivots a Fraction tableau
-would.  The rows live in one numpy array, int64 while every |entry| is
+over the LCM of its own denominators, and the LP keeps them as one integer
+array.  A row given as an integer array is its own numerators, so the
+feature matrix reaches the LP without a detour through Python lists.
+The tableau starts from those rows and keeps each row primitive: the
+integer vector with gcd 1 that is a positive multiple of its row of
+B^-1 [A | b], divided by its gcd after each pivot.  That is the
+Bareiss/Edmonds row over the basis determinant divided by its gcd, so
+Bland's rule takes the pivots a Fraction tableau would.  The rows live in one numpy array, int64 while every |entry| is
 below 2^31 and Python ints past that.
-The tableau is built with numpy from the cleared rows, and every answer
+The tableau is built with numpy from the cleared rows and names its
+columns by two arrays, the variable and the sign of each structural
+column, and the index of its first artificial column.  Every answer
 is read off its integer rows: a Fraction is built only for each output
 entry (a nonzero coordinate of the point or ray, a multiplier per row).
 Every answer is re-checked on the same integer rows: one primal check
@@ -42,6 +46,7 @@ spin coefficients.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -193,10 +198,12 @@ class LPInstance:
     """min/max objective . x subject to eq rows (= rhs), geq rows (>= rhs).
 
     ``nonneg[i]`` constrains x_i >= 0; False leaves it free.  All data is
-    coerced to Fraction; ``_rows`` keeps each row (eq rows first) once more
-    as (numerators, L): integers over the LCM L of the row's own
-    denominators, right-hand side last.  A row given as Python ints is its
-    own numerators over L = 1.
+    coerced to Fraction.  Each row is also cleared once to integers over
+    the LCM of its own denominators: ``_matrix`` holds those numerators as
+    one read-only array (eq rows first, right-hand side last; int64 when
+    every |entry| is below 2^63, else Python ints) and ``_lcm`` each row's
+    LCM.  A row of Python ints, or an integer array with a Python-int
+    right-hand side, is its own numerators over 1.
     """
 
     num_vars: int
@@ -205,7 +212,8 @@ class LPInstance:
     geq: tuple = ()
     nonneg: tuple = ()
     sense: str = "min"
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _lcm: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -220,36 +228,34 @@ class LPInstance:
         if len(nonneg) != self.num_vars:
             raise DimensionError("nonneg length != num_vars")
 
-        ints = []
+        ints = []  # per row: integer coefficients, integer rhs, the LCM they are over
 
         def rows(raw):
             out = []
             for coeffs, rhs in raw:
-                entries = (*coeffs, rhs)
-                exact = tuple(map(coerce, entries[:-1]))
+                if isinstance(coeffs, np.ndarray):  # read by its dtype, which int64 must hold
+                    entries = coeffs.tolist()
+                    own = coeffs.dtype.kind in "iu" and np.can_cast(coeffs.dtype, np.int64)
+                else:  # Python ints, bool excluded
+                    coeffs = entries = list(coeffs)
+                    own = all(type(c) is int for c in entries)
+                exact = tuple(map(coerce, entries))
                 if len(exact) != self.num_vars:
                     raise DimensionError("row width != num_vars")
-                exact += (coerce(rhs),)
-                out.append((exact[:-1], exact[-1]))
-                # a row of Python ints (bool excluded) is its own numerators
-                own = set(map(type, entries)) == {int}
-                ints.append((entries, 1) if own else _numerators(exact))
+                out.append((exact, coerce(rhs)))
+                if own and type(rhs) is int:
+                    ints.append((coeffs, rhs, 1))
+                else:
+                    nums, denom = _numerators((*exact, out[-1][1]))
+                    ints.append((nums[:-1], nums[-1], denom))
             return tuple(out)
 
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "nonneg", nonneg)
         object.__setattr__(self, "eq", rows(self.eq))
         object.__setattr__(self, "geq", rows(self.geq))
-        object.__setattr__(self, "_rows", tuple(ints))
-
-    @functools.cached_property
-    def _matrix(self) -> np.ndarray:
-        """``_rows`` as one read-only (rows, num_vars + 1) array, built on first
-        use: int64 when every |entry| is below 2^63, else Python ints."""
-        rows = _narrow([row for row, _ in self._rows], 1 << 63)
-        matrix = rows.reshape(len(self._rows), self.num_vars + 1)
-        matrix.flags.writeable = False
-        return matrix
+        object.__setattr__(self, "_matrix", _stack(ints, self.num_vars))
+        object.__setattr__(self, "_lcm", tuple(lcm for *_, lcm in ints))
 
     def row_refs(self) -> list:
         return [("eq", i) for i in range(len(self.eq))] + [
@@ -292,6 +298,11 @@ class _Tableau:
     p = prow[j] > 0 sets every row with f = row[j] != 0 to p * row - f * prow
     over its gcd and leaves the others alone.
 
+    The columns are the structural ones, where column j is ``sign[j]``
+    times x_``var[j]`` (x_v, then -x_v for a free v), then one surplus
+    column per geq row, then from ``first_art`` on one artificial column
+    per row that needs one.
+
     The rows after the m constraint rows are reduced-cost rows: the
     phase-2 row, then, until phase 1 ends, the phase-1 row, each ``scale``
     (> 0) times the exact c - c_B B^-1 [A | b], so their signs are the
@@ -302,67 +313,59 @@ class _Tableau:
     """
 
     def __init__(self, lp: LPInstance):
-        self.lp = lp
-        self.cols = []  # ("var", v, sign) | ("surplus", None) | ("art", row)
-        for v in range(lp.num_vars):
-            self.cols.append(("var", v, 1))
-            if not lp.nonneg[v]:
-                self.cols.append(("var", v, -1))
-        var, sign = [col[1] for col in self.cols], [col[2] for col in self.cols]
-        neq, m = len(lp.eq), len(lp._rows)
-        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in lp._rows]  # std row = sigma * row
+        free = np.logical_not(lp.nonneg, dtype=bool)
+        self.var = np.repeat(np.arange(lp.num_vars), 1 + free)
+        self.sign = np.ones(len(self.var), dtype=np.int64)
+        self.sign[np.cumsum(1 + free)[free] - 1] = -1
+        neq, m = len(lp.eq), len(lp._lcm)
+        self.sigma = [-1 if b < 0 else 1 for b in lp._matrix[:, -1].tolist()]  # std row = sigma * row
         # initial basis: a negated geq row exposes its surplus at +1;
         # everything else gets an artificial column
-        surplus = len(var) - neq  # geq row i has its surplus in column surplus + i
-        self.init_col = [surplus + i if i >= neq and self.sigma[i] < 0 else None for i in range(m)]
-        self.cols += [("surplus", None)] * (m - neq)
-        for i in range(m):
-            if self.init_col[i] is None:
-                self.init_col[i] = len(self.cols)
-                self.cols.append(("art", i))
-        self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
-        self.real = np.array([col[0] != "art" for col in self.cols], dtype=bool)
+        surplus = len(self.var) - neq  # geq row i has its surplus in column surplus + i
+        art = [i < neq or s > 0 for i, s in enumerate(self.sigma)]
+        self.first_art = surplus + m
+        arts = itertools.count(self.first_art)
+        self.init_col = [next(arts) if a else surplus + i for i, a in enumerate(art)]
+        ncols = next(arts)
         self.basis = list(self.init_col)
         # phase 1 costs 1 per artificial; over L, the LCM of their basic
         # entries, its reduced costs are -sum (L / lcm_i) row_i (0 on the artificials)
-        lcm = [l for _, l in lp._rows]
-        art = [j in self.artificial for j in self.init_col]
-        L = math.lcm(*(l for a, l in zip(art, lcm) if a))
-        weights = [L // l if a else 0 for a, l in zip(art, lcm)]
+        L = math.lcm(*(l for a, l in zip(art, lp._lcm) if a))
+        weights = [L // l if a else 0 for a, l in zip(art, lp._lcm)]
         # phase-2 costs over the LCM of the objective's denominators; the
         # initial basic columns cost 0, so these are its reduced costs
         obj, denom = _numerators(lp.objective)
         # every |entry| below is at most top and every partial sum of the phase-1
         # row at most sum(weights) * top, so int64 holds them under this bound
-        top = max(_top(lp._matrix), *lcm, *map(abs, obj), 0)
+        top = max(_top(lp._matrix), *lp._lcm, *map(abs, obj), 0)
         dtype = np.int64 if (sum(weights) + 1) * top < 1 << 63 else object
         nums, lcm, sign, sigma, weights, obj = (
-            np.array(v, dtype) for v in (lp._matrix, lcm, sign, self.sigma, weights, obj)
+            np.array(v, dtype) for v in (lp._matrix, lp._lcm, self.sign, self.sigma, weights, obj)
         )
-        rows = np.zeros((m, self.ncols + 1), dtype)
-        rows[:, : len(var)] = nums[:, var] * sign
+        rows = np.zeros((m, ncols + 1), dtype)
+        rows[:, : len(self.var)] = nums[:, self.var] * sign
         rows[:, -1] = nums[:, -1]
         geq = np.arange(neq, m)
         rows[geq, surplus + geq] = -lcm[neq:]
         rows *= sigma[:, None]
         rows[np.arange(m), self.init_col] = lcm
-        cost = np.zeros(self.ncols + 1, dtype)
-        cost[: len(var)] = (1 if lp.sense == "min" else -1) * obj[var] * sign
+        cost = np.zeros(ncols + 1, dtype)
+        cost[: len(self.var)] = (1 if lp.sense == "min" else -1) * obj[self.var] * sign
         costs = [(cost, denom)]
-        if self.artificial:
+        if ncols > self.first_art:
             z = -(weights @ rows)
-            z[list(self.artificial)] = 0
+            z[self.first_art : -1] = 0
             costs.append((z, L))
         self.scale = []  # per reduced-cost row [a, d]: its reduced costs are row * a / d
         for z, denom in costs:
             g = int(np.gcd.reduce(z)) or 1
             rows = np.vstack([rows, z // g])
             self.scale.append([g, denom])
-        self.matrix = _narrow(rows)
+        self.matrix = rows.astype(np.int64 if _top(rows) < _LIMIT else object, copy=False)
 
     @property
     def ncols(self) -> int:
-        return len(self.cols)
+        return self.matrix.shape[1] - 1
 
     def _pivot(self, r: int, j: int) -> None:
         matrix = self.matrix
@@ -389,13 +392,13 @@ class _Tableau:
         matrix[rows] = new
         self.basis[r] = j
 
-    def run(self, allowed: np.ndarray) -> None:
+    def run(self, end: int) -> None:
         """Bland-rule simplex on the last reduced-cost row, entering only
-        ``allowed`` columns (basic ones have reduced cost 0).  Raises on
+        columns below ``end`` (basic ones have reduced cost 0).  Raises on
         unbounded via _Unbounded."""
         m = len(self.basis)
         while True:
-            entering = ((self.matrix[-1, :-1] < 0) & allowed).nonzero()[0]
+            entering = (self.matrix[-1, :end] < 0).nonzero()[0]
             if not len(entering):
                 return
             enter = int(entering[0])
@@ -422,19 +425,21 @@ class _Tableau:
         basic solution for j = -1), summed by variable over the basic
         structural columns.  Only rows with a nonzero entry j are read, each
         as one Fraction."""
-        rows = np.arange(len(self.basis))
-        entries, basic = self.matrix[rows, j].tolist(), self.matrix[rows, self.basis].tolist()
-        cols = ((self.cols[b], sign * a, p) for b, a, p in zip(self.basis, entries, basic) if a)
-        return _accumulate({}, ((col[1], Fraction(col[2] * a, p)) for col, a, p in cols if col[0] == "var"))
+        basis = np.array(self.basis, dtype=np.intp)
+        rows = np.flatnonzero((self.matrix[: len(basis), j] != 0) & (basis < len(self.var)))
+        cols = basis[rows]
+        entries = zip(self.var[cols].tolist(), (sign * self.sign[cols]).tolist(),
+                      self.matrix[rows, j].tolist(), self.matrix[rows, cols].tolist())
+        return _accumulate({}, ((v, Fraction(s * a, p)) for v, s, a, p in entries))
 
-    def row_multipliers(self, unit_cost: set, sign: int = 1) -> list:
+    def row_multipliers(self, unit_from: int, sign: int = 1) -> list:
         """sign times the multiplier per original row, read off the initial
-        identity columns, whose costs are 1 on ``unit_cost`` and 0
-        elsewhere: sigma * ((j in unit_cost) * d - a * z_j) / d for the
+        identity columns, whose costs are 1 from column ``unit_from`` on and 0
+        below it: sigma * ((j >= unit_from) * d - a * z_j) / d for the
         scale [a, d], one Fraction each."""
         (a, d), z = self.scale[-1], self.matrix[-1, self.init_col].tolist()
         return [
-            Fraction(sign * s * ((j in unit_cost) * d - a * zj), d)
+            Fraction(sign * s * ((j >= unit_from) * d - a * zj), d)
             for s, j, zj in zip(self.sigma, self.init_col, z)
         ]
 
@@ -444,16 +449,20 @@ class _Tableau:
 _LIMIT = 1 << 31
 
 
-def _narrow(rows, limit: int = _LIMIT) -> np.ndarray:
-    """Integer rows (nested lists or an array) as one int64 array when every
-    |entry| is below ``limit``, else as one array of Python ints."""
-    try:
-        small = np.asarray(rows, dtype=np.int64)
-        if -limit < int(small.min(initial=0)) and int(small.max(initial=0)) < limit:
-            return small
-    except OverflowError:
-        pass
-    return np.asarray(rows, dtype=object)
+def _stack(rows: list, width: int) -> np.ndarray:
+    """Integer rows (coefficients, rhs, _) as one read-only (rows, width + 1)
+    array: int64 when every |entry| is below 2^63, else Python ints."""
+    for dtype in (np.int64, object):
+        matrix = np.empty((len(rows), width + 1), dtype)
+        try:
+            for i, (coeffs, rhs, _) in enumerate(rows):
+                matrix[i, :-1], matrix[i, -1] = coeffs, rhs
+        except OverflowError:  # a Python int past int64
+            continue
+        if dtype is object or _top(matrix) < 1 << 63:
+            break
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _top(a: np.ndarray) -> int:
@@ -477,19 +486,19 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     tab = _Tableau(lp)
 
     # phase 1: minimize the artificial sum
-    if tab.artificial:
-        tab.run(np.ones(tab.ncols, dtype=bool))
+    if tab.ncols > tab.first_art:
+        tab.run(tab.ncols)
         value1 = tab.objective_value()
         if value1 > 0:
-            mults = zip(lp.row_refs(), tab.row_multipliers(tab.artificial))
+            mults = zip(lp.row_refs(), tab.row_multipliers(tab.first_art))
             certificate = [(ref, y / value1) for ref, y in mults if y]
             verify_certificate(lp, certificate)
             return SimplexResult(status="infeasible", certificate=certificate)
         # drive leftover artificials out of the basis (degenerate pivots;
         # their rows carry rhs 0, so any nonzero entry will do)
         for i, b in enumerate(tab.basis):
-            if b in tab.artificial:
-                nonzero = np.flatnonzero((tab.matrix[i, :-1] != 0) & tab.real)
+            if b >= tab.first_art:
+                nonzero = np.flatnonzero(tab.matrix[i, : tab.first_art] != 0)
                 if len(nonzero):
                     tab._pivot(i, int(nonzero[0]))
         tab.matrix = tab.matrix[:-1]  # the phase-2 row is last again
@@ -497,7 +506,7 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
 
     # phase 2
     try:
-        tab.run(tab.real)
+        tab.run(tab.first_art)
     except _Unbounded as unb:
         ray = _extract_ray(tab, unb.col)
         _check_ray(lp, ray)
@@ -507,7 +516,7 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     zero = Fraction(0)
     x = tuple(support.get(v, zero) for v in range(lp.num_vars))
     _check_point(lp, x)
-    duals = tuple(tab.row_multipliers(set(), 1 if lp.sense == "min" else -1))
+    duals = tuple(tab.row_multipliers(tab.ncols, 1 if lp.sense == "min" else -1))
     if _check_duals(lp, duals, lp.objective, lp.sense) != value:
         raise AssertionError("dual bound does not match the optimal value")
     return SimplexResult(status="optimal", x=x, value=value, duals=duals)
@@ -564,8 +573,8 @@ def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -
     if any(flip * a < 0 for a in nums[len(lp.eq):]):
         raise AssertionError("dual sign violated on an inequality row")
     # y_i / L_i = nums_i * (L / L_i) / (denom * L), L the LCM of the row LCMs
-    L = math.lcm(*(lcm for _, lcm in lp._rows))
-    combo = _weighted_row_sum([a * (L // lcm) for a, (_, lcm) in zip(nums, lp._rows)], lp._matrix)
+    L = math.lcm(*lp._lcm)
+    combo = _weighted_row_sum([a * (L // lcm) for a, lcm in zip(nums, lp._lcm)], lp._matrix)
     denom *= L
     cost, cden = _numerators(objective)
     for v in range(lp.num_vars):
@@ -580,8 +589,7 @@ def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -
 
 def _extract_ray(tab: _Tableau, enter: int) -> dict:
     """+1 on the entering column and -(B^-1 a_enter) on the basic ones, by variable."""
-    col = tab.cols[enter]
-    ray = {col[1]: Fraction(col[2])} if col[0] == "var" else {}
+    ray = {int(tab.var[enter]): Fraction(int(tab.sign[enter]))} if enter < len(tab.var) else {}
     return _accumulate(ray, tab.column_values(enter, -1).items())
 
 
@@ -715,7 +723,7 @@ def quadratic_realizability(
     lp = LPInstance(
         num_vars=len(idx),
         objective=[0] * ns + [1] * (len(idx) - ns),
-        eq=[(column, 0) for column in _feature_rows(idx, n).T.tolist()],
+        eq=[(column, 0) for column in _feature_rows(idx, n).T],
         nonneg=[False] * ns + [True] * (len(idx) - ns),
         sense="max",
     )
@@ -723,17 +731,10 @@ def quadratic_realizability(
     if result.status == "optimal":
         if result.value != 0:
             raise AssertionError("dual optimum must be zero when the margin system is feasible")
-        w = result.duals
-        constant = w[0]
-        fields = tuple(w[1 + l] for l in range(n))
+        w = result.duals  # c0, the h_l, then the J_lk in pair order
         pairs = zip(*(ks.tolist() for ks in _pairs(n)))  # Python-int keys
-        couplings = {pair: w[1 + n + i] for i, pair in enumerate(pairs)}
         real = QuadraticRealization(
-            feasible=True,
-            n=n,
-            constant=constant,
-            fields=fields,
-            couplings=couplings,
+            feasible=True, n=n, constant=w[0], fields=w[1 : n + 1], couplings=dict(zip(pairs, w[n + 1 :]))
         )
         if not real.verify(target):
             raise AssertionError("recovered coefficients fail the margin re-verification")

@@ -352,10 +352,7 @@ class _Amplitudes:
         out_re = np.zeros(idx.size, dtype=self.re.dtype)
         out_im = np.zeros_like(out_re)
         for word, c in zip(words, coeffs):
-            flip = zmask = 0
-            for ch in word:  # letter 0 is the most significant bit
-                flip = flip << 1 | (ch in "XY")
-                zmask = zmask << 1 | (ch in "ZY")
+            flip, zmask = _pauli_masks(word[::-1])  # letter 0 is the most significant bit
             src = idx ^ flip  # (P_w v)[j] = i^#Y (-1)^|src_j & zmask| v[src_j]
             scale = np.where(_odd_parity(src & zmask), -1, 1).astype(out_re.dtype) * c
             t_re, t_im = self.re[src] * scale, self.im[src] * scale

@@ -21,8 +21,10 @@ term-by-term expression parser the library used before its one-pass
 parse, the hand-written add-and-drop-zero loops the library used before
 its one term-table rule and that rule before an absent key took its
 coefficient as given (the per-generator sum of the projector parent
-among them), the per-qubit phase table of the Pauli product before its
-popcount rule, the three scale * prod (X - r) expansion loops
+among them), the ``parent clifford --verify`` command that conjugated
+the generators again instead of reading them off the parent, the
+per-qubit phase table of the Pauli product before its popcount rule,
+the three scale * prod (X - r) expansion loops
 ``symmetric`` used before its one helper, the Fraction rational-root
 search ``symmetric`` used before its one integer polynomial, dense numpy
 matrices built from hard-coded gate definitions, a brute-force CNF
@@ -1003,8 +1005,9 @@ class RefBareissTableau:
             if not lp.nonneg[v]:
                 self.cols.append(("var", v, -1))
         struct = [(v, sign) for _, v, sign in self.cols]
-        neq, m = len(lp.eq), len(lp._rows)
-        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in lp._rows]  # std row = sigma * row
+        cleared = list(zip(lp._matrix.tolist(), lp._lcm))  # (numerators, L) per row
+        neq, m = len(lp.eq), len(cleared)
+        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in cleared]  # std row = sigma * row
         # initial basis: a negated geq row exposes its surplus at +1;
         # everything else gets an artificial column
         surplus = len(struct) - neq  # geq row i has its surplus in column surplus + i
@@ -1016,9 +1019,9 @@ class RefBareissTableau:
                 self.cols.append(("art", i))
         self.artificial = {j for j, col in enumerate(self.cols) if col[0] == "art"}
         self.basis = list(self.init_col)
-        self.den = math.prod(lcm for _, lcm in lp._rows)
+        self.den = math.prod(lcm for _, lcm in cleared)
         self.matrix = []
-        for i, (nums, lcm) in enumerate(lp._rows):
+        for i, (nums, lcm) in enumerate(cleared):
             scale = self.sigma[i] * (self.den // lcm)
             row = [sign * scale * nums[v] for v, sign in struct]
             row += [0] * (self.ncols - len(row)) + [scale * nums[-1]]
@@ -1200,8 +1203,9 @@ class RefListTableau(ising_kernel._Tableau):
             if not lp.nonneg[v]:
                 self.cols.append(("var", v, -1))
         struct = [(v, sign) for _, v, sign in self.cols]
-        neq, m = len(lp.eq), len(lp._rows)
-        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in lp._rows]  # std row = sigma * row
+        cleared = list(zip(lp._matrix.tolist(), lp._lcm))  # (numerators, L) per row
+        neq, m = len(lp.eq), len(cleared)
+        self.sigma = [-1 if row[-1] < 0 else 1 for row, _ in cleared]  # std row = sigma * row
         surplus = len(struct) - neq  # geq row i has its surplus in column surplus + i
         self.init_col = [surplus + i if i >= neq and self.sigma[i] < 0 else None for i in range(m)]
         self.cols += [("surplus", None)] * (m - neq)
@@ -1213,7 +1217,7 @@ class RefListTableau(ising_kernel._Tableau):
         self.real = np.array([col[0] != "art" for col in self.cols], dtype=bool)
         self.basis = list(self.init_col)
         rows = []
-        for i, (nums, lcm) in enumerate(lp._rows):
+        for i, (nums, lcm) in enumerate(cleared):
             row = [self.sigma[i] * sign * nums[v] for v, sign in struct]
             row += [0] * (self.ncols - len(row)) + [self.sigma[i] * nums[-1]]
             if i >= neq:
@@ -1225,7 +1229,7 @@ class RefListTableau(ising_kernel._Tableau):
         cost = [flip * sign * obj[v] for v, sign in struct]
         costs = [(cost + [0] * (self.ncols + 1 - len(cost)), denom)]
         if self.artificial:
-            art = [(j in self.artificial, lcm) for j, (_, lcm) in zip(self.init_col, lp._rows)]
+            art = [(j in self.artificial, lcm) for j, (_, lcm) in zip(self.init_col, cleared)]
             L = math.lcm(*(lcm for is_art, lcm in art if is_art))
             weights = [L // lcm if is_art else 0 for is_art, lcm in art]
             z = [-sum(map(operator.mul, weights, col)) for col in zip(*rows)]
@@ -1236,6 +1240,10 @@ class RefListTableau(ising_kernel._Tableau):
             rows.append([v // g for v in z])
             self.scale.append([g, denom])
         self.matrix = ref_narrow(rows)
+
+    @property
+    def ncols(self):
+        return len(self.cols)
 
 
 def ref_zeta_verify(real, target):
@@ -1488,6 +1496,42 @@ def ref_pauli_mul(a, b):
         raise ValueError("product of anticommuting strings has imaginary phase")
     sign = a.sign * b.sign * (1 if phase == 0 else -1)
     return stabilizer.SymplecticPauli(a.n, a.x ^ b.x, a.z ^ b.z, sign)
+
+
+def ref_cmd_parent_clifford(args):
+    """``parent clifford`` as the CLI ran it before it read the generators
+    off the parent: ``--verify`` conjugates them once more through
+    ``conjugated_generators``."""
+    from pbkernel import cli, pauli
+
+    circuit = stabilizer.CliffordCircuit.from_text(cli._read(args.circuitfile))
+    parent = stabilizer.projector_parent(circuit)
+    payload = {
+        "command": "parent clifford",
+        "qubits": circuit.n,
+        "terms": [[str(c), w] for w, c in parent.terms()],
+    }
+    human = parent.to_text().splitlines()
+    failed = False
+    if args.verify:
+        gens = stabilizer.conjugated_generators(circuit)
+        kdim = stabilizer.kernel_dimension(gens)
+        annihilates = None
+        if circuit.n <= 12:
+            state = stabilizer.apply_circuit(
+                circuit, pauli.StateVector.basis_state(circuit.n, 0)
+            )
+            annihilates = parent.apply(state).is_zero()
+        ok = kdim == 1 and annihilates is not False
+        payload["verify"] = {
+            "kernel_dimension": kdim,
+            "annihilates_state": annihilates,
+            "ok": ok,
+        }
+        human.append(f"verify: kernel dimension {kdim}, annihilates state: {annihilates}")
+        failed = not ok
+    cli._emit(payload, args.json, human)
+    return 1 if failed else 0
 
 
 def ref_projector_parent(circuit):

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, deterministic JSON."""
 
+import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import pbkernel
-from pbkernel import PauliSum, PseudoBoolean
+from pbkernel import PauliSum, PseudoBoolean, stabilizer
 from pbkernel.cli import main
+from conftest import random_clifford_circuit, ref_cmd_parent_clifford
 
 DELTA_EXPR = "1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2\n"
 GHZ3_CIRCUIT = "qubits 3\nh 1\ncnot 1 2\ncnot 2 3\n"
@@ -140,6 +143,24 @@ class TestParentCommands:
         for line in ("3/2 III", "-1/2 ZZI", "-1/2 IZZ", "-1/2 XXX"):
             assert line in out
         assert "elapsed" in out
+
+    def test_clifford_verify_reads_the_generators_off_the_parent(self, capsys, tmp_path, monkeypatch):
+        rng = random.Random(1010)
+        calls = []
+        conjugate = stabilizer.conjugate
+        monkeypatch.setattr(
+            stabilizer, "conjugate", lambda circuit, p: calls.append(p) or conjugate(circuit, p)
+        )
+        path = tmp_path / "circuit.qc"
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            path.write_text(random_clifford_circuit(rng, n, rng.randint(0, 3 * n)).to_text())
+            calls.clear()
+            got = run(capsys, "parent", "clifford", str(path), "--verify", "--json")
+            assert len(calls) == n  # once per generator, inside projector_parent
+            code = ref_cmd_parent_clifford(argparse.Namespace(circuitfile=str(path), verify=True, json=True))
+            want = capsys.readouterr()
+            assert got == (code, want.out, want.err)
 
     def test_support(self, capsys, tmp_path):
         path = tmp_path / "ghz.state"

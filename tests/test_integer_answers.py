@@ -78,9 +78,17 @@ def assert_same_tableau(lp):
     assert all(type(a) is int for a in got.matrix.ravel().tolist())
     assert got.scale == want.scale
     assert all(type(a) is int for pair in got.scale for a in pair)
-    assert (got.basis, got.cols, got.sigma, got.init_col) == (want.basis, want.cols, want.sigma, want.init_col)
-    assert got.artificial == want.artificial
-    assert got.real.tolist() == want.real.tolist()
+    assert (got.basis, got.sigma, got.init_col) == (want.basis, want.sigma, want.init_col)
+    # the column map: (variable, sign) per structural column, then the
+    # surplus columns, then the artificial ones from first_art on
+    struct = [col[1:] for col in want.cols if col[0] == "var"]
+    assert list(zip(got.var.tolist(), got.sign.tolist())) == struct
+    arts = [("art", i) for i, j in enumerate(got.init_col) if j >= got.first_art]
+    surplus = [("surplus", None)] * (got.first_art - len(struct))
+    assert want.cols == [("var", *col) for col in struct] + surplus + arts
+    assert got.ncols == want.ncols == got.first_art + len(arts)
+    assert want.artificial == set(range(got.first_art, got.ncols))
+    assert want.real.tolist() == [j < got.first_art for j in range(got.ncols)]
     return got.matrix.dtype
 
 
@@ -115,8 +123,11 @@ def test_numpy_tableau_matches_the_list_built_one_on_realize_lps(monkeypatch, na
 def test_lp_matrix_is_the_cleared_rows():
     for lp in fixed_lps():
         matrix = lp._matrix
-        assert matrix.shape == (len(lp._rows), lp.num_vars + 1)
-        assert matrix.tolist() == [list(row) for row, _ in lp._rows]
+        rows = [(*coeffs, rhs) for coeffs, rhs in lp.eq + lp.geq]
+        assert matrix.shape == (len(lp._lcm), lp.num_vars + 1) == (len(rows), lp.num_vars + 1)
+        # each row over the LCM of its own denominators
+        assert list(lp._lcm) == [math.lcm(*(c.denominator for c in row)) for row in rows]
+        assert matrix.tolist() == [[int(c * lcm) for c in row] for row, lcm in zip(rows, lp._lcm)]
         assert not matrix.flags.writeable
         assert lp._matrix is matrix  # built once
     assert WIDE_LP._matrix.dtype == np.int64
@@ -240,7 +251,7 @@ def test_hadamard_transform_evaluates_spin_forms(n):
 def aligned_pair_lp(monkeypatch, n):
     _, (lp,) = realize_lps(monkeypatch, {(0,) * n, (1,) * n}, n)
     m = 1 + n + n * (n - 1) // 2
-    assert len(lp._rows) == m and lp.num_vars == 1 << n
+    assert len(lp._lcm) == m and lp.num_vars == 1 << n
     return lp, m
 
 

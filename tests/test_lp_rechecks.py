@@ -131,25 +131,92 @@ def test_integer_rows_stay_out_of_equality_and_repr():
     a = LPInstance(2, [1, 1], eq=[([Fraction(1, 2), 1], Fraction(1, 3))])
     b = LPInstance(2, [1, 1], eq=[([Fraction(2, 4), 1], Fraction(2, 6))])
     assert a == b and hash(a) == hash(b)
-    assert "_rows" not in repr(a)
-    assert a._rows == (([3, 6, 2], 6),)
+    assert "_matrix" not in repr(a) and "_lcm" not in repr(a)
+    assert a._matrix.tolist() == [[3, 6, 2]] and a._lcm == (6,)
 
 
 def test_python_int_rows_are_their_own_numerators():
     # an all-int row is taken as it is; a row holding a bool, a float or a
     # Fraction goes through the coercion to the same integer row
     ints = LPInstance(2, [1, 1], eq=[([2, -4], 6)], geq=[([0, 3], -1)])
-    assert ints._rows == (((2, -4, 6), 1), ((0, 3, -1), 1))
+    assert ints._matrix.tolist() == [[2, -4, 6], [0, 3, -1]] and ints._lcm == (1, 1)
     assert all(type(c) is Fraction for c in ints.eq[0][0] + ints.geq[0][0])
     for coeffs in ([2.0, -4], [Fraction(2), -4], [2, Fraction(-8, 2)]):
         other = LPInstance(2, [1, 1], eq=[(coeffs, 6)], geq=[([0, 3], -1)])
         assert other == ints
-        rows = [(list(nums), lcm) for nums, lcm in other._rows]
-        assert rows == [([2, -4, 6], 1), ([0, 3, -1], 1)]
-        assert all(type(a) is int for nums, _ in other._rows for a in nums)
+        assert other._matrix.tolist() == [[2, -4, 6], [0, 3, -1]] and other._lcm == (1, 1)
+        assert other._matrix.dtype == np.int64 and all(type(lcm) is int for lcm in other._lcm)
     bools = LPInstance(2, [1, 1], eq=[([True, False], 1)])
-    assert bools._rows == (([1, 0, 1], 1),)
-    assert all(type(a) is int for a in bools._rows[0][0])
+    assert bools._matrix.tolist() == [[1, 0, 1]] and bools._lcm == (1,)
+    assert bools._matrix.dtype == np.int64
+
+
+def cleared_by(monkeypatch, build):
+    """(the LP ``build()`` returns, how many rows it cleared with ``_numerators``)."""
+    calls = []
+    numerators = ising_kernel._numerators
+    monkeypatch.setattr(ising_kernel, "_numerators", lambda values: calls.append(1) or numerators(values))
+    lp = build()
+    monkeypatch.setattr(ising_kernel, "_numerators", numerators)
+    return lp, len(calls)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_integer_array_rows_are_their_own_numerators(monkeypatch, dtype):
+    eq, geq = ([2, 0, 7], 6), ([0, 3, 255], 1)
+
+    def lp(row):
+        return LPInstance(3, [1, 1, 1], eq=[row(*eq)], geq=[row(*geq)], nonneg=[True, False, True])
+
+    ints = lp(lambda c, b: (c, b))
+    fractions = lp(lambda c, b: ([Fraction(a) for a in c], Fraction(b)))
+    arrays, cleared = cleared_by(monkeypatch, lambda: lp(lambda c, b: (np.array(c, dtype), b)))
+    assert cleared == 0  # the array itself is the integer row
+    for other in (fractions, arrays):
+        assert other == ints and hash(other) == hash(ints)
+        assert other.eq == ints.eq and other.geq == ints.geq
+        assert all(type(c) is Fraction for c in other.eq[0][0] + other.geq[0][0])
+        assert other._matrix.tolist() == ints._matrix.tolist() == [[2, 0, 7, 6], [0, 3, 255, 1]]
+        assert other._matrix.dtype == ints._matrix.dtype == np.int64
+        assert other._lcm == ints._lcm == (1, 1)
+        assert simplex_solve(other) == simplex_solve(ints)
+
+
+def test_uint64_entries_past_2_63_land_on_python_ints():
+    big = LPInstance(2, [0, 0], geq=[(np.array([2**64 - 1, 1], np.uint64), 1)])
+    assert big == LPInstance(2, [0, 0], geq=[([2**64 - 1, 1], 1)])
+    assert big._matrix.dtype == object and big._matrix.tolist() == [[2**64 - 1, 1, 1]]
+    assert all(type(a) is int for a in big._matrix.ravel())
+    small = LPInstance(2, [0, 0], geq=[(np.array([2**63 - 1, 1], np.uint64), 1)])
+    assert small._matrix.dtype == np.int64 and small._matrix.tolist() == [[2**63 - 1, 1, 1]]
+    # -2^63 fits int64, but the rule is |entry| < 2^63 on both signs
+    assert LPInstance(1, [0], geq=[(np.array([-2**63]), 1)])._matrix.dtype == object
+
+
+def test_float_array_rows_go_through_the_coercion(monkeypatch):
+    floats, cleared = cleared_by(
+        monkeypatch, lambda: LPInstance(2, [1, 1], eq=[(np.array([0.5, 2.0]), 1)], geq=[(np.array([1.0, 0.25]), 0)])
+    )
+    assert cleared == 2
+    assert floats == LPInstance(2, [1, 1], eq=[([Fraction(1, 2), 2], 1)], geq=[([1, Fraction(1, 4)], 0)])
+    assert floats._matrix.tolist() == [[1, 4, 2], [4, 1, 0]] and floats._lcm == (2, 4)
+    # an integer array with a non-int right-hand side is cleared as well
+    mixed, cleared = cleared_by(monkeypatch, lambda: LPInstance(2, [1, 1], eq=[(np.array([1, 2]), Fraction(1, 2))]))
+    assert cleared == 1 and mixed._matrix.tolist() == [[2, 4, 1]] and mixed._lcm == (2,)
+
+
+def test_realizability_rows_reach_the_lp_as_arrays(monkeypatch):
+    rows = []
+
+    def recording(*args, **kwargs):
+        rows.extend(kwargs["eq"])
+        return LPInstance(*args, **kwargs)
+
+    monkeypatch.setattr(ising_kernel, "LPInstance", recording)
+    for target, n in [({(0, 0, 0), (1, 1, 1)}, 3), ({x for x in assignments(3) if sum(x) % 2 == 0}, 3)]:
+        quadratic_realizability(target, n)
+    assert len(rows) == 2 * (1 + 3 + 3)
+    assert all(isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64 and type(rhs) is int for coeffs, rhs in rows)
 
 
 # -- realizability certificates ------------------------------------------------

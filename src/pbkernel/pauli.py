@@ -53,8 +53,9 @@ from .pbf import (PseudoBoolean, _accumulate, _coerce, _numerators, boolean_to_s
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
-#: bound on the Z-basis expansion: sum of 2^|M| over the monomials M, which
-#: bounds the keys of the per-variable pass in :func:`pbkernel.pbf.boolean_to_spin`
+#: bound on the Z-basis expansion: the keys the per-variable pass in
+#: :func:`pbkernel.pbf.boolean_to_spin` can hold, min(sum of 2^|M| over the
+#: monomials M, 2^n)
 EXPANSION_CAP = 1 << 16
 
 PAULI_LETTERS = "IXYZ"
@@ -542,10 +543,10 @@ def pauli_cardinality(h: PauliSum) -> int:
 def pbf_to_pauli(f: PseudoBoolean) -> PauliSum:
     """Diagonal Z-basis expansion (x_i -> (I - Z_i)/2): the spin polynomial
     :func:`pbkernel.pbf.boolean_to_spin`, with z_T read as the Z word on T.
-    The pass's table never holds more than sum 2^|M| keys over the
-    monomials M; a sum over ``EXPANSION_CAP`` raises EnumerationCapError
-    before the pass starts."""
-    count = sum(1 << mask.bit_count() for mask in f._terms)
+    The pass's table only holds subsets of the monomials M, so never more
+    than min(sum 2^|M|, 2^n) keys; a count over ``EXPANSION_CAP`` raises
+    EnumerationCapError before the pass starts."""
+    count = min(sum(1 << mask.bit_count() for mask in f._terms), 1 << f.n)
     if count > EXPANSION_CAP:
         raise EnumerationCapError(
             f"Z-basis expansion needs {count} subset terms, over cap {EXPANSION_CAP}"

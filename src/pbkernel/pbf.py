@@ -30,8 +30,10 @@ in one numpy array (int64 under a proven bound, Python ints above it, so
 exact either way), and the zeta transform (coefficients -> values) or its
 Moebius inverse runs as n in-place passes over that array.  A value
 table handed out as Fractions holds one object per distinct value, shared
-by every entry equal to it, and reading a table back coerces and scales
-each distinct object once; minimization takes its minimum on the integer
+by every entry equal to it, gathered from the distinct values in one numpy
+pass; reading a table back tells its objects apart by id in one numpy
+sort, coerces and scales each distinct object once and gathers the
+integers back in one pass.  Minimization takes its minimum on the integer
 array, not over Fractions.
 
 The Boolean <-> spin change of variables (:func:`boolean_to_spin`,
@@ -83,37 +85,68 @@ def _assignments(masks: np.ndarray, n: int) -> list:
     return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
 
 
-def _numerators(values: Iterable) -> tuple:
-    """(numerators, denom): exact values as a list of ints over their LCM.
+def _read_table(values: Iterable) -> tuple:
+    """(nums, denom, inverse, counts): each distinct object of ``values`` read once.
 
     Entries are ints, Fractions or anything else ``Fraction()`` accepts.
-    Each distinct object is coerced and read once, in first-occurrence
-    order (so the first bad entry raises first); entries that share one
-    object, as value tables do, then cost one dict lookup each.
+    Objects are told apart by id: one numpy sort of the ids finds whether
+    any object repeats, so an input where none does (a polynomial's terms)
+    pays no more numpy than that.  Each distinct object is coerced once,
+    in first-occurrence order (so the first bad entry raises first), and
+    ``nums`` holds its numerator over the LCM ``denom`` of all
+    denominators.  When no object repeats, ``inverse`` and ``counts`` are
+    None and ``nums`` is in entry order; otherwise entry i holds
+    ``nums[inverse[i]]`` and ``counts[j]`` entries share object j.
     """
     values = list(values)  # keeps every entry alive, so equal ids mean one object
-    ids = list(map(id, values))
-    distinct = dict(zip(ids, values))
-    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in distinct.values()]
+    count = len(values)
+    ids = np.fromiter(map(id, values), np.uintp, count)
+    keys = ids.copy()
+    keys.sort()
+    same = keys[1:] == keys[:-1]  # sorted neighbours that are one object
+    inverse = counts = None
+    if np.count_nonzero(same):
+        new = np.empty(count, dtype=bool)  # new[p]: sorted position p starts a distinct object
+        new[0] = True
+        np.logical_not(same, out=new[1:])
+        order = ids.argsort()
+        firsts = np.minimum.reduceat(order, new.nonzero()[0])  # first entry of each distinct object
+        seq = firsts.argsort()  # distinct objects in first-occurrence order
+        rank = np.empty_like(seq)
+        rank[seq] = np.arange(seq.size)
+        inverse = np.empty(count, dtype=np.intp)
+        inverse[order] = rank[new.cumsum() - 1]
+        counts = np.bincount(inverse).tolist()
+        values = [values[i] for i in firsts[seq].tolist()]
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     denom = math.lcm(*{v.denominator for v in exact})
     if denom == 1:
-        nums = [v.numerator for v in exact]
-    else:
-        nums = [v.numerator * (denom // v.denominator) for v in exact]
-    if len(nums) == len(ids):  # no entry shares an object: nums is already in entry order
-        return nums, denom
-    return list(map(dict(zip(distinct, nums)).__getitem__, ids)), denom
+        return [v.numerator for v in exact], denom, inverse, counts
+    return [v.numerator * (denom // v.denominator) for v in exact], denom, inverse, counts
+
+
+def _numerators(values: Iterable) -> tuple:
+    """(numerators, denom): exact values as a list of ints over their LCM,
+    read by :func:`_read_table`; entries that share one object share one int."""
+    nums, denom, inverse, _ = _read_table(values)
+    if inverse is not None:
+        nums = np.array(nums, dtype=object)[inverse].tolist()
+    return nums, denom
 
 
 def _scaled(values: Iterable) -> tuple:
-    """(numerators, denom): exact values as one integer array over their LCM.
+    """(numerators, denom): exact values as one integer array over their LCM,
+    read by :func:`_read_table` and gathered once.
 
     Every intermediate of either subset transform is a +-1 combination of
     distinct inputs, so sum(|numerators|) < 2^62 rules out int64 overflow;
-    above that bound the same code runs on Python ints.
+    above that bound the same code runs on Python ints.  The sum runs over
+    every entry, as count times |numerator| per distinct object.
     """
-    nums, denom = _numerators(values)
-    return np.array(nums, dtype=np.int64 if sum(map(abs, nums)) < 1 << 62 else object), denom
+    nums, denom, inverse, counts = _read_table(values)
+    total = sum(map(abs, nums)) if counts is None else sum(c * abs(v) for c, v in zip(counts, nums))
+    vals = np.array(nums, dtype=np.int64 if total < 1 << 62 else object)
+    return (vals if inverse is None else vals[inverse]), denom
 
 
 def _subset_transform(vals: np.ndarray, n: int, sign: int) -> None:
@@ -431,11 +464,15 @@ class PseudoBoolean:
         return vals, denom
 
     def to_disjoint_form(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-        """Value table a with a[index_of(x)] = f(x) for all 2^n assignments."""
+        """Value table a with a[index_of(x)] = f(x) for all 2^n assignments.
+
+        Entries equal in value are one shared Fraction: one is built per
+        distinct value and gathered into state order in one numpy pass.
+        """
         vals, denom = self._cube_values(cap, "disjoint-form table")
-        values = _swap_order(vals, self.n).tolist()
-        shared = {v: Fraction(v, denom) for v in set(values)}  # one object per distinct value
-        return list(map(shared.__getitem__, values))
+        distinct, inverse = np.unique(_swap_order(vals, self.n), return_inverse=True)
+        shared = np.array([Fraction(v, denom) for v in distinct.tolist()], dtype=object)
+        return shared[inverse].tolist()
 
     def kernel(self, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
         """The set of assignments where f vanishes (exact zero test)."""

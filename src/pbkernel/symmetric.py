@@ -36,7 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _coerce, _numerators
+from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _check_cap, _coerce,
+                  _numerators)
 
 #: numeric roots with |Im| below tol*(1+|root|) are treated as real
 REAL_ROOT_TOL = 1e-9
@@ -158,8 +159,11 @@ def profile_to_pbf(p: WeightProfile) -> PseudoBoolean:
 
     Every monomial of size k carries the k-th forward difference of the
     profile at 0, sum_j (-1)^(k-j) C(k, j) v_j; the monomials of one size
-    share one Fraction.
+    share one Fraction.  They are picked from the 2^n Hamming weights, so
+    n over ``DEFAULT_ENUMERATION_CAP`` raises EnumerationCapError before
+    that array exists.
     """
+    _check_cap(p.n, DEFAULT_ENUMERATION_CAP, "profile expansion")
     diffs, denom = _numerators(p.values)
     coeffs = []
     for _ in range(p.n + 1):

@@ -17,7 +17,7 @@ import pytest
 import pbkernel
 from pbkernel import PauliSum, PseudoBoolean, stabilizer
 from pbkernel.cli import main
-from conftest import random_clifford_circuit, ref_cmd_parent_clifford
+from conftest import random_clifford_circuit, ref_cmd_parent_clifford, ref_pbf_to_pauli
 
 DELTA_EXPR = "1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2\n"
 GHZ3_CIRCUIT = "qubits 3\nh 1\ncnot 1 2\ncnot 2 3\n"
@@ -437,6 +437,14 @@ def binomial_product(k):
     return "*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(k))
 
 
+def dense_text(n):
+    """All 2^n - 1 non-constant monomials on n variables, coefficients 1..7."""
+    return " + ".join(
+        f"{mask % 7 + 1}*" + "*".join(f"x{i + 1}" for i in range(n) if mask >> i & 1)
+        for mask in range(1, 1 << n)
+    )
+
+
 class TestWorkCaps:
     def test_pauli_expansion_cap_boundary(self, monkeypatch):
         from pbkernel import EnumerationCapError, pauli
@@ -448,6 +456,29 @@ class TestWorkCaps:
         for text, count in ((monomial(4), 16), ("x1*x2 + x3*x4 + x5", 10)):
             with pytest.raises(EnumerationCapError, match=f"needs {count} subset terms, over cap 8"):
                 pauli.pbf_to_pauli(parse_expression(text))
+
+    def test_pauli_expansion_cap_counts_at_most_2_to_the_n_keys(self, monkeypatch):
+        """Dense input: the pass holds at most 2^n keys, though sum 2^|M| is 3^n."""
+        from pbkernel import EnumerationCapError, pauli
+        from pbkernel.expr import parse as parse_expression
+
+        monkeypatch.setattr(pauli, "EXPANSION_CAP", 8)
+        f = parse_expression(dense_text(3))
+        assert pauli.pbf_to_pauli(f) == ref_pbf_to_pauli(f)
+        with pytest.raises(EnumerationCapError, match="needs 16 subset terms, over cap 8"):
+            pauli.pbf_to_pauli(parse_expression(dense_text(4)))
+
+    def test_pauli_dense_n12_file_expands(self, capsys, tmp_path):
+        from pbkernel.expr import parse as parse_expression
+        from pbkernel.pauli import pauli_to_pbf
+
+        path = tmp_path / "dense12.pbf"
+        path.write_text(dense_text(12) + "\n")
+        code, out, err = run(capsys, "pbf", "pauli", str(path), "--json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        text = "\n".join(f"{c} {w}" for c, w in payload["terms"])
+        assert pauli_to_pbf(PauliSum.from_text(text)) == parse_expression(dense_text(12))
 
     def test_pauli_degree_30_monomial_exits_2_in_bounded_memory(self, capsys, tmp_path):
         path = tmp_path / "deg30.pbf"

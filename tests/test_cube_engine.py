@@ -4,9 +4,11 @@ Every cube oracle (kernel, non-negativity, minimization, symmetry
 detection, both disjoint-form directions and the realizability margin
 check) must give the same answer as the reference in ``conftest``,
 witnesses included, on integer and rational coefficients and on both
-sides of the int64 bound of the engine.  The table reader ``_numerators``
-must read what the per-entry reader it replaced reads, and a value table
-must hold one object per distinct value.
+sides of the int64 bound of the engine.  The table reader behind
+``_numerators`` and ``_scaled`` must read what the per-entry reader it
+replaced reads, on tables of shared objects, of own objects and of mixed
+entry types, and a value table must hold, and build, one object per
+distinct value.
 """
 
 import random
@@ -28,6 +30,7 @@ from pbkernel import (
     quadratic_realizability,
     support_parent,
 )
+from pbkernel import pbf
 from pbkernel.pbf import _numerators, _scaled
 from conftest import (
     assignments,
@@ -181,6 +184,72 @@ def test_numerators_raise_the_first_bad_entry(table):
     with pytest.raises(type(want.value)) as got:
         _numerators(table)
     assert str(got.value) == str(want.value)
+
+
+def shared_parity_table(n, big):
+    """(-1)^|x| * big at every state, as two shared objects: the top Moebius
+    coefficient is (-2)^n * big, though the two objects sum to 2 * big."""
+    plus, minus = Fraction(big), Fraction(-big)
+    return [minus if idx.bit_count() & 1 else plus for idx in range(1 << n)]
+
+
+def test_shared_objects_count_once_per_entry_in_the_int64_bound():
+    table = shared_parity_table(4, 1 << 60)
+    vals, denom = _scaled(table)
+    assert vals.dtype == object and denom == 1  # 16 * 2^60 = 2^64, not 2 * 2^60
+    assert (vals.tolist(), denom) == ref_numerators(table)
+    f = PseudoBoolean.from_disjoint_form(table)
+    assert f == ref_from_disjoint_form(table)
+    assert f.coefficient(range(4)) == 1 << 64
+    below = shared_parity_table(4, 1 << 57)  # 16 * 2^57 = 2^61: int64 holds every pass
+    assert _scaled(below)[0].dtype == np.int64
+    assert PseudoBoolean.from_disjoint_form(below).coefficient(range(4)) == 1 << 61
+
+
+def test_n16_tables_of_shared_and_of_own_objects():
+    rng = random.Random(16)
+    f = random_rational_pbf(rng, 16, max_terms=12)
+    shared = f.to_disjoint_form()
+    assert shared == ref_to_disjoint_form(f)
+    own = [Fraction(v) for v in shared]  # every entry its own object
+    assert len({id(v) for v in own}) == len(own) > len({id(v) for v in shared})
+    for table in (shared, own):
+        assert _numerators(table) == ref_numerators(table)
+        vals, denom = _scaled(table)
+        assert (vals.tolist(), denom) == ref_numerators(table)
+    assert PseudoBoolean.from_disjoint_form(own) == ref_from_disjoint_form(shared) == f
+    assert PseudoBoolean.from_disjoint_form(shared) == f
+
+
+def test_shared_objects_of_mixed_types():
+    rng = random.Random(12)
+    big = 3 * BIG + 1  # past int64: the list reader gathers Python ints
+    pool = [0, 7, -2, big, Fraction(1, 3), Fraction(-5, 6), "3/4", 1.25, Decimal("-0.5"), True]
+    for n in range(11):
+        table = [rng.choice(pool) for _ in range(1 << n)]
+        want = ref_numerators(table)
+        assert _numerators(table) == want
+        vals, denom = _scaled(table)
+        assert (vals.tolist(), denom) == want
+        assert vals.dtype == (np.int64 if sum(map(abs, want[0])) < BIG else object)
+        assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table)
+
+
+@pytest.mark.parametrize("f", CASES[::2] + TIES)
+def test_disjoint_form_builds_one_fraction_per_distinct_value(f, monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            if len(args) == 2:  # a table value over the LCM; one-argument calls coerce terms
+                built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(pbf, "Fraction", CountingFraction)
+    table = f.to_disjoint_form()
+    monkeypatch.undo()
+    assert table == ref_to_disjoint_form(f)
+    assert len(built) == len(set(table)) == len({id(v) for v in table})
 
 
 @pytest.mark.parametrize("f", CASES)

@@ -415,6 +415,8 @@ BIG = "1" + "0" * 309  # 10**309, past the float range
 @given(st.lists(expression_lines, max_size=4).map("\n".join), expression_commands)
 @example("x1 + x99999999999999999999", ["pbf", "pauli"])
 @example("*".join(f"x{i}" for i in range(1, 31)), ["pbf", "pauli"])
+@example(" + ".join("*".join(f"x{i + 1}" for i in range(12) if m >> i & 1) for m in range(1, 1 << 12)),
+         ["pbf", "pauli"])  # dense: 3^12 subset sums, at most 2^12 keys
 @example("*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(20)), ["pbf", "kernel"])
 @example(f"{BIG} + x1 + x2 + 2*x1*x2\n", ["sym", "factor"])
 @example(f"-{BIG} + {BIG}*x1 + {BIG}*x2", ["sym", "factor"])

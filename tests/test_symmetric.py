@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from pbkernel import (
+    EnumerationCapError,
     PseudoBoolean,
     RootFactorization,
     SymmetricForm,
@@ -404,3 +406,20 @@ class TestProfileDifferences:
             f = profile_to_pbf(WeightProfile(n, [j ** d for j in range(n + 1)]))
             assert f.degree == d
             assert len(f.masked_terms()) == sum(math.comb(n, k) for k in range(1, d + 1)) + (d == 0)
+
+    def test_expansion_over_the_cap_refuses_before_allocating(self):
+        p = WeightProfile(24, [j * j for j in range(25)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match=r"2\^24 points \(cap 2\^20\)"):
+                profile_to_pbf(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_expansion_at_the_cap_expands(self):
+        n = 20
+        f = profile_to_pbf(WeightProfile(n, [j * j for j in range(n + 1)]))  # X^2 = X + 2 e_2
+        assert len(f.masked_terms()) == n + math.comb(n, 2)
+        assert set(f.masked_terms().values()) == {1, 2}

@@ -75,8 +75,8 @@ def _amplitude(token: str, lineno: int) -> Fraction:
 
 
 def _load_state(path: str) -> pauli.StateVector:
-    """State file: lines of 'bitstring amplitude_re amplitude_im'."""
-    entries = {}
+    """State file: lines of 'bitstring amplitude_re amplitude_im', one line per bit string."""
+    entries, lines = {}, {}  # basis index -> amplitude, and the line that gave it
     n = None
     for lineno, raw in enumerate(_read(path).splitlines(), 1):
         line = raw.strip()
@@ -92,8 +92,12 @@ def _load_state(path: str) -> pauli.StateVector:
                 raise EnumerationCapError(f"statevector arity {n} outside 0..{pauli.STATE_CAP}")
         elif len(bits) != n:
             raise PBKernelError(f"state line {lineno}: inconsistent width")
+        idx = index_of(bits)
+        if idx in lines:
+            raise PBKernelError(f"state line {lineno}: basis string {parts[0]} repeats line {lines[idx]}")
+        lines[idx] = lineno
         re, im = (_amplitude(token, lineno) for token in parts[1:])
-        entries[index_of(bits)] = pauli.ExactComplex(re, im)
+        entries[idx] = pauli.ExactComplex(re, im)
     if n is None:
         raise PBKernelError("state file has no amplitude lines")
     amps = [entries.get(i, Fraction(0)) for i in range(1 << n)]

@@ -130,6 +130,11 @@ GATE_BUILDERS = {
 }
 
 
+def _slack_name(gate: int, j: int) -> str:
+    """The generated wire name of slack pin j of the gate at position ``gate``."""
+    return f"__slack{gate}_{j}"
+
+
 @dataclass(frozen=True)
 class GateInstance:
     type: str
@@ -144,7 +149,8 @@ class Netlist:
     Wires are variable names; using a gate's output name as another
     gate's input contracts the two legs.  Fan-out (one output feeding
     several inputs) is allowed; two gates driving one wire are not.
-    Slack pins of multi-slack gadgets get deterministic auto names.
+    Slack pins get generated names, ``__slack<gate>_<j>`` for slack j of
+    the gate at position <gate>; a gate wire may not take one of them.
     """
 
     gates: tuple
@@ -209,14 +215,17 @@ class Netlist:
         return out
 
     def variable_order(self) -> list:
-        """All wire names (auto slack names included), sorted."""
+        """All wire names (generated slack names included), sorted."""
         gadgets = self._validated_gadgets()
-        names = set()
-        for idx, (inst, gadget) in enumerate(zip(self.gates, gadgets)):
-            names.update(inst.inputs)
-            names.add(inst.output)
-            for j in range(gadget.num_slacks):
-                names.add(f"__slack{idx}_{j}")
+        slacks = {_slack_name(idx, j): idx for idx, g in enumerate(gadgets) for j in range(g.num_slacks)}
+        names = set(slacks)
+        for idx, inst in enumerate(self.gates):
+            for wire in (*inst.inputs, inst.output):
+                if wire in slacks:
+                    raise NetlistError(
+                        f"gate {idx}: wire {wire!r} is the generated name of a slack of gate {slacks[wire]}"
+                    )
+                names.add(wire)
         for name, _ in self.clamps:
             if name not in names:
                 raise NetlistError(f"clamp on unknown wire {name!r}")
@@ -247,7 +256,7 @@ def compose(netlist: Netlist) -> PseudoBoolean:
             elif role == ROLE_OUTPUT:
                 mapping.append(index[inst.output])
             else:
-                mapping.append(index[f"__slack{idx}_{slack_counter}"])
+                mapping.append(index[_slack_name(idx, slack_counter)])
                 slack_counter += 1
         _accumulate(table, gadget.penalty.embed(arity, mapping)._terms.items())
     total = PseudoBoolean._of(arity, table)

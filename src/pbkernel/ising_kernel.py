@@ -28,8 +28,11 @@ The tableau starts from those rows and keeps each row primitive: the
 integer vector with gcd 1 that is a positive multiple of its row of
 B^-1 [A | b], divided by its gcd after each pivot.  That is the
 Bareiss/Edmonds row over the basis determinant divided by its gcd, so
-Bland's rule takes the pivots a Fraction tableau would.  The rows live in one numpy array, int64 while every |entry| is
-below 2^31 and Python ints past that.
+Bland's rule takes the pivots a Fraction tableau would.  The rows live in
+one numpy array whose dtype is the package's one rule,
+:func:`pbkernel.pbf._int_dtype`, on the bound 2 top^2 of a pivot's
+products (top the largest |entry|): int64 while top is below 2^31 and
+Python ints past that.
 The tableau is built with numpy from the cleared rows and names its
 columns by two arrays, the variable and the sign of each structural
 column, and the index of its first artificial column.  Every answer
@@ -56,8 +59,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import PseudoBoolean, _accumulate, _coerce, _hadamard_transform, _numerators, _point_indices
-from .pbf import _scaled, _swap_order, bits_of, index_of, spin_to_boolean
+from .pbf import PseudoBoolean, _accumulate, _coerce, _hadamard_transform, _int_dtype, _numerators
+from .pbf import _point_indices, _scaled, _swap_order, bits_of, index_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -200,9 +203,9 @@ class LPInstance:
     ``nonneg[i]`` constrains x_i >= 0; False leaves it free.  All data is
     coerced to Fraction.  Each row is also cleared once to integers over
     the LCM of its own denominators: ``_matrix`` holds those numerators as
-    one read-only array (eq rows first, right-hand side last; int64 when
-    every |entry| is below 2^63, else Python ints) and ``_lcm`` each row's
-    LCM.  A row of Python ints, or an integer array with a Python-int
+    one read-only array (eq rows first, right-hand side last; of the dtype
+    :func:`pbkernel.pbf._int_dtype` gives its largest |entry|) and ``_lcm``
+    each row's LCM.  A row of Python ints, or an integer array with a Python-int
     right-hand side, is its own numerators over 1.
     """
 
@@ -307,9 +310,10 @@ class _Tableau:
     phase-2 row, then, until phase 1 ends, the phase-1 row, each ``scale``
     (> 0) times the exact c - c_B B^-1 [A | b], so their signs are the
     exact ones.  A pivot updates them like any row, and each scale by gcd / p.
-    The array is int64 while every |entry| is below 2^31, so p * a - f * b
-    stays below 2^63; once an entry passes that it holds Python ints
-    (object dtype) for the rest of the solve.
+    With top the largest |entry|, every p * a - f * b is below 2 top^2, so the
+    array has the dtype :func:`pbkernel.pbf._int_dtype` gives that bound
+    (int64 while top < 2^31); once a pivot's rows pass it the array holds
+    Python ints (object dtype) for the rest of the solve.
     """
 
     def __init__(self, lp: LPInstance):
@@ -336,9 +340,9 @@ class _Tableau:
         # initial basic columns cost 0, so these are its reduced costs
         obj, denom = _numerators(lp.objective)
         # every |entry| below is at most top and every partial sum of the phase-1
-        # row at most sum(weights) * top, so int64 holds them under this bound
+        # row at most sum(weights) * top
         top = max(_top(lp._matrix), *lp._lcm, *map(abs, obj), 0)
-        dtype = np.int64 if (sum(weights) + 1) * top < 1 << 63 else object
+        dtype = _int_dtype((sum(weights) + 1) * top)
         nums, lcm, sign, sigma, weights, obj = (
             np.array(v, dtype) for v in (lp._matrix, lp._lcm, self.sign, self.sigma, weights, obj)
         )
@@ -361,7 +365,7 @@ class _Tableau:
             g = int(np.gcd.reduce(z)) or 1
             rows = np.vstack([rows, z // g])
             self.scale.append([g, denom])
-        self.matrix = rows.astype(np.int64 if _top(rows) < _LIMIT else object, copy=False)
+        self.matrix = rows.astype(_int_dtype(2 * _top(rows) ** 2), copy=False)
 
     @property
     def ncols(self) -> int:
@@ -387,7 +391,7 @@ class _Tableau:
             scale = self.scale[rows[k] - m]
             scale[0] *= int(g[k])
             scale[1] *= int(p)
-        if matrix.dtype != object and len(new) and np.abs(new).max() >= _LIMIT:
+        if matrix.dtype != object and len(new) and _int_dtype(2 * int(np.abs(new).max()) ** 2) is object:
             self.matrix = matrix = matrix.astype(object)
         matrix[rows] = new
         self.basis[r] = j
@@ -444,14 +448,9 @@ class _Tableau:
         ]
 
 
-#: the tableau stays int64 while every |entry| is below this bound, so that
-#: p * a - f * b < 2^63
-_LIMIT = 1 << 31
-
-
 def _stack(rows: list, width: int) -> np.ndarray:
     """Integer rows (coefficients, rhs, _) as one read-only (rows, width + 1)
-    array: int64 when every |entry| is below 2^63, else Python ints."""
+    array of :func:`pbkernel.pbf._int_dtype` of its largest |entry|."""
     for dtype in (np.int64, object):
         matrix = np.empty((len(rows), width + 1), dtype)
         try:
@@ -459,7 +458,7 @@ def _stack(rows: list, width: int) -> np.ndarray:
                 matrix[i, :-1], matrix[i, -1] = coeffs, rhs
         except OverflowError:  # a Python int past int64
             continue
-        if dtype is object or _top(matrix) < 1 << 63:
+        if _int_dtype(_top(matrix)) is dtype:
             break
     matrix.flags.writeable = False
     return matrix
@@ -540,12 +539,11 @@ def verify_certificate(lp: LPInstance, cert: list) -> None:
 
 def _weighted_row_sum(weights: list, rows: np.ndarray) -> list:
     """sum_i weights[i] * rows[i] for integer weights and an integer row
-    array, as Python ints: one int64 matrix product while sum |weights|
-    times the largest |entry| is below 2^63, which bounds every partial
-    sum, and the same product on Python ints above that."""
-    if rows.dtype != object and sum(map(abs, weights)) * max(_top(rows), 1) < 1 << 63:
-        return (np.array(weights, dtype=np.int64) @ rows).tolist()
-    return (np.array(weights, dtype=object) @ rows.astype(object)).tolist()
+    array, as Python ints: one matrix product, of the dtype
+    :func:`pbkernel.pbf._int_dtype` gives sum |weights| times the largest
+    |entry| (each at least 1), which bounds every partial sum."""
+    dtype = _int_dtype(max(sum(map(abs, weights)), 1) * max(_top(rows), 1))
+    return (np.array(weights, dtype=dtype) @ rows.astype(dtype, copy=False)).tolist()
 
 
 def _check_point(lp: LPInstance, x: Sequence, ray: bool = False) -> None:

@@ -5,7 +5,10 @@ a length-n text of letters I/X/Y/Z; letter position i acts on qubit i,
 and qubit 0 occupies the MOST significant bit of a basis-state index
 (matching the assignment convention of :mod:`pbkernel.pbf`).  Signs are
 canonicalized into the rational coefficients, which keeps every sum
-Hermitian by construction.
+Hermitian by construction.  A :class:`PauliSum` is a {word: nonzero
+Fraction} table of the same base class as :class:`pbkernel.pbf.PseudoBoolean`
+(``pbf._TermTable``), so equality, sums and scaling are one code; unlike a
+polynomial, a Pauli sum is not hashable.
 
 The Z-basis expansion of a diagonal penalty f is its spin polynomial:
 substitute x_i = (1 - z_i)/2 (:func:`pbkernel.pbf.boolean_to_spin`) and
@@ -27,14 +30,15 @@ Every statevector action (:meth:`PauliSum.apply` and
 :class:`_Amplitudes`.  An exact vector becomes two integer arrays
 ``(re, im)`` over one common denominator, the LCM of every real and
 imaginary denominator, so each amplitude is a Gaussian integer over it.
-The arrays are int64 when max(1, max|numerator|) times the caller's
-growth bound is below 2^62 (2^(number of H gates) for a circuit, the sum
-of |coefficient numerators| over their LCM for a Pauli sum), which rules
-out overflow, and object arrays of Python ints above it, with one code
-path.  A vector with any float or complex amplitude runs the same code on
-float64 ``(re, im)`` arrays.  Gates act on halves of the ``(2,)*n`` view
-of the arrays, and a Pauli word is one gather by ``idx ^ flip``, one sign
-from the parity of ``idx & zmask`` and one rotation by i^(number of Y).
+Their dtype is the package's one rule, :func:`pbkernel.pbf._int_dtype`
+(int64 below 2^63, Python ints above), applied to the bound
+2 max(1, max|numerator|) times the caller's growth bound (2^(number of H
+gates) for a circuit, the sum of |coefficient numerators| over their LCM
+for a Pauli sum), with one code path.  A vector with any float or complex
+amplitude runs the same code on float64 ``(re, im)`` arrays.  Gates act
+on halves of the ``(2,)*n`` view of the arrays, and a Pauli word is one
+gather by ``idx ^ flip``, one sign from the parity of ``idx & zmask`` and
+one rotation by i^(number of Y).
 Results come back as one shared ``Fraction(0)`` per zero amplitude, a
 ``Fraction`` per real amplitude and an :class:`ExactComplex` only where
 the imaginary part is nonzero.
@@ -48,8 +52,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
-from .pbf import (PseudoBoolean, _accumulate, _coerce, _numerators, boolean_to_spin, index_of,
-                  spin_to_boolean)
+from .pbf import (PseudoBoolean, _coerce, _int_dtype, _numerators, _TermTable, boolean_to_spin,
+                  index_of, spin_to_boolean)
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
@@ -262,9 +266,9 @@ class _Amplitudes:
     """The statevector engine: amplitude k is (re[k] + i im[k]) / denom.
 
     Exact vectors hold integer numerators over the LCM of every real and
-    imaginary denominator: int64 when max(1, max|numerator|) * growth <
-    2^62, where ``growth`` bounds how much the caller's arithmetic can
-    multiply an entry, and Python ints (object arrays) above it.  A vector
+    imaginary denominator, in the dtype :func:`pbkernel.pbf._int_dtype`
+    gives the bound 2 * max(1, max|numerator|) * growth, where ``growth``
+    bounds how much the caller's arithmetic can multiply an entry.  A vector
     with any float or complex amplitude holds float64 parts over denom 1.
     Every operation is the same code for all three dtypes.
     """
@@ -290,8 +294,7 @@ class _Amplitudes:
             elif a:
                 nonzero[k] = a, 0
         nums, denom = _numerators(x for pair in nonzero.values() for x in pair)
-        small = max(1, max(map(abs, nums), default=0)) * growth < 1 << 62
-        re = np.zeros(1 << v.n, dtype=np.int64 if small else object)
+        re = np.zeros(1 << v.n, dtype=_int_dtype(2 * max(1, max(map(abs, nums), default=0)) * growth))
         im = re.copy()
         re[list(nonzero)], im[list(nonzero)] = nums[0::2], nums[1::2]
         return cls(v.n, re, im, denom)
@@ -413,10 +416,10 @@ def embed_state(f: PseudoBoolean, cap: int = STATE_CAP) -> StateVector:
     return StateVector(f.n, f.to_disjoint_form(cap=cap))
 
 
-class PauliSum:
+class PauliSum(_TermTable):
     """Hermitian sum of Pauli strings with exact rational coefficients."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
     def __init__(self, arity: int, terms: Mapping[str, object] | None = None):
         self.n = int(arity)
@@ -430,17 +433,6 @@ class PauliSum:
                 if c:
                     data[word] = c
         self._terms = data
-
-    @classmethod
-    def _of(cls, arity: int, table: dict) -> "PauliSum":
-        """Wrap a trusted {word: nonzero Fraction} table without copying or re-checking it."""
-        out = cls(arity)
-        out._terms = table
-        return out
-
-    @classmethod
-    def zero(cls, arity: int) -> "PauliSum":
-        return cls(arity, {})
 
     @classmethod
     def identity(cls, arity: int, coeff=1) -> "PauliSum":
@@ -459,26 +451,10 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionError(f"arity mismatch: {self.n} vs {other.n}")
-        return PauliSum._of(self.n, _accumulate(dict(self._terms), other._terms.items()))
-
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1) * other
 
-    def __mul__(self, scalar) -> "PauliSum":
-        c = _coerce(scalar)
-        return PauliSum._of(self.n, {w: c * v for w, v in self._terms.items()} if c else {})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+    __mul__ = __rmul__ = _TermTable._times
 
     def __repr__(self):
         return f"PauliSum(n={self.n}, terms={len(self._terms)})"

@@ -17,6 +17,9 @@ Conventions used throughout the package:
 
 All coefficients are `fractions.Fraction`; every mutation prunes zero
 coefficients so structural equality coincides with semantic equality.
+A polynomial is one kind of :class:`_TermTable`, a {key: nonzero Fraction}
+table on n variables, whose equality, sum and scaling by a number
+:class:`pbkernel.pauli.PauliSum` (keyed by Pauli words) shares.
 Every sum of sparse term tables in the package (polynomial sums and
 products, re-seating, clamping, the expression parser, Pauli sums and
 their Clifford conjugates) runs through one rule, :func:`_accumulate`:
@@ -26,8 +29,7 @@ from.
 
 Every oracle over the whole cube runs on one exact engine: values or
 coefficients become integer numerators over the LCM of their denominators
-in one numpy array (int64 under a proven bound, Python ints above it, so
-exact either way), and the zeta transform (coefficients -> values) or its
+in one numpy array, and the zeta transform (coefficients -> values) or its
 Moebius inverse runs as n in-place passes over that array.  A value
 table handed out as Fractions holds one object per distinct value, shared
 by every entry equal to it, gathered from the distinct values in one numpy
@@ -35,6 +37,11 @@ pass; reading a table back tells its objects apart by id in one numpy
 sort, coerces and scales each distinct object once and gathers the
 integers back in one pass.  Minimization takes its minimum on the integer
 array, not over Fractions.
+
+Every exact integer array in the package takes its dtype from one rule,
+:func:`_int_dtype`: int64 when a bound the caller's arithmetic proves on
+every entry and intermediate is below 2^63, else Python ints (object),
+on which the same numpy code runs; each caller states only its bound.
 
 The Boolean <-> spin change of variables (:func:`boolean_to_spin`,
 :func:`spin_to_boolean`) is the same kind of map on sparse input: a
@@ -83,6 +90,13 @@ def _point_indices(members, n: int) -> list:
 def _assignments(masks: np.ndarray, n: int) -> list:
     """Assignment tuples of an array of varmask-order positions."""
     return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
+
+
+def _int_dtype(bound: int):
+    """The dtype of an exact integer array whose every entry and intermediate
+    stays below ``bound`` in absolute value: int64 below 2^63, else Python
+    ints (object), on which the same numpy code runs exactly."""
+    return np.int64 if bound < 1 << 63 else object
 
 
 def _read_table(values: Iterable) -> tuple:
@@ -139,13 +153,14 @@ def _scaled(values: Iterable) -> tuple:
     read by :func:`_read_table` and gathered once.
 
     Every intermediate of either subset transform is a +-1 combination of
-    distinct inputs, so sum(|numerators|) < 2^62 rules out int64 overflow;
-    above that bound the same code runs on Python ints.  The sum runs over
-    every entry, as count times |numerator| per distinct object.
+    distinct inputs, and the Walsh-Hadamard pass also holds twice one, so
+    every entry stays below 2 * sum(|numerators|), the bound handed to
+    :func:`_int_dtype`.  The sum runs over every entry, as count times
+    |numerator| per distinct object.
     """
     nums, denom, inverse, counts = _read_table(values)
     total = sum(map(abs, nums)) if counts is None else sum(c * abs(v) for c, v in zip(counts, nums))
-    vals = np.array(nums, dtype=np.int64 if total < 1 << 62 else object)
+    vals = np.array(nums, dtype=_int_dtype(2 * total))
     return (vals if inverse is None else vals[inverse]), denom
 
 
@@ -162,8 +177,9 @@ def _hadamard_transform(vals: np.ndarray, n: int) -> None:
 
     Each pass maps (a, b) = (entry without variable i, entry with it) to
     (a + b, a - b) through a + b and -2b.  Every a + b and a - b is a +-1
-    combination of distinct inputs and -2b is twice one, so sum(|numerators|)
-    < 2^62 keeps int64 exact, as for :func:`_subset_transform`.
+    combination of distinct inputs and -2b is twice one, so every entry stays
+    below the bound 2 * sum(|numerators|) that :func:`_scaled` hands to
+    :func:`_int_dtype`.
     """
     for i in range(n):
         halves = vals.reshape(-1, 2, 1 << i)  # halves[:, 1] has variable i set
@@ -226,10 +242,51 @@ class NonNegativity(NamedTuple):
     witness: tuple | None  # an assignment with f(x) < 0, if any
 
 
-class PseudoBoolean:
-    """Sparse multilinear polynomial over exact rationals."""
+class _TermTable:
+    """A {key: nonzero Fraction} table on ``n`` variables, the exact form
+    :class:`PseudoBoolean` (keys are monomial masks) and
+    :class:`pbkernel.pauli.PauliSum` (keys are Pauli words) share: tables of
+    one type and arity compare equal when their terms do, add through
+    :func:`_accumulate` and scale by a coerced scalar.  It defines ``__eq__``
+    and no hash, so a subclass is hashable only if it says so."""
 
     __slots__ = ("n", "_terms")
+
+    @classmethod
+    def _of(cls, arity: int, table: dict):
+        """Wrap a trusted {key: nonzero Fraction} table without copying or re-checking it."""
+        out = cls(arity)
+        out._terms = table
+        return out
+
+    @classmethod
+    def zero(cls, arity: int):
+        return cls(arity)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self._terms == other._terms
+
+    def _require_same_arity(self, other: "_TermTable") -> None:
+        if self.n != other.n:
+            raise DimensionError(f"arity mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_arity(other)
+        return self._of(self.n, _accumulate(dict(self._terms), other._terms.items()))
+
+    def _times(self, scalar):
+        c = _coerce(scalar)
+        return self._of(self.n, {k: c * v for k, v in self._terms.items()} if c else {})
+
+
+class PseudoBoolean(_TermTable):
+    """Sparse multilinear polynomial over exact rationals."""
+
+    __slots__ = ()
 
     def __init__(self, arity: int, masked_terms: Mapping[int, Fraction] | None = None):
         _check_arity(arity)
@@ -245,18 +302,7 @@ class PseudoBoolean:
                 terms[mask] = c
         self._terms = terms
 
-    @classmethod
-    def _of(cls, arity: int, table: dict) -> "PseudoBoolean":
-        """Wrap a trusted {mask: nonzero Fraction} table without copying or re-checking it."""
-        out = cls(arity)
-        out._terms = table
-        return out
-
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "PseudoBoolean":
-        return cls(arity, {})
 
     @classmethod
     def constant(cls, arity: int, value) -> "PseudoBoolean":
@@ -321,11 +367,6 @@ class PseudoBoolean:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PseudoBoolean):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
     def __hash__(self):
         return hash((self.n, frozenset(self._terms.items())))
 
@@ -359,14 +400,9 @@ class PseudoBoolean:
 
     # -- algebra -------------------------------------------------------
 
-    def _require_same_arity(self, other: "PseudoBoolean") -> None:
-        if self.n != other.n:
-            raise DimensionError(f"arity mismatch: {self.n} vs {other.n}")
-
     def __add__(self, other):
         if isinstance(other, PseudoBoolean):
-            self._require_same_arity(other)
-            return PseudoBoolean._of(self.n, _accumulate(dict(self._terms), other._terms.items()))
+            return super().__add__(other)
         return self + PseudoBoolean.constant(self.n, other)
 
     __radd__ = __add__
@@ -389,10 +425,7 @@ class PseudoBoolean:
             right = other._terms.items()
             pairs = ((m1 | m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right)
             return PseudoBoolean._of(self.n, _accumulate({}, pairs))
-        c = _coerce(other)
-        if c == 0:
-            return PseudoBoolean.zero(self.n)
-        return PseudoBoolean._of(self.n, {m: c * v for m, v in self._terms.items()})
+        return self._times(other)
 
     __rmul__ = __mul__
 

@@ -320,8 +320,8 @@ def apply_circuit(circuit: CliffordCircuit, v: StateVector) -> StateVector:
     integer (re, im) numerator arrays over the LCM of the input's
     denominators, each gate one slice operation on the ``(2,)*n`` view
     (qubit 0 is the first axis, the most significant index bit).  Only H
-    grows entries, by at most a factor 2, so the arrays are int64 when
-    max|numerator| * 2^k < 2^62 and Python ints above it.  Float or
+    grows entries, by at most a factor 2, so 2^k is the growth bound the
+    engine's dtype rule is given.  Float or
     complex inputs run the same gates on float64 arrays.
     """
     if circuit.n != v.n:

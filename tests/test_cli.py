@@ -202,6 +202,24 @@ class TestGadgetCommand:
         projected = {bits[1:] for bits in payload["argmin"]}
         assert projected == {"011", "101", "111"}
 
+    def test_wire_named_like_a_generated_slack_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"gates": [{"type": "xor", "inputs": ["a", "b"], "output": "__slack0_0"}]}))
+        code, out, err = run(capsys, "gadget", "compose", str(path), "--minimize", "--json")
+        assert code == 2 and out == ""
+        assert err == "error: gate 0: wire '__slack0_0' is the generated name of a slack of gate 0\n"
+
+    def test_clamp_on_a_generated_slack_wire(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"gates": [{"type": "xor", "inputs": ["a", "b"], "output": "c"}]}))
+        code, out, _ = run(capsys, "gadget", "compose", str(path), "--minimize", "--json")
+        payload = json.loads(out)  # the slack carries a AND b
+        assert code == 0 and payload["variables"] == ["__slack0_0", "a", "b", "c"]
+        assert payload["argmin"] == ["0000", "0011", "0101", "1110"]
+        code, out, _ = run(capsys, "gadget", "compose", str(path), "--clamp", "__slack0_0=1", "--minimize", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["variables"] == ["a", "b", "c"] and payload["argmin"] == ["110"]
+
     def test_bad_clamp_syntax(self, capsys, tmp_path):
         path = tmp_path / "net.json"
         path.write_text(json.dumps({"gates": []}))
@@ -292,6 +310,13 @@ class TestExitCodesAndDeterminism:
         path.write_text(f"00 1e{limit} 0\n01 1E-{limit} 0\n10 0e+0{limit} 0\n")
         code, out, _ = run(capsys, "parent", "support", str(path), "--json")
         assert code == 0 and json.loads(out)["support"] == ["00", "01"]
+
+    def test_repeated_basis_string_in_state_file(self, capsys, tmp_path):
+        path = tmp_path / "repeat.state"
+        path.write_text("00 1 0\n# a comment\n00 0 0\n11 1 0\n")
+        code, out, err = run(capsys, "parent", "support", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err == "error: state line 3: basis string 00 repeats line 1\n"
 
     def test_ghz_quadratic_arity_checked_before_allocation(self, capsys):
         tracemalloc.start()

@@ -129,6 +129,24 @@ def test_tie_inputs_straddle_the_int64_bound():
     assert [len(ref_minimize(f)[1]) for f in TIES] == [1, 16, 4, 2, 1]
 
 
+def test_one_int64_rule_at_2_63():
+    assert pbf._int_dtype(0) is np.int64
+    assert pbf._int_dtype((1 << 63) - 1) is np.int64
+    assert pbf._int_dtype(1 << 63) is object
+    top = (1 << 63) - 1
+    assert np.array([top, -top], dtype=pbf._int_dtype(top)).tolist() == [top, -top]
+    assert np.array([top + 1], dtype=pbf._int_dtype(top + 1)).tolist() == [top + 1]
+
+
+@pytest.mark.parametrize("c, dtype", [((1 << 61) - 1, np.int64), (1 << 62, object)])
+def test_opposed_pair_on_both_sides_of_the_rule(c, dtype):
+    # c*x1 - c*x2: the coefficient bound 2 * sum |c| is 2^63 - 4, then 2^64
+    f = PseudoBoolean.from_terms(2, {(0,): c, (1,): -c})
+    assert _scaled(f._terms.values())[0].dtype == dtype
+    assert f.kernel() == ref_kernel(f) == {(0, 0), (1, 1)}
+    assert f.is_nonnegative() == (False, (0, 1)) == ref_nonnegative(f)
+
+
 @pytest.mark.parametrize("f", CASES + TIES)
 def test_minimum_and_argmin(f):
     res = minimize_bruteforce(f)

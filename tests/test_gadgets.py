@@ -196,6 +196,33 @@ class TestCompose:
                 )
             )
 
+    def test_wire_named_like_a_generated_slack_rejected(self):
+        gates = [
+            {"type": "and", "inputs": ["a", "b"], "output": "c"},
+            {"type": "xor", "inputs": ["c", "d"], "output": "e"},
+            {"type": "not", "inputs": ["__slack1_0"], "output": "f"},
+        ]
+        with pytest.raises(NetlistError, match=r"^gate 2: wire '__slack1_0' is .* slack of gate 1$"):
+            compose(Netlist.from_dict({"gates": gates}))
+        # a name no gate generates is an ordinary wire
+        gates[2]["inputs"] = ["__slack0_0"]
+        names = Netlist.from_dict({"gates": gates}).variable_order()
+        assert names == ["__slack0_0", "__slack1_0", "a", "b", "c", "d", "e", "f"]
+        assert compose(Netlist.from_dict({"gates": gates})).n == len(names)
+
+    def test_from_json_reads_the_gates_and_clamps(self):
+        text = (
+            '{"gates": [{"type": "OR", "inputs": ["x1", "x2"], "output": "w"},'
+            ' {"type": "not", "inputs": ["w"], "output": "v"}], "clamps": {"v": 0, "x1": 1}}'
+        )
+        want = Netlist(
+            (GateInstance("or", ("x1", "x2"), "w"), GateInstance("not", ("w",), "v")),
+            (("v", 0), ("x1", 1)),
+        )
+        assert Netlist.from_json(text) == want
+        with pytest.raises(NetlistError, match="netlist must be an object"):
+            Netlist.from_json("[]")
+
 
 class TestClamp:
     def test_substitutes_and_compacts(self):

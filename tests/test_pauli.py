@@ -7,6 +7,7 @@ import pytest
 
 from pbkernel import (
     DimensionError,
+    EnumerationCapError,
     ExactComplex,
     NotDiagonalError,
     PauliSum,
@@ -175,6 +176,71 @@ class TestApply:
     def test_arity_mismatch(self):
         with pytest.raises(DimensionError):
             PauliSum.identity(2).apply(StateVector.basis_state(3, 0))
+
+
+def random_pauli_sum(rng, n: int, count: int) -> PauliSum:
+    words = {"".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(count)}
+    return PauliSum(n, {w: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for w in words})
+
+
+class TestDenseAndApprox:
+    def test_to_dense_matches_apply(self, rng):
+        for n in range(5):
+            ps = random_pauli_sum(rng, n, 6)
+            v = StateVector(n, [ExactComplex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(1 << n)])
+            dense = ps.to_dense()
+            assert dense.shape == (1 << n, 1 << n)
+            assert np.allclose(dense, dense.conj().T)  # Hermitian
+            assert np.allclose(dense @ v.to_numpy(), ps.apply(v).to_numpy())
+
+    def test_to_dense_cap(self):
+        with pytest.raises(EnumerationCapError):
+            PauliSum.zero(13).to_dense()
+
+    def test_approx_equal_is_an_elementwise_tolerance(self, rng):
+        for _ in range(200):
+            n = rng.randint(0, 3)
+            a = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1 << n)]
+            b = [x + complex(rng.choice([0, 1e-12, 1e-8, 1e-3]), 0) for x in a]
+            tol = rng.choice([1e-10, 1e-6, 1e-2])
+            want = all(abs(x - y) <= tol + 1e-5 * abs(y) for x, y in zip(a, b))  # numpy's allclose
+            assert StateVector(n, a).approx_equal(StateVector(n, b), tol) is want
+        exact = StateVector(2, [Fraction(1, 3), 0, 0, ExactComplex(0, 1)])
+        assert exact.approx_equal(StateVector(2, [1 / 3, 0, 0, 1j]))
+        assert not exact.approx_equal(StateVector(3, [0] * 8))
+
+
+class TestSharedTermTable:
+    """What PseudoBoolean and PauliSum keep from their shared base."""
+
+    def test_cross_type_equality_is_false(self):
+        pairs = [
+            (PseudoBoolean.zero(2), PauliSum.zero(2)),
+            (PseudoBoolean.constant(1, 1), PauliSum.identity(1)),
+        ]
+        for f, ps in pairs:
+            assert f != ps and ps != f
+            assert not f == ps and not ps == f
+
+    def test_pauli_sum_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(PauliSum.identity(2))
+
+    def test_equal_polynomials_hash_equal(self):
+        f = parse("x1*x2 + 1/2*x3 - 2")
+        g = PseudoBoolean.from_terms(3, {(2,): Fraction(1, 2), (): -2, (1, 0): 1})
+        assert f == g and f is not g and hash(f) == hash(g)
+        assert len({f, g, f + PseudoBoolean.zero(3)}) == 1
+
+    @pytest.mark.parametrize("table", [
+        PseudoBoolean.from_terms(3, {(0, 1): 2, (): -1}),
+        PauliSum(3, {"XYZ": 2, "III": -1}),
+    ])
+    def test_scaling_by_zero_keeps_the_arity(self, table):
+        for zero in (0 * table, table * 0, table * Fraction(0)):
+            assert type(zero) is type(table) and zero.n == 3
+            assert zero._terms == {} and zero == type(table).zero(3)
+        assert (table * Fraction(1, 2))._terms == {k: v / 2 for k, v in table._terms.items()}
 
 
 class TestIsingForm:

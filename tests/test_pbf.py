@@ -376,6 +376,8 @@ class TestErrorPaths:
     def test_multiply_arity_mismatch(self):
         with pytest.raises(DimensionError):
             PseudoBoolean.variable(2, 0) * PseudoBoolean.variable(3, 0)
+        with pytest.raises(DimensionError):
+            PseudoBoolean.variable(2, 0) + PseudoBoolean.variable(3, 0)
 
     def test_nonnegativity_cap(self):
         with pytest.raises(EnumerationCapError):

@@ -162,6 +162,17 @@ class TestPauliProduct:
             )
 
 
+def test_is_identity_means_the_identity_matrix():
+    for n in (1, 2):
+        for letters in product("IXYZ", repeat=n):
+            for sign in (1, -1):
+                p = SymplecticPauli.from_letters("".join(letters), sign)
+                # the sign is kept apart from the word, so -I is an identity word too
+                assert p.is_identity() == np.allclose(dense_word(p.letters()), np.eye(1 << n))
+    assert SymplecticPauli(64, 0, 0, -1).is_identity()
+    assert not SymplecticPauli(64, 0, 1 << 63, 1).is_identity()
+
+
 class TestProjectorParent:
     def test_empty_circuit_counts_ones(self):
         c = CliffordCircuit(2, ())

@@ -29,7 +29,11 @@ from fractions import Fraction
 
 from . import expr, gadgets, ising_kernel, pauli, stabilizer, symmetric
 from .errors import EnumerationCapError, PBKernelError
-from .pbf import PseudoBoolean, _check_arity, index_of
+from .pbf import _check_arity
+
+#: widest circuit whose state ``parent clifford --verify`` builds (2^n amplitudes)
+#: to check that the parent annihilates it
+VERIFY_STATE_CAP = 12
 
 
 class _UsageError(Exception):
@@ -54,54 +58,37 @@ def _parse_bits(text: str) -> tuple:
     return tuple(int(ch) for ch in text)
 
 
-def _load_expression(path: str, arity: int | None) -> PseudoBoolean:
-    return expr.parse(_read(path), arity=arity)
-
-
-def _amplitude(token: str, lineno: int) -> Fraction:
-    """One exact amplitude of a state file.  A decimal exponent may expand to
-    no more digits than the interpreter lets ``int()`` read from a string, so
-    a short token such as ``1e10000000`` cannot stall the loader."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    _, sep, exponent = token.lower().rpartition("e")
-    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    over = digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit)
-    if sep and limit and over:
-        raise PBKernelError(f"state line {lineno}: decimal exponent over {limit} digits")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise PBKernelError(f"state line {lineno}: zero denominator") from None
-
-
-def _load_state(path: str) -> pauli.StateVector:
-    """State file: lines of 'bitstring amplitude_re amplitude_im', one line per bit string."""
-    entries, lines = {}, {}  # basis index -> amplitude, and the line that gave it
+def _bit_lines(path: str, where: str, count: int, usage: str):
+    """(line number, bits, fields) of each record of a state or strings file:
+    ``count`` fields, the first a bit string as wide as the file's first."""
     n = None
-    for lineno, raw in enumerate(_read(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise PBKernelError(f"state line {lineno}: expected 'bits re im'")
-        bits = _parse_bits(parts[0])
-        if n is None:
-            n = len(bits)
-            if n > pauli.STATE_CAP:  # before any 2^n allocation; StateVector's message
-                raise EnumerationCapError(f"statevector arity {n} outside 0..{pauli.STATE_CAP}")
-        elif len(bits) != n:
-            raise PBKernelError(f"state line {lineno}: inconsistent width")
-        idx = index_of(bits)
-        if idx in lines:
-            raise PBKernelError(f"state line {lineno}: basis string {parts[0]} repeats line {lines[idx]}")
-        lines[idx] = lineno
-        re, im = (_amplitude(token, lineno) for token in parts[1:])
-        entries[idx] = pauli.ExactComplex(re, im)
-    if n is None:
+    for lineno, fields in expr.records(_read(path)):
+        if len(fields) != count:
+            raise PBKernelError(f"{where} {lineno}: expected {usage}")
+        if any(ch not in "01" for ch in fields[0]):
+            raise PBKernelError(f"{where} {lineno}: bad bit string {fields[0]!r}")
+        n = n or len(fields[0])
+        if len(fields[0]) != n:
+            raise PBKernelError(f"{where} {lineno}: inconsistent width")
+        yield lineno, tuple(map(int, fields[0])), fields
+
+
+def _load_support(path: str) -> gadgets.SupportSet:
+    """State file: lines of 'bitstring amplitude_re amplitude_im', each bit string
+    at most once; its support is the strings of the lines with a nonzero amplitude."""
+    members, lines = set(), {}  # the support, and the line each bit string is on
+    for lineno, bits, fields in _bit_lines(path, "state line", 3, "'bits re im'"):
+        if len(bits) > pauli.STATE_CAP:  # on the first line, before any 2^n allocation
+            raise EnumerationCapError(f"statevector arity {len(bits)} outside 0..{pauli.STATE_CAP}")
+        if bits in lines:
+            raise PBKernelError(f"state line {lineno}: basis string {fields[0]} repeats line {lines[bits]}")
+        lines[bits] = lineno
+        re, im = (expr.rational(token, lineno, "state line") for token in fields[1:])
+        if re or im:
+            members.add(bits)
+    if not lines:
         raise PBKernelError("state file has no amplitude lines")
-    amps = [entries.get(i, Fraction(0)) for i in range(1 << n)]
-    return pauli.StateVector(n, amps)
+    return gadgets.SupportSet(len(bits), frozenset(members))
 
 
 def _emit(payload: dict, as_json: bool, human_lines) -> None:
@@ -116,7 +103,7 @@ def _emit(payload: dict, as_json: bool, human_lines) -> None:
 
 
 def _cmd_pbf(args) -> int:
-    f = _load_expression(args.exprfile, args.arity)
+    f = expr.parse(_read(args.exprfile), arity=args.arity)
     if args.action == "kernel":
         ker = sorted(_bitstring(x) for x in f.kernel())
         payload = {"command": "pbf kernel", "arity": f.n, "kernel": ker}
@@ -150,7 +137,7 @@ def _cmd_pbf(args) -> int:
 
 
 def _cmd_sym(args) -> int:
-    f = _load_expression(args.exprfile, args.arity)
+    f = expr.parse(_read(args.exprfile), arity=args.arity)
     sym = symmetric.detect_symmetric(f)
     if args.action == "profile":
         if sym.profile is None:
@@ -202,7 +189,7 @@ def _cmd_parent_clifford(args) -> int:
                 for w, c in parent.terms() if w.strip("I")]
         kdim = stabilizer.kernel_dimension(gens)
         annihilates = None
-        if circuit.n <= 12:
+        if circuit.n <= VERIFY_STATE_CAP:
             state = stabilizer.apply_circuit(
                 circuit, pauli.StateVector.basis_state(circuit.n, 0)
             )
@@ -220,8 +207,7 @@ def _cmd_parent_clifford(args) -> int:
 
 
 def _cmd_parent_support(args) -> int:
-    state = _load_state(args.statefile)
-    sup = gadgets.support(state)
+    sup = _load_support(args.statefile)
     op = gadgets.support_parent(sup)
     payload = {
         "command": "parent support",
@@ -297,12 +283,7 @@ def _cmd_gadget_compose(args) -> int:
 
 
 def _cmd_ising_realize(args) -> int:
-    strings = []
-    for lineno, raw in enumerate(_read(args.stringsfile).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        strings.append(_parse_bits(line))
+    strings = [bits for _, bits, _ in _bit_lines(args.stringsfile, "strings line", 1, "one bit string")]
     real = ising_kernel.quadratic_realizability(strings, args.n)
     payload = {"command": "ising realize", "n": args.n}
     payload.update(real.to_dict())

@@ -17,6 +17,10 @@ new polynomial per ``+``.  A run of plain-variable factors (``x2*x5`` in
 ``PseudoBoolean.__mul__``.  Every product is checked against
 :data:`PRODUCT_CAP` before it is formed; a run is checked at its first
 ``*``, since multiplying by a monomial never adds terms.
+
+The line-oriented input files (state, strings, circuit and Pauli-sum text)
+share two readers here: :func:`records`, the one line rule, and
+:func:`rational`, the one guarded reader of an exact number field.
 """
 
 from __future__ import annotations
@@ -48,6 +52,34 @@ def _digit_run(text: str, i: int) -> int:
     if limit and j - i > limit:
         raise ParseError(f"number of {j - i} digits over {limit} at {_line_col(text, i)}", i)
     return j
+
+
+def records(text: str):
+    """(line number, fields) of each line that is neither blank nor a ``#``
+    comment; lines count from 1 and fields are split on whitespace."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
+def rational(token: str, lineno: int, where: str = "line") -> Fraction:
+    """One exact number field of a line-oriented file.  A decimal exponent may
+    expand to no more digits than the interpreter lets ``int()`` read from a
+    string, so a short token such as ``1e10000000`` cannot stall the reader;
+    every refusal is a ParseError that names ``where`` and the line."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    _, sep, exponent = token.lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    over = digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit)
+    if sep and limit and over:
+        raise ParseError(f"{where} {lineno}: decimal exponent over {limit} digits")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ParseError(f"{where} {lineno}: zero denominator") from None
+    except ValueError:
+        raise ParseError(f"{where} {lineno}: bad number {token!r}") from None
 
 
 def _tokenize(text: str):

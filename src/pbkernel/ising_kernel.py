@@ -59,8 +59,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import PseudoBoolean, _accumulate, _coerce, _hadamard_transform, _int_dtype, _numerators
-from .pbf import _point_indices, _scaled, _swap_order, bits_of, index_of, spin_to_boolean
+from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _coerce, _hadamard_transform, _int_dtype
+from .pbf import _numerators, _point_indices, _scaled, _swap_order, bits_of, index_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -131,7 +131,7 @@ class OneBodyKernel(NamedTuple):
     assignments: frozenset | None
 
 
-def one_body_kernel(form: OneBodyForm, explicit_cap: int = 20) -> OneBodyKernel:
+def one_body_kernel(form: OneBodyForm, explicit_cap: int = DEFAULT_ENUMERATION_CAP) -> OneBodyKernel:
     if form.offset > 0:
         return OneBodyKernel({}, (), True, frozenset())
     pinned = {k: 1 - form.tau[k] for k, c in enumerate(form.coeffs) if c > 0}

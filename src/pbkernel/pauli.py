@@ -52,11 +52,16 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
-from .pbf import (PseudoBoolean, _coerce, _int_dtype, _numerators, _TermTable, boolean_to_spin,
-                  index_of, spin_to_boolean)
+from .expr import rational, records
+from .pbf import (PseudoBoolean, _check_assignment, _coerce, _int_dtype, _numerators, _TermTable,
+                  boolean_to_spin, index_of, spin_to_boolean)
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
+#: widest sum :meth:`PauliSum.to_dense` writes out as a 2^n x 2^n matrix
+DENSE_CAP = 12
+#: widest matrix :func:`dense_pauli_coefficients` expands, one trace per 4^n words
+PAULI_BASIS_CAP = 6
 #: bound on the Z-basis expansion: the keys the per-variable pass in
 #: :func:`pbkernel.pbf.boolean_to_spin` can hold, min(sum of 2^|M| over the
 #: monomials M, 2^n)
@@ -170,6 +175,17 @@ def _amp_is_zero(value, tol: float = 0.0) -> bool:
     return abs(value) <= tol
 
 
+def _basis_index(x, n: int) -> int:
+    """Basis-state index of x, an index in 0..2^n - 1 or an n-bit assignment
+    (checked as :meth:`pbkernel.pbf.PseudoBoolean.eval` checks one)."""
+    if isinstance(x, int):
+        if not 0 <= x < 1 << n:
+            raise ValueError(f"basis index {x} outside 0..{(1 << n) - 1}")
+        return x
+    _check_assignment(x, n)
+    return index_of(map(int, x))
+
+
 class StateVector:
     """Dense 2^n amplitude vector; exact scalars whenever inputs are exact."""
 
@@ -189,7 +205,7 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, arity: int, x) -> "StateVector":
-        idx = x if isinstance(x, int) else index_of(x)
+        idx = _basis_index(x, arity)
         amps = [_ZERO] * (1 << arity)
         amps[idx] = Fraction(1)
         return cls(arity, amps)
@@ -216,8 +232,7 @@ class StateVector:
         return cls(arity, amps)
 
     def amplitude(self, x) -> object:
-        idx = x if isinstance(x, int) else index_of(x)
-        return self.amps[idx]
+        return self.amps[_basis_index(x, self.n)]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.to_numpy()))
@@ -402,18 +417,23 @@ class DiagonalOperator:
         return f"DiagonalOperator(n={self.n})"
 
 
+def _embedded_table(f: PseudoBoolean, cap: int, what: str) -> list:
+    """f's value table for an embedding; a cap above ``STATE_CAP`` counts as
+    ``STATE_CAP``, so the check comes before the 2^n table exists."""
+    cap = min(cap, STATE_CAP)
+    if f.n > cap:
+        raise EnumerationCapError(f"{what} embedding at arity {f.n} exceeds cap {cap}")
+    return f.to_disjoint_form(cap=cap)
+
+
 def embed_diagonal(f: PseudoBoolean, cap: int = STATE_CAP) -> DiagonalOperator:
     """H_f with <x|H_f|x> = f(x)."""
-    if f.n > cap:
-        raise EnumerationCapError(f"diagonal embedding at arity {f.n} exceeds cap {cap}")
-    return DiagonalOperator(f.n, f.to_disjoint_form(cap=cap))
+    return DiagonalOperator(f.n, _embedded_table(f, cap, "diagonal"))
 
 
 def embed_state(f: PseudoBoolean, cap: int = STATE_CAP) -> StateVector:
     """The unnormalized state with amplitude f(x) on |x>."""
-    if f.n > cap:
-        raise EnumerationCapError(f"state embedding at arity {f.n} exceeds cap {cap}")
-    return StateVector(f.n, f.to_disjoint_form(cap=cap))
+    return StateVector(f.n, _embedded_table(f, cap, "state"))
 
 
 class PauliSum(_TermTable):
@@ -477,8 +497,8 @@ class PauliSum(_TermTable):
 
     def to_dense(self) -> np.ndarray:
         """Dense complex matrix; desk-scale only."""
-        if self.n > 12:
-            raise EnumerationCapError(f"dense matrix at arity {self.n} is over cap")
+        if self.n > DENSE_CAP:
+            raise EnumerationCapError(f"dense matrix at arity {self.n} is over cap {DENSE_CAP}")
         size = 1 << self.n
         out = np.zeros((size, size), dtype=complex)
         for word, coeff in self._terms.items():
@@ -493,14 +513,10 @@ class PauliSum(_TermTable):
     def from_text(cls, text: str, arity: int | None = None) -> "PauliSum":
         terms: dict = {}
         n = arity
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, parts in records(text):
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected '<coeff> <letters>'")
-            coeff, word = Fraction(parts[0]), parts[1]
+            coeff, word = rational(parts[0], lineno), parts[1]
             if n is None:
                 n = len(word)
             if len(word) != n or any(ch not in PAULI_LETTERS for ch in word):
@@ -569,8 +585,8 @@ def dense_pauli_coefficients(mat: np.ndarray, tol: float = 1e-12) -> dict:
     n = size.bit_length() - 1
     if 1 << n != size or mat.shape != (size, size):
         raise DimensionError(f"matrix shape {mat.shape} is not square 2^n")
-    if n > 6:
-        raise EnumerationCapError(f"4^{n} trace inner products is over cap")
+    if n > PAULI_BASIS_CAP:
+        raise EnumerationCapError(f"4^{n} trace inner products is over cap 4^{PAULI_BASIS_CAP}")
     coeffs = {}
     words = [""]
     for _ in range(n):

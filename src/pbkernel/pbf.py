@@ -77,6 +77,15 @@ def index_of(bits: Sequence[int]) -> int:
     return idx
 
 
+def _check_assignment(x: Sequence, n: int) -> None:
+    """DimensionError unless x has n entries, ValueError unless each is a bit."""
+    if len(x) != n:
+        raise DimensionError(f"assignment length {len(x)} != arity {n}")
+    for b in x:
+        if b not in (0, 1):
+            raise ValueError(f"assignment entry {b!r} is not a bit")
+
+
 def bits_of(index: int, n: int) -> tuple:
     """Inverse of :func:`index_of` for arity ``n``."""
     return tuple((index >> (n - 1 - i)) & 1 for i in range(n))
@@ -454,14 +463,8 @@ class PseudoBoolean(_TermTable):
 
     def eval(self, x: Sequence[int]) -> Fraction:
         """Exact value at a Boolean assignment."""
-        if len(x) != self.n:
-            raise DimensionError(f"assignment length {len(x)} != arity {self.n}")
-        xmask = 0
-        for i, b in enumerate(x):
-            if b not in (0, 1):
-                raise ValueError(f"assignment entry {b!r} is not a bit")
-            if b:
-                xmask |= 1 << i
+        _check_assignment(x, self.n)
+        xmask = sum(1 << i for i, b in enumerate(x) if b)
         total = Fraction(0)
         for mask, c in self._terms.items():
             if mask & xmask == mask:

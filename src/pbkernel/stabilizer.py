@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, ParseError
+from .expr import records
 from .pauli import PauliSum, StateVector, _Amplitudes, _pauli_masks, _pauli_word
 from .pbf import _accumulate
 
@@ -29,6 +30,8 @@ GATE_KINDS = ("h", "s", "x", "z", "cnot")
 
 #: symbolic circuit width limit (monomial masks elsewhere are 64-bit)
 MAX_QUBITS = 64
+#: widest state whose dense projector :func:`trivial_parent` builds (4^n entries)
+PROJECTOR_CAP = 10
 
 @dataclass(frozen=True)
 class CliffordGate:
@@ -115,11 +118,7 @@ class CliffordCircuit:
                 raise ParseError(f"line {lineno}: {what} {value} out of range 1..{high}")
             return value
 
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip().lower()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, parts in records(text.lower()):
             if parts[0] == "qubits":
                 if n is not None or len(parts) != 2:
                     raise ParseError(f"line {lineno}: bad or repeated 'qubits' header")
@@ -339,8 +338,8 @@ def trivial_parent(v: StateVector, tol: float = 1e-9) -> np.ndarray:
     G^2 = G, but its Pauli expansion generally has exponentially many
     terms, which is the point of measuring it.
     """
-    if v.n > 10:
-        raise EnumerationCapError(f"dense projector at arity {v.n} is over cap 10")
+    if v.n > PROJECTOR_CAP:
+        raise EnumerationCapError(f"dense projector at arity {v.n} is over cap {PROJECTOR_CAP}")
     vec = v.to_numpy()
     if abs(np.linalg.norm(vec) - 1.0) > tol:
         raise ValueError(f"state norm {np.linalg.norm(vec):.6f} is not 1")

@@ -5,8 +5,9 @@ it has two natural coordinate systems: the canonical coefficients
 (a_0 .. a_n, one per monomial size) and the power basis
 f(x) = sum_l c_l (x_1 + ... + x_n)^l.  The change of basis a = B c uses
 the upper-triangular matrix with entries B[i][j] = i! * S(j, i) built
-from Stirling numbers of the second kind; it is solved exactly by back
-substitution.
+from Stirling numbers of the second kind; its inverse is read off the
+falling factorials C(X, k) = X (X - 1) .. (X - k + 1) / k!, which the
+size-k monomials sum to at weight X.
 
 Substituting X = x_1 + ... + x_n turns the power form into a univariate
 polynomial Q(X) which factors over C, giving the product representation
@@ -16,10 +17,10 @@ polynomial Q(X) which factors over C, giving the product representation
 :func:`factorize` first splits off the exact rational roots: the
 rational-root theorem runs on one primitive integer multiple of Q, and
 each root is divided out of it exactly.  The search is skipped when an
-end of that polynomial passes 10**15.  The rest goes to ``np.roots``, so
-a coefficient left for it, the ratio of one to the leading one, and K
-(nonzero K must not underflow to 0.0) must fit a float; a ValueError
-names the one that does not.
+end of that polynomial passes :data:`ROOT_SEARCH_CAP`.  The rest goes to
+``np.roots``, so a coefficient left for it, the ratio of one to the
+leading one, and K (nonzero K must not underflow to 0.0) must fit a
+float; a ValueError names the one that does not.
 
 Note on sign conventions: the factorization is written with (X - lambda)
 factors.  Writing (lambda - X) instead flips K by (-1)^degree for odd
@@ -41,6 +42,9 @@ from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _check_c
 
 #: numeric roots with |Im| below tol*(1+|root|) are treated as real
 REAL_ROOT_TOL = 1e-9
+#: largest |end coefficient| the rational-root search trial-divides; past it
+#: the search is skipped and every root is numeric
+ROOT_SEARCH_CAP = 10**15
 
 
 @dataclass(frozen=True)
@@ -214,24 +218,23 @@ def stirling_matrix(n: int) -> list:
 
 
 def canonical_to_power(a: Sequence) -> SymmetricForm:
-    """Solve a = B c for the power coefficients; input is (a_0 .. a_n).
+    """The power coefficients of a = (a_0 .. a_n).
 
-    c_0 = a_0 directly; the triangular system couples only indices 1..n
-    and is solved bottom-up, so the result is exact and unique.
+    The monomials of size k sum to C(X, k) = X (X - 1) .. (X - k + 1) / k!
+    at weight X, so c = sum_k a_k / k! times the coefficients of that
+    falling factorial.  With the a_k as integer numerators over their LCM
+    D, n! D c is an integer sum of falling-factorial rows, row k scaled by
+    n! / k!, and each c_l is one Fraction.
     """
-    a = [_coerce(v) for v in a]
-    n = len(a) - 1
-    if n == 0:
-        return SymmetricForm(0, (a[0],))
-    B = stirling_matrix(n)
-    c = [Fraction(0)] * (n + 1)
-    c[0] = a[0]
-    for i in range(n, 0, -1):
-        acc = a[i]
-        for j in range(i + 1, n + 1):
-            acc -= B[i - 1][j - 1] * c[j]
-        c[i] = acc / B[i - 1][i - 1]
-    return SymmetricForm(n, tuple(c))
+    nums, denom = _numerators(a)
+    n = len(nums) - 1
+    c, row = [0] * (n + 1), [1]  # row k: X (X - 1) .. (X - k + 1), ascending
+    for k, num in enumerate(nums):
+        scale = num * math.perm(n, n - k)
+        for j, r in enumerate(row):
+            c[j] += scale * r
+        row = [p - k * q for p, q in zip([0] + row, row + [0])]  # times (X - k)
+    return SymmetricForm(n, tuple(Fraction(v, denom * math.factorial(n)) for v in c))
 
 
 def power_to_canonical(s: SymmetricForm) -> list:
@@ -282,14 +285,14 @@ def _rational_roots(coeffs: list) -> tuple:
     costs one integer Horner pass, and a root is divided out exactly as the
     primitive factor qX - p, so by Gauss's lemma the quotient is again a
     primitive integer polynomial.  The search stops when either end passes
-    10**15, where divisor enumeration by trial division would stall.
+    ``ROOT_SEARCH_CAP``, where divisor enumeration by trial division would stall.
     """
     zeros = next(i for i, c in enumerate(coeffs) if c)
     roots, poly = [Fraction(0)] * zeros, coeffs[zeros:]
     ints, _ = _numerators(poly)
     content = math.gcd(*ints)
     ints = [v // content for v in ints]
-    while len(ints) > 1 and abs(ints[0]) <= 10**15 and abs(ints[-1]) <= 10**15:
+    while len(ints) > 1 and abs(ints[0]) <= ROOT_SEARCH_CAP and abs(ints[-1]) <= ROOT_SEARCH_CAP:
         qs = _divisors(ints[-1])  # listed once, not once per p
         candidates = (
             (sp, q)

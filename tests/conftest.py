@@ -26,7 +26,11 @@ the generators again instead of reading them off the parent, the
 per-qubit phase table of the Pauli product before its popcount rule,
 the three scale * prod (X - r) expansion loops
 ``symmetric`` used before its one helper, the Fraction rational-root
-search ``symmetric`` used before its one integer polynomial, dense numpy
+search ``symmetric`` used before its one integer polynomial, the
+Stirling back-substitution of ``canonical_to_power`` before its
+falling-factorial rows, the ``parent support`` command that built the
+2^n statevector of a state file and scanned it back for its support,
+dense numpy
 matrices built from hard-coded gate definitions, a brute-force CNF
 solution scanner, and an exact minimal-face feasibility decider.
 """
@@ -1641,6 +1645,101 @@ def ref_rational_roots(coeffs: list) -> tuple:
             roots.append(Fraction(0))
             poly = poly[1:]
     return roots, poly
+
+
+# -- canonical_to_power before its falling-factorial rows ---------------------
+
+def ref_canonical_to_power(a):
+    """Solve a = B c with the Stirling matrix B by back substitution."""
+    from pbkernel import symmetric
+    from pbkernel.pbf import _coerce
+
+    a = [_coerce(v) for v in a]
+    n = len(a) - 1
+    if n == 0:
+        return symmetric.SymmetricForm(0, (a[0],))
+    B = symmetric.stirling_matrix(n)
+    c = [Fraction(0)] * (n + 1)
+    c[0] = a[0]
+    for i in range(n, 0, -1):
+        acc = a[i]
+        for j in range(i + 1, n + 1):
+            acc -= B[i - 1][j - 1] * c[j]
+        c[i] = acc / B[i - 1][i - 1]
+    return symmetric.SymmetricForm(n, tuple(c))
+
+
+# -- parent support through a dense statevector --------------------------------
+
+def _ref_amplitude(token: str, lineno: int) -> Fraction:
+    """One amplitude of a state file, with the exponent-digit guard."""
+    import sys
+
+    from pbkernel.errors import PBKernelError
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    _, sep, exponent = token.lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    over = digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit)
+    if sep and limit and over:
+        raise PBKernelError(f"state line {lineno}: decimal exponent over {limit} digits")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise PBKernelError(f"state line {lineno}: zero denominator") from None
+
+
+def ref_load_state(text: str):
+    """A state file's 2^n statevector, one ``Fraction(0)`` per absent string."""
+    from pbkernel import cli, pauli
+    from pbkernel.errors import EnumerationCapError, PBKernelError
+    from pbkernel.pbf import index_of
+
+    entries, lines = {}, {}  # basis index -> amplitude, and the line that gave it
+    n = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise PBKernelError(f"state line {lineno}: expected 'bits re im'")
+        if any(ch not in "01" for ch in parts[0]):
+            raise PBKernelError(f"bad bit string {parts[0]!r}")
+        bits = tuple(int(ch) for ch in parts[0])
+        if n is None:
+            n = len(bits)
+            if n > pauli.STATE_CAP:
+                raise EnumerationCapError(f"statevector arity {n} outside 0..{pauli.STATE_CAP}")
+        elif len(bits) != n:
+            raise PBKernelError(f"state line {lineno}: inconsistent width")
+        idx = index_of(bits)
+        if idx in lines:
+            raise PBKernelError(f"state line {lineno}: basis string {parts[0]} repeats line {lines[idx]}")
+        lines[idx] = lineno
+        re, im = (_ref_amplitude(token, lineno) for token in parts[1:])
+        entries[idx] = pauli.ExactComplex(re, im)
+    if n is None:
+        raise PBKernelError("state file has no amplitude lines")
+    return pauli.StateVector(n, [entries.get(i, Fraction(0)) for i in range(1 << n)])
+
+
+def ref_cmd_parent_support(args):
+    """``parent support`` as the CLI ran it when it built the statevector and
+    had ``gadgets.support`` scan it back."""
+    from pbkernel import cli
+
+    sup = gadgets.support(ref_load_state(cli._read(args.statefile)))
+    op = gadgets.support_parent(sup)
+    payload = {
+        "command": "parent support",
+        "arity": sup.n,
+        "support": sorted(cli._bitstring(x) for x in sup.members),
+        "diag": [str(v) for v in op.diag],
+    }
+    human = [f"support size {len(sup.members)}"] + payload["support"]
+    cli._emit(payload, args.json, human)
+    return 0
 
 
 @pytest.fixture

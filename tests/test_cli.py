@@ -17,7 +17,8 @@ import pytest
 import pbkernel
 from pbkernel import PauliSum, PseudoBoolean, stabilizer
 from pbkernel.cli import main
-from conftest import random_clifford_circuit, ref_cmd_parent_clifford, ref_pbf_to_pauli
+from conftest import (random_clifford_circuit, ref_cmd_parent_clifford, ref_cmd_parent_support,
+                      ref_pbf_to_pauli)
 
 DELTA_EXPR = "1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2\n"
 GHZ3_CIRCUIT = "qubits 3\nh 1\ncnot 1 2\ncnot 2 3\n"
@@ -144,6 +145,16 @@ class TestParentCommands:
             assert line in out
         assert "elapsed" in out
 
+    def test_verify_state_cap_is_the_named_constant(self, capsys, ghz3_file, monkeypatch):
+        from pbkernel import cli
+
+        assert cli.VERIFY_STATE_CAP == 12
+        for cap, annihilates in ((3, True), (2, None)):  # above the cap the state is not built
+            monkeypatch.setattr(cli, "VERIFY_STATE_CAP", cap)
+            code, out, _ = run(capsys, "parent", "clifford", ghz3_file, "--verify", "--json")
+            assert code == 0
+            assert json.loads(out)["verify"] == {"kernel_dimension": 1, "annihilates_state": annihilates, "ok": True}
+
     def test_clifford_verify_reads_the_generators_off_the_parent(self, capsys, tmp_path, monkeypatch):
         rng = random.Random(1010)
         calls = []
@@ -171,6 +182,41 @@ class TestParentCommands:
         assert payload["support"] == ["000", "111"]
         assert payload["diag"][0] == "0" and payload["diag"][7] == "0"
         assert payload["diag"][3] == "1"
+
+    def test_support_is_read_off_the_file(self, capsys, tmp_path, monkeypatch, rng):
+        """Random state files (comments, blank lines, zero and complex amplitudes,
+        a 16-qubit two-line file first) give the ``--json`` bytes of the
+        statevector path, and no statevector is built or scanned."""
+        from pbkernel import gadgets, pauli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parent support built or scanned a statevector")
+
+        zero, nonzero = ["0", "-0", "0/7", "0e5"], ["3", "-2", "5/4", "-1/3", "1e2", "-0.25", "2E-1"]
+        fillers = ["", "# bits re im", "   ", "\t# 0 1 0"]
+        path = tmp_path / "random.state"
+        for trial in range(120):
+            if trial == 0:  # the two ends of a 16-qubit register
+                n, amps = 16, {0: ("1", "0"), (1 << 16) - 1: ("1/2", "-3")}
+            else:
+                n = rng.randint(1, 8)
+                codes = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 10)))
+                amps = {c: (rng.choice(zero + nonzero), rng.choice(zero + nonzero)) for c in codes}
+                amps[codes[0]] = (rng.choice(nonzero), rng.choice(zero + nonzero))  # a nonempty support
+            lines = []
+            for code, (re, im) in amps.items():
+                lines += rng.sample(fillers, rng.randint(0, 2))
+                sep = rng.choice([" ", "  ", "\t"])
+                lines.append(f"{code:0{n}b}{sep}{re} {im}")
+            path.write_text("\n".join(lines) + "\n")
+            with monkeypatch.context() as m:
+                m.setattr(pauli, "StateVector", refuse)
+                m.setattr(gadgets, "support", refuse)
+                got = run(capsys, "parent", "support", str(path), "--json")
+            code = ref_cmd_parent_support(argparse.Namespace(statefile=str(path), json=True))
+            want = capsys.readouterr()
+            assert got == (code, want.out, want.err)
+            assert got[0] == 0
 
     def test_ghz_quadratic(self, capsys):
         code, out, _ = run(capsys, "parent", "ghz-quadratic", "-n", "3", "--json")
@@ -317,6 +363,39 @@ class TestExitCodesAndDeterminism:
         code, out, err = run(capsys, "parent", "support", str(path), "--json")
         assert code == 2 and out == ""
         assert err == "error: state line 3: basis string 00 repeats line 1\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("00 1 0\n0a 1 0\n", "state line 2: bad bit string '0a'"),
+        ("00 1 0\n\n011 1 0\n", "state line 3: inconsistent width"),
+        ("00 1 0\n01 1 0 0\n", "state line 2: expected 'bits re im'"),
+        ("# re im\n00 abc 0\n", "state line 2: bad number 'abc'"),
+        ("00 1 0\n01 0 1/-2\n", "state line 2: bad number '1/-2'"),
+        ("00 0 0\n# only zeros\n", "malformed input: empty support has no parent"),
+        ("# nothing\n\n", "state file has no amplitude lines"),
+    ])
+    def test_state_file_diagnostics_name_the_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.state"
+        path.write_text(text)
+        code, out, err = run(capsys, "parent", "support", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, n, message", [
+        ("000\n0a1\n", "3", "strings line 2: bad bit string '0a1'"),
+        ("000\n01 10\n", "3", "strings line 2: expected one bit string"),
+        ("000\n# a comment\n\n1111\n", "3", "strings line 4: inconsistent width"),
+        # the -n checks of quadratic_realizability keep their messages
+        ("000\n111\n", "0", "malformed input: n must be positive, got 0"),
+        ("000\n111\n", "4", "malformed input: bad bit string (0, 0, 0) for n = 4"),
+        ("0" * 13 + "\n", "13", "2^13 margin rows exceed cap 2^12"),
+        ("# no strings\n", "3", "malformed input: S must be nonempty"),
+    ])
+    def test_strings_file_diagnostics_name_the_line(self, capsys, tmp_path, text, n, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "ising", "realize", str(path), "-n", n, "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_ghz_quadratic_arity_checked_before_allocation(self, capsys):
         tracemalloc.start()

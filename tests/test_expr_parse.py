@@ -91,3 +91,46 @@ def test_one_pass_parse_matches_the_term_by_term_parser(text, arity, cap):
 )
 def test_product_cap_is_checked_at_the_same_product(text, cap):
     assert_same(text, cap=cap)
+
+
+# -- the line reader of the state, strings, circuit and Pauli-text files -------
+
+
+def test_records_skip_blank_and_comment_lines_and_count_them():
+    text = "qubits 2\n\n   \n# a note\n  #indented note\nh\t1 # trailing text is a field\r\ncnot 1 2"
+    assert list(expr.records(text)) == [
+        (1, ["qubits", "2"]),
+        (6, ["h", "1", "#", "trailing", "text", "is", "a", "field"]),
+        (7, ["cnot", "1", "2"]),
+    ]
+    assert list(expr.records("")) == list(expr.records("\n# only\n")) == []
+
+
+@pytest.mark.parametrize("token, value", [
+    ("3", 3), ("-1/2", expr.Fraction(-1, 2)), ("0.25", expr.Fraction(1, 4)), ("1e3", 1000),
+    ("2E-2", expr.Fraction(1, 50)),
+])
+def test_rational_reads_exact_numbers(token, value):
+    got = expr.rational(token, 4)
+    assert got == value and type(got) is expr.Fraction
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1/0", "zero denominator"),
+    ("0/0", "zero denominator"),
+    ("x", "bad number 'x'"),
+    ("1/-2", "bad number '1/-2'"),
+    ("nan", "bad number 'nan'"),
+    ("inf", "bad number 'inf'"),
+    ("1e99999", "decimal exponent over {} digits"),
+    ("1e-" + "9" * 50, "decimal exponent over {} digits"),
+    ("1" * 5000, "bad number '" + "1" * 5000 + "'"),  # past int()'s digit limit
+], ids=["1/0", "0/0", "x", "1/-2", "nan", "inf", "1e99999", "1e-9x50", "1x5000"])
+def test_rational_refuses_with_the_line(token, message):
+    import sys
+
+    with pytest.raises(ParseError) as exc:
+        expr.rational(token, 9, "state line")
+    assert str(exc.value) == "state line 9: " + message.format(sys.get_int_max_str_digits())
+    assert exc.value.position is None
+

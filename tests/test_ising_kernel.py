@@ -95,6 +95,15 @@ class TestOneBodyKernel:
         desc = one_body_kernel(OneBodyForm((1,), (1,), offset=Fraction(1, 2)))
         assert desc.empty and desc.assignments == frozenset()
 
+    def test_explicit_kernel_up_to_the_enumeration_cap(self):
+        from pbkernel import DEFAULT_ENUMERATION_CAP
+
+        free = OneBodyForm((0,) * 21, (1,) * 21)
+        assert one_body_kernel(free).assignments is None  # 2^21 kernel strings are not listed
+        assert one_body_kernel(free).free == tuple(range(21))
+        pinned = one_body_kernel(OneBodyForm((1,) * DEFAULT_ENUMERATION_CAP, (1,) * DEFAULT_ENUMERATION_CAP))
+        assert pinned.assignments == {(0,) * DEFAULT_ENUMERATION_CAP}
+
     def test_matches_bruteforce(self, rng):
         for _ in range(20):
             n = rng.randint(1, 7)

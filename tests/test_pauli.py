@@ -1,5 +1,7 @@
 """Operator/state embeddings, Z-basis conversions, statevector action."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +291,65 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             PauliSum.from_text("1/2 ZQ")
 
+    @pytest.mark.parametrize("token, message", [
+        ("1e10000000", f"line 1: decimal exponent over {sys.get_int_max_str_digits()} digits"),
+        ("1/0", "line 1: zero denominator"),
+        ("abc", "line 1: bad number 'abc'"),
+    ])
+    def test_bad_coefficient_is_a_parse_error_naming_the_line(self, monkeypatch, token, message):
+        from pbkernel import ParseError, expr
+
+        built = []  # every Fraction the number reader builds
+        fraction = expr.Fraction
+        monkeypatch.setattr(expr, "Fraction", lambda *args: built.append(args) or fraction(*args))
+        with pytest.raises(ParseError) as exc:
+            PauliSum.from_text(f"{token} X")
+        assert str(exc.value) == message
+        assert built == ([] if token == "1e10000000" else [(token,)])
+
+    def test_comments_and_blank_lines_count_as_lines(self):
+        from pbkernel import ParseError
+
+        text = "# a sum\n\n1/2 ZZ\n   \n  # more\n-1 XY\n"
+        assert PauliSum.from_text(text) == PauliSum(2, {"ZZ": Fraction(1, 2), "XY": -1})
+        with pytest.raises(ParseError, match="^line 7: bad number 'x'$"):
+            PauliSum.from_text(text + "x II\n")
+
+
+class TestBasisIndex:
+    """States check an assignment as ``PseudoBoolean.eval`` does, and an index."""
+
+    def test_entry_that_is_not_a_bit(self):
+        with pytest.raises(ValueError, match="assignment entry 2 is not a bit"):
+            StateVector.basis_state(3, (1, 2, 0))
+        with pytest.raises(ValueError, match="assignment entry 2 is not a bit"):
+            StateVector.basis_state(2, (1, 2))
+
+    def test_short_assignment(self):
+        with pytest.raises(DimensionError, match="assignment length 1 != arity 3"):
+            StateVector.basis_state(3, (1,))
+
+    def test_long_assignment(self):
+        with pytest.raises(DimensionError, match="assignment length 3 != arity 2"):
+            StateVector.ghz_state(2).amplitude((1, 1, 1))
+
+    @pytest.mark.parametrize("index", [-1, 4, 1 << 70])
+    def test_index_outside_the_register(self, index):
+        with pytest.raises(ValueError, match=f"basis index {index} outside 0..3"):
+            StateVector.basis_state(2, index)
+        with pytest.raises(ValueError, match=f"basis index {index} outside 0..3"):
+            StateVector.ghz_state(2).amplitude(index)
+
+    def test_assignments_and_indices_agree(self):
+        for n in range(4):
+            for k, bits in enumerate(sorted(assignments(n), key=lambda b: int("".join(map(str, b)) or "0", 2))):
+                v = StateVector.basis_state(n, bits)
+                assert v == StateVector.basis_state(n, k)
+                assert v.amplitude(bits) == v.amplitude(k) == 1
+                assert v.amps.count(0) == (1 << n) - 1
+        assert StateVector.basis_state(2, (True, False)) == StateVector.basis_state(2, 2)
+        assert StateVector.basis_state(2, [1.0, 1]) == StateVector.basis_state(2, 3)
+
 
 class TestErrorPaths:
     def test_embedding_caps(self):
@@ -299,3 +360,31 @@ class TestErrorPaths:
             embed_diagonal(wide)
         with pytest.raises(EnumerationCapError):
             embed_state(wide)
+
+    @pytest.mark.parametrize("embed, what", [(embed_diagonal, "diagonal"), (embed_state, "state")])
+    def test_cap_above_the_state_cap_is_checked_first(self, embed, what):
+        wide = PseudoBoolean.variable(18, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match=f"^{what} embedding at arity 18 exceeds cap 16$"):
+                embed(wide, cap=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 2^18 table would take tens of MB
+        assert embed(PseudoBoolean.variable(4, 0), cap=20).n == 4
+
+    def test_dense_caps_are_named_and_named_in_the_refusal(self, monkeypatch):
+        from pbkernel import dense_pauli_coefficients, pauli
+
+        with pytest.raises(EnumerationCapError, match="^dense matrix at arity 13 is over cap 12$"):
+            PauliSum.zero(13).to_dense()
+        with pytest.raises(EnumerationCapError, match=r"^4\^7 trace inner products is over cap 4\^6$"):
+            dense_pauli_coefficients(np.zeros((128, 128)))
+        monkeypatch.setattr(pauli, "DENSE_CAP", 2)
+        monkeypatch.setattr(pauli, "PAULI_BASIS_CAP", 1)
+        with pytest.raises(EnumerationCapError, match="^dense matrix at arity 3 is over cap 2$"):
+            PauliSum.zero(3).to_dense()
+        with pytest.raises(EnumerationCapError, match=r"^4\^2 trace inner products is over cap 4\^1$"):
+            dense_pauli_coefficients(np.eye(4))
+        assert PauliSum.identity(2).to_dense().shape == (4, 4)

@@ -352,6 +352,15 @@ class TestErrorPaths:
         with pytest.raises(EnumerationCapError):
             trivial_parent(StateVector.basis_state(11, 0))
 
+    def test_trivial_parent_cap_is_the_named_constant(self, monkeypatch):
+        from pbkernel import EnumerationCapError, stabilizer
+
+        assert stabilizer.PROJECTOR_CAP == 10
+        monkeypatch.setattr(stabilizer, "PROJECTOR_CAP", 1)
+        with pytest.raises(EnumerationCapError, match="^dense projector at arity 2 is over cap 1$"):
+            trivial_parent(StateVector.ghz_state(2, normalized=True))
+        assert trivial_parent(StateVector.basis_state(1, 0)).shape == (2, 2)
+
     def test_symmetry_scan_cap(self):
         from pbkernel import EnumerationCapError, detect_symmetric
         from pbkernel import PseudoBoolean

@@ -32,6 +32,7 @@ from conftest import (
     ref_delta_poly,
     ref_expand_complex,
     ref_expand_exact,
+    ref_canonical_to_power,
     ref_profile_to_pbf,
 )
 
@@ -125,6 +126,17 @@ class TestBasisChange:
         assert c[0] == a[0]
         for i in range(1, n + 1):
             assert sum(B[i - 1][j - 1] * c[j] for j in range(1, n + 1)) == a[i]
+
+    def test_falling_factorials_match_the_stirling_solve(self, rng):
+        for n in range(13):
+            for _ in range(25):
+                a = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(n + 1)]
+                a[rng.randrange(n + 1)] = 0
+                got = canonical_to_power(a)
+                assert got == ref_canonical_to_power(a)
+                assert all(type(c) is Fraction for c in got.power_coeffs)
+        mixed = [1, Fraction(1, 3), 0.5, -2]  # ints, Fractions and floats are coerced alike
+        assert canonical_to_power(mixed) == ref_canonical_to_power(mixed)
 
     def test_power_form_reevaluates(self, rng):
         for _ in range(10):
@@ -423,3 +435,16 @@ class TestProfileDifferences:
         f = profile_to_pbf(WeightProfile(n, [j * j for j in range(n + 1)]))  # X^2 = X + 2 e_2
         assert len(f.masked_terms()) == n + math.comb(n, 2)
         assert set(f.masked_terms().values()) == {1, 2}
+
+
+def test_root_search_cap_is_the_named_constant(monkeypatch):
+    """(X - 2)(X - 3) is split exactly, until its constant term 6 passes the cap."""
+    from pbkernel import symmetric
+
+    form = SymmetricForm(2, (Fraction(6), Fraction(-5), Fraction(1)))
+    assert symmetric.ROOT_SEARCH_CAP == 10**15
+    assert factorize(form).exact_roots == (2, 3)
+    monkeypatch.setattr(symmetric, "ROOT_SEARCH_CAP", 5)
+    rf = factorize(form)
+    assert rf.exact_roots == () and [round(complex(r).real, 9) for r in rf.roots] == [2, 3]
+

@@ -92,10 +92,12 @@ def _load_support(path: str) -> gadgets.SupportSet:
 
 
 def _emit(payload: dict, as_json: bool, human_lines) -> None:
+    """Print the payload as JSON, or else the lines ``human_lines()`` builds,
+    so the human report (``to_text`` included) is only built to be printed."""
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -107,13 +109,13 @@ def _cmd_pbf(args) -> int:
     if args.action == "kernel":
         ker = sorted(_bitstring(x) for x in f.kernel())
         payload = {"command": "pbf kernel", "arity": f.n, "kernel": ker}
-        _emit(payload, args.json, [f"arity {f.n}"] + ker)
+        _emit(payload, args.json, lambda: [f"arity {f.n}"] + ker)
     elif args.action == "eval":
         if args.at is None:
             raise _UsageError("pbf eval needs --at BITSTRING")
         value = f.eval(_parse_bits(args.at))
         payload = {"command": "pbf eval", "at": args.at, "value": str(value)}
-        _emit(payload, args.json, [f"f({args.at}) = {value}"])
+        _emit(payload, args.json, lambda: [f"f({args.at}) = {value}"])
     elif args.action == "nonneg":
         res = f.is_nonnegative()
         payload = {
@@ -121,15 +123,15 @@ def _cmd_pbf(args) -> int:
             "nonnegative": res.ok,
             "witness": None if res.ok else _bitstring(res.witness),
         }
-        human = ["non-negative" if res.ok else f"negative at {_bitstring(res.witness)}"]
-        _emit(payload, args.json, human)
+        _emit(payload, args.json,
+              lambda: ["non-negative" if res.ok else f"negative at {_bitstring(res.witness)}"])
     else:  # pauli
         ps = pauli.pbf_to_pauli(f)
         payload = {
             "command": "pbf pauli",
             "terms": [[str(c), w] for w, c in ps.terms()],
         }
-        _emit(payload, args.json, ps.to_text().splitlines())
+        _emit(payload, args.json, lambda: ps.to_text().splitlines())
     return 0
 
 
@@ -147,15 +149,14 @@ def _cmd_sym(args) -> int:
                 "symmetric": False,
                 "witness": [_bitstring(a), _bitstring(b)],
             }
-            human = [f"not symmetric: f({_bitstring(a)}) != f({_bitstring(b)})"]
+            _emit(payload, args.json, lambda: [f"not symmetric: f({_bitstring(a)}) != f({_bitstring(b)})"])
         else:
             payload = {
                 "command": "sym profile",
                 "symmetric": True,
                 "profile": [str(v) for v in sym.profile.values],
             }
-            human = [f"weight {j}: {v}" for j, v in enumerate(sym.profile.values)]
-        _emit(payload, args.json, human)
+            _emit(payload, args.json, lambda: [f"weight {j}: {v}" for j, v in enumerate(sym.profile.values)])
         return 0
     # factor
     if sym.profile is None:
@@ -164,8 +165,7 @@ def _cmd_sym(args) -> int:
     rf = symmetric.factorize(form)
     payload = {"command": "sym factor"}
     payload.update(rf.to_dict())
-    human = [f"K = {rf.scale}"] + [f"root: {r}" for r in rf.roots]
-    _emit(payload, args.json, human)
+    _emit(payload, args.json, lambda: [f"K = {rf.scale}"] + [f"root: {r}" for r in rf.roots])
     return 0
 
 
@@ -180,7 +180,7 @@ def _cmd_parent_clifford(args) -> int:
         "qubits": circuit.n,
         "terms": [[str(c), w] for w, c in parent.terms()],
     }
-    human = parent.to_text().splitlines()
+    human = []  # lines after the parent's own
     failed = False
     if args.verify:
         # the parent is (n I - sum_l P_l) / 2 over the n distinct images P_l of
@@ -202,7 +202,7 @@ def _cmd_parent_clifford(args) -> int:
         }
         human.append(f"verify: kernel dimension {kdim}, annihilates state: {annihilates}")
         failed = not ok
-    _emit(payload, args.json, human)
+    _emit(payload, args.json, lambda: parent.to_text().splitlines() + human)
     return 1 if failed else 0
 
 
@@ -215,8 +215,7 @@ def _cmd_parent_support(args) -> int:
         "support": sorted(_bitstring(x) for x in sup.members),
         "diag": [str(v) for v in op.diag],
     }
-    human = [f"support size {len(sup.members)}"] + payload["support"]
-    _emit(payload, args.json, human)
+    _emit(payload, args.json, lambda: [f"support size {len(sup.members)}"] + payload["support"])
     return 0
 
 
@@ -236,8 +235,7 @@ def _cmd_parent_ghz_quadratic(args) -> int:
         "J": [[l + 1, k + 1, str(v)] for (l, k), v in sorted(form.couplings.items())],
         "kernel": sorted(_bitstring(x) for x in f.kernel()),
     }
-    human = [f.to_text(), f"kernel: {', '.join(payload['kernel'])}"]
-    _emit(payload, args.json, human)
+    _emit(payload, args.json, lambda: [f.to_text(), f"kernel: {', '.join(payload['kernel'])}"])
     return 0
 
 
@@ -269,12 +267,17 @@ def _cmd_gadget_compose(args) -> int:
         "variables": free_names,
         "penalty": penalty.to_dict(),
     }
-    human = [f"variables: {' '.join(free_names)}", penalty.to_text()]
     if args.minimize:
         res = gadgets.minimize_bruteforce(penalty)
         payload["minimum"] = str(res.value)
         payload["argmin"] = sorted(_bitstring(x) for x in res.argmin)
-        human.append(f"minimum {res.value} at {', '.join(payload['argmin'])}")
+
+    def human():
+        lines = [f"variables: {' '.join(free_names)}", penalty.to_text()]
+        if args.minimize:
+            lines.append(f"minimum {payload['minimum']} at {', '.join(payload['argmin'])}")
+        return lines
+
     _emit(payload, args.json, human)
     return 0
 
@@ -287,13 +290,15 @@ def _cmd_ising_realize(args) -> int:
     real = ising_kernel.quadratic_realizability(strings, args.n)
     payload = {"command": "ising realize", "n": args.n}
     payload.update(real.to_dict())
-    if real.feasible:
-        human = [f"feasible: c0 = {real.constant}"]
-        human += [f"h[{l + 1}] = {v}" for l, v in enumerate(real.fields)]
-        human += [f"J[{l + 1},{k + 1}] = {v}" for (l, k), v in sorted(real.couplings.items()) if v]
-    else:
-        human = ["infeasible; certificate rows:"]
-        human += [f"  {_bitstring(b)} * {m}" for b, m in real.certificate]
+
+    def human():
+        if not real.feasible:
+            return (["infeasible; certificate rows:"]
+                    + [f"  {_bitstring(b)} * {m}" for b, m in real.certificate])
+        return ([f"feasible: c0 = {real.constant}"]
+                + [f"h[{l + 1}] = {v}" for l, v in enumerate(real.fields)]
+                + [f"J[{l + 1},{k + 1}] = {v}" for (l, k), v in sorted(real.couplings.items()) if v])
+
     _emit(payload, args.json, human)
     return 0
 

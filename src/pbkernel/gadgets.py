@@ -7,13 +7,16 @@ wires intersect their kernels, so a wired network's kernel is the set of
 assignments that satisfy every gate simultaneously; clamping the output
 to 1 and minimizing then enumerates the preimage of 1.
 
-Every library gadget is verified exhaustively at construction time:
+Every gadget is verified exhaustively at construction time:
 non-negativity over all assignments and kernel projection equal to the
-advertised truth table.
+advertised truth table.  Each library gadget is built, and so verified,
+once per process, on the first call of its builder; every later call
+returns that same immutable :class:`Gadget`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,6 +80,7 @@ def _gate_graph(num_inputs, fn):
     )
 
 
+@functools.cache
 def and_gadget() -> Gadget:
     """AND(x, y; p) = xy - 2xp - 2yp + 3p."""
     pen = PseudoBoolean.from_terms(
@@ -85,6 +89,7 @@ def and_gadget() -> Gadget:
     return Gadget("and", pen, (ROLE_INPUT, ROLE_INPUT, ROLE_OUTPUT), _gate_graph(2, lambda a, b: a & b))
 
 
+@functools.cache
 def or_gadget() -> Gadget:
     """OR(x, y; p) = xy + x + y - 2xp - 2yp + p."""
     pen = PseudoBoolean.from_terms(
@@ -93,12 +98,14 @@ def or_gadget() -> Gadget:
     return Gadget("or", pen, (ROLE_INPUT, ROLE_INPUT, ROLE_OUTPUT), _gate_graph(2, lambda a, b: a | b))
 
 
+@functools.cache
 def not_gadget() -> Gadget:
     """NOT(x; p) = (x + p - 1)^2 = 2xp - x - p + 1."""
     pen = PseudoBoolean.from_terms(2, {(0, 1): 2, (0,): -1, (1,): -1, (): 1})
     return Gadget("not", pen, (ROLE_INPUT, ROLE_OUTPUT), _gate_graph(1, lambda a: 1 - a))
 
 
+@functools.cache
 def xor_gadget() -> Gadget:
     """XOR(x, y; p, s) = (x + y - p - 2s)^2 with one slack s.
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -705,7 +706,7 @@ def quadratic_realizability(
     for item in S:
         bits = tuple(int(b) for b in item)
         if len(bits) != n or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bad bit string {item!r} for n = {n}")
+            raise ValueError(f"bad bit string {reprlib.repr(item)} for n = {n}")  # shortened if long
         target.add(bits)
     if not target:
         raise ValueError("S must be nonempty")

@@ -192,21 +192,29 @@ class StateVector:
     __slots__ = ("n", "amps")
 
     def __init__(self, arity: int, amps: Sequence):
-        if arity < 0 or arity > STATE_CAP:
-            raise EnumerationCapError(f"statevector arity {arity} outside 0..{STATE_CAP}")
-        if len(amps) != 1 << arity:
-            raise DimensionError(f"need {1 << arity} amplitudes, got {len(amps)}")
+        size = self._size(arity)
+        if len(amps) != size:
+            raise DimensionError(f"need {size} amplitudes, got {len(amps)}")
         self.n = arity
         self.amps = list(amps)
 
+    @staticmethod
+    def _size(arity: int) -> int:
+        """The 2^arity amplitudes of a statevector, once the arity is within
+        the cap; every constructor asks here before it allocates them."""
+        if arity < 0 or arity > STATE_CAP:
+            raise EnumerationCapError(f"statevector arity {arity} outside 0..{STATE_CAP}")
+        return 1 << arity
+
     @classmethod
     def zeros(cls, arity: int) -> "StateVector":
-        return cls(arity, [_ZERO] * (1 << arity))
+        return cls(arity, [_ZERO] * cls._size(arity))
 
     @classmethod
     def basis_state(cls, arity: int, x) -> "StateVector":
+        size = cls._size(arity)
         idx = _basis_index(x, arity)
-        amps = [_ZERO] * (1 << arity)
+        amps = [_ZERO] * size
         amps[idx] = Fraction(1)
         return cls(arity, amps)
 
@@ -217,10 +225,10 @@ class StateVector:
         The unnormalized version is 2^(n/2) times the unit-norm plus
         state, which keeps the amplitudes exact.
         """
+        size = cls._size(arity)
         if normalized:
-            a = 2.0 ** (-arity / 2)
-            return cls(arity, [a] * (1 << arity))
-        return cls(arity, [Fraction(1)] * (1 << arity))
+            return cls(arity, [2.0 ** (-arity / 2)] * size)
+        return cls(arity, [Fraction(1)] * size)
 
     @classmethod
     def ghz_state(cls, arity: int, normalized: bool = False) -> "StateVector":
@@ -228,7 +236,7 @@ class StateVector:
         if arity < 1:
             raise ValueError("GHZ state needs at least one qubit")
         end = 2.0 ** (-1 / 2) if normalized else Fraction(1)
-        amps = [end] + [_ZERO] * ((1 << arity) - 2) + [end]
+        amps = [end] + [_ZERO] * (cls._size(arity) - 2) + [end]
         return cls(arity, amps)
 
     def amplitude(self, x) -> object:

@@ -387,6 +387,9 @@ class TestExitCodesAndDeterminism:
         # the -n checks of quadratic_realizability keep their messages
         ("000\n111\n", "0", "malformed input: n must be positive, got 0"),
         ("000\n111\n", "4", "malformed input: bad bit string (0, 0, 0) for n = 4"),
+        # a long line is named in a bounded message, not echoed whole
+        pytest.param("0" * 100000 + "\n", "4", "malformed input: bad bit string (0, 0, 0, 0, 0, 0, ...) for n = 4",
+                     id="100000-character-line"),
         ("0" * 13 + "\n", "13", "2^13 margin rows exceed cap 2^12"),
         ("# no strings\n", "3", "malformed input: S must be nonempty"),
     ])
@@ -514,6 +517,27 @@ class TestExitCodesAndDeterminism:
         lines = runs[0].stdout.decode().splitlines()
         assert lines[1::2] == ["exit 0"] * len(commands) and runs[0].stderr == b""
         assert runs[0].stdout == runs[1].stdout
+
+    def test_json_builds_no_text_rendering(self, capsys, monkeypatch, tmp_path, delta_file, ghz3_file):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"gates": [{"type": "and", "inputs": ["a", "b"], "output": "c"}]}))
+        calls = []
+        for cls in (PseudoBoolean, PauliSum):
+            render = cls.to_text
+            monkeypatch.setattr(cls, "to_text",
+                                lambda self, *a, render=render: calls.append(self) or render(self, *a))
+        commands = [
+            ["gadget", "compose", str(net), "--minimize"],
+            ["pbf", "pauli", delta_file],
+            ["parent", "clifford", ghz3_file, "--verify"],
+            ["parent", "ghz-quadratic", "-n", "3"],
+        ]
+        for argv in commands:
+            assert run(capsys, *argv, "--json")[0] == 0
+        assert calls == []
+        for argv in commands:  # the human reports still render
+            assert run(capsys, *argv)[0] == 0
+        assert len(calls) == len(commands)
 
     def test_json_has_no_timing(self, capsys, delta_file):
         _, out, _ = run(capsys, "pbf", "kernel", delta_file, "--json")

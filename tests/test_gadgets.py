@@ -1,5 +1,6 @@
 """Gate gadgets, netlist composition, clamping, SAT embedding, support."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +25,9 @@ from pbkernel import (
     symmetric_ising,
     xor_gadget,
 )
-from pbkernel.gadgets import GateInstance
+from pbkernel import gadgets
+from pbkernel.cli import main
+from pbkernel.gadgets import GATE_BUILDERS, GateInstance
 from conftest import assignments, cnf_solutions, random_pbf
 
 DELTA3 = parse("1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2")
@@ -72,6 +75,69 @@ class TestGateGadgets:
         negative = PseudoBoolean.variable(2, 0) - 1
         with pytest.raises(ValueError):
             Gadget("broken", negative, ("input", "output"), frozenset())
+
+
+#: each gate type three times on shared wires: 3 inputs, 12 outputs, 3 slacks
+CHAIN = {"gates": [
+    {"type": t, "inputs": ins, "output": out}
+    for t, ins, out in [
+        ("and", ["a", "b"], "p1"), ("or", ["a", "c"], "p2"), ("xor", ["p1", "p2"], "p3"),
+        ("not", ["p3"], "p4"), ("and", ["p4", "c"], "p5"), ("or", ["p5", "b"], "p6"),
+        ("xor", ["p6", "a"], "p7"), ("not", ["p7"], "p8"), ("and", ["p8", "p2"], "p9"),
+        ("or", ["p9", "p1"], "p10"), ("xor", ["p10", "c"], "p11"), ("not", ["p11"], "p12"),
+    ]
+]}
+
+
+class TestOneBuildPerProcess:
+    @pytest.mark.parametrize("builder", GATE_BUILDERS.values(), ids=GATE_BUILDERS)
+    def test_every_call_returns_the_one_verified_gadget(self, builder):
+        first = builder()
+        assert builder() is first
+        fresh = builder.__wrapped__()
+        assert fresh is not first
+        assert (fresh.name, fresh.penalty, fresh.roles, fresh.graph) == (
+            first.name, first.penalty, first.roles, first.graph
+        )
+
+    def test_compose_verifies_each_gate_type_once(self, monkeypatch):
+        checked = {"is_nonnegative": [], "kernel": []}  # the polynomial of each call
+        for attr, calls in checked.items():
+            check = getattr(PseudoBoolean, attr)
+            monkeypatch.setattr(PseudoBoolean, attr,
+                                lambda self, *a, check=check, calls=calls: calls.append(self) or check(self, *a))
+        for builder in GATE_BUILDERS.values():
+            builder.cache_clear()
+        netlist = Netlist.from_dict(CHAIN)
+        compose(netlist)
+        penalties = sorted(id(builder().penalty) for builder in GATE_BUILDERS.values())
+        assert {attr: sorted(map(id, calls)) for attr, calls in checked.items()} == {
+            "is_nonnegative": penalties, "kernel": penalties
+        }
+        for calls in checked.values():
+            calls.clear()
+        compose(netlist)
+        assert checked == {"is_nonnegative": [], "kernel": []}
+
+    @pytest.mark.parametrize("clamps, count", [  # one kernel row per consistent input abc
+        ([], 8),
+        (["--clamp", "p12=1"], 5),  # abc in 000 001 010 100 111
+        (["--clamp", "p3=0", "--clamp", "b=1"], 3),  # p1 = p2: abc in 010 110 111
+    ])
+    def test_json_matches_uncached_builders(self, capsys, monkeypatch, tmp_path, clamps, count):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(CHAIN))
+        argv = ["gadget", "compose", str(path), *clamps, "--minimize", "--json"]
+        outputs = []
+        for builders in ({}, {key: b.__wrapped__ for key, b in GATE_BUILDERS.items()}):
+            with monkeypatch.context() as patch:
+                for key, builder in builders.items():
+                    patch.setitem(gadgets.GATE_BUILDERS, key, builder)
+                assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert payload["minimum"] == "0" and len(payload["argmin"]) == count
 
 
 class TestCompose:

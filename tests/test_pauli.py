@@ -374,6 +374,25 @@ class TestErrorPaths:
         assert peak < 1 << 20  # the 2^18 table would take tens of MB
         assert embed(PseudoBoolean.variable(4, 0), cap=20).n == 4
 
+    @pytest.mark.parametrize("arity", [22, 64])
+    @pytest.mark.parametrize("build", [
+        StateVector.zeros,
+        lambda n: StateVector.basis_state(n, 0),
+        StateVector.plus_state,
+        lambda n: StateVector.plus_state(n, normalized=True),
+        StateVector.ghz_state,
+    ])
+    def test_state_constructors_check_the_cap_before_allocating(self, build, arity):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match=f"^statevector arity {arity} outside 0..16$"):
+                build(arity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # 2^22 amplitudes would take 32 MB
+        assert build(3).n == 3
+
     def test_dense_caps_are_named_and_named_in_the_refusal(self, monkeypatch):
         from pbkernel import dense_pauli_coefficients, pauli
 

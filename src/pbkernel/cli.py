@@ -53,7 +53,7 @@ def _bitstring(bits) -> str:
 
 
 def _parse_bits(text: str) -> tuple:
-    if not text or any(ch not in "01" for ch in text):
+    if any(ch not in "01" for ch in text):  # '' is the one point of arity 0
         raise PBKernelError(f"bad bit string {text!r}")
     return tuple(int(ch) for ch in text)
 

@@ -12,11 +12,12 @@ parsing, so complements are never stored.  Variable indices are 1-based
 in the text (``x1`` is variable 0 of the resulting polynomial).
 
 The parse is one pass.  The terms of a sum go into one term table, not a
-new polynomial per ``+``.  A run of plain-variable factors (``x2*x5`` in
-``3*x2*x5*(x1+x4)``) becomes one monomial, multiplied in with one
-``PseudoBoolean.__mul__``.  Every product is checked against
-:data:`PRODUCT_CAP` before it is formed; a run is checked at its first
-``*``, since multiplying by a monomial never adds terms.
+new polynomial per ``+``.  A leading number takes its term's signs, and a
+run of plain-variable factors (``x2*x5`` in ``3*x2*x5*(x1+x4)``) becomes one
+monomial multiplied in with one ``PseudoBoolean.__mul__``.  Every product is
+checked against :data:`PRODUCT_CAP` before it is formed (a run at its first
+``*``: a monomial never adds terms), and the arity where the first
+polynomial is built.
 
 The line-oriented input files (state, strings, circuit and Pauli-sum text)
 share two readers here: :func:`records`, the one line rule, and
@@ -25,6 +26,7 @@ share two readers here: :func:`records`, the one line rule, and
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -32,6 +34,9 @@ from .errors import ParseError
 from .pbf import PseudoBoolean, _accumulate
 
 _OPS = set("+-*()/")
+_DIGITS = re.compile(r"\d*").match  # \d is str.isdecimal: Unicode category Nd
+_END = (None, None, -1)  # ends the parser's token list: one or two past an operator is a token
+_ONE = Fraction(1)
 #: term products one multiplication may form (len(acc) * len(factor))
 PRODUCT_CAP = 1 << 16
 
@@ -40,18 +45,6 @@ def _line_col(text: str, pos: int) -> str:
     line = text.count("\n", 0, pos) + 1
     col = pos - (text.rfind("\n", 0, pos) + 1) + 1
     return f"line {line}, column {col}"
-
-
-def _digit_run(text: str, i: int) -> int:
-    """End of the run of decimal digits starting at ``i``.  The run may be no
-    longer than the interpreter lets ``int()`` read from a string."""
-    j = i
-    while j < len(text) and text[j].isdecimal():
-        j += 1
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    if limit and j - i > limit:
-        raise ParseError(f"number of {j - i} digits over {limit} at {_line_col(text, i)}", i)
-    return j
 
 
 def records(text: str):
@@ -85,6 +78,7 @@ def rational(token: str, lineno: int, where: str = "line") -> Fraction:
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # digits int() may read
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -94,24 +88,26 @@ def _tokenize(text: str):
             tokens.append((ch, None, i))
             i += 1
             continue
-        if ch.isdecimal():
-            j = _digit_run(text, i)
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "x" or (ch == "~" and i + 1 < n and text[i + 1] == "x"):
-            comp = ch == "~"
-            j = i + (2 if comp else 1)
-            k = _digit_run(text, j)
-            if k == j:
-                raise ParseError(f"expected a variable index after 'x' at {_line_col(text, i)}", i)
+        comp = ch == "~" and text.startswith("x", i + 1)
+        if ch == "x" or comp:
+            j = i + 1 + comp
+        elif ch.isdecimal():
+            j = i
+        else:
+            raise ParseError(f"unexpected character {ch!r} at {_line_col(text, i)}", i)
+        k = _DIGITS(text, j).end()
+        if limit and k - j > limit:
+            raise ParseError(f"number of {k - j} digits over {limit} at {_line_col(text, j)}", j)
+        if j == i:
+            tokens.append(("int", int(text[i:k]), i))
+        elif k == j:
+            raise ParseError(f"expected a variable index after 'x' at {_line_col(text, i)}", i)
+        else:
             idx = int(text[j:k])
             if idx <= 0:
                 raise ParseError(f"variable index must be >= 1, got {idx} at {_line_col(text, i)}", i)
             tokens.append(("~var" if comp else "var", idx, i))
-            i = k
-            continue
-        raise ParseError(f"unexpected character {ch!r} at {_line_col(text, i)}", i)
+        i = k
     return tokens
 
 
@@ -125,12 +121,9 @@ class _Parser:
     def where(self, pos):
         return _line_col(self.text, pos) if pos >= 0 else "end of input"
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, -1)
-
-    def take(self, kind=None):
-        tok = self.peek()
-        if kind is not None and tok[0] != kind:
+    def expect(self, kind):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[0]!r} at {self.where(tok[2])}", tok[2])
         self.pos += 1
         return tok
@@ -149,62 +142,65 @@ class _Parser:
             negate, term = self.parse_term()
             pairs = term._terms.items()
             _accumulate(table, ((m, -c) for m, c in pairs) if negate else pairs)
-            if self.peek()[0] not in ("+", "-"):
+            if self.tokens[self.pos][0] not in ("+", "-"):
                 break
         return PseudoBoolean._of(self.arity, table)
 
     def parse_term(self) -> tuple:
-        """(negate, product) for one term and the signs before it."""
+        """(negate, product) for one term and the signs before it; a leading number takes them."""
+        tokens, pos, of = self.tokens, self.pos, PseudoBoolean._of
         negate = False
-        while self.peek()[0] in ("+", "-"):
-            if self.take()[0] == "-":
-                negate = not negate
-        if self.peek()[0] == "int":
-            acc = PseudoBoolean.constant(self.arity, self.parse_rational())
+        while tokens[pos][0] in ("+", "-"):
+            negate ^= tokens[pos][0] == "-"
+            pos += 1
+        if tokens[pos][0] == "int":
+            num = -tokens[pos][1] if negate else tokens[pos][1]
+            negate = False
+            if tokens[pos + 1][0] == "/":
+                self.pos = pos + 2
+                den, at = self.expect("int")[1:]
+                if den == 0:
+                    raise ParseError(f"zero denominator at {self.where(at)}", at)
+                c, pos = Fraction(num, den), pos + 3
+            else:
+                c, pos = Fraction(num), pos + 1
+            acc = of(self.arity, {0: c} if c else {})
         else:
+            self.pos = pos
             acc = self.parse_factor()
+            pos = self.pos
         run = 0  # plain-variable factors not yet multiplied in, as one monomial
-        while self.peek()[0] == "*":
-            pos = self.take()[2]
-            kind, value, _ = self.peek()
+        while tokens[pos][0] == "*":
+            star = tokens[pos][2]
+            kind, value, _ = tokens[pos + 1]
             if kind == "var":
                 # a monomial never adds terms, so the run's first product bounds the rest
                 if not run:
-                    self.check_product(pos, len(acc._terms))
-                self.take()
+                    self.check_product(star, len(acc._terms))
                 run |= 1 << (value - 1)
+                pos += 2
                 continue
+            self.pos = pos + 1
             factor = self.parse_factor()
+            pos = self.pos
             if run:
-                acc, run = acc * PseudoBoolean(self.arity, {run: 1}), 0
-            self.check_product(pos, len(acc._terms) * len(factor._terms))
+                acc, run = acc * of(self.arity, {run: _ONE}), 0
+            self.check_product(star, len(acc._terms) * len(factor._terms))
             acc = acc * factor
+        self.pos = pos
         if run:
-            acc = acc * PseudoBoolean(self.arity, {run: 1})
+            acc = acc * of(self.arity, {run: _ONE})
         return negate, acc
 
-    def parse_rational(self) -> Fraction:
-        num = self.take("int")[1]
-        if self.peek()[0] == "/":
-            self.take()
-            den_tok = self.take("int")
-            if den_tok[1] == 0:
-                raise ParseError(f"zero denominator at {self.where(den_tok[2])}", den_tok[2])
-            return Fraction(num, den_tok[1])
-        return Fraction(num)
-
     def parse_factor(self) -> PseudoBoolean:
-        kind, value, pos = self.peek()
-        if kind == "var":
-            self.take()
-            return PseudoBoolean.variable(self.arity, value - 1)
-        if kind == "~var":
-            self.take()
-            return 1 - PseudoBoolean.variable(self.arity, value - 1)
+        kind, value, pos = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "var" or kind == "~var":
+            x = PseudoBoolean._of(self.arity, {1 << (value - 1): _ONE})
+            return x if kind == "var" else 1 - x
         if kind == "(":
-            self.take()
             inner = self.parse_expr()
-            self.take(")")
+            self.expect(")")
             return inner
         raise ParseError(
             f"expected a variable, '(' or number, found {kind!r} at {self.where(pos)}", pos
@@ -225,13 +221,13 @@ def parse(text: str, arity: int | None = None) -> PseudoBoolean:
         arity = max_idx
     elif arity < max_idx:
         raise ParseError(f"expression uses x{max_idx} but arity {arity} was requested", 0)
-    parser = _Parser(tokens, arity, text)
+    parser = _Parser(tokens + [_END], arity, text)
     try:
         result = parser.parse_expr()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
     if parser.pos != len(tokens):
-        tok = parser.peek()
+        tok = parser.tokens[parser.pos]
         raise ParseError(
             f"trailing input starting with {tok[0]!r} at {parser.where(tok[2])}", tok[2]
         )

@@ -234,9 +234,10 @@ def _mask(vars_: Iterable[int], arity: int, what: str = "variable index") -> int
     return mask
 
 
-def _check_arity(arity: int) -> None:
+def _check_arity(arity: int) -> int:
     if arity < 0 or arity > MAX_ARITY:
         raise ValueError(f"arity must be in 0..{MAX_ARITY}, got {arity}")
+    return int(arity)
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -260,11 +261,13 @@ class _TermTable:
     and no hash, so a subclass is hashable only if it says so."""
 
     __slots__ = ("n", "_terms")
+    _arity = int  # the n of a table asked for with this arity, as __init__ sets it
 
     @classmethod
     def _of(cls, arity: int, table: dict):
-        """Wrap a trusted {key: nonzero Fraction} table without copying or re-checking it."""
-        out = cls(arity)
+        """Wrap a trusted {key: nonzero Fraction} table as is; its arity goes through ``_arity``."""
+        out = object.__new__(cls)
+        out.n = cls._arity(arity)
         out._terms = table
         return out
 
@@ -296,10 +299,10 @@ class PseudoBoolean(_TermTable):
     """Sparse multilinear polynomial over exact rationals."""
 
     __slots__ = ()
+    _arity = staticmethod(_check_arity)
 
     def __init__(self, arity: int, masked_terms: Mapping[int, Fraction] | None = None):
-        _check_arity(arity)
-        self.n = int(arity)
+        self.n = _check_arity(arity)
         terms = {}
         if masked_terms:
             for mask, coeff in masked_terms.items():

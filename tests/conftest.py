@@ -18,7 +18,8 @@ before its per-size differences, the Fraction re-checks of LP answers
 and the per-point margin-row features the library used before its
 integer LP rows and feature matrix, the
 term-by-term expression parser the library used before its one-pass
-parse, the hand-written add-and-drop-zero loops the library used before
+parse, and its tokenizer and one-pass parser before flat-term operands,
+the hand-written add-and-drop-zero loops the library used before
 its one term-table rule and that rule before an absent key took its
 coefficient as given (the per-generator sum of the projector parent
 among them), the ``parent clifford --verify`` command that conjugated
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -1262,7 +1264,161 @@ def ref_zeta_verify(real, target):
     return bool((vals[on_s] == 0).all() and (vals[~on_s] >= denom).all())
 
 
-class _RefParser(expr._Parser):
+# -- the expression tokenizer and parser before flat-term operands ------------
+# (their own copy, so a tokenizer or term bug in expr cannot hide behind them)
+
+
+def _ref_line_col(text: str, pos: int) -> str:
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return f"line {line}, column {col}"
+
+
+def _ref_digit_run(text: str, i: int) -> int:
+    """``expr._digit_run``: the per-character digit loop, with the
+    interpreter's digit limit read once per number."""
+    j = i
+    while j < len(text) and text[j].isdecimal():
+        j += 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if limit and j - i > limit:
+        raise ParseError(f"number of {j - i} digits over {limit} at {_ref_line_col(text, i)}", i)
+    return j
+
+
+def ref_tokenize(text: str):
+    """``expr._tokenize`` before it read each digit run with one regex match."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*()/":
+            tokens.append((ch, None, i))
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = _ref_digit_run(text, i)
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch == "x" or (ch == "~" and i + 1 < n and text[i + 1] == "x"):
+            comp = ch == "~"
+            j = i + (2 if comp else 1)
+            k = _ref_digit_run(text, j)
+            if k == j:
+                raise ParseError(f"expected a variable index after 'x' at {_ref_line_col(text, i)}", i)
+            idx = int(text[j:k])
+            if idx <= 0:
+                raise ParseError(f"variable index must be >= 1, got {idx} at {_ref_line_col(text, i)}", i)
+            tokens.append(("~var" if comp else "var", idx, i))
+            i = k
+            continue
+        raise ParseError(f"unexpected character {ch!r} at {_ref_line_col(text, i)}", i)
+    return tokens
+
+
+class _RefRunParser:
+    """``expr._Parser`` before flat-term operands: a ``peek``/``take`` call
+    per token, operands built through ``PseudoBoolean.__init__``, the sign
+    applied to the finished term, and a run of plain variables multiplied
+    in as one monomial."""
+
+    def __init__(self, tokens, arity, text=""):
+        self.tokens = tokens
+        self.pos = 0
+        self.arity = arity
+        self.text = text
+
+    def where(self, pos):
+        return _ref_line_col(self.text, pos) if pos >= 0 else "end of input"
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, -1)
+
+    def take(self, kind=None):
+        tok = self.peek()
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r} at {self.where(tok[2])}", tok[2])
+        self.pos += 1
+        return tok
+
+    def check_product(self, pos, count):
+        if count > expr.PRODUCT_CAP:
+            raise ParseError(
+                f"product at {self.where(pos)} needs {count} term products, over cap {expr.PRODUCT_CAP}",
+                pos,
+            )
+
+    def parse_expr(self) -> PseudoBoolean:
+        table = {}
+        while True:
+            negate, term = self.parse_term()
+            pairs = term._terms.items()
+            _accumulate(table, ((m, -c) for m, c in pairs) if negate else pairs)
+            if self.peek()[0] not in ("+", "-"):
+                break
+        return PseudoBoolean._of(self.arity, table)
+
+    def parse_term(self) -> tuple:
+        negate = False
+        while self.peek()[0] in ("+", "-"):
+            if self.take()[0] == "-":
+                negate = not negate
+        if self.peek()[0] == "int":
+            acc = PseudoBoolean.constant(self.arity, self.parse_rational())
+        else:
+            acc = self.parse_factor()
+        run = 0
+        while self.peek()[0] == "*":
+            pos = self.take()[2]
+            kind, value, _ = self.peek()
+            if kind == "var":
+                if not run:
+                    self.check_product(pos, len(acc._terms))
+                self.take()
+                run |= 1 << (value - 1)
+                continue
+            factor = self.parse_factor()
+            if run:
+                acc, run = acc * PseudoBoolean(self.arity, {run: 1}), 0
+            self.check_product(pos, len(acc._terms) * len(factor._terms))
+            acc = acc * factor
+        if run:
+            acc = acc * PseudoBoolean(self.arity, {run: 1})
+        return negate, acc
+
+    def parse_rational(self) -> Fraction:
+        num = self.take("int")[1]
+        if self.peek()[0] == "/":
+            self.take()
+            den_tok = self.take("int")
+            if den_tok[1] == 0:
+                raise ParseError(f"zero denominator at {self.where(den_tok[2])}", den_tok[2])
+            return Fraction(num, den_tok[1])
+        return Fraction(num)
+
+    def parse_factor(self) -> PseudoBoolean:
+        kind, value, pos = self.peek()
+        if kind == "var":
+            self.take()
+            return PseudoBoolean.variable(self.arity, value - 1)
+        if kind == "~var":
+            self.take()
+            return 1 - PseudoBoolean.variable(self.arity, value - 1)
+        if kind == "(":
+            self.take()
+            inner = self.parse_expr()
+            self.take(")")
+            return inner
+        raise ParseError(
+            f"expected a variable, '(' or number, found {kind!r} at {self.where(pos)}", pos
+        )
+
+
+class _RefParser(_RefRunParser):
     """The term-by-term grammar walk: ``acc = acc +/- t`` per term, and one
     ``__mul__`` per factor, each checked against ``expr.PRODUCT_CAP``."""
 
@@ -1297,7 +1453,7 @@ class _RefParser(expr._Parser):
         return acc if sign > 0 else -acc
 
 
-class _RefOnePassParser(expr._Parser):
+class _RefOnePassParser(_RefRunParser):
     """The one-pass parse with its sum table updated by a hand-written loop
     (products still go through ``PseudoBoolean.__mul__``)."""
 
@@ -1318,7 +1474,7 @@ class _RefOnePassParser(expr._Parser):
 
 def ref_parse(text: str, arity: int | None = None, parser=_RefParser) -> PseudoBoolean:
     """``expr.parse`` on the term-by-term parser (or on ``parser``)."""
-    tokens = expr._tokenize(text)
+    tokens = ref_tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 0)
     max_idx = max((v for k, v, _ in tokens if k in ("var", "~var")), default=0)

@@ -60,6 +60,19 @@ class TestPbfCommands:
         code, _, err = run(capsys, "pbf", "eval", delta_file)
         assert code == 2 and "--at" in err
 
+    def test_eval_at_the_empty_point_of_arity_0(self, capsys, tmp_path):
+        # `pbf kernel` prints "" as the one point of an arity-0 file; eval reads it back
+        path = tmp_path / "c0.pbf"
+        path.write_text("7/2\n")
+        code, out, _ = run(capsys, "pbf", "eval", str(path), "--at", "", "--json")
+        assert code == 0 and json.loads(out)["value"] == "7/2"
+
+    def test_eval_at_the_empty_point_checks_the_length(self, capsys, tmp_path):
+        path = tmp_path / "c2.pbf"
+        path.write_text("x1 + x2\n")
+        code, out, err = run(capsys, "pbf", "eval", str(path), "--at", "", "--json")
+        assert (code, out, err) == (2, "", "error: assignment length 0 != arity 2\n")
+
     def test_nonneg(self, capsys, delta_file):
         code, out, _ = run(capsys, "pbf", "nonneg", delta_file, "--json")
         assert code == 0

@@ -93,6 +93,35 @@ def test_product_cap_is_checked_at_the_same_product(text, cap):
     assert_same(text, cap=cap)
 
 
+ONE = expr.Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "text, arity, cap, expected",
+    [
+        ("~x2", None, 1 << 16, (2, [((), ONE), ((1,), -ONE)])),
+        ("0 +", 65, 1 << 16, ("ValueError", "arity must be in 0..64, got 65")),  # at the first polynomial
+        (")", 65, 1 << 16, ("ParseError", "expected a variable, '(' or number, found ')' at line 1, column 1 "
+                                          "(at position 0)", 0)),  # before any polynomial
+        ("0*x1*x2", None, 0, (2, [])),
+        ("2*x1*x2", None, 0, ("ParseError", "product at line 1, column 2 needs 1 term products, over cap 0 "
+                                            "(at position 1)", 1)),
+        ("x1*x2", None, 0, ("ParseError", "product at line 1, column 3 needs 1 term products, over cap 0 "
+                                          "(at position 2)", 2)),
+        ("x1*x1*x2", None, 1 << 16, (2, [((0, 1), ONE)])),
+        ("- -3/6*x1 + 1/2*x1", None, 1 << 16, (1, [((0,), ONE)])),
+        ("-0*x1", None, 1 << 16, (1, [])),
+    ],
+)
+def test_flat_terms_keep_their_outcome(text, arity, cap, expected):
+    """A leading number with its sign folded in, a variable run and the arity
+    check give the outcome the term-by-term parser gives."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "PRODUCT_CAP", cap)
+        assert outcome(expr.parse, text, arity) == expected
+    assert_same(text, arity, cap)
+
+
 # -- the line reader of the state, strings, circuit and Pauli-text files -------
 
 

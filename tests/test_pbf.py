@@ -271,6 +271,17 @@ class TestEmbedAndSerialization:
         for bits in assignments(3):
             assert g.eval(bits) == f.eval((bits[1], bits[1]))
 
+    def test_embed_checks_the_new_arity(self):
+        # a trusted table keeps the arity check of a constructed one
+        with pytest.raises(ValueError, match=r"^arity must be in 0\.\.64, got 65$"):
+            PseudoBoolean(3, {1: 1}).embed(65)
+        with pytest.raises(ValueError, match=r"^arity must be in 0\.\.64, got -1$"):
+            PseudoBoolean(3, {0: 1}).embed(-1)
+        # a term's variable is seated before the arity is read
+        with pytest.raises(ValueError, match=r"^mapped index 0 out of range for arity -1$"):
+            PseudoBoolean(3, {1: 1}).embed(-1)
+        assert PseudoBoolean(3, {1: 1}).embed(64).n == 64
+
     def test_json_round_trip(self, rng):
         f = random_pbf(rng, 5)
         assert PseudoBoolean.from_dict(f.to_dict()) == f

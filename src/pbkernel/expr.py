@@ -219,7 +219,7 @@ def parse(text: str, arity: int | None = None) -> PseudoBoolean:
     max_idx = max((v for k, v, _ in tokens if k in ("var", "~var")), default=0)
     if arity is None:
         arity = max_idx
-    elif arity < max_idx:
+    elif max_idx and arity < max_idx:  # a constant text leaves a bad arity to the polynomial
         raise ParseError(f"expression uses x{max_idx} but arity {arity} was requested", 0)
     parser = _Parser(tokens + [_END], arity, text)
     try:

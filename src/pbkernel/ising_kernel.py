@@ -24,21 +24,15 @@ Each LP row is cleared once, when the LPInstance is built, to integers
 over the LCM of its own denominators, and the LP keeps them as one integer
 array.  A row given as an integer array is its own numerators, so the
 feature matrix reaches the LP without a detour through Python lists.
-The tableau starts from those rows and keeps each row primitive: the
-integer vector with gcd 1 that is a positive multiple of its row of
-B^-1 [A | b], divided by its gcd after each pivot.  That is the
-Bareiss/Edmonds row over the basis determinant divided by its gcd, so
-Bland's rule takes the pivots a Fraction tableau would.  The rows live in
-one numpy array whose dtype is the package's one rule,
-:func:`pbkernel.pbf._int_dtype`, on the bound 2 top^2 of a pivot's
-products (top the largest |entry|): int64 while top is below 2^31 and
-Python ints past that.
-The tableau is built with numpy from the cleared rows and names its
-columns by two arrays, the variable and the sign of each structural
-column, and the index of its first artificial column.  Every answer
-is read off its integer rows: a Fraction is built only for each output
-entry (a nonzero coordinate of the point or ray, a multiplier per row).
-Every answer is re-checked on the same integer rows: one primal check
+The tableau is built with numpy from those rows as the initial tableau
+T0.  A pivot rewrites only K = [Q | Q b], the row operations since the
+start, and each entering column is one product of K and T0, made on
+demand (revised simplex).  Row i of Q T0 over its gcd is the Bareiss and
+Edmonds row over its gcd, so Bland's rule takes the pivots a Fraction
+tableau would.  Every answer is read off K and T0: a Fraction is built
+only for each output entry (a nonzero coordinate of the point or ray, a
+multiplier per row).
+Every answer is re-checked on the LP's integer rows: one primal check
 (A x against b, or 0 for a ray) and one dual check (y^T A against c,
 returning y^T b) cover points, rays, duals and Farkas certificates, each
 one integer matrix product.  A recovered realization is re-checked at
@@ -290,17 +284,19 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Dense simplex tableau of primitive integer rows, Bland's anti-cycling rule.
+    """Revised simplex on integer row operations, Bland's anti-cycling rule.
 
-    Row i of ``matrix`` (right-hand side last) is the primitive integer
-    vector, gcd 1, that is a positive multiple of row i of B^-1 [A | b] for
-    the current basis B: its value is ``row / row[basis[i]]``, and that
-    basic entry is > 0.  The Bareiss row det(B) (B^-1 [A | b])_i (Bareiss
-    1968, Edmonds 1967) is the same vector times its gcd, so no entry is
-    ever larger.  Row i starts as the LP row cleared over its own LCM, with
-    the surplus and artificial entries of the initial basis.  A pivot on
-    p = prow[j] > 0 sets every row with f = row[j] != 0 to p * row - f * prow
-    over its gcd and leaves the others alone.
+    ``T0T`` is the initial tableau T0, transposed to one contiguous row per
+    column: the m LP rows [A | b], each cleared over its own LCM with the
+    surplus and artificial entries of the initial basis, then the
+    reduced-cost rows.  ``K`` = [Q | Q b] is the row operations since the
+    start (Q square, initially the identity) and the right-hand side.  Row
+    i of Q T0 is a positive multiple of row i of B^-1 [A | b], basic entry
+    > 0; ``matrix`` gives each over its gcd, the primitive (Bareiss 1968,
+    Edmonds 1967) row.  Pricing is one product of T0 with the last row of
+    Q, the entering column one of Q with its row of ``T0T`` (revised
+    simplex, Dantzig & Orchard-Hays 1954).  A pivot on p = (Q T0)[r, j] > 0
+    sets each row of K with f = (Q T0)[i, j] != 0 to p K_i - f K_r over its gcd.
 
     The columns are the structural ones, where column j is ``sign[j]``
     times x_``var[j]`` (x_v, then -x_v for a free v), then one surplus
@@ -308,13 +304,13 @@ class _Tableau:
     per row that needs one.
 
     The rows after the m constraint rows are reduced-cost rows: the
-    phase-2 row, then, until phase 1 ends, the phase-1 row, each ``scale``
-    (> 0) times the exact c - c_B B^-1 [A | b], so their signs are the
-    exact ones.  A pivot updates them like any row, and each scale by gcd / p.
-    With top the largest |entry|, every p * a - f * b is below 2 top^2, so the
-    array has the dtype :func:`pbkernel.pbf._int_dtype` gives that bound
-    (int64 while top < 2^31); once a pivot's rows pass it the array holds
-    Python ints (object dtype) for the rest of the solve.
+    phase-2 row, then, until phase 1 ends, the phase-1 row (T0 keeps it),
+    each ``scale`` (> 0) times the exact c - c_B B^-1 [A | b], so their signs
+    are exact.  A pivot updates them like any row, and each scale by gcd / p.
+    With R the width of K, every product of K and T0 is below R top_K top_T0
+    and every update below 2 R top_K^2 top_T0 (top the largest |entry|):
+    both arrays take the dtype :func:`pbkernel.pbf._int_dtype` gives that
+    bound, Python ints for the rest of the solve once a pivot passes it.
     """
 
     def __init__(self, lp: LPInstance):
@@ -331,7 +327,7 @@ class _Tableau:
         self.first_art = surplus + m
         arts = itertools.count(self.first_art)
         self.init_col = [next(arts) if a else surplus + i for i, a in enumerate(art)]
-        ncols = next(arts)
+        self.ncols = ncols = next(arts)
         self.basis = list(self.init_col)
         # phase 1 costs 1 per artificial; over L, the LCM of their basic
         # entries, its reduced costs are -sum (L / lcm_i) row_i (0 on the artificials)
@@ -361,40 +357,46 @@ class _Tableau:
             z = -(weights @ rows)
             z[self.first_art : -1] = 0
             costs.append((z, L))
-        self.scale = []  # per reduced-cost row [a, d]: its reduced costs are row * a / d
+        self.scale = []  # per reduced-cost row [a, d]: its reduced costs are (K T0) * a / d
         for z, denom in costs:
             g = int(np.gcd.reduce(z)) or 1
             rows = np.vstack([rows, z // g])
             self.scale.append([g, denom])
-        self.matrix = rows.astype(_int_dtype(2 * _top(rows) ** 2), copy=False)
+        self.K = np.hstack([np.identity(len(rows), dtype=rows.dtype), rows[:, -1:]])
+        self.T0T, self.growth = rows.T, 2 * self.K.shape[1] * _top(rows)  # updates < growth top_K^2
+        self._cast(_int_dtype(self.growth * _top(self.K) ** 2))
+
+    def _cast(self, dtype) -> None:
+        self.K, self.T0T = self.K.astype(dtype), np.ascontiguousarray(self.T0T, dtype)
 
     @property
-    def ncols(self) -> int:
-        return self.matrix.shape[1] - 1
+    def matrix(self) -> np.ndarray:
+        """The primitive rows: Q T0 over its row gcds, in the dtype ``_int_dtype(2 top^2)``."""
+        rows = self.K[:, :-1] @ self.T0T.T
+        rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
+        return rows.astype(_int_dtype(2 * _top(rows) ** 2))
 
-    def _pivot(self, r: int, j: int) -> None:
-        matrix = self.matrix
-        if matrix[r, j] < 0:
-            matrix[r] *= -1
-        prow = matrix[r]
-        p = prow[j]
-        touched = matrix[:, j] != 0
-        touched[r] = False
-        rows = touched.nonzero()[0]
-        new = matrix[rows]
-        f = new[:, j, None].copy()
+    def column(self, j: int) -> np.ndarray:
+        """Column j of Q T0 (the right-hand side for j = -1)."""
+        return self.K[:, :-1] @ self.T0T[j]
+
+    def _pivot(self, r: int, j: int, col: np.ndarray) -> None:
+        K, p, m = self.K, col[r], len(self.basis)
+        if p < 0:
+            K[r], p = -K[r], -p
+        col[r] = 0  # the rows to rewrite are the others with a nonzero entry
+        rows = col.nonzero()[0]
+        new = K.take(rows, 0)
         new *= p
-        new -= f * prow
+        new -= col.take(rows)[:, None] * K[r]
         g = np.gcd.reduce(new, axis=1)
         new //= g[:, None]
-        m = len(self.basis)
         for k in range(rows.searchsorted(m), len(rows)):  # the reduced-cost rows
             scale = self.scale[rows[k] - m]
-            scale[0] *= int(g[k])
-            scale[1] *= int(p)
-        if matrix.dtype != object and len(new) and _int_dtype(2 * int(np.abs(new).max()) ** 2) is object:
-            self.matrix = matrix = matrix.astype(object)
-        matrix[rows] = new
+            scale[:] = scale[0] * int(g[k]), scale[1] * int(p)
+        if K.dtype != object and _int_dtype(self.growth * int(np.abs(new).max(initial=0)) ** 2) is object:
+            self._cast(object)
+        self.K[rows] = new
         self.basis[r] = j
 
     def run(self, end: int) -> None:
@@ -403,38 +405,36 @@ class _Tableau:
         unbounded via _Unbounded."""
         m = len(self.basis)
         while True:
-            entering = (self.matrix[-1, :end] < 0).nonzero()[0]
+            entering = (self.T0T[:end] @ self.K[-1, :-1] < 0).nonzero()[0]
             if not len(entering):
                 return
             enter = int(entering[0])
-            # exact min of rhs / a over a > 0, ties to the lower basis index;
-            # each row's basic entry cancels from its ratio
+            col = self.column(enter)
+            # exact min of rhs / a over a > 0 (a row's scale cancels), ties to the lower basis index
             leave = None
-            for i, (a, rhs) in enumerate(self.matrix[:m, [enter, -1]].tolist()):
+            for i, (a, rhs) in enumerate(zip(col[:m].tolist(), self.K[:m, -1].tolist())):
                 if a > 0:
-                    if leave is None:
-                        leave, lead = i, (a, rhs)
-                        continue
-                    lhs, bound = rhs * lead[0], lead[1] * a
-                    if lhs < bound or (lhs == bound and self.basis[i] < self.basis[leave]):
-                        leave, lead = i, (a, rhs)
+                    d = -1 if leave is None else rhs * lead_a - lead_rhs * a
+                    if d < 0 or (d == 0 and self.basis[i] < self.basis[leave]):
+                        leave, lead_a, lead_rhs = i, a, rhs
             if leave is None:
                 raise _Unbounded(enter)
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, col)
 
     def objective_value(self) -> Fraction:
-        return -Fraction(*self.scale[-1]) * int(self.matrix[-1, -1])
+        return -Fraction(*self.scale[-1]) * int(self.K[-1, -1])
 
     def column_values(self, j: int, sign: int = 1) -> dict:
         """{v: nonzero value} of sign times column j of B^-1 [A | b] (the
         basic solution for j = -1), summed by variable over the basic
-        structural columns.  Only rows with a nonzero entry j are read, each
-        as one Fraction."""
+        structural columns: one Fraction per nonzero entry, over its basic one."""
         basis = np.array(self.basis, dtype=np.intp)
-        rows = np.flatnonzero((self.matrix[: len(basis), j] != 0) & (basis < len(self.var)))
+        col = self.column(j)[: len(basis)]
+        rows = np.flatnonzero((col != 0) & (basis < len(self.var)))
         cols = basis[rows]
+        basic = (self.K[rows, :-1] * self.T0T[cols]).sum(axis=1)
         entries = zip(self.var[cols].tolist(), (sign * self.sign[cols]).tolist(),
-                      self.matrix[rows, j].tolist(), self.matrix[rows, cols].tolist())
+                      col[rows].tolist(), basic.tolist())
         return _accumulate({}, ((v, Fraction(s * a, p)) for v, s, a, p in entries))
 
     def row_multipliers(self, unit_from: int, sign: int = 1) -> list:
@@ -442,7 +442,7 @@ class _Tableau:
         identity columns, whose costs are 1 from column ``unit_from`` on and 0
         below it: sigma * ((j >= unit_from) * d - a * z_j) / d for the
         scale [a, d], one Fraction each."""
-        (a, d), z = self.scale[-1], self.matrix[-1, self.init_col].tolist()
+        (a, d), z = self.scale[-1], (self.T0T[self.init_col] @ self.K[-1, :-1]).tolist()
         return [
             Fraction(sign * s * ((j >= unit_from) * d - a * zj), d)
             for s, j, zj in zip(self.sigma, self.init_col, z)
@@ -498,10 +498,10 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
         # their rows carry rhs 0, so any nonzero entry will do)
         for i, b in enumerate(tab.basis):
             if b >= tab.first_art:
-                nonzero = np.flatnonzero(tab.matrix[i, : tab.first_art] != 0)
+                nonzero = (tab.T0T[: tab.first_art] @ tab.K[i, :-1]).nonzero()[0]
                 if len(nonzero):
-                    tab._pivot(i, int(nonzero[0]))
-        tab.matrix = tab.matrix[:-1]  # the phase-2 row is last again
+                    tab._pivot(i, int(nonzero[0]), tab.column(int(nonzero[0])))
+        tab.K = tab.K[:-1]  # the phase-2 row is last again; no other row uses its column of Q
         tab.scale.pop()
 
     # phase 2

@@ -454,6 +454,7 @@ class PseudoBoolean(_TermTable):
             mapping = list(range(self.n))
         if len(mapping) != self.n:
             raise DimensionError(f"mapping length {len(mapping)} != arity {self.n}")
+        _check_arity(arity)  # before seat's range checks name a mapped index
 
         def seat(mask: int) -> int:  # range-checks only the variables the monomial uses
             targets = (mapping[i] for i in range(mask.bit_length()) if mask >> i & 1)

@@ -1196,7 +1196,7 @@ def ref_narrow(rows: list) -> np.ndarray:
     return np.array(rows, dtype=object)
 
 
-class RefListTableau(ising_kernel._Tableau):
+class RefListTableau:
     """The primitive-row tableau with the constructor the library used
     before its numpy one: one list comprehension per LP row, the phase-1
     costs summed column by column over ``zip(*rows)``, then ``ref_narrow``."""
@@ -1480,7 +1480,7 @@ def ref_parse(text: str, arity: int | None = None, parser=_RefParser) -> PseudoB
     max_idx = max((v for k, v, _ in tokens if k in ("var", "~var")), default=0)
     if arity is None:
         arity = max_idx
-    elif arity < max_idx:
+    elif max_idx and arity < max_idx:
         raise ParseError(f"expression uses x{max_idx} but arity {arity} was requested", 0)
     parser = parser(tokens, arity, text)
     try:

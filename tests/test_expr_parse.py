@@ -111,6 +111,12 @@ ONE = expr.Fraction(1)
         ("x1*x1*x2", None, 1 << 16, (2, [((0, 1), ONE)])),
         ("- -3/6*x1 + 1/2*x1", None, 1 << 16, (1, [((0,), ONE)])),
         ("-0*x1", None, 1 << 16, (1, [])),
+        # only a text that names a variable is refused for it; a constant text
+        # at a bad arity gets the polynomial's arity error
+        ("3", -1, 1 << 16, ("ValueError", "arity must be in 0..64, got -1")),
+        ("x2", -1, 1 << 16, ("ParseError", "expression uses x2 but arity -1 was requested (at position 0)", 0)),
+        (")", -1, 1 << 16, ("ParseError", "expected a variable, '(' or number, found ')' at line 1, column 1 "
+                                          "(at position 0)", 0)),
     ],
 )
 def test_flat_terms_keep_their_outcome(text, arity, cap, expected):

@@ -163,11 +163,25 @@ def test_rows_passing_2_31_mid_solve_switch_to_python_ints(monkeypatch):
     assert len(dtypes) >= 2 and all(dtype == object for dtype in dtypes)
 
 
+def test_stored_row_operations_stay_int64_where_the_rows_pass_2_31(monkeypatch):
+    # the primitive rows of CROSSING_LP go to Python ints after its first
+    # pivot; the row operations K and the initial tableau stay int64
+    tab = ising_kernel._Tableau(CROSSING_LP)
+    assert (tab.K.dtype, tab.T0T.dtype) == (np.int64, np.int64)
+    _, steps, _ = traced(
+        monkeypatch, simplex_solve, ising_kernel._Tableau, CROSSING_LP,
+        lambda tab: (tab.K.dtype, tab.T0T.dtype, tab.matrix.dtype),
+    )
+    assert len(steps) >= 2
+    assert all(dtypes == (np.int64, np.int64, object) for _, dtypes in steps)
+
+
 def test_realizability_lp_pivots(monkeypatch):
     # the margin-system dual is solved with the same pivots as well
     for target, n in [
         ({(0, 1, 1, 0), (1, 0, 0, 1)}, 4),
         ({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}, 3),
+        ({(1, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1, 1)}, 7),  # the realize workload's hardest pair shape
     ]:
         for lp in realize_lps(monkeypatch, target, n)[1]:
             assert_same_solve(monkeypatch, lp)
@@ -213,7 +227,7 @@ def realize_lps(monkeypatch, target, n):
         return quadratic_realizability(target, n), lps
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("name", ["pair", "subcube", "parity", "random"])
 def test_realizability_families(monkeypatch, name, n):
     target = family(name, n, random.Random(f"{name}-{n}"))

@@ -21,22 +21,21 @@ certificate (from the unbounded ray).  Its rows come from one integer
 feature matrix over the basis-state indices of the points.
 
 Each LP row is cleared once, when the LPInstance is built, to integers
-over the LCM of its own denominators, and the LP keeps them as one integer
-array.  A row given as an integer array is its own numerators, so the
-feature matrix reaches the LP without a detour through Python lists.
-The tableau is built with numpy from those rows as the initial tableau
-T0.  A pivot rewrites only K = [Q | Q b], the row operations since the
-start, and each entering column is one product of K and T0, made on
-demand (revised simplex).  Row i of Q T0 over its gcd is the Bareiss and
-Edmonds row over its gcd, so Bland's rule takes the pivots a Fraction
-tableau would.  Every answer is read off K and T0: a Fraction is built
-only for each output entry (a nonzero coordinate of the point or ray, a
-multiplier per row).
-Every answer is re-checked on the LP's integer rows: one primal check
-(A x against b, or 0 for a ray) and one dual check (y^T A against c,
-returning y^T b) cover points, rays, duals and Farkas certificates, each
-one integer matrix product.  A recovered realization is re-checked at
-every point of the cube by one Walsh-Hadamard pass over its integer
+over the LCM of its own denominators; the LP keeps them as one integer
+array and builds its Fraction rows only if they are read.  An integer
+array row is its own numerators, so the feature matrix reaches the LP
+without Python lists.  The tableau is built with numpy from those rows
+as the initial tableau T0.  A pivot rewrites only K = [Q | Q b], the row
+operations since the start, and each entering column is one product of K
+and T0, made on demand (revised simplex).  Row i of Q T0 over its gcd is
+the Bareiss and Edmonds row over its gcd, so Bland's rule takes the
+pivots a Fraction tableau would.  Each answer is read off K and T0 as
+integers over one denominator and re-checked on them against the LP's
+integer rows: one primal check (A x against b, or 0 for a ray) and one
+dual check (y^T A against c, returning y^T b) cover points, rays, duals
+and Farkas certificates, each one integer matrix product; a Fraction is
+built only for an output entry.  A recovered realization is re-checked
+at every point of the cube by one Walsh-Hadamard pass over its integer
 spin coefficients.
 """
 
@@ -183,25 +182,19 @@ def square_form(form: OneBodyForm) -> PseudoBoolean:
 # ---------------------------------------------------------------------------
 
 
-class _Coerced(dict):
-    """value -> its Fraction, coerced once per distinct value."""
-
-    def __missing__(self, value):
-        self[value] = exact = _coerce(value)
-        return exact
-
-
 @dataclass(frozen=True)
 class LPInstance:
     """min/max objective . x subject to eq rows (= rhs), geq rows (>= rhs).
 
-    ``nonneg[i]`` constrains x_i >= 0; False leaves it free.  All data is
-    coerced to Fraction.  Each row is also cleared once to integers over
-    the LCM of its own denominators: ``_matrix`` holds those numerators as
-    one read-only array (eq rows first, right-hand side last; of the dtype
-    :func:`pbkernel.pbf._int_dtype` gives its largest |entry|) and ``_lcm``
-    each row's LCM.  A row of Python ints, or an integer array with a Python-int
-    right-hand side, is its own numerators over 1.
+    ``nonneg[i]`` constrains x_i >= 0; False leaves it free.  Each row is
+    cleared once to integers over the LCM of its own denominators:
+    ``_matrix`` holds those numerators as one read-only array (eq rows
+    first, right-hand side last; of the dtype :func:`pbkernel.pbf._int_dtype`
+    gives its largest |entry|), ``_lcm`` each row's LCM, and ``_cost`` the
+    objective's numerators over their LCM.  Python ints, and an integer
+    array row with a Python-int right-hand side, are their own numerators
+    over 1; any other entry is read as a Fraction, so a bad one raises here.
+    ``objective``, ``eq`` and ``geq`` are built as Fractions on first access.
     """
 
     num_vars: int
@@ -212,53 +205,63 @@ class LPInstance:
     sense: str = "min"
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _lcm: tuple = field(init=False, repr=False, compare=False)
+    _cost: tuple = field(init=False, repr=False, compare=False)
+    _neq: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be min or max, got {self.sense!r}")
-        # entries repeat (the realizability rows are all -1, 0 and 1), so each
-        # distinct value becomes one Fraction that every entry equal to it shares
-        coerce = _Coerced().__getitem__
-        obj = tuple(map(coerce, self.objective))
-        if len(obj) != self.num_vars:
+        nums, denom = _cleared(self.objective)
+        if len(nums) != self.num_vars:
             raise DimensionError("objective length != num_vars")
         nonneg = tuple(self.nonneg) if self.nonneg else (True,) * self.num_vars
         if len(nonneg) != self.num_vars:
             raise DimensionError("nonneg length != num_vars")
+        eq = list(self.eq)
+        rows = [self._row(coeffs, rhs) for coeffs, rhs in (*eq, *self.geq)]
+        vars(self).update(nonneg=nonneg, _matrix=_stack(rows, self.num_vars), _cost=(tuple(nums), denom),
+                          _lcm=tuple(lcm for *_, lcm in rows), _neq=len(eq))
+        for name in ("objective", "eq", "geq"):
+            del vars(self)[name]  # __getattr__ builds them again
 
-        ints = []  # per row: integer coefficients, integer rhs, the LCM they are over
+    def _row(self, coeffs, rhs) -> tuple:
+        """(integer coefficients, integer rhs, LCM) of one row; its entries
+        are read first, then its width, then its rhs."""
+        if isinstance(coeffs, np.ndarray):  # read by its dtype, which int64 must hold
+            if coeffs.ndim != 1:
+                raise DimensionError("row width != num_vars")
+            own = coeffs.dtype.kind in "iu" and np.can_cast(coeffs.dtype, np.int64)
+            if own and type(rhs) is int and len(coeffs) == self.num_vars:
+                return coeffs, rhs, 1
+            coeffs = coeffs.tolist()
+        entries = list(coeffs)
+        if len(entries) != self.num_vars:
+            _cleared(entries)  # a bad entry raises before the width does
+            raise DimensionError("row width != num_vars")
+        nums, denom = _cleared((*entries, rhs))
+        return nums[:-1], nums[-1], denom
 
-        def rows(raw):
-            out = []
-            for coeffs, rhs in raw:
-                if isinstance(coeffs, np.ndarray):  # read by its dtype, which int64 must hold
-                    entries = coeffs.tolist()
-                    own = coeffs.dtype.kind in "iu" and np.can_cast(coeffs.dtype, np.int64)
-                else:  # Python ints, bool excluded
-                    coeffs = entries = list(coeffs)
-                    own = all(type(c) is int for c in entries)
-                exact = tuple(map(coerce, entries))
-                if len(exact) != self.num_vars:
-                    raise DimensionError("row width != num_vars")
-                out.append((exact, coerce(rhs)))
-                if own and type(rhs) is int:
-                    ints.append((coeffs, rhs, 1))
-                else:
-                    nums, denom = _numerators((*exact, out[-1][1]))
-                    ints.append((nums[:-1], nums[-1], denom))
-            return tuple(out)
-
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "nonneg", nonneg)
-        object.__setattr__(self, "eq", rows(self.eq))
-        object.__setattr__(self, "geq", rows(self.geq))
-        object.__setattr__(self, "_matrix", _stack(ints, self.num_vars))
-        object.__setattr__(self, "_lcm", tuple(lcm for *_, lcm in ints))
+    def __getattr__(self, name: str):
+        """``objective``, ``eq`` and ``geq``, built as Fractions on the first read of one."""
+        if name not in ("objective", "eq", "geq"):
+            raise AttributeError(name)
+        rows = [[Fraction(a, lcm) for a in row] for row, lcm in zip(self._matrix.tolist(), self._lcm)]
+        rows = [(tuple(row[:-1]), row[-1]) for row in rows]
+        vars(self).update(objective=tuple(Fraction(a, self._cost[1]) for a in self._cost[0]),
+                          eq=tuple(rows[: self._neq]), geq=tuple(rows[self._neq :]))
+        return vars(self)[name]
 
     def row_refs(self) -> list:
-        return [("eq", i) for i in range(len(self.eq))] + [
-            ("geq", i) for i in range(len(self.geq))
-        ]
+        return [("eq", i) for i in range(self._neq)] + [("geq", i) for i in range(len(self._lcm) - self._neq)]
+
+
+del LPInstance.eq, LPInstance.geq  # class defaults would hide the rows from __getattr__; __init__ keeps its own
+
+
+def _cleared(values) -> tuple:
+    """:func:`pbkernel.pbf._numerators`, where Python ints (bool excluded) are their own over 1."""
+    values = list(values)
+    return (values, 1) if all(type(v) is int for v in values) else _numerators(values)
 
 
 @dataclass
@@ -288,29 +291,30 @@ class _Tableau:
 
     ``T0T`` is the initial tableau T0, transposed to one contiguous row per
     column: the m LP rows [A | b], each cleared over its own LCM with the
-    surplus and artificial entries of the initial basis, then the
-    reduced-cost rows.  ``K`` = [Q | Q b] is the row operations since the
-    start (Q square, initially the identity) and the right-hand side.  Row
-    i of Q T0 is a positive multiple of row i of B^-1 [A | b], basic entry
-    > 0; ``matrix`` gives each over its gcd, the primitive (Bareiss 1968,
-    Edmonds 1967) row.  Pricing is one product of T0 with the last row of
-    Q, the entering column one of Q with its row of ``T0T`` (revised
-    simplex, Dantzig & Orchard-Hays 1954).  A pivot on p = (Q T0)[r, j] > 0
-    sets each row of K with f = (Q T0)[i, j] != 0 to p K_i - f K_r over its gcd.
+    surplus and artificial entries of the initial basis, the reduced-cost rows,
+    and a zero row.  ``K`` = [Q | Q b] is the row operations since the start (Q
+    square, initially the identity) and the right-hand side, which meets that
+    zero row, so K times a row of ``T0T`` is Q times a column of T0.  Row i of
+    Q T0 is a positive multiple of row i of B^-1 [A | b], basic entry > 0;
+    ``matrix`` gives each over its gcd, the primitive (Bareiss 1968, Edmonds
+    1967) row.  Pricing is one product of T0 with the last row of K, the
+    entering column one of K with its row of ``T0T`` (revised simplex, Dantzig &
+    Orchard-Hays 1954).  A pivot on p = (Q T0)[r, j] > 0 sets each row of K with
+    f = (Q T0)[i, j] != 0 to p K_i - f K_r and divides none: no sign or ratio
+    sees a row's scale.
 
-    The columns are the structural ones, where column j is ``sign[j]``
-    times x_``var[j]`` (x_v, then -x_v for a free v), then one surplus
-    column per geq row, then from ``first_art`` on one artificial column
-    per row that needs one.
-
-    The rows after the m constraint rows are reduced-cost rows: the
-    phase-2 row, then, until phase 1 ends, the phase-1 row (T0 keeps it),
-    each ``scale`` (> 0) times the exact c - c_B B^-1 [A | b], so their signs
-    are exact.  A pivot updates them like any row, and each scale by gcd / p.
-    With R the width of K, every product of K and T0 is below R top_K top_T0
-    and every update below 2 R top_K^2 top_T0 (top the largest |entry|):
-    both arrays take the dtype :func:`pbkernel.pbf._int_dtype` gives that
-    bound, Python ints for the rest of the solve once a pivot passes it.
+    The columns are the structural ones, where column j is ``sign[j]`` times
+    x_``var[j]`` (x_v, then -x_v for a free v), then one surplus column per geq
+    row, then from ``first_art`` on one artificial column per row that needs
+    one.  The rows after the m constraint rows are the phase-2 reduced-cost row,
+    then, until phase 1 ends, the phase-1 row, each d / a times the exact
+    c - c_B B^-1 [A | b] for its ``scale`` [a, d]: a pivot multiplies d by p, a
+    reduction a by the row's gcd.  With R the width of K, every product of K and
+    T0 is below R top_K top_T0 and every update below 2 R top_K^2 top_T0 (top
+    the largest |entry|).  Both arrays take the dtype
+    :func:`pbkernel.pbf._int_dtype` gives that bound; once an update passes it,
+    every row of K goes over its gcd, and if K still passes, to Python ints for
+    the rest of the solve.
     """
 
     def __init__(self, lp: LPInstance):
@@ -318,7 +322,7 @@ class _Tableau:
         self.var = np.repeat(np.arange(lp.num_vars), 1 + free)
         self.sign = np.ones(len(self.var), dtype=np.int64)
         self.sign[np.cumsum(1 + free)[free] - 1] = -1
-        neq, m = len(lp.eq), len(lp._lcm)
+        neq, m = lp._neq, len(lp._lcm)
         self.sigma = [-1 if b < 0 else 1 for b in lp._matrix[:, -1].tolist()]  # std row = sigma * row
         # initial basis: a negated geq row exposes its surplus at +1;
         # everything else gets an artificial column
@@ -335,35 +339,35 @@ class _Tableau:
         weights = [L // l if a else 0 for a, l in zip(art, lp._lcm)]
         # phase-2 costs over the LCM of the objective's denominators; the
         # initial basic columns cost 0, so these are its reduced costs
-        obj, denom = _numerators(lp.objective)
+        obj, denom = lp._cost
         # every |entry| below is at most top and every partial sum of the phase-1
         # row at most sum(weights) * top
         top = max(_top(lp._matrix), *lp._lcm, *map(abs, obj), 0)
         dtype = _int_dtype((sum(weights) + 1) * top)
         nums, lcm, sign, sigma, weights, obj = (
-            np.array(v, dtype) for v in (lp._matrix, lp._lcm, self.sign, self.sigma, weights, obj)
+            np.asarray(v, dtype) for v in (lp._matrix, lp._lcm, self.sign, self.sigma, weights, obj)
         )
-        rows = np.zeros((m, ncols + 1), dtype)
+        R = m + 1 + (ncols > self.first_art)  # with the phase-2 row, and the phase-1 row while needed
+        T0 = np.zeros((R + 1, ncols + 1), dtype)  # the last row stays 0
+        rows = T0[:m]
         rows[:, : len(self.var)] = nums[:, self.var] * sign
         rows[:, -1] = nums[:, -1]
         geq = np.arange(neq, m)
         rows[geq, surplus + geq] = -lcm[neq:]
         rows *= sigma[:, None]
         rows[np.arange(m), self.init_col] = lcm
-        cost = np.zeros(ncols + 1, dtype)
-        cost[: len(self.var)] = (1 if lp.sense == "min" else -1) * obj[self.var] * sign
-        costs = [(cost, denom)]
-        if ncols > self.first_art:
-            z = -(weights @ rows)
-            z[self.first_art : -1] = 0
-            costs.append((z, L))
+        T0[m, : len(self.var)] = (1 if lp.sense == "min" else -1) * obj[self.var] * sign
+        if R > m + 1:
+            T0[-2] = -(weights @ rows)
+            T0[-2, self.first_art : -1] = 0
         self.scale = []  # per reduced-cost row [a, d]: its reduced costs are (K T0) * a / d
-        for z, denom in costs:
+        for z, d in zip(T0[m:R], (denom, L)):
             g = int(np.gcd.reduce(z)) or 1
-            rows = np.vstack([rows, z // g])
-            self.scale.append([g, denom])
-        self.K = np.hstack([np.identity(len(rows), dtype=rows.dtype), rows[:, -1:]])
-        self.T0T, self.growth = rows.T, 2 * self.K.shape[1] * _top(rows)  # updates < growth top_K^2
+            z //= g
+            self.scale.append([g, d])
+        self.K = np.eye(R, R + 1, dtype=dtype)
+        self.K[:, -1] = T0[:R, -1]
+        self.T0T, self.growth = T0.T, 2 * (R + 1) * _top(T0)  # updates < growth top_K^2
         self._cast(_int_dtype(self.growth * _top(self.K) ** 2))
 
     def _cast(self, dtype) -> None:
@@ -372,16 +376,16 @@ class _Tableau:
     @property
     def matrix(self) -> np.ndarray:
         """The primitive rows: Q T0 over its row gcds, in the dtype ``_int_dtype(2 top^2)``."""
-        rows = self.K[:, :-1] @ self.T0T.T
+        rows = self.K @ self.T0T.T
         rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
         return rows.astype(_int_dtype(2 * _top(rows) ** 2))
 
     def column(self, j: int) -> np.ndarray:
         """Column j of Q T0 (the right-hand side for j = -1)."""
-        return self.K[:, :-1] @ self.T0T[j]
+        return self.K @ self.T0T[j]
 
     def _pivot(self, r: int, j: int, col: np.ndarray) -> None:
-        K, p, m = self.K, col[r], len(self.basis)
+        K, p, m = self.K, int(col[r]), len(self.basis)
         if p < 0:
             K[r], p = -K[r], -p
         col[r] = 0  # the rows to rewrite are the others with a nonzero entry
@@ -389,64 +393,60 @@ class _Tableau:
         new = K.take(rows, 0)
         new *= p
         new -= col.take(rows)[:, None] * K[r]
-        g = np.gcd.reduce(new, axis=1)
-        new //= g[:, None]
+        K[rows] = new
         for k in range(rows.searchsorted(m), len(rows)):  # the reduced-cost rows
-            scale = self.scale[rows[k] - m]
-            scale[:] = scale[0] * int(g[k]), scale[1] * int(p)
-        if K.dtype != object and _int_dtype(self.growth * int(np.abs(new).max(initial=0)) ** 2) is object:
-            self._cast(object)
-        self.K[rows] = new
+            self.scale[rows[k] - m][1] *= p
+        if _int_dtype(self.growth * int(np.abs(new).max(initial=0)) ** 2) is object:  # every row over its gcd
+            g = np.gcd.reduce(K, axis=1)
+            K //= g[:, None]
+            for scale, gi in zip(self.scale, g.tolist()[m:]):
+                scale[0] *= gi
+            if K.dtype != object and _int_dtype(self.growth * _top(K) ** 2) is object:
+                self._cast(object)
         self.basis[r] = j
 
     def run(self, end: int) -> None:
         """Bland-rule simplex on the last reduced-cost row, entering only
         columns below ``end`` (basic ones have reduced cost 0).  Raises on
         unbounded via _Unbounded."""
-        m = len(self.basis)
+        basis, m = self.basis, len(self.basis)
         while True:
-            entering = (self.T0T[:end] @ self.K[-1, :-1] < 0).nonzero()[0]
+            entering = (self.T0T[:end] @ self.K[-1] < 0).nonzero()[0]
             if not len(entering):
                 return
             enter = int(entering[0])
             col = self.column(enter)
             # exact min of rhs / a over a > 0 (a row's scale cancels), ties to the lower basis index
             leave = None
-            for i, (a, rhs) in enumerate(zip(col[:m].tolist(), self.K[:m, -1].tolist())):
+            for i, (a, rhs) in enumerate(zip(col.tolist(), self.K[:m, -1].tolist())):
                 if a > 0:
                     d = -1 if leave is None else rhs * lead_a - lead_rhs * a
-                    if d < 0 or (d == 0 and self.basis[i] < self.basis[leave]):
+                    if d < 0 or (d == 0 and basis[i] < basis[leave]):
                         leave, lead_a, lead_rhs = i, a, rhs
             if leave is None:
                 raise _Unbounded(enter)
             self._pivot(leave, enter, col)
 
-    def objective_value(self) -> Fraction:
-        return -Fraction(*self.scale[-1]) * int(self.K[-1, -1])
-
-    def column_values(self, j: int, sign: int = 1) -> dict:
-        """{v: nonzero value} of sign times column j of B^-1 [A | b] (the
-        basic solution for j = -1), summed by variable over the basic
-        structural columns: one Fraction per nonzero entry, over its basic one."""
+    def column_values(self, j: int, sign: int = 1) -> tuple:
+        """({v: numerator}, denom): sign times column j of B^-1 [A | b] (the basic
+        solution for j = -1), summed by variable over the basic structural columns."""
         basis = np.array(self.basis, dtype=np.intp)
         col = self.column(j)[: len(basis)]
         rows = np.flatnonzero((col != 0) & (basis < len(self.var)))
         cols = basis[rows]
-        basic = (self.K[rows, :-1] * self.T0T[cols]).sum(axis=1)
-        entries = zip(self.var[cols].tolist(), (sign * self.sign[cols]).tolist(),
-                      col[rows].tolist(), basic.tolist())
-        return _accumulate({}, ((v, Fraction(s * a, p)) for v, s, a, p in entries))
+        basic = (self.K[rows] * self.T0T[cols]).sum(axis=1).tolist()
+        denom = math.lcm(*basic)
+        entries = zip(self.var[cols].tolist(), (sign * self.sign[cols]).tolist(), col[rows].tolist(), basic)
+        values = _accumulate({}, ((v, s * a * (denom // p)) for v, s, a, p in entries))
+        nums, denom = _reduced([*values.values()], denom)
+        return dict(zip(values, nums)), denom
 
-    def row_multipliers(self, unit_from: int, sign: int = 1) -> list:
-        """sign times the multiplier per original row, read off the initial
-        identity columns, whose costs are 1 from column ``unit_from`` on and 0
-        below it: sigma * ((j >= unit_from) * d - a * z_j) / d for the
-        scale [a, d], one Fraction each."""
-        (a, d), z = self.scale[-1], (self.T0T[self.init_col] @ self.K[-1, :-1]).tolist()
-        return [
-            Fraction(sign * s * ((j >= unit_from) * d - a * zj), d)
-            for s, j, zj in zip(self.sigma, self.init_col, z)
-        ]
+    def row_multipliers(self, unit_from: int, sign: int = 1) -> tuple:
+        """(numerators, d): sign times the multiplier per original row over d, read off
+        the initial identity columns, whose costs are 1 from column ``unit_from`` on and
+        0 below it: sigma * ((j >= unit_from) * d - a * z_j) / d for the scale [a, d]."""
+        (a, d), z = self.scale[-1], (self.T0T[self.init_col] @ self.K[-1]).tolist()
+        return [sign * s * ((j >= unit_from) * d - a * zj) for s, j, zj in zip(self.sigma, self.init_col, z)], d
 
 
 def _stack(rows: list, width: int) -> np.ndarray:
@@ -470,6 +470,12 @@ def _top(a: np.ndarray) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
+def _reduced(nums: list, denom: int) -> tuple:
+    """nums / denom over their gcd, so that denom is the LCM of the reduced denominators."""
+    g = math.gcd(denom, *nums)
+    return [a // g for a in nums], denom // g
+
+
 class _Unbounded(Exception):
     def __init__(self, col):
         self.col = col
@@ -481,24 +487,24 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     Feasible points satisfy all rows by substitution, infeasibility
     certificates are checked to cancel all variables with positive
     right-hand side, and unbounded rays are checked to be feasible
-    improving directions.
+    improving directions, each on the tableau's own integers.
     """
     tab = _Tableau(lp)
 
-    # phase 1: minimize the artificial sum
+    # phase 1: minimize the artificial sum, -a K[-1, -1] / d for the scale [a, d]
     if tab.ncols > tab.first_art:
         tab.run(tab.ncols)
-        value1 = tab.objective_value()
-        if value1 > 0:
-            mults = zip(lp.row_refs(), tab.row_multipliers(tab.first_art))
-            certificate = [(ref, y / value1) for ref, y in mults if y]
+        if tab.K[-1, -1] < 0:  # a positive sum: the certificate is each multiplier over it
+            nums, denom = _reduced(tab.row_multipliers(tab.first_art)[0], -tab.scale[-1][0] * int(tab.K[-1, -1]))
+            certificate = list(zip(lp.row_refs(), nums))
             verify_certificate(lp, certificate)
+            certificate = [(ref, Fraction(y, denom)) for ref, y in certificate if y]
             return SimplexResult(status="infeasible", certificate=certificate)
         # drive leftover artificials out of the basis (degenerate pivots;
         # their rows carry rhs 0, so any nonzero entry will do)
         for i, b in enumerate(tab.basis):
             if b >= tab.first_art:
-                nonzero = (tab.T0T[: tab.first_art] @ tab.K[i, :-1]).nonzero()[0]
+                nonzero = (tab.T0T[: tab.first_art] @ tab.K[i]).nonzero()[0]
                 if len(nonzero):
                     tab._pivot(i, int(nonzero[0]), tab.column(int(nonzero[0])))
         tab.K = tab.K[:-1]  # the phase-2 row is last again; no other row uses its column of Q
@@ -507,78 +513,90 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
     # phase 2
     try:
         tab.run(tab.first_art)
-    except _Unbounded as unb:
-        ray = _extract_ray(tab, unb.col)
+    except _Unbounded as unb:  # the ray: +1 on the entering column, -(B^-1 a_enter) on the basic ones
+        j = unb.col
+        support, denom = tab.column_values(j, -1)
+        ray = _accumulate({int(tab.var[j]): int(tab.sign[j]) * denom} if j < len(tab.var) else {}, support.items())
         _check_ray(lp, ray)
-        return SimplexResult(status="unbounded", ray=ray)
-    support = tab.column_values(-1)
-    value = sum((lp.objective[v] * xv for v, xv in support.items()), Fraction(0))
-    zero = Fraction(0)
-    x = tuple(support.get(v, zero) for v in range(lp.num_vars))
-    _check_point(lp, x)
-    duals = tuple(tab.row_multipliers(tab.ncols, 1 if lp.sense == "min" else -1))
-    if _check_duals(lp, duals, lp.objective, lp.sense) != value:
+        return SimplexResult(status="unbounded", ray={v: Fraction(a, denom) for v, a in ray.items()})
+    support, denom = tab.column_values(-1)
+    _check_point_ints(lp, support, denom)
+    cost, cden = lp._cost
+    value = Fraction(sum(cost[v] * a for v, a in support.items()), cden * denom)
+    nums, d = _reduced(*tab.row_multipliers(tab.ncols, 1 if lp.sense == "min" else -1))
+    if _check_duals_ints(lp, nums, d, lp._cost, lp.sense) != value:
         raise AssertionError("dual bound does not match the optimal value")
-    return SimplexResult(status="optimal", x=x, value=value, duals=duals)
+    x = [Fraction(0)] * lp.num_vars
+    for v, a in support.items():
+        x[v] = Fraction(a, denom)
+    return SimplexResult(status="optimal", x=tuple(x), value=value, duals=tuple(Fraction(y, d) for y in nums))
 
 
 def verify_certificate(lp: LPInstance, cert: list) -> None:
-    """Exact check that a certificate proves 0 >= 1.
-
-    The weighted row combination must cancel free variables, have
-    non-positive weight on sign-constrained variables, use non-negative
-    multipliers on inequality rows, and combine right-hand sides to a
-    positive value (normalized to 1).
-    """
+    """Exact check that a certificate proves 0 >= 1: the weighted row combination
+    must cancel free variables, have non-positive weight on sign-constrained
+    variables, use non-negative multipliers on inequality rows, and combine
+    right-hand sides to a positive value (normalized to 1).  The check is
+    homogeneous, so the multipliers may be Fractions or integers over one denominator."""
     position = {ref: i for i, ref in enumerate(lp.row_refs())}
-    y = [Fraction(0)] * len(position)
+    y = [0] * len(position)
     for ref, mult in cert:
+        if ref not in position:
+            raise ValueError(f"unknown row reference {ref!r}")
         y[position[ref]] += mult
-    if _check_duals(lp, y, (0,) * lp.num_vars, "min") <= 0:
+    if _check_duals_ints(lp, *_cleared(y), ((0,) * lp.num_vars, 1), "min") <= 0:
         raise AssertionError("certificate right-hand side is not positive")
 
 
 def _weighted_row_sum(weights: list, rows: np.ndarray) -> list:
-    """sum_i weights[i] * rows[i] for integer weights and an integer row
-    array, as Python ints: one matrix product, of the dtype
-    :func:`pbkernel.pbf._int_dtype` gives sum |weights| times the largest
-    |entry| (each at least 1), which bounds every partial sum."""
+    """sum_i weights[i] * rows[i] for integer weights and an integer row array, as Python
+    ints: one matrix product, of the dtype :func:`pbkernel.pbf._int_dtype` gives sum
+    |weights| times the largest |entry| (each at least 1), which bounds every partial sum."""
     dtype = _int_dtype(max(sum(map(abs, weights)), 1) * max(_top(rows), 1))
     return (np.array(weights, dtype=dtype) @ rows.astype(dtype, copy=False)).tolist()
 
 
 def _check_point(lp: LPInstance, x: Sequence, ray: bool = False) -> None:
-    """One primal check: x_v >= 0 on every sign-constrained variable, then
-    each row A_i x = b_i (eq) or >= b_i (geq), with b = 0 for a ray.  The
-    rows are the integer ones and x goes over one common denominator."""
+    """:func:`_check_point_ints` on a point (or ray) given as one value per variable."""
     nums, denom = _numerators(x)
-    if any(a < 0 for a, nonneg in zip(nums, lp.nonneg) if nonneg):
+    _check_point_ints(lp, {v: a for v, a in enumerate(nums) if a}, 0 if ray else denom)
+
+
+def _check_point_ints(lp: LPInstance, support: dict, rhs: int) -> None:
+    """One primal check of x = {v: numerator} over one denominator, 0 where absent, with
+    b weighted by ``rhs`` (that denominator for a point, 0 for a ray): x_v >= 0 on every
+    sign-constrained variable, then each row A_i x = b_i (eq) or >= b_i (geq)."""
+    if any(a < 0 and lp.nonneg[v] for v, a in support.items()):
         raise AssertionError("negative value on a sign-constrained variable")
-    gaps = _weighted_row_sum([*nums, 0 if ray else -denom], lp._matrix.T)
-    if any(gaps[: len(lp.eq)]):
+    gaps = _weighted_row_sum([*support.values(), -rhs], lp._matrix.T[[*support, -1]])
+    if any(gaps[: lp._neq]):
         raise AssertionError("equality row violated")
     if any(gap < 0 for gap in gaps):
         raise AssertionError("inequality row violated")
 
 
 def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -> Fraction:
-    """One dual check, returning y^T b: y (one per row, eq rows first) is
-    >= 0 on geq rows for min sense (<= 0 for max), and y^T A, the integer
-    rows weighted by y_i / L_i, meets c: = c on a free column, <= c (min)
-    or >= c (max) on a sign-constrained one.  Optimal duals take the LP's
-    objective and sense, a Farkas certificate c = 0 and min."""
+    """:func:`_check_duals_ints` on duals and an objective given as values."""
+    return _check_duals_ints(lp, *_numerators(y), _numerators(objective), sense)
+
+
+def _check_duals_ints(lp: LPInstance, nums: list, denom: int, cost: tuple, sense: str) -> Fraction:
+    """One dual check, returning y^T b: y = nums / denom (one per row, eq rows
+    first) is >= 0 on geq rows for min sense (<= 0 for max), and y^T A, the
+    integer rows weighted by y_i / L_i, meets c = (numerators, denominator):
+    = c on a free column, <= c (min) or >= c (max) on a sign-constrained one.
+    Optimal duals take the LP's objective and sense, a certificate 0 and min."""
     flip = 1 if sense == "min" else -1
-    nums, denom = _numerators(y)
-    if any(flip * a < 0 for a in nums[len(lp.eq):]):
+    if any(flip * a < 0 for a in nums[lp._neq :]):
         raise AssertionError("dual sign violated on an inequality row")
     # y_i / L_i = nums_i * (L / L_i) / (denom * L), L the LCM of the row LCMs
     L = math.lcm(*lp._lcm)
     combo = _weighted_row_sum([a * (L // lcm) for a, lcm in zip(nums, lp._lcm)], lp._matrix)
     denom *= L
-    cost, cden = _numerators(objective)
-    for v in range(lp.num_vars):
-        slack = flip * (cost[v] * denom - combo[v] * cden)  # sign of c - (y^T A)_v, flipped for max
-        if not lp.nonneg[v]:
+    cost, cden = cost
+    for v, (c, a, nonneg) in enumerate(zip(cost, combo, lp.nonneg)):
+        slack = flip * (c * denom - a * cden)  # sign of c - (y^T A)_v, flipped for max
+        if not nonneg:
             if slack != 0:
                 raise AssertionError(f"dual equality violated on free x{v}")
         elif slack < 0:
@@ -586,15 +604,11 @@ def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -
     return Fraction(combo[-1], denom)
 
 
-def _extract_ray(tab: _Tableau, enter: int) -> dict:
-    """+1 on the entering column and -(B^-1 a_enter) on the basic ones, by variable."""
-    ray = {int(tab.var[enter]): Fraction(int(tab.sign[enter]))} if enter < len(tab.var) else {}
-    return _accumulate(ray, tab.column_values(enter, -1).items())
-
-
 def _check_ray(lp: LPInstance, ray: dict) -> None:
-    _check_point(lp, [ray.get(v, 0) for v in range(lp.num_vars)], ray=True)
-    gain = sum((lp.objective[v] * d for v, d in ray.items()), Fraction(0))
+    """A ray {v: value}, Fractions or integers over one denominator: feasible and improving."""
+    ray = dict(zip(ray, _cleared(ray.values())[0]))
+    _check_point_ints(lp, ray, 0)
+    gain = sum(lp._cost[0][v] * d for v, d in ray.items())
     if lp.sense == "max" and gain <= 0:
         raise AssertionError("ray does not improve a max objective")
     if lp.sense == "min" and gain >= 0:

@@ -8,8 +8,10 @@ used before it read each distinct value once, the dense Fraction simplex
 tableau the library used before its fraction-free integer tableau and the
 Bareiss integer tableau it used before its primitive rows, the
 list-built tableau constructor it used before its numpy one, the
-``spin_to_boolean`` plus zeta margin check it used before its
-Walsh-Hadamard pass, the per-index gate and Pauli-term loops the library used before its integer
+``LPInstance`` constructor that coerced every entry to a ``Fraction``
+before it built its integer rows without them, the ``spin_to_boolean``
+plus zeta margin check it used before its Walsh-Hadamard pass, the
+per-index gate and Pauli-term loops the library used before its integer
 statevector engine, the per-variable and per-word Boolean/spin/Pauli-Z
 conversions the library used before its one subset expansion, the
 per-monomial subset expansion it used before its per-variable integer
@@ -42,6 +44,7 @@ import math
 import operator
 import random
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -49,7 +52,7 @@ import numpy as np
 import pytest
 
 from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, ising_kernel, stabilizer
-from pbkernel.errors import NetlistError, ParseError
+from pbkernel.errors import DimensionError, NetlistError, ParseError
 from pbkernel.pbf import _accumulate, _numerators, _point_indices, _scaled, _swap_order
 
 
@@ -663,6 +666,90 @@ def rational_lp(rng: random.Random):
         nonneg=[rng.random() < 0.6 for _ in range(nv)],
         sense=rng.choice(["min", "max"]),
     )
+
+
+# -- LP constructor (reference for the integer rows built without Fractions) --
+
+class _RefCoerced(dict):
+    """value -> its Fraction, coerced once per distinct value."""
+
+    def __missing__(self, value):
+        self[value] = exact = value if isinstance(value, Fraction) else Fraction(value)
+        return exact
+
+
+def _ref_stack(rows: list, width: int) -> np.ndarray:
+    """Integer rows (coefficients, rhs, _) as one read-only array: int64
+    when every |entry| is below 2^63, else Python ints."""
+    for dtype in (np.int64, object):
+        matrix = np.empty((len(rows), width + 1), dtype)
+        try:
+            for i, (coeffs, rhs, _) in enumerate(rows):
+                matrix[i, :-1], matrix[i, -1] = coeffs, rhs
+        except OverflowError:
+            continue
+        top = max(int(matrix.max(initial=0)), -int(matrix.min(initial=0)))
+        if (top < 1 << 63) == (dtype is np.int64):
+            break
+    matrix.flags.writeable = False
+    return matrix
+
+
+@dataclass(frozen=True)
+class RefLPInstance:
+    """``LPInstance`` as it was before it built its integer rows without
+    ``Fraction``s: every entry coerced in the constructor to a Fraction
+    shared by every entry equal to it, and the public ``Fraction`` rows
+    kept beside the integer ones."""
+
+    num_vars: int
+    objective: tuple
+    eq: tuple = ()
+    geq: tuple = ()
+    nonneg: tuple = ()
+    sense: str = "min"
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _lcm: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.sense not in ("min", "max"):
+            raise ValueError(f"sense must be min or max, got {self.sense!r}")
+        coerce = _RefCoerced().__getitem__
+        obj = tuple(map(coerce, self.objective))
+        if len(obj) != self.num_vars:
+            raise DimensionError("objective length != num_vars")
+        nonneg = tuple(self.nonneg) if self.nonneg else (True,) * self.num_vars
+        if len(nonneg) != self.num_vars:
+            raise DimensionError("nonneg length != num_vars")
+
+        ints = []
+
+        def rows(raw):
+            out = []
+            for coeffs, rhs in raw:
+                if isinstance(coeffs, np.ndarray):
+                    entries = coeffs.tolist()
+                    own = coeffs.dtype.kind in "iu" and np.can_cast(coeffs.dtype, np.int64)
+                else:
+                    coeffs = entries = list(coeffs)
+                    own = all(type(c) is int for c in entries)
+                exact = tuple(map(coerce, entries))
+                if len(exact) != self.num_vars:
+                    raise DimensionError("row width != num_vars")
+                out.append((exact, coerce(rhs)))
+                if own and type(rhs) is int:
+                    ints.append((coeffs, rhs, 1))
+                else:
+                    nums, denom = ref_numerators((*exact, out[-1][1]))
+                    ints.append((nums[:-1], nums[-1], denom))
+            return tuple(out)
+
+        object.__setattr__(self, "objective", obj)
+        object.__setattr__(self, "nonneg", nonneg)
+        object.__setattr__(self, "eq", rows(self.eq))
+        object.__setattr__(self, "geq", rows(self.geq))
+        object.__setattr__(self, "_matrix", _ref_stack(ints, self.num_vars))
+        object.__setattr__(self, "_lcm", tuple(lcm for *_, lcm in ints))
 
 
 # -- Fraction simplex tableau (reference for the integer tableau) -----------

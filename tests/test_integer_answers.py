@@ -271,9 +271,9 @@ def test_simplex_solve_builds_one_fraction_per_dual(monkeypatch):
     monkeypatch.setattr(ising_kernel, "Fraction", counting)
     result = simplex_solve(lp)
     assert result.status == "optimal" and not any(result.x)
-    # one per dual; the phase-1 optimum, the shared zero of x, the start of
-    # the value sum and the dual bound; every right-hand side is 0, so x builds none
-    assert len(built) == m + 4
+    # one per dual; the shared zero of x, the value and the dual bound (the
+    # phase-1 optimum is read off its sign); every right-hand side is 0, so x builds none
+    assert len(built) == m + 3
 
 
 # -- the one term-table rule -------------------------------------------------------

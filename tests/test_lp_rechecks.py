@@ -7,7 +7,8 @@ integer feature matrix for realizability certificates.  Here each check
 sees the solver's own answer and tampered copies of it (one entry nudged
 or negated, realizability multipliers doubled, negated or dropped), and
 must raise exactly when the Fraction check it replaced (``conftest``)
-raises.
+raises.  A solve hands its checks its own integers; raising one numerator
+of the point, a dual or the ray on that path must fail the check too.
 """
 
 import random
@@ -261,3 +262,35 @@ def test_realizability_certificates_reject_exactly_what_the_reference_rejects():
     assert count >= 6
     assert [got for got, _ in pairs] == [want for _, want in pairs]
     assert {got for got, _ in pairs} == {True, False}
+
+
+# -- the integer re-checks a solve makes -------------------------------------------
+
+#: a realizable pair (a point and duals to check) and the even-parity set (a ray)
+FEASIBLE, INFEASIBLE = ({(0, 1, 1, 0), (1, 0, 0, 1)}, 4), ({x for x in assignments(3) if sum(x) % 2 == 0}, 3)
+
+
+@pytest.mark.parametrize("check, target, size", [
+    ("_check_point_ints", FEASIBLE, 16),  # one numerator per variable
+    ("_check_duals_ints", FEASIBLE, 11),  # one per row: c0, four h_l, six J_lk
+    ("_check_ray", INFEASIBLE, 8),
+])
+def test_one_wrong_numerator_fails_the_integer_recheck(monkeypatch, check, target, size):
+    # the solve hands each check its own integers; raising any one numerator
+    # by 1 before the check (one variable of the point or ray, one dual) must fail it
+    original, seen = getattr(ising_kernel, check), []
+
+    def perturbing(lp, values, *rest):
+        values = dict(values) if isinstance(values, dict) else list(values)
+        if index is not None:
+            values[index] = (values.get(index, 0) if isinstance(values, dict) else values[index]) + 1
+        seen.append(index)
+        return original(lp, values, *rest)
+
+    monkeypatch.setattr(ising_kernel, check, perturbing)
+    index = None
+    assert quadratic_realizability(*target).feasible is (target is FEASIBLE)
+    for index in range(size):
+        with pytest.raises(AssertionError):
+            quadratic_realizability(*target)
+    assert seen == [None, *range(size)]

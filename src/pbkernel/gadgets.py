@@ -26,9 +26,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, NetlistError
-from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _point_indices, _scaled,
-                  bits_of)
-from .pauli import STATE_CAP, DiagonalOperator, StateVector, _amp_is_zero
+from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _assignments, _point_indices,
+                  _scaled, _swap_order)
+from .pauli import STATE_CAP, DiagonalOperator, StateVector
 
 ROLE_INPUT = "input"
 ROLE_OUTPUT = "output"
@@ -358,12 +358,8 @@ class SupportSet(NamedTuple):
 
 def support(v: StateVector, tol: float = 1e-12) -> SupportSet:
     """Exact for rational amplitudes; |amp| > tol for float amplitudes."""
-    members = frozenset(
-        bits_of(idx, v.n)
-        for idx, amp in enumerate(v.amps)
-        if not _amp_is_zero(amp, tol)
-    )
-    return SupportSet(v.n, members)
+    nonzero = np.flatnonzero(_swap_order(v._nonzero(tol), v.n))  # varmask order
+    return SupportSet(v.n, frozenset(_assignments(nonzero, v.n)))
 
 
 def support_parent(s: SupportSet) -> DiagonalOperator:
@@ -376,7 +372,6 @@ def support_parent(s: SupportSet) -> DiagonalOperator:
         raise ValueError("empty support has no parent")
     if s.n > STATE_CAP:
         raise EnumerationCapError(f"arity {s.n} over diagonal cap {STATE_CAP}")
-    diag = [Fraction(1)] * (1 << s.n)
-    for idx in _point_indices(s.members, s.n):
-        diag[idx] = Fraction(0)
-    return DiagonalOperator(s.n, diag)
+    nums = np.ones(1 << s.n, dtype=np.int64)
+    nums[_point_indices(s.members, s.n)] = 0
+    return DiagonalOperator._of(s.n, nums, 1)

@@ -19,42 +19,52 @@ and ``_pauli_word``, bit i = letter i) turns words into binary
 symplectic x/z masks and back, here and in
 :class:`pbkernel.stabilizer.SymplecticPauli`.
 
-Statevector amplitudes stay exact whenever the inputs are exact: real
-amplitudes are Fractions and the factors of i introduced by Y letters
-(or S gates) are handled by :class:`ExactComplex`, a complex number with
-Fraction components.  Float and complex amplitudes are also accepted and
-simply propagate.
+A statevector and a diagonal operator are each one exact table: integer
+numerators over one denominator.  A :class:`StateVector` holds two
+arrays ``(re, im)``, so amplitude k is the Gaussian rational
+(re[k] + i im[k]) / denom, and denom is the least one (gcd(denom, every
+numerator) = 1), so equal vectors hold equal arrays; the factors of i
+that Y letters and S gates introduce need no other form.  A vector given
+any float or complex amplitude holds float64 parts over 1, and every
+operation runs the same code on them.  A :class:`DiagonalOperator` holds
+one numerator array, which :func:`embed_diagonal` and :func:`embed_state`
+write straight from the cube engine's value table and
+:func:`pbkernel.gadgets.support_parent` writes from a support.
 
-Every statevector action (:meth:`PauliSum.apply` and
-:func:`pbkernel.stabilizer.apply_circuit`) runs on one engine,
-:class:`_Amplitudes`.  An exact vector becomes two integer arrays
-``(re, im)`` over one common denominator, the LCM of every real and
-imaginary denominator, so each amplitude is a Gaussian integer over it.
-Their dtype is the package's one rule, :func:`pbkernel.pbf._int_dtype`
-(int64 below 2^63, Python ints above), applied to the bound
-2 max(1, max|numerator|) times the caller's growth bound (2^(number of H
-gates) for a circuit, the sum of |coefficient numerators| over their LCM
-for a Pauli sum), with one code path.  A vector with any float or complex
-amplitude runs the same code on float64 ``(re, im)`` arrays.  Gates act
-on halves of the ``(2,)*n`` view of the arrays, and a Pauli word is one
-gather by ``idx ^ flip``, one sign from the parity of ``idx & zmask`` and
-one rotation by i^(number of Y).
-Results come back as one shared ``Fraction(0)`` per zero amplitude, a
-``Fraction`` per real amplitude and an :class:`ExactComplex` only where
-the imaginary part is nonzero.
+Every statevector action (:meth:`PauliSum.apply`,
+:meth:`DiagonalOperator.apply` and :func:`pbkernel.stabilizer.apply_circuit`)
+widens a copy of the arrays to the dtype of the package's one rule,
+:func:`pbkernel.pbf._int_dtype` (int64 below 2^63, Python ints above),
+applied to the bound 2 max(1, max|numerator|) times the caller's growth
+bound: 2^(number of H gates) for a circuit, the sum of |coefficient
+numerators| over their LCM for a Pauli sum, the largest |numerator| of a
+diagonal.  Gates act on halves of the ``(2,)*n`` view of the copy, a
+Pauli word is one gather by ``idx ^ flip``, one sign from the parity of
+``idx & zmask`` and one rotation by i^(number of Y), and a diagonal is one
+multiply.  Each result is reduced to least terms.
+
+The per-entry forms are built on each read: :attr:`StateVector.amps`
+gives one shared ``Fraction(0)`` per zero amplitude, a ``Fraction`` per
+real amplitude and an :class:`ExactComplex` (a complex number with
+Fraction components) only where the imaginary part is nonzero, or floats
+and complexes for a float vector; :attr:`DiagonalOperator.diag` gives one
+``Fraction`` per distinct value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from numbers import Complex, Integral, Rational
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
 from .expr import rational, records
-from .pbf import (PseudoBoolean, _check_assignment, _coerce, _int_dtype, _numerators, _TermTable,
-                  boolean_to_spin, index_of, spin_to_boolean)
+from .pbf import (PseudoBoolean, _check_assignment, _coerce, _int_dtype, _numerators, _scaled,
+                  _shared_fractions, _swap_order, _TermTable, boolean_to_spin, index_of,
+                  spin_to_boolean)
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
@@ -163,40 +173,77 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im})"
 
 
-#: the one zero amplitude the constructors and the engine share
+#: the one zero amplitude the constructors and the readers share
 _ZERO = Fraction(0)
 
 
-def _amp_is_zero(value, tol: float = 0.0) -> bool:
-    if isinstance(value, (int, Fraction)):
-        return value == 0
-    if isinstance(value, ExactComplex):
-        return value.re == 0 and value.im == 0
-    return abs(value) <= tol
-
-
 def _basis_index(x, n: int) -> int:
-    """Basis-state index of x, an index in 0..2^n - 1 or an n-bit assignment
-    (checked as :meth:`pbkernel.pbf.PseudoBoolean.eval` checks one)."""
-    if isinstance(x, int):
+    """Basis-state index of x, an index in 0..2^n - 1 (any integral number) or an
+    n-bit assignment (checked as :meth:`pbkernel.pbf.PseudoBoolean.eval` checks one)."""
+    if isinstance(x, Integral):
         if not 0 <= x < 1 << n:
             raise ValueError(f"basis index {x} outside 0..{(1 << n) - 1}")
-        return x
+        return int(x)
     _check_assignment(x, n)
     return index_of(map(int, x))
 
 
-class StateVector:
-    """Dense 2^n amplitude vector; exact scalars whenever inputs are exact."""
+def _odd_parity(x: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry (entries below 2^STATE_CAP)."""
+    for shift in (8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return (x & 1).astype(bool)
 
-    __slots__ = ("n", "amps")
+
+def _exact_parts(k: int, a) -> tuple | None:
+    """(re, im) of an exact amplitude (a numpy integer read as an int, so that
+    no sum wraps), None for an inexact one; anything else is a TypeError
+    naming the index k."""
+    if isinstance(a, ExactComplex):
+        return a.re, a.im
+    if isinstance(a, Rational):
+        return (int(a) if isinstance(a, Integral) else a), 0
+    if not isinstance(a, Complex):
+        raise TypeError(f"amplitude {k} is a {type(a).__name__}, not a number")
+    return None
+
+
+class StateVector:
+    """Dense 2^n amplitude vector: amplitude k is (re[k] + i im[k]) / denom.
+
+    An exact vector holds integer numerators in least terms (gcd(denom,
+    every numerator) = 1), so equal vectors hold equal arrays.  A vector
+    given any float or complex amplitude holds float64 parts over 1.
+    """
+
+    __slots__ = ("n", "re", "im", "denom")
 
     def __init__(self, arity: int, amps: Sequence):
+        """Each amplitude is an :class:`ExactComplex` or a ``numbers.Rational``
+        (exact), or another ``numbers.Complex``, which makes the vector a float
+        one; anything else is a TypeError naming its index."""
         size = self._size(arity)
         if len(amps) != size:
             raise DimensionError(f"need {size} amplitudes, got {len(amps)}")
-        self.n = arity
-        self.amps = list(amps)
+        parts = [_exact_parts(k, a) for k, a in enumerate(amps)]
+        self.n, self.denom = arity, 1
+        if any(p is None for p in parts):  # float64 (re, im) pairs
+            pairs = np.array([complex(a) for a in amps]).view(np.float64)
+        else:  # integer (re, im) pairs over their LCM, which is in least terms
+            pairs, self.denom = _scaled(x for p in parts for x in p)
+        self.re, self.im = pairs.reshape(-1, 2).T.copy()
+
+    @classmethod
+    def _of(cls, n: int, re: np.ndarray, im: np.ndarray | None = None, denom: int = 1) -> "StateVector":
+        """The vector (re + i im) / denom (im zero when None), on these arrays
+        or, when denom is not 1, on their quotients by the gcd of denom and
+        every numerator; every engine result is built here."""
+        v = object.__new__(cls)
+        v.n, v.re, v.im, v.denom = n, re, np.zeros_like(re) if im is None else im, denom
+        if denom != 1:
+            g = math.gcd(denom, int(np.gcd.reduce(v.re)), int(np.gcd.reduce(v.im)))
+            v.re, v.im, v.denom = v.re // g, v.im // g, denom // g
+        return v
 
     @staticmethod
     def _size(arity: int) -> int:
@@ -208,15 +255,13 @@ class StateVector:
 
     @classmethod
     def zeros(cls, arity: int) -> "StateVector":
-        return cls(arity, [_ZERO] * cls._size(arity))
+        return cls._of(arity, np.zeros(cls._size(arity), dtype=np.int64))
 
     @classmethod
     def basis_state(cls, arity: int, x) -> "StateVector":
-        size = cls._size(arity)
-        idx = _basis_index(x, arity)
-        amps = [_ZERO] * size
-        amps[idx] = Fraction(1)
-        return cls(arity, amps)
+        re = np.zeros(cls._size(arity), dtype=np.int64)
+        re[_basis_index(x, arity)] = 1
+        return cls._of(arity, re)
 
     @classmethod
     def plus_state(cls, arity: int, normalized: bool = False) -> "StateVector":
@@ -225,31 +270,65 @@ class StateVector:
         The unnormalized version is 2^(n/2) times the unit-norm plus
         state, which keeps the amplitudes exact.
         """
-        size = cls._size(arity)
-        if normalized:
-            return cls(arity, [2.0 ** (-arity / 2)] * size)
-        return cls(arity, [Fraction(1)] * size)
+        return cls._of(arity, np.full(cls._size(arity), 2.0 ** (-arity / 2) if normalized else 1))
 
     @classmethod
     def ghz_state(cls, arity: int, normalized: bool = False) -> "StateVector":
         """|0..0> + |1..1>, rational amplitudes unless normalized."""
         if arity < 1:
             raise ValueError("GHZ state needs at least one qubit")
-        end = 2.0 ** (-1 / 2) if normalized else Fraction(1)
-        amps = [end] + [_ZERO] * (cls._size(arity) - 2) + [end]
-        return cls(arity, amps)
+        re = np.zeros(cls._size(arity), dtype=np.float64 if normalized else np.int64)
+        re[[0, -1]] = 2.0 ** (-1 / 2) if normalized else 1
+        return cls._of(arity, re)
+
+    @property
+    def exact(self) -> bool:
+        """False for a vector of float64 parts."""
+        return self.re.dtype != np.float64
+
+    def _entries(self, idx: slice) -> list:
+        """The amplitudes in the slice idx, in the types :attr:`amps` gives."""
+        d, exact = self.denom, self.exact
+        out = []
+        for r, m in zip(self.re[idx].tolist(), self.im[idx].tolist()):
+            if m:
+                out.append(ExactComplex(Fraction(r, d), Fraction(m, d)) if exact else complex(r, m))
+            elif r:
+                out.append(Fraction(r, d) if exact else r)
+            else:
+                out.append(_ZERO)
+        return out
+
+    @property
+    def amps(self) -> list:
+        """The amplitudes, built on each read: one shared ``Fraction(0)`` per
+        zero, a ``Fraction`` per real amplitude and an :class:`ExactComplex`
+        only where the imaginary part is nonzero; floats and complexes for a
+        float vector."""
+        return self._entries(slice(None))
 
     def amplitude(self, x) -> object:
-        return self.amps[_basis_index(x, self.n)]
+        k = _basis_index(x, self.n)
+        return self._entries(slice(k, k + 1))[0]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.to_numpy()))
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([complex(a) for a in self.amps])
+        """complex(amplitude) per entry; Python's int / int is correctly
+        rounded, where an int64 array divided in float64 would round twice."""
+        d = self.denom
+        return np.array([complex(r / d, m / d) for r, m in zip(self.re.tolist(), self.im.tolist())])
+
+    def _nonzero(self, tol: float = 0.0) -> np.ndarray:
+        """Mask of the nonzero amplitudes: exact for an exact vector, and
+        |amplitude| > tol (a NaN counting as nonzero) for a float one."""
+        if self.exact:
+            return (self.re != 0) | (self.im != 0)
+        return ~(np.hypot(self.re, self.im) <= tol)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(a is _ZERO or _amp_is_zero(a, tol) for a in self.amps)
+        return not self._nonzero(tol).any()
 
     def scaled(self, c) -> "StateVector":
         return StateVector(self.n, [c * a for a in self.amps])
@@ -265,9 +344,10 @@ class StateVector:
     def __eq__(self, other):
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.n == other.n and all(
-            a == b for a, b in zip(self.amps, other.amps)
-        )
+        if self.exact != other.exact:  # Fraction == float compares the float's exact value
+            return self.amps == other.amps
+        same = self.denom == other.denom and np.array_equal(self.re, other.re)
+        return same and np.array_equal(self.im, other.im)
 
     def approx_equal(self, other: "StateVector", tol: float = 1e-9) -> bool:
         return self.n == other.n and bool(
@@ -277,128 +357,61 @@ class StateVector:
     def __repr__(self):
         return f"StateVector(n={self.n})"
 
+    # -- the engine: each action widens a copy and works on it
 
-def _odd_parity(x: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry (entries below 2^STATE_CAP)."""
-    for shift in (8, 4, 2, 1):
-        x = x ^ (x >> shift)
-    return (x & 1).astype(bool)
+    def _widened(self, growth: int) -> "StateVector":
+        """This vector's numerators over 1, as a copy for arithmetic that
+        multiplies entries by at most growth: exact ones in the dtype
+        :func:`pbkernel.pbf._int_dtype` gives the bound 2 * max(1,
+        max|numerator|) * growth, float parts as they are.  The caller
+        divides its result by the denominator."""
+        dtype = np.float64
+        if self.exact:
+            peak = max(1, int(abs(self.re).max()), int(abs(self.im).max()))
+            dtype = _int_dtype(2 * peak * growth)
+        return StateVector._of(self.n, self.re.astype(dtype), self.im.astype(dtype))
 
+    def _gate(self, kind: str, target: int, control: int | None = None) -> None:
+        """Apply one Clifford gate in place; H is unnormalized (a + b, a - b).
 
-class _Amplitudes:
-    """The statevector engine: amplitude k is (re[k] + i im[k]) / denom.
-
-    Exact vectors hold integer numerators over the LCM of every real and
-    imaginary denominator, in the dtype :func:`pbkernel.pbf._int_dtype`
-    gives the bound 2 * max(1, max|numerator|) * growth, where ``growth``
-    bounds how much the caller's arithmetic can multiply an entry.  A vector
-    with any float or complex amplitude holds float64 parts over denom 1.
-    Every operation is the same code for all three dtypes.
-    """
-
-    __slots__ = ("n", "re", "im", "denom")
-
-    def __init__(self, n: int, re: np.ndarray, im: np.ndarray, denom: int):
-        self.n, self.re, self.im, self.denom = n, re, im, denom
-
-    @classmethod
-    def of(cls, v: StateVector, growth: int) -> "_Amplitudes":
-        """The engine form of v, for arithmetic that multiplies entries by at most growth."""
-        nonzero = {}  # index -> (re, im); only these are scaled
-        for k, a in enumerate(v.amps):
-            if a is _ZERO:
-                continue
-            if isinstance(a, ExactComplex):
-                if a.re or a.im:
-                    nonzero[k] = a.re, a.im
-            elif isinstance(a, (float, complex)):
-                z = np.array([complex(b) for b in v.amps])
-                return cls(v.n, z.real.copy(), z.imag.copy(), 1)
-            elif a:
-                nonzero[k] = a, 0
-        nums, denom = _numerators(x for pair in nonzero.values() for x in pair)
-        re = np.zeros(1 << v.n, dtype=_int_dtype(2 * max(1, max(map(abs, nums), default=0)) * growth))
-        im = re.copy()
-        re[list(nonzero)], im[list(nonzero)] = nums[0::2], nums[1::2]
-        return cls(v.n, re, im, denom)
-
-    @property
-    def exact(self) -> bool:
-        return self.re.dtype != np.float64
-
-    def state(self) -> StateVector:
-        amps = [_ZERO] * (1 << self.n)
-        nz = np.flatnonzero((self.re != 0) | (self.im != 0))
-        d, exact = self.denom, self.exact
-        for k, r, m in zip(nz.tolist(), self.re[nz].tolist(), self.im[nz].tolist()):
-            if not exact:
-                amps[k] = complex(r, m) if m else r
-            elif m:
-                amps[k] = ExactComplex(Fraction(r, d), Fraction(m, d))
-            else:
-                amps[k] = Fraction(r, d)
-        return StateVector(self.n, amps)
-
-    def _halves(self, target: int, control: int | None) -> tuple:
-        """Views of (re, im) with the target qubit 0, then with it 1, inside
-        the control-1 slab when there is a control; qubit 0 is the first axis."""
-        out = []
-        for bit in (0, 1):  # slices, not ints, so that even n = 1 gives views
-            key = [slice(None)] * self.n
-            key[target] = slice(bit, bit + 1)
-            if control is not None:
-                key[control] = slice(1, 2)
-            out.append([a.reshape((2,) * self.n)[tuple(key)] for a in (self.re, self.im)])
-        return out
-
-    def gate(self, kind: str, target: int, control: int | None = None) -> None:
-        """Apply one Clifford gate in place; H is unnormalized (a + b, a - b)."""
-        lo, hi = self._halves(target, control)
-        if kind == "h":
-            for a, b in zip(lo, hi):
-                old = a.copy()
-                a += b
-                b[...] = old - b
-        elif kind == "s":  # times i on the target-1 half
-            re, im = hi
-            old = re.copy()
-            re[...] = -im
-            im[...] = old
+        lo and hi are views of (re, im) with the target qubit 0 and 1, inside
+        the control-1 slab when there is a control: qubit 0 is the first axis
+        of the ``(2,)*n`` view, the target axis is swapped to the front, and
+        slices, not ints, keep even n = 1 a view."""
+        key = () if control is None else (slice(None),) * control + (slice(1, 2),)
+        views = [a.reshape((2,) * self.n)[key].swapaxes(0, target) for a in (self.re, self.im)]
+        lo, hi = [a[:1] for a in views], [a[1:] for a in views]
+        if kind == "s":  # times i on the target-1 half
+            hi[0][...], hi[1][...] = -hi[1], hi[0].copy()
         elif kind == "z":
             for b in hi:
-                b[...] = -b
-        else:  # x, or cnot inside its control-1 slab: swap the halves
+                b *= -1
+        else:  # h mixes the halves; x, and cnot inside its control-1 slab, swap them
             for a, b in zip(lo, hi):
-                old = a.copy()
-                a[...] = b
-                b[...] = old
+                a[...], b[...] = (a + b, a - b) if kind == "h" else (b.copy(), a.copy())
 
-    def pauli_sum(self, words: list, coeffs: list, lcm: int) -> "_Amplitudes":
-        """sum_w (coeffs[w] / lcm) P_w applied to this vector, as a new one."""
+    def _pauli_sum(self, words: list, coeffs: list, denom: int) -> "StateVector":
+        """sum_w coeffs[w] P_w applied to this vector, over denom, as a new one."""
         idx = np.arange(1 << self.n)
-        out_re = np.zeros(idx.size, dtype=self.re.dtype)
-        out_im = np.zeros_like(out_re)
+        out_re, out_im = np.zeros((2, idx.size), dtype=self.re.dtype)
         for word, c in zip(words, coeffs):
             flip, zmask = _pauli_masks(word[::-1])  # letter 0 is the most significant bit
             src = idx ^ flip  # (P_w v)[j] = i^#Y (-1)^|src_j & zmask| v[src_j]
-            scale = np.where(_odd_parity(src & zmask), -1, 1).astype(out_re.dtype) * c
+            ny = word.count("Y")  # i^ny: a sign when ny & 2, then times i when ny & 1
+            scale = np.where(_odd_parity(src & zmask), -1, 1).astype(out_re.dtype) * (-c if ny & 2 else c)
             t_re, t_im = self.re[src] * scale, self.im[src] * scale
-            ny = word.count("Y")
             if ny & 1:  # times i
                 t_re, t_im = -t_im, t_re
-            if ny & 2:
-                out_re -= t_re
-                out_im -= t_im
-            else:
-                out_re += t_re
-                out_im += t_im
-        return _Amplitudes(self.n, out_re, out_im, self.denom * lcm)
+            out_re += t_re
+            out_im += t_im
+        return StateVector._of(self.n, out_re, out_im, denom)
 
 
 class DiagonalOperator:
-    """Diagonal operator with exact rational entries, state-indexed."""
+    """Diagonal operator with exact rational entries, state-indexed: entry k
+    is nums[k] / denom, over the LCM of the entries' denominators."""
 
-    __slots__ = ("n", "diag")
+    __slots__ = ("n", "nums", "denom")
 
     def __init__(self, arity: int, diag: Sequence):
         if arity < 0 or arity > STATE_CAP:
@@ -406,42 +419,63 @@ class DiagonalOperator:
         if len(diag) != 1 << arity:
             raise DimensionError(f"need {1 << arity} entries, got {len(diag)}")
         self.n = arity
-        self.diag = [_coerce(v) for v in diag]
+        self.nums, self.denom = _scaled(diag)
+
+    @classmethod
+    def _of(cls, n: int, nums: np.ndarray, denom: int) -> "DiagonalOperator":
+        """The diagonal nums / denom, which must be in least terms."""
+        op = object.__new__(cls)
+        op.n, op.nums, op.denom = n, nums, denom
+        return op
+
+    @property
+    def diag(self) -> list:
+        """The entries, built on each read, one ``Fraction`` per distinct value."""
+        return _shared_fractions(self.nums, self.denom)
 
     def apply(self, v: StateVector) -> StateVector:
         if v.n != self.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {v.n}")
-        return StateVector(self.n, [d * a for d, a in zip(self.diag, v.amps)])
+        out = v._widened(int(abs(self.nums).max()))
+        if out.exact:
+            scale, denom = self.nums.astype(out.re.dtype), v.denom * self.denom
+        else:  # float(entry), correctly rounded, for each entry
+            scale, denom = np.array(self.diag, dtype=float), 1
+        return StateVector._of(v.n, out.re * scale, out.im * scale, denom)
 
     def kernel_indices(self) -> list:
-        return [i for i, d in enumerate(self.diag) if d == 0]
+        return np.flatnonzero(self.nums == 0).tolist()
 
     def __eq__(self, other):
         if not isinstance(other, DiagonalOperator):
             return NotImplemented
-        return self.n == other.n and self.diag == other.diag
+        return self.n == other.n and self.denom == other.denom and np.array_equal(self.nums, other.nums)
 
     def __repr__(self):
         return f"DiagonalOperator(n={self.n})"
 
 
-def _embedded_table(f: PseudoBoolean, cap: int, what: str) -> list:
-    """f's value table for an embedding; a cap above ``STATE_CAP`` counts as
+def _embedded_table(f: PseudoBoolean, cap: int, what: str) -> tuple:
+    """(nums, denom): f's values in state order over one denominator, which is
+    in least terms because the values and the coefficients are integer
+    combinations of each other.  A cap above ``STATE_CAP`` counts as
     ``STATE_CAP``, so the check comes before the 2^n table exists."""
     cap = min(cap, STATE_CAP)
     if f.n > cap:
         raise EnumerationCapError(f"{what} embedding at arity {f.n} exceeds cap {cap}")
-    return f.to_disjoint_form(cap=cap)
+    vals, denom = f._cube_values(cap, f"{what} embedding")
+    return _swap_order(vals, f.n), denom
 
 
 def embed_diagonal(f: PseudoBoolean, cap: int = STATE_CAP) -> DiagonalOperator:
     """H_f with <x|H_f|x> = f(x)."""
-    return DiagonalOperator(f.n, _embedded_table(f, cap, "diagonal"))
+    return DiagonalOperator._of(f.n, *_embedded_table(f, cap, "diagonal"))
 
 
 def embed_state(f: PseudoBoolean, cap: int = STATE_CAP) -> StateVector:
     """The unnormalized state with amplitude f(x) on |x>."""
-    return StateVector(f.n, _embedded_table(f, cap, "state"))
+    nums, denom = _embedded_table(f, cap, "state")
+    return StateVector._of(f.n, nums, denom=denom)
 
 
 class PauliSum(_TermTable):
@@ -489,7 +523,7 @@ class PauliSum(_TermTable):
 
     def apply(self, v: StateVector) -> StateVector:
         """Matrix-free action: each string is a bit-flip permutation with
-        a +-1 / +-i phase per basis state, run on :class:`_Amplitudes`.
+        a +-1 / +-i phase per basis state, run on the statevector's arrays.
 
         The coefficients become integer numerators over their LCM, and
         each output entry is a sum of those numerators times +-1 / +-i
@@ -498,10 +532,10 @@ class PauliSum(_TermTable):
         if v.n != self.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {v.n}")
         coeffs, lcm = _numerators(self._terms.values())
-        amps = _Amplitudes.of(v, sum(map(abs, coeffs)))
+        amps = v._widened(sum(map(abs, coeffs)))
         if not amps.exact:
             coeffs, lcm = [float(c) for c in self._terms.values()], 1
-        return amps.pauli_sum(list(self._terms), coeffs, lcm).state()
+        return amps._pauli_sum(list(self._terms), coeffs, v.denom * lcm)
 
     def to_dense(self) -> np.ndarray:
         """Dense complex matrix; desk-scale only."""

@@ -202,6 +202,14 @@ def _swap_order(vals: np.ndarray, n: int) -> np.ndarray:
     return vals.reshape((2,) * n).transpose().reshape(-1)
 
 
+def _shared_fractions(nums: np.ndarray, denom: int) -> list:
+    """[Fraction(v, denom) for v in nums], built as one Fraction per distinct
+    value and gathered in one numpy pass, so equal entries share one object."""
+    distinct, inverse = np.unique(nums, return_inverse=True)
+    shared = np.array([Fraction(v, denom) for v in distinct.tolist()], dtype=object)
+    return shared[inverse].tolist()
+
+
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -510,9 +518,7 @@ class PseudoBoolean(_TermTable):
         distinct value and gathered into state order in one numpy pass.
         """
         vals, denom = self._cube_values(cap, "disjoint-form table")
-        distinct, inverse = np.unique(_swap_order(vals, self.n), return_inverse=True)
-        shared = np.array([Fraction(v, denom) for v in distinct.tolist()], dtype=object)
-        return shared[inverse].tolist()
+        return _shared_fractions(_swap_order(vals, self.n), denom)
 
     def kernel(self, cap: int = DEFAULT_ENUMERATION_CAP) -> set:
         """The set of assignments where f vanishes (exact zero test)."""

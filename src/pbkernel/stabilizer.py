@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, ParseError
 from .expr import records
-from .pauli import PauliSum, StateVector, _Amplitudes, _pauli_masks, _pauli_word
+from .pauli import PauliSum, StateVector, _pauli_masks, _pauli_word
 from .pbf import _accumulate
 
 GATE_KINDS = ("h", "s", "x", "z", "cnot")
@@ -315,20 +315,20 @@ def apply_circuit(circuit: CliffordCircuit, v: StateVector) -> StateVector:
     and eigenvalue checks are scale-invariant, and amplitudes stay
     rational.  S gates introduce exact factors of i.
 
-    The gates run on the statevector engine of :mod:`pbkernel.pauli`:
-    integer (re, im) numerator arrays over the LCM of the input's
-    denominators, each gate one slice operation on the ``(2,)*n`` view
+    The gates run on a widened copy of the state's arrays (see
+    :mod:`pbkernel.pauli`): integer (re, im) numerators over one
+    denominator, each gate one slice operation on the ``(2,)*n`` view
     (qubit 0 is the first axis, the most significant index bit).  Only H
     grows entries, by at most a factor 2, so 2^k is the growth bound the
-    engine's dtype rule is given.  Float or
-    complex inputs run the same gates on float64 arrays.
+    copy's dtype rule is given.  A float state runs the same gates on its
+    float64 arrays.
     """
     if circuit.n != v.n:
         raise DimensionError(f"arity mismatch: circuit {circuit.n} vs state {v.n}")
-    amps = _Amplitudes.of(v, 1 << sum(g.kind == "h" for g in circuit.gates))
+    out = v._widened(1 << sum(g.kind == "h" for g in circuit.gates))
     for g in circuit.gates:
-        amps.gate(g.kind, g.target, g.control)
-    return amps.state()
+        out._gate(g.kind, g.target, g.control)
+    return StateVector._of(v.n, out.re, out.im, v.denom)
 
 
 def trivial_parent(v: StateVector, tol: float = 1e-9) -> np.ndarray:

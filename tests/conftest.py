@@ -273,7 +273,6 @@ def ref_apply_circuit(circuit, v):
 def ref_pauli_apply(psum, v):
     """Pauli-sum action term by term, one amplitude at a time."""
     from pbkernel import StateVector
-    from pbkernel.pauli import _amp_is_zero
 
     n = psum.n
     out = [Fraction(0)] * (1 << n)
@@ -288,11 +287,84 @@ def ref_pauli_apply(psum, v):
             if ch == "Y":
                 y_count += 1
         for idx, amp in enumerate(v.amps):
-            if _amp_is_zero(amp):
+            if ref_amp_is_zero(amp):
                 continue
             k = (y_count + 2 * (idx & zmask).bit_count()) & 3
             out[idx ^ flip] = out[idx ^ flip] + ref_mul_i_power(coeff * amp, k)
     return StateVector(n, out)
+
+
+# -- list-form statevectors and diagonals (the library's code before one exact table)
+
+def ref_amp_is_zero(value, tol: float = 0.0) -> bool:
+    """One amplitude's zero test: exact for Fractions and ExactComplex values,
+    |value| <= tol for floats and complexes."""
+    from pbkernel import ExactComplex
+
+    if isinstance(value, (int, Fraction)):
+        return value == 0
+    if isinstance(value, ExactComplex):
+        return value.re == 0 and value.im == 0
+    return abs(value) <= tol
+
+
+def ref_amps(values) -> list:
+    """The amplitudes a statevector built from ``values`` reads back: the shared
+    zero for each zero, a Fraction where the imaginary part is zero and an
+    ExactComplex elsewhere; once any entry is a float or complex, each entry's
+    complex(), as a float where its imaginary part is zero."""
+    from pbkernel import ExactComplex
+    from pbkernel.pauli import _ZERO
+
+    out = []
+    inexact = any(isinstance(a, (float, complex, np.floating, np.complexfloating)) for a in values)
+    for a in values:
+        if inexact:
+            z = complex(a)
+            out.append(_ZERO if z == 0 else z if z.imag else z.real)
+            continue
+        if isinstance(a, ExactComplex):
+            re, im = a.re, a.im
+        else:
+            re, im = Fraction(int(a) if isinstance(a, np.integer) else a), 0
+        out.append(_ZERO if re == im == 0 else ExactComplex(re, im) if im else Fraction(re))
+    return out
+
+
+def ref_state_eq(u, v) -> bool:
+    return u.n == v.n and all(a == b for a, b in zip(u.amps, v.amps))
+
+
+def ref_is_zero(v, tol: float = 0.0) -> bool:
+    return all(ref_amp_is_zero(a, tol) for a in v.amps)
+
+
+def ref_to_numpy(values) -> np.ndarray:
+    return np.array([complex(a) for a in values])
+
+
+def ref_support(v, tol: float = 1e-12):
+    """gadgets.support as one zero test per amplitude."""
+    from pbkernel.pbf import bits_of
+
+    return gadgets.SupportSet(v.n, frozenset(
+        bits_of(idx, v.n) for idx, amp in enumerate(v.amps) if not ref_amp_is_zero(amp, tol)))
+
+
+def ref_diag(values) -> list:
+    """A diagonal's entries as the list-form operator held them."""
+    return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+
+
+def ref_diagonal_apply(diag, v):
+    """A diagonal's action, one product per entry."""
+    from pbkernel import StateVector
+
+    return StateVector(v.n, [d * a for d, a in zip(diag, v.amps)])
+
+
+def ref_kernel_indices(diag) -> list:
+    return [i for i, d in enumerate(diag) if d == 0]
 
 
 # -- Boolean / spin / Pauli-Z conversions (the library's code before one expansion)

@@ -23,6 +23,7 @@ from pbkernel import (
     pauli_to_pbf,
     pbf_to_pauli,
 )
+from pbkernel.pauli import _ZERO
 from conftest import assignments, dense_pauli_sum, random_pbf
 
 DELTA3 = parse("1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2")
@@ -349,6 +350,48 @@ class TestBasisIndex:
                 assert v.amps.count(0) == (1 << n) - 1
         assert StateVector.basis_state(2, (True, False)) == StateVector.basis_state(2, 2)
         assert StateVector.basis_state(2, [1.0, 1]) == StateVector.basis_state(2, 3)
+
+    @pytest.mark.parametrize("index", [np.int64(1), np.uint8(1), np.int32(1)])
+    def test_numpy_integer_index(self, index):
+        assert StateVector.basis_state(2, index) == StateVector.basis_state(2, 1)
+        assert StateVector.ghz_state(2).amplitude(np.int64(3)) == 1
+        assert StateVector.basis_state(2, index).amplitude(index) == 1
+        with pytest.raises(ValueError, match="basis index 4 outside 0..3"):
+            StateVector.basis_state(2, np.int64(4))
+
+
+class TestAmplitudeTypes:
+    """Amplitudes are classified as numbers.Rational (exact), ExactComplex
+    (exact) or any other numbers.Complex (float); nothing else is accepted."""
+
+    @pytest.mark.parametrize("amps, index, name", [
+        (["a", 1], 0, "str"),
+        ([1, None], 1, "NoneType"),
+        ([0, 0, 0, object()], 3, "object"),
+        ([Fraction(1, 2), "1/2"], 1, "str"),
+    ])
+    def test_non_numeric_amplitude_is_refused_naming_its_index(self, amps, index, name):
+        n = len(amps).bit_length() - 1
+        with pytest.raises(TypeError, match=f"^amplitude {index} is a {name}, not a number$"):
+            StateVector(n, amps)
+
+    def test_numpy_floats_take_the_float_path(self):
+        from pbkernel import CliffordCircuit, apply_circuit
+        from pbkernel.stabilizer import h
+
+        for value in (np.float32(0.1), np.float64(0.1), np.complex64(0.1 + 0.2j)):
+            v = StateVector(1, [value, 0])
+            out = apply_circuit(CliffordCircuit(1, (h(0),)), v)
+            assert not v.exact and not out.exact
+            assert out.amps == [complex(value), complex(value)]  # H unnormalized: a + 0, a - 0
+            assert PauliSum(1, {"X": 1}).apply(v).amps == [_ZERO, complex(value)]
+
+    def test_numpy_integers_stay_exact(self):
+        v = StateVector(2, [np.int64(3), Fraction(1, 1 << 62), np.int32(-2), np.uint64(1 << 63)])
+        assert v.exact
+        assert v.amps == [3, Fraction(1, 1 << 62), -2, 1 << 63]
+        assert all(type(a) is Fraction for a in v.amps)
+        assert PauliSum(2, {"II": 1}).apply(v) == v
 
 
 class TestErrorPaths:

@@ -3,7 +3,10 @@
 ``apply_circuit`` and ``PauliSum.apply`` must give exactly the amplitudes
 of the loops in ``conftest`` on rational and ``ExactComplex`` inputs, on
 both sides of the int64 bound of the engine, and the same numbers up to
-rounding on float and complex inputs.
+rounding on float and complex inputs.  The readers of the one exact table
+(``amps``, ``amplitude``, ``to_numpy``, ``==``, ``is_zero``,
+``gadgets.support``) and ``DiagonalOperator`` must match the list-form
+code kept in ``conftest``.
 """
 
 import random
@@ -14,16 +17,25 @@ import pytest
 
 from pbkernel import (
     CliffordCircuit,
+    DiagonalOperator,
     DimensionError,
     ExactComplex,
     PauliSum,
     StateVector,
     apply_circuit,
+    embed_diagonal,
+    embed_state,
+    pbf,
     projector_parent,
+    support,
+    support_parent,
 )
-from pbkernel.pauli import _ZERO, _Amplitudes
+from pbkernel.gadgets import SupportSet
+from pbkernel.pauli import _ZERO
 from pbkernel.stabilizer import cnot, h, s, x, z
-from conftest import random_clifford_circuit, ref_apply_circuit, ref_pauli_apply
+from conftest import (random_clifford_circuit, random_pbf, ref_amps, ref_apply_circuit, ref_diag,
+                      ref_diagonal_apply, ref_is_zero, ref_kernel_indices, ref_pauli_apply, ref_state_eq,
+                      ref_support, ref_to_numpy)
 
 BIG = 1 << 62
 
@@ -39,16 +51,20 @@ def rational(rng):
     return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7)))
 
 
-def random_states(rng, n):
-    """Rational, ExactComplex, sparse and integer inputs at arity n."""
+def random_amplitudes(rng, n):
+    """Rational, ExactComplex, and sparse integer and imaginary amplitude lists at arity n."""
     size = 1 << n
     return [
-        StateVector.basis_state(n, rng.randrange(size)),
-        StateVector(n, [rational(rng) for _ in range(size)]),
-        StateVector(n, [ExactComplex(rational(rng), rational(rng)) for _ in range(size)]),
-        StateVector(n, [rng.choice((0, 0, rng.randint(-4, 4), ExactComplex(0, rational(rng))))
-                        for _ in range(size)]),
+        [rational(rng) for _ in range(size)],
+        [ExactComplex(rational(rng), rational(rng)) for _ in range(size)],
+        [rng.choice((0, 0, rng.randint(-4, 4), ExactComplex(0, rational(rng)))) for _ in range(size)],
     ]
+
+
+def random_states(rng, n):
+    """A basis state and the :func:`random_amplitudes` vectors at arity n."""
+    basis = StateVector.basis_state(n, rng.randrange(1 << n))
+    return [basis] + [StateVector(n, a) for a in random_amplitudes(rng, n)]
 
 
 def random_pauli_sum(rng, n, num_terms):
@@ -57,16 +73,16 @@ def random_pauli_sum(rng, n, num_terms):
 
 
 def recorded_dtypes(monkeypatch):
-    """Patch the engine's constructor to record the dtype it picks."""
+    """Patch the engine's widening step to record the dtype it picks."""
     seen = []
-    of = _Amplitudes.of.__func__
+    widened = StateVector._widened
 
-    def spy(cls, v, growth):
-        amps = of(cls, v, growth)
-        seen.append(amps.re.dtype)
-        return amps
+    def spy(v, growth):
+        out = widened(v, growth)
+        seen.append(out.re.dtype)
+        return out
 
-    monkeypatch.setattr(_Amplitudes, "of", classmethod(spy))
+    monkeypatch.setattr(StateVector, "_widened", spy)
     return seen
 
 
@@ -234,3 +250,111 @@ def test_dimension_errors_are_unchanged():
         apply_circuit(CliffordCircuit(2, (h(0),)), StateVector.basis_state(3, 0))
     with pytest.raises(DimensionError, match=r"^arity mismatch: 2 vs 3$"):
         PauliSum.identity(2).apply(StateVector.basis_state(3, 0))
+
+
+# -- one exact table: the list-form readers and diagonals ---------------------
+
+def table_inputs(rng, n):
+    """The random_amplitudes lists, float, complex and mixed float/Fraction
+    lists, numerators near 2^60 over 3 (past 2^53, so a float64 division
+    would round twice) and integers past int64."""
+    size = 1 << n
+    big = 1 << 60
+    return random_amplitudes(rng, n) + [
+        [rng.uniform(-1, 1) for _ in range(size)],
+        [complex(rng.uniform(-1, 1), rng.choice((0.0, rng.uniform(-1, 1)))) for _ in range(size)],
+        [0.5] + [rng.choice((0, rational(rng))) for _ in range(size - 1)],
+        [Fraction(rng.randint(-big, big), 3) for _ in range(size)],
+        [ExactComplex(Fraction(rng.randint(-big, big), 3), Fraction(rng.choice((0, big + 1)), 7))
+         for _ in range(size)],
+        [rng.choice((0, rng.randint(-big, big) << 8)) for _ in range(size)],
+    ]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_amps_and_to_numpy_read_each_entry_as_the_list_form(n):
+    rng = random.Random(300 + n)
+    for values in table_inputs(rng, n):
+        v = StateVector(n, values)
+        got, want = v.amps, ref_amps(values)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert type(a) is type(b) and a == b, f"amplitude {k}: {a!r} != {b!r}"
+            assert (a is _ZERO) == (b is _ZERO)
+            assert type(v.amplitude(k)) is type(b) and v.amplitude(k) == b
+        assert len(got) == len(want) == 1 << n
+        assert np.array_equal(v.to_numpy(), ref_to_numpy(values))  # correctly rounded, bit for bit
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_eq_and_is_zero_match_the_list_form(n):
+    rng = random.Random(400 + n)
+    states = [StateVector(n, values) for values in table_inputs(rng, n)]
+    states += [StateVector.zeros(n), StateVector(n, [0.0] * (1 << n)), StateVector(n, [1e-13] * (1 << n))]
+    if n:
+        c = random_clifford_circuit(rng, n, num_gates=3 * n)
+        parent = projector_parent(c)
+        u = apply_circuit(c, StateVector.basis_state(n, 0))
+        states += [u, parent.apply(u), u.scaled(Fraction(1, 3)), StateVector(n, [complex(a) for a in u.amps])]
+    for u in states:
+        for tol in (0.0, 1e-12, 0.5):
+            assert u.is_zero(tol) == ref_is_zero(u, tol)
+        assert np.array_equal(u.to_numpy(), ref_to_numpy(u.amps))
+        for w in states:
+            assert (u == w) == ref_state_eq(u, w)
+    assert StateVector(1, [Fraction(1, 2), 0]) == StateVector(1, [0.5, 0.0])
+    assert StateVector(1, [Fraction(1, 3), 0]) != StateVector(1, [1 / 3, 0.0])
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_support_matches_the_list_form(n):
+    rng = random.Random(500 + n)
+    for values in table_inputs(rng, n):
+        v = StateVector(n, values)
+        for tol in (0.0, 1e-12, 0.5):
+            assert support(v, tol) == ref_support(v, tol)
+
+
+def random_diagonal(rng, n):
+    big = 1 << 62
+    return [rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.choice((2, 3, 7))),
+                        rng.randint(-big, big), 0.25)) for _ in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_diagonal_matches_the_list_form(n):
+    rng = random.Random(600 + n)
+    for _ in range(3):
+        values = random_diagonal(rng, n)
+        op, diag = DiagonalOperator(n, values), ref_diag(values)
+        assert op.diag == diag and all(type(d) is Fraction for d in op.diag)
+        assert op.kernel_indices() == ref_kernel_indices(diag)
+        assert op == DiagonalOperator(n, diag) and op != DiagonalOperator(n, [d + 1 for d in diag])
+        for values in table_inputs(rng, n):
+            v = StateVector(n, values)
+            assert_same_amplitudes(op.apply(v), ref_diagonal_apply(diag, v))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_embeddings_hold_the_value_table(n):
+    rng = random.Random(700 + n)
+    f = random_pbf(rng, n, 6) * Fraction(rng.randint(1, 9), rng.choice((1, 2, 6)))
+    table = f.to_disjoint_form()
+    op, psi = embed_diagonal(f), embed_state(f)
+    assert op == DiagonalOperator(n, table) and op.diag == table
+    assert op.kernel_indices() == ref_kernel_indices(table)
+    assert psi == StateVector(n, table) and psi.denom == StateVector(n, table).denom  # least terms
+    assert_same_amplitudes(psi, StateVector(n, table))
+
+
+def test_diag_builds_one_fraction_per_distinct_value(monkeypatch):
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    op = support_parent(SupportSet(16, frozenset({(0,) * 16, (1,) * 16})))
+    monkeypatch.setattr(pbf, "Fraction", Counted)
+    diag = op.diag
+    assert len(built) == 2 and diag.count(0) == 2 and diag.count(1) == (1 << 16) - 2

@@ -237,10 +237,13 @@ class StateVector:
     def _of(cls, n: int, re: np.ndarray, im: np.ndarray | None = None, denom: int = 1) -> "StateVector":
         """The vector (re + i im) / denom (im zero when None), on these arrays
         or, when denom is not 1, on their quotients by the gcd of denom and
-        every numerator; every engine result is built here."""
+        every numerator (the zero vector over 1); every engine result is
+        built here."""
         v = object.__new__(cls)
         v.n, v.re, v.im, v.denom = n, re, np.zeros_like(re) if im is None else im, denom
-        if denom != 1:
+        if denom != 1 and not (v.re.any() or v.im.any()):
+            v.denom = 1
+        elif denom != 1:  # g <= max|numerator|, so the quotients keep the dtype
             g = math.gcd(denom, int(np.gcd.reduce(v.re)), int(np.gcd.reduce(v.im)))
             v.re, v.im, v.denom = v.re // g, v.im // g, denom // g
         return v
@@ -293,10 +296,8 @@ class StateVector:
         for r, m in zip(self.re[idx].tolist(), self.im[idx].tolist()):
             if m:
                 out.append(ExactComplex(Fraction(r, d), Fraction(m, d)) if exact else complex(r, m))
-            elif r:
-                out.append(Fraction(r, d) if exact else r)
             else:
-                out.append(_ZERO)
+                out.append((Fraction(r, d) if exact else r) if r else _ZERO)
         return out
 
     @property
@@ -357,54 +358,54 @@ class StateVector:
     def __repr__(self):
         return f"StateVector(n={self.n})"
 
-    # -- the engine: each action widens a copy and works on it
-
-    def _widened(self, growth: int) -> "StateVector":
-        """This vector's numerators over 1, as a copy for arithmetic that
-        multiplies entries by at most growth: exact ones in the dtype
+    def _widened(self, growth: int) -> tuple:
+        """Copies of (re, im) for arithmetic that multiplies entries by at
+        most growth: exact numerators in the dtype
         :func:`pbkernel.pbf._int_dtype` gives the bound 2 * max(1,
-        max|numerator|) * growth, float parts as they are.  The caller
-        divides its result by the denominator."""
+        max|numerator|) * growth, float parts as they are."""
         dtype = np.float64
         if self.exact:
             peak = max(1, int(abs(self.re).max()), int(abs(self.im).max()))
             dtype = _int_dtype(2 * peak * growth)
-        return StateVector._of(self.n, self.re.astype(dtype), self.im.astype(dtype))
+        return self.re.astype(dtype), self.im.astype(dtype)
 
-    def _gate(self, kind: str, target: int, control: int | None = None) -> None:
-        """Apply one Clifford gate in place; H is unnormalized (a + b, a - b).
 
-        lo and hi are views of (re, im) with the target qubit 0 and 1, inside
-        the control-1 slab when there is a control: qubit 0 is the first axis
-        of the ``(2,)*n`` view, the target axis is swapped to the front, and
-        slices, not ints, keep even n = 1 a view."""
-        key = () if control is None else (slice(None),) * control + (slice(1, 2),)
-        views = [a.reshape((2,) * self.n)[key].swapaxes(0, target) for a in (self.re, self.im)]
-        lo, hi = [a[:1] for a in views], [a[1:] for a in views]
-        if kind == "s":  # times i on the target-1 half
-            hi[0][...], hi[1][...] = -hi[1], hi[0].copy()
-        elif kind == "z":
-            for b in hi:
-                b *= -1
-        else:  # h mixes the halves; x, and cnot inside its control-1 slab, swap them
-            for a, b in zip(lo, hi):
-                a[...], b[...] = (a + b, a - b) if kind == "h" else (b.copy(), a.copy())
+def _gate(parts: tuple, n: int, kind: str, target: int, control: int | None = None) -> None:
+    """Apply one Clifford gate in place to the n-qubit arrays parts = (re, im);
+    H is unnormalized (a + b, a - b).
 
-    def _pauli_sum(self, words: list, coeffs: list, denom: int) -> "StateVector":
-        """sum_w coeffs[w] P_w applied to this vector, over denom, as a new one."""
-        idx = np.arange(1 << self.n)
-        out_re, out_im = np.zeros((2, idx.size), dtype=self.re.dtype)
-        for word, c in zip(words, coeffs):
-            flip, zmask = _pauli_masks(word[::-1])  # letter 0 is the most significant bit
-            src = idx ^ flip  # (P_w v)[j] = i^#Y (-1)^|src_j & zmask| v[src_j]
-            ny = word.count("Y")  # i^ny: a sign when ny & 2, then times i when ny & 1
-            scale = np.where(_odd_parity(src & zmask), -1, 1).astype(out_re.dtype) * (-c if ny & 2 else c)
-            t_re, t_im = self.re[src] * scale, self.im[src] * scale
-            if ny & 1:  # times i
-                t_re, t_im = -t_im, t_re
-            out_re += t_re
-            out_im += t_im
-        return StateVector._of(self.n, out_re, out_im, denom)
+    lo and hi are views of (re, im) with the target qubit 0 and 1, inside
+    the control-1 slab when there is a control: qubit 0 is the first axis
+    of the ``(2,)*n`` view, the target axis is swapped to the front, and
+    slices, not ints, keep even n = 1 a view."""
+    key = () if control is None else (slice(None),) * control + (slice(1, 2),)
+    views = [a.reshape((2,) * n)[key].swapaxes(0, target) for a in parts]
+    lo, hi = [a[:1] for a in views], [a[1:] for a in views]
+    if kind == "s":  # times i on the target-1 half
+        hi[0][...], hi[1][...] = -hi[1], hi[0].copy()
+    elif kind == "z":
+        for b in hi:
+            b *= -1
+    else:  # h mixes the halves; x, and cnot inside its control-1 slab, swap them
+        for a, b in zip(lo, hi):
+            a[...], b[...] = (a + b, a - b) if kind == "h" else (b.copy(), a.copy())
+
+
+def _pauli_sum(parts: tuple, n: int, words: list, coeffs: list) -> tuple:
+    """sum_w coeffs[w] P_w applied to the n-qubit arrays parts = (re, im), as new arrays."""
+    (re, im), idx = parts, np.arange(1 << n)
+    out_re, out_im = np.zeros((2, idx.size), dtype=re.dtype)
+    for word, c in zip(words, coeffs):
+        flip, zmask = _pauli_masks(word[::-1])  # letter 0 is the most significant bit
+        src = idx ^ flip  # (P_w v)[j] = i^#Y (-1)^|src_j & zmask| v[src_j]
+        ny = word.count("Y")  # i^ny: a sign when ny & 2, then times i when ny & 1
+        scale = np.where(_odd_parity(src & zmask), -1, 1).astype(re.dtype) * (-c if ny & 2 else c)
+        t_re, t_im = re[src] * scale, im[src] * scale
+        if ny & 1:  # times i
+            t_re, t_im = -t_im, t_re
+        out_re += t_re
+        out_im += t_im
+    return out_re, out_im
 
 
 class DiagonalOperator:
@@ -436,12 +437,12 @@ class DiagonalOperator:
     def apply(self, v: StateVector) -> StateVector:
         if v.n != self.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {v.n}")
-        out = v._widened(int(abs(self.nums).max()))
-        if out.exact:
-            scale, denom = self.nums.astype(out.re.dtype), v.denom * self.denom
-        else:  # float(entry), correctly rounded, for each entry
-            scale, denom = np.array(self.diag, dtype=float), 1
-        return StateVector._of(v.n, out.re * scale, out.im * scale, denom)
+        re, im = v._widened(int(abs(self.nums).max()))
+        if v.exact:
+            scale, denom = self.nums.astype(re.dtype), v.denom * self.denom
+        else:  # each entry correctly rounded: Python's int / int
+            scale, denom = np.array([x / self.denom for x in self.nums.tolist()]), 1
+        return StateVector._of(v.n, re * scale, im * scale, denom)
 
     def kernel_indices(self) -> list:
         return np.flatnonzero(self.nums == 0).tolist()
@@ -532,10 +533,10 @@ class PauliSum(_TermTable):
         if v.n != self.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {v.n}")
         coeffs, lcm = _numerators(self._terms.values())
-        amps = v._widened(sum(map(abs, coeffs)))
-        if not amps.exact:
+        parts = v._widened(sum(map(abs, coeffs)))
+        if not v.exact:
             coeffs, lcm = [float(c) for c in self._terms.values()], 1
-        return amps._pauli_sum(list(self._terms), coeffs, v.denom * lcm)
+        return StateVector._of(v.n, *_pauli_sum(parts, v.n, list(self._terms), coeffs), v.denom * lcm)
 
     def to_dense(self) -> np.ndarray:
         """Dense complex matrix; desk-scale only."""

@@ -204,7 +204,14 @@ def _swap_order(vals: np.ndarray, n: int) -> np.ndarray:
 
 def _shared_fractions(nums: np.ndarray, denom: int) -> list:
     """[Fraction(v, denom) for v in nums], built as one Fraction per distinct
-    value and gathered in one numpy pass, so equal entries share one object."""
+    value, so equal entries share one object.  Up to 2^8 entries, where
+    np.unique's fixed cost would dominate, a dict gives each entry its
+    Fraction; a larger table is one np.unique and one gather, which beat
+    the per-entry lookups there."""
+    if nums.size <= 1 << 8:
+        values = nums.tolist()
+        shared = {v: Fraction(v, denom) for v in set(values)}
+        return list(map(shared.__getitem__, values))
     distinct, inverse = np.unique(nums, return_inverse=True)
     shared = np.array([Fraction(v, denom) for v in distinct.tolist()], dtype=object)
     return shared[inverse].tolist()
@@ -515,7 +522,7 @@ class PseudoBoolean(_TermTable):
         """Value table a with a[index_of(x)] = f(x) for all 2^n assignments.
 
         Entries equal in value are one shared Fraction: one is built per
-        distinct value and gathered into state order in one numpy pass.
+        distinct value and gathered into state order.
         """
         vals, denom = self._cube_values(cap, "disjoint-form table")
         return _shared_fractions(_swap_order(vals, self.n), denom)

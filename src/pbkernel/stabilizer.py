@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, ParseError
 from .expr import records
-from .pauli import PauliSum, StateVector, _pauli_masks, _pauli_word
+from .pauli import PauliSum, StateVector, _gate, _pauli_masks, _pauli_word
 from .pbf import _accumulate
 
 GATE_KINDS = ("h", "s", "x", "z", "cnot")
@@ -325,10 +325,10 @@ def apply_circuit(circuit: CliffordCircuit, v: StateVector) -> StateVector:
     """
     if circuit.n != v.n:
         raise DimensionError(f"arity mismatch: circuit {circuit.n} vs state {v.n}")
-    out = v._widened(1 << sum(g.kind == "h" for g in circuit.gates))
+    parts = v._widened(1 << sum(g.kind == "h" for g in circuit.gates))
     for g in circuit.gates:
-        out._gate(g.kind, g.target, g.control)
-    return StateVector._of(v.n, out.re, out.im, v.denom)
+        _gate(parts, v.n, g.kind, g.target, g.control)
+    return StateVector._of(v.n, *parts, v.denom)
 
 
 def trivial_parent(v: StateVector, tol: float = 1e-9) -> np.ndarray:

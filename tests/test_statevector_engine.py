@@ -78,9 +78,9 @@ def recorded_dtypes(monkeypatch):
     widened = StateVector._widened
 
     def spy(v, growth):
-        out = widened(v, growth)
-        seen.append(out.re.dtype)
-        return out
+        re, im = widened(v, growth)
+        seen.append(re.dtype)
+        return re, im
 
     monkeypatch.setattr(StateVector, "_widened", spy)
     return seen
@@ -210,6 +210,27 @@ def test_pauli_sum_at_the_int64_bound(monkeypatch, terms, amps, dtype):
     got = ps.apply(v)
     assert seen == [dtype]
     assert_same_amplitudes(got, ref_pauli_apply(ps, v))
+
+
+def assert_exact_zero(got, want):
+    assert got.exact and got.is_zero() and got.denom == 1
+    assert got == StateVector.zeros(got.n)
+    assert_same_amplitudes(got, want)
+
+
+@pytest.mark.parametrize("power", [40, 41])  # 3^40 > 2^63, 3^41 > 2^64
+def test_zero_result_over_a_denominator_past_int64(power):
+    d = 3 ** power
+    v = StateVector(1, [Fraction(1, d), Fraction(-1, d)])
+    assert v.denom == d and v.re.dtype == np.int64
+    ps = PauliSum(1, {"I": 1, "X": 1})
+    assert_exact_zero(ps.apply(v), ref_pauli_apply(ps, v))
+    w = StateVector(2, [Fraction(1, d), 0, ExactComplex(0, Fraction(2, d)), 0])
+    for op in (support_parent(support(w)), DiagonalOperator(2, [0, 5, 0, 7])):
+        assert_exact_zero(op.apply(w), ref_diagonal_apply(op.diag, w))
+    op = DiagonalOperator(1, [0, Fraction(1, d)])  # the diagonal's own denominator
+    assert op.denom == d
+    assert_exact_zero(op.apply(StateVector.basis_state(1, 0)), StateVector.zeros(1))
 
 
 # -- inexact inputs ----------------------------------------------------------
@@ -346,7 +367,8 @@ def test_embeddings_hold_the_value_table(n):
     assert_same_amplitudes(psi, StateVector(n, table))
 
 
-def test_diag_builds_one_fraction_per_distinct_value(monkeypatch):
+@pytest.mark.parametrize("n", [8, 9, 16])  # both sides of the 2^8-entry dict/np.unique split
+def test_diag_builds_one_fraction_per_distinct_value(monkeypatch, n):
     built = []
 
     class Counted(Fraction):
@@ -354,7 +376,8 @@ def test_diag_builds_one_fraction_per_distinct_value(monkeypatch):
             built.append(args)
             return super().__new__(cls, *args)
 
-    op = support_parent(SupportSet(16, frozenset({(0,) * 16, (1,) * 16})))
+    op = support_parent(SupportSet(n, frozenset({(0,) * n, (1,) * n})))
     monkeypatch.setattr(pbf, "Fraction", Counted)
     diag = op.diag
-    assert len(built) == 2 and diag.count(0) == 2 and diag.count(1) == (1 << 16) - 2
+    assert len(built) == 2 and diag.count(0) == 2 and diag.count(1) == (1 << n) - 2
+    assert len({id(d) for d in diag}) == 2 and diag[0] is diag[-1] and diag[1] is diag[-2]

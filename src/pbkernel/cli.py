@@ -12,7 +12,9 @@ Subcommands mirror the library surface::
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 3 internal error (a failed exact re-check or any other unexpected
-exception, reported on one stderr line without a traceback).
+exception, reported on one stderr line without a traceback), 141
+(128 + SIGPIPE) when the reader closes stdout early, with nothing on
+stderr.
 ``--json`` selects machine output: sorted keys, deterministic ordering,
 and no timing field, so identical inputs give byte-identical bytes (the
 human-readable report does include elapsed time).
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -379,6 +382,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         code = args.func(args)
+        if not args.json:
+            print(f"elapsed: {time.perf_counter() - started:.3f}s")
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter shutdown
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so shutdown's flush writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (_UsageError, PBKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -388,8 +398,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # a failed exact re-check or a library bug, not bad input
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if not args.json:
-        print(f"elapsed: {time.perf_counter() - started:.3f}s")
     return code
 
 

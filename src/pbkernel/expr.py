@@ -11,13 +11,14 @@ Grammar (whitespace insignificant)::
 parsing, so complements are never stored.  Variable indices are 1-based
 in the text (``x1`` is variable 0 of the resulting polynomial).
 
-The parse is one pass.  The terms of a sum go into one term table, not a
-new polynomial per ``+``.  A leading number takes its term's signs, and a
-run of plain-variable factors (``x2*x5`` in ``3*x2*x5*(x1+x4)``) becomes one
-monomial multiplied in with one ``PseudoBoolean.__mul__``.  Every product is
-checked against :data:`PRODUCT_CAP` before it is formed (a run at its first
-``*``: a monomial never adds terms), and the arity where the first
-polynomial is built.
+The parse is one pass.  The terms of a sum are added at once, over the LCM
+of their denominators, not as a new polynomial per ``+``.  A leading
+number takes its term's signs, and a run of plain-variable factors
+(``x2*x5`` in ``3*x2*x5*(x1+x4)``) becomes one monomial multiplied in with
+one ``PseudoBoolean.__mul__``.  Every product is checked against
+:data:`PRODUCT_CAP` before it is formed (a run at its first ``*``: a
+monomial never adds terms), and the arity where the first polynomial is
+built.
 
 The line-oriented input files (state, strings, circuit and Pauli-sum text)
 share two readers here: :func:`records`, the one line rule, and
@@ -31,12 +32,11 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError
-from .pbf import PseudoBoolean, _accumulate
+from .pbf import PseudoBoolean
 
 _OPS = set("+-*()/")
 _DIGITS = re.compile(r"\d*").match  # \d is str.isdecimal: Unicode category Nd
 _END = (None, None, -1)  # ends the parser's token list: one or two past an operator is a token
-_ONE = Fraction(1)
 #: term products one multiplication may form (len(acc) * len(factor))
 PRODUCT_CAP = 1 << 16
 
@@ -136,18 +136,13 @@ class _Parser:
             )
 
     def parse_expr(self) -> PseudoBoolean:
-        # one table for the whole sum, updated as adding the terms one by one would
-        table = {}
-        while True:
-            negate, term = self.parse_term()
-            pairs = term._terms.items()
-            _accumulate(table, ((m, -c) for m, c in pairs) if negate else pairs)
-            if self.tokens[self.pos][0] not in ("+", "-"):
-                break
-        return PseudoBoolean._of(self.arity, table)
+        terms = [self.parse_term()]  # summed at once: the table adding them one by one gives
+        while self.tokens[self.pos][0] in ("+", "-"):
+            terms.append(self.parse_term())
+        return PseudoBoolean._sum(self.arity, terms)
 
-    def parse_term(self) -> tuple:
-        """(negate, product) for one term and the signs before it; a leading number takes them."""
+    def parse_term(self) -> PseudoBoolean:
+        """One term times the signs before it; a leading number takes them."""
         tokens, pos, of = self.tokens, self.pos, PseudoBoolean._of
         negate = False
         while tokens[pos][0] in ("+", "-"):
@@ -161,10 +156,10 @@ class _Parser:
                 den, at = self.expect("int")[1:]
                 if den == 0:
                     raise ParseError(f"zero denominator at {self.where(at)}", at)
-                c, pos = Fraction(num, den), pos + 3
+                pos += 3
             else:
-                c, pos = Fraction(num), pos + 1
-            acc = of(self.arity, {0: c} if c else {})
+                den, pos = 1, pos + 1
+            acc = of(self.arity, {0: num} if num else {}, den)
         else:
             self.pos = pos
             acc = self.parse_factor()
@@ -184,19 +179,19 @@ class _Parser:
             factor = self.parse_factor()
             pos = self.pos
             if run:
-                acc, run = acc * of(self.arity, {run: _ONE}), 0
+                acc, run = acc * of(self.arity, {run: 1}), 0
             self.check_product(star, len(acc._terms) * len(factor._terms))
             acc = acc * factor
         self.pos = pos
         if run:
-            acc = acc * of(self.arity, {run: _ONE})
-        return negate, acc
+            acc = acc * of(self.arity, {run: 1})
+        return -acc if negate else acc
 
     def parse_factor(self) -> PseudoBoolean:
         kind, value, pos = self.tokens[self.pos]
         self.pos += 1
         if kind == "var" or kind == "~var":
-            x = PseudoBoolean._of(self.arity, {1 << (value - 1): _ONE})
+            x = PseudoBoolean._of(self.arity, {1 << (value - 1): 1})
             return x if kind == "var" else 1 - x
         if kind == "(":
             inner = self.parse_expr()

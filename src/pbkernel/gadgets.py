@@ -252,7 +252,7 @@ def compose(netlist: Netlist) -> PseudoBoolean:
     clamp_names = [name for name, _ in netlist.clamps]
     if len(set(clamp_names)) != len(clamp_names):
         raise NetlistError("a wire is clamped more than once")
-    table: dict = {}  # every re-seated gadget, summed in gate order
+    seated = []  # every re-seated gadget, summed in gate order
     for idx, (inst, gadget) in enumerate(zip(netlist.gates, gadgets)):
         mapping = []
         input_iter = iter(inst.inputs)
@@ -265,8 +265,8 @@ def compose(netlist: Netlist) -> PseudoBoolean:
             else:
                 mapping.append(index[_slack_name(idx, slack_counter)])
                 slack_counter += 1
-        _accumulate(table, gadget.penalty.embed(arity, mapping)._terms.items())
-    total = PseudoBoolean._of(arity, table)
+        seated.append(gadget.penalty.embed(arity, mapping))
+    total = PseudoBoolean._sum(arity, seated)
     for name, value in sorted(netlist.clamps, key=lambda kv: -index[kv[0]]):
         total = clamp(total, index[name], value)
     return total
@@ -285,7 +285,7 @@ def clamp(f: PseudoBoolean, var: int, value: int) -> PseudoBoolean:
     low = bit - 1
     # keep the bits below var and shift those above it down one; bit var itself drops out
     pairs = (((m & low) | (m >> 1 & ~low), c) for m, c in f._terms.items() if value or not m & bit)
-    return PseudoBoolean._of(f.n - 1, _accumulate({}, pairs))
+    return PseudoBoolean._of(f.n - 1, _accumulate({}, pairs), f._den)
 
 
 class MinimizeResult(NamedTuple):

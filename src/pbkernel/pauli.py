@@ -5,16 +5,18 @@ a length-n text of letters I/X/Y/Z; letter position i acts on qubit i,
 and qubit 0 occupies the MOST significant bit of a basis-state index
 (matching the assignment convention of :mod:`pbkernel.pbf`).  Signs are
 canonicalized into the rational coefficients, which keeps every sum
-Hermitian by construction.  A :class:`PauliSum` is a {word: nonzero
-Fraction} table of the same base class as :class:`pbkernel.pbf.PseudoBoolean`
-(``pbf._TermTable``), so equality, sums and scaling are one code; unlike a
-polynomial, a Pauli sum is not hashable.
+Hermitian by construction.  A :class:`PauliSum` is a {word: nonzero int}
+table of numerators over one denominator, of the same base class as
+:class:`pbkernel.pbf.PseudoBoolean` (``pbf._TermTable``), so construction,
+equality, sums and scaling are one code; unlike a polynomial, a Pauli sum
+is not hashable.
 
 The Z-basis expansion of a diagonal penalty f is its spin polynomial:
 substitute x_i = (1 - z_i)/2 (:func:`pbkernel.pbf.boolean_to_spin`) and
 read each spin monomial z_T as the Z word on the qubits in T.
 :func:`pbf_to_pauli`, :func:`pauli_to_pbf` and :func:`ising_form` are
-readings of that one change of variables.  One codec (``_pauli_masks``
+readings of that one change of variables, and they pass its integer
+numerators and denominator along.  One codec (``_pauli_masks``
 and ``_pauli_word``, bit i = letter i) turns words into binary
 symplectic x/z masks and back, here and in
 :class:`pbkernel.stabilizer.SymplecticPauli`.
@@ -56,15 +58,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Complex, Integral, Rational
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
 from .expr import rational, records
-from .pbf import (PseudoBoolean, _check_assignment, _coerce, _int_dtype, _numerators, _scaled,
-                  _shared_fractions, _swap_order, _TermTable, boolean_to_spin, index_of,
-                  spin_to_boolean)
+from .pbf import (PseudoBoolean, _check_assignment, _int_dtype, _scaled, _shared_fractions, _swap_order,
+                  _TermTable, boolean_to_spin, index_of, spin_to_boolean)
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
@@ -484,18 +485,18 @@ class PauliSum(_TermTable):
 
     __slots__ = ()
 
-    def __init__(self, arity: int, terms: Mapping[str, object] | None = None):
-        self.n = int(arity)
-        data = {}
-        if terms:
-            for letters, coeff in terms.items():
-                word = "".join(letters)
-                if len(word) != self.n or any(ch not in PAULI_LETTERS for ch in word):
-                    raise ValueError(f"bad Pauli word {word!r} for {self.n} qubits")
-                c = _coerce(coeff)
-                if c:
-                    data[word] = c
-        self._terms = data
+    @staticmethod
+    def _arity(arity) -> int:
+        n = int(arity)
+        if n < 0:
+            raise ValueError(f"arity must be >= 0, got {arity}")
+        return n
+
+    def _key(self, letters) -> str:
+        word = "".join(letters)
+        if len(word) != self.n or any(ch not in PAULI_LETTERS for ch in word):
+            raise ValueError(f"bad Pauli word {word!r} for {self.n} qubits")
+        return word
 
     @classmethod
     def identity(cls, arity: int, coeff=1) -> "PauliSum":
@@ -503,10 +504,10 @@ class PauliSum(_TermTable):
 
     def terms(self) -> list:
         """Sorted list of (letters, coefficient) pairs."""
-        return sorted(self._terms.items())
+        return sorted((w, Fraction(c, self._den)) for w, c in self._terms.items())
 
     def coefficient(self, letters: str) -> Fraction:
-        return self._terms.get("".join(letters), Fraction(0))
+        return Fraction(self._terms.get("".join(letters), 0), self._den)
 
     def is_diagonal(self) -> bool:
         return all(set(w) <= {"I", "Z"} for w in self._terms)
@@ -526,17 +527,16 @@ class PauliSum(_TermTable):
         """Matrix-free action: each string is a bit-flip permutation with
         a +-1 / +-i phase per basis state, run on the statevector's arrays.
 
-        The coefficients become integer numerators over their LCM, and
-        each output entry is a sum of those numerators times +-1 / +-i
-        times one input numerator, which bounds the int64 check.
+        Each output entry is a sum of the coefficient numerators times
+        +-1 / +-i times one input numerator, which bounds the int64 check.
         """
         if v.n != self.n:
             raise DimensionError(f"arity mismatch: {self.n} vs {v.n}")
-        coeffs, lcm = _numerators(self._terms.values())
+        coeffs, den = list(self._terms.values()), self._den
         parts = v._widened(sum(map(abs, coeffs)))
-        if not v.exact:
-            coeffs, lcm = [float(c) for c in self._terms.values()], 1
-        return StateVector._of(v.n, *_pauli_sum(parts, v.n, list(self._terms), coeffs), v.denom * lcm)
+        if not v.exact:  # each coefficient correctly rounded: Python's int / int
+            coeffs, den = [c / den for c in coeffs], 1
+        return StateVector._of(v.n, *_pauli_sum(parts, v.n, list(self._terms), coeffs), v.denom * den)
 
     def to_dense(self) -> np.ndarray:
         """Dense complex matrix; desk-scale only."""
@@ -545,7 +545,7 @@ class PauliSum(_TermTable):
         size = 1 << self.n
         out = np.zeros((size, size), dtype=complex)
         for word, coeff in self._terms.items():
-            out += float(coeff) * _pauli_matrix(word)
+            out += coeff / self._den * _pauli_matrix(word)
         return out
 
     def to_text(self) -> str:
@@ -586,8 +586,8 @@ def pbf_to_pauli(f: PseudoBoolean) -> PauliSum:
         raise EnumerationCapError(
             f"Z-basis expansion needs {count} subset terms, over cap {EXPANSION_CAP}"
         )
-    spin = boolean_to_spin(f)._terms
-    return PauliSum._of(f.n, {_pauli_word(0, zmask, f.n): c for zmask, c in spin.items()})
+    spin = boolean_to_spin(f)
+    return PauliSum._of(f.n, {_pauli_word(0, zmask, f.n): c for zmask, c in spin._terms.items()}, spin._den)
 
 
 def pauli_to_pbf(h: PauliSum) -> PseudoBoolean:
@@ -595,7 +595,7 @@ def pauli_to_pbf(h: PauliSum) -> PseudoBoolean:
     if not h.is_diagonal():
         raise NotDiagonalError("operator has X or Y letters; not diagonal")
     spin = {_pauli_masks(word)[1]: c for word, c in h._terms.items()}
-    return spin_to_boolean(PseudoBoolean(h.n, spin))
+    return spin_to_boolean(PseudoBoolean._of(h.n, spin, h._den))
 
 
 class IsingForm(NamedTuple):
@@ -611,11 +611,12 @@ def ising_form(f: PseudoBoolean) -> IsingForm:
     its spin polynomial :func:`pbkernel.pbf.boolean_to_spin`."""
     if f.degree > 2:
         raise ValueError(f"degree {f.degree} > 2; not an Ising-form function")
-    spin, n = boolean_to_spin(f)._terms, f.n
-    fields = tuple(spin.get(1 << l, Fraction(0)) for l in range(n))
+    form = boolean_to_spin(f)
+    spin, den, n = form._terms, form._den, f.n
+    fields = tuple(Fraction(spin.get(1 << l, 0), den) for l in range(n))
     pairs = [(l, k) for l in range(n) for k in range(l + 1, n) if 1 << l | 1 << k in spin]
-    couplings = {(l, k): spin[1 << l | 1 << k] for l, k in pairs}
-    return IsingForm(spin.get(0, Fraction(0)), fields, couplings)
+    couplings = {(l, k): Fraction(spin[1 << l | 1 << k], den) for l, k in pairs}
+    return IsingForm(Fraction(spin.get(0, 0), den), fields, couplings)
 
 
 def dense_pauli_coefficients(mat: np.ndarray, tol: float = 1e-12) -> dict:

@@ -15,22 +15,25 @@ Conventions used throughout the package:
   operator diagonals, amplitude vectors) put variable 0 in the MOST
   significant bit of the index: ``index_of((1,0,0)) == 4``.
 
-All coefficients are `fractions.Fraction`; every mutation prunes zero
-coefficients so structural equality coincides with semantic equality.
-A polynomial is one kind of :class:`_TermTable`, a {key: nonzero Fraction}
-table on n variables, whose equality, sum and scaling by a number
-:class:`pbkernel.pauli.PauliSum` (keyed by Pauli words) shares.
+A polynomial is one kind of :class:`_TermTable`, a {key: nonzero int}
+table of numerators over one positive denominator on n variables, in least
+terms, so structural equality coincides with semantic equality.  Its one
+constructor, equality, sum and scaling by a number are shared with
+:class:`pbkernel.pauli.PauliSum` (keyed by Pauli words).  Every consumer
+reads the integers; the readers (``terms``, ``coefficient``,
+``masked_terms``, ``eval``, ``to_dict``, ``to_text``) build the rational
+coefficients as Fractions on each read.
 Every sum of sparse term tables in the package (polynomial sums and
 products, re-seating, clamping, the expression parser, Pauli sums and
 their Clifford conjugates) runs through one rule, :func:`_accumulate`:
-add the (key, coefficient) pairs in order and drop a key as soon as its
-sum is zero, so a table's key order is that of the pairs it was built
-from.
+add the (key, numerator) pairs in order over one denominator and drop a
+key as soon as its sum is zero, so a table's key order is that of the
+pairs it was built from.
 
-Every oracle over the whole cube runs on one exact engine: values or
-coefficients become integer numerators over the LCM of their denominators
-in one numpy array, and the zeta transform (coefficients -> values) or its
-Moebius inverse runs as n in-place passes over that array.  A value
+Every oracle over the whole cube runs on one exact engine: a polynomial's
+numerators, or values cleared to integer numerators over the LCM of their
+denominators, sit in one numpy array, and the zeta transform (coefficients
+-> values) or its Moebius inverse runs as n in-place passes over it.  A value
 table handed out as Fractions holds one object per distinct value, shared
 by every entry equal to it, gathered from the distinct values in one numpy
 pass; reading a table back tells its objects apart by id in one numpy
@@ -46,9 +49,9 @@ on which the same numpy code runs; each caller states only its bound.
 The Boolean <-> spin change of variables (:func:`boolean_to_spin`,
 :func:`spin_to_boolean`) is the same kind of map on sparse input: a
 product of one 2 x 2 matrix per variable.  It runs as one pass per
-variable over a sparse table of integer numerators, cleared once, so a
-dense polynomial costs n * 2^n dict updates rather than 3^n, and
-Fractions are built only for the output.
+variable over the polynomial's integer numerators, each scaled by a
+power of the substitution's denominator, so a dense polynomial costs
+n * 2^n dict updates rather than 3^n, and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -113,13 +116,13 @@ def _read_table(values: Iterable) -> tuple:
 
     Entries are ints, Fractions or anything else ``Fraction()`` accepts.
     Objects are told apart by id: one numpy sort of the ids finds whether
-    any object repeats, so an input where none does (a polynomial's terms)
-    pays no more numpy than that.  Each distinct object is coerced once,
-    in first-occurrence order (so the first bad entry raises first), and
-    ``nums`` holds its numerator over the LCM ``denom`` of all
-    denominators.  When no object repeats, ``inverse`` and ``counts`` are
-    None and ``nums`` is in entry order; otherwise entry i holds
-    ``nums[inverse[i]]`` and ``counts[j]`` entries share object j.
+    any object repeats, so an input where none does (the amplitudes of a
+    state file, an LP vector) pays no more numpy than that.  Each distinct
+    object is coerced once, in first-occurrence order (so the first bad
+    entry raises first), and ``nums`` holds its numerator over the LCM
+    ``denom`` of all denominators.  When no object repeats, ``inverse`` and
+    ``counts`` are None and ``nums`` is in entry order; otherwise entry i
+    holds ``nums[inverse[i]]`` and ``counts[j]`` entries share object j.
     """
     values = list(values)  # keeps every entry alive, so equal ids mean one object
     count = len(values)
@@ -268,23 +271,51 @@ class NonNegativity(NamedTuple):
 
 
 class _TermTable:
-    """A {key: nonzero Fraction} table on ``n`` variables, the exact form
-    :class:`PseudoBoolean` (keys are monomial masks) and
-    :class:`pbkernel.pauli.PauliSum` (keys are Pauli words) share: tables of
-    one type and arity compare equal when their terms do, add through
-    :func:`_accumulate` and scale by a coerced scalar.  It defines ``__eq__``
-    and no hash, so a subclass is hashable only if it says so."""
+    """A {key: nonzero int} table ``_terms`` over one positive denominator
+    ``_den`` on ``n`` variables, in least terms (gcd(``_den``, every
+    numerator) = 1): the exact form :class:`PseudoBoolean` (keys are monomial
+    masks) and :class:`pbkernel.pauli.PauliSum` (keys are Pauli words) share.
+    Tables of one type and arity compare equal when their denominators and
+    terms do, add through :func:`_accumulate` over the LCM of their
+    denominators and scale by a coerced scalar.  It defines ``__eq__`` and
+    no hash, so a subclass is hashable only if it says so.  Each subclass
+    gives ``_arity``, the checked n of a table asked for with an arity, and
+    ``_key``, the checked key of a table's entry."""
 
-    __slots__ = ("n", "_terms")
-    _arity = int  # the n of a table asked for with this arity, as __init__ sets it
+    __slots__ = ("n", "_terms", "_den")
+
+    def __init__(self, arity: int, terms: Mapping | None = None):
+        """The table of ``terms``, {key: coefficient}: each key is checked by
+        the subclass's ``_key`` before its coefficient is coerced, zeros are
+        dropped and the rest are cleared over the LCM of their denominators,
+        which leaves them in least terms."""
+        self.n = self._arity(arity)
+        pairs = [(self._key(key), _coerce(c)) for key, c in terms.items()] if terms else []
+        den = math.lcm(*(c.denominator for _, c in pairs))
+        self._terms = {key: c.numerator * (den // c.denominator) for key, c in pairs if c}
+        self._den = den
 
     @classmethod
-    def _of(cls, arity: int, table: dict):
-        """Wrap a trusted {key: nonzero Fraction} table as is; its arity goes through ``_arity``."""
+    def _of(cls, arity: int, table: dict, den: int = 1):
+        """Wrap a trusted {key: nonzero int} table over ``den`` > 0, divided by
+        their gcd into least terms; its arity goes through ``_arity``."""
         out = object.__new__(cls)
         out.n = cls._arity(arity)
-        out._terms = table
+        g = math.gcd(den, *table.values())
+        out._terms = {key: c // g for key, c in table.items()} if g > 1 else table
+        out._den = den // g
         return out
+
+    @classmethod
+    def _sum(cls, arity: int, tables: Sequence):
+        """The sum of ``tables`` of this type and arity: their numerators over
+        the LCM of their denominators, added in order by :func:`_accumulate`."""
+        den = math.lcm(*(t._den for t in tables))
+        table: dict = {}
+        for t in tables:
+            scale = den // t._den
+            _accumulate(table, ((k, scale * c) for k, c in t._terms.items()) if scale > 1 else t._terms.items())
+        return cls._of(arity, table, den)
 
     @classmethod
     def zero(cls, arity: int):
@@ -293,7 +324,7 @@ class _TermTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._den == other._den and self._terms == other._terms
 
     def _require_same_arity(self, other: "_TermTable") -> None:
         if self.n != other.n:
@@ -303,11 +334,12 @@ class _TermTable:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same_arity(other)
-        return self._of(self.n, _accumulate(dict(self._terms), other._terms.items()))
+        return self._sum(self.n, (self, other))
 
     def _times(self, scalar):
         c = _coerce(scalar)
-        return self._of(self.n, {k: c * v for k, v in self._terms.items()} if c else {})
+        table = {k: c.numerator * v for k, v in self._terms.items()} if c else {}
+        return self._of(self.n, table, self._den * c.denominator)
 
 
 class PseudoBoolean(_TermTable):
@@ -316,30 +348,22 @@ class PseudoBoolean(_TermTable):
     __slots__ = ()
     _arity = staticmethod(_check_arity)
 
-    def __init__(self, arity: int, masked_terms: Mapping[int, Fraction] | None = None):
-        self.n = _check_arity(arity)
-        terms = {}
-        if masked_terms:
-            for mask, coeff in masked_terms.items():
-                c = _coerce(coeff)
-                if c == 0:
-                    continue
-                if mask < 0 or mask >> self.n:
-                    raise ValueError(f"monomial mask {mask:#x} uses variables >= arity {self.n}")
-                terms[mask] = c
-        self._terms = terms
+    def _key(self, mask: int) -> int:
+        if mask < 0 or mask >> self.n:
+            raise ValueError(f"monomial mask {mask:#x} uses variables >= arity {self.n}")
+        return mask
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def constant(cls, arity: int, value) -> "PseudoBoolean":
-        return cls(arity, {0: _coerce(value)})
+        return cls(arity, {0: value})
 
     @classmethod
     def variable(cls, arity: int, i: int) -> "PseudoBoolean":
         if not 0 <= i < arity:
             raise ValueError(f"variable index {i} out of range for arity {arity}")
-        return cls(arity, {1 << i: Fraction(1)})
+        return cls(arity, {1 << i: 1})
 
     @classmethod
     def from_terms(cls, arity: int, terms: Mapping[Iterable[int], object]) -> "PseudoBoolean":
@@ -364,7 +388,7 @@ class PseudoBoolean(_TermTable):
         vals = _swap_order(vals, n)
         _subset_transform(vals, n, -1)
         masks = np.flatnonzero(vals)
-        return cls(n, {m: Fraction(c, denom) for m, c in zip(masks.tolist(), vals[masks].tolist())})
+        return cls._of(n, dict(zip(masks.tolist(), vals[masks].tolist())), denom)
 
     # -- inspection ----------------------------------------------------
 
@@ -373,18 +397,18 @@ class PseudoBoolean(_TermTable):
         out = []
         for mask in sorted(self._terms, key=lambda m: (m.bit_count(), m)):
             vars_ = tuple(i for i in range(self.n) if mask & (1 << i))
-            out.append((vars_, self._terms[mask]))
+            out.append((vars_, Fraction(self._terms[mask], self._den)))
         return out
 
     def masked_terms(self) -> dict:
-        """Copy of the internal {mask: coefficient} map."""
-        return dict(self._terms)
+        """The {mask: coefficient} map, in the table's key order."""
+        return {mask: Fraction(c, self._den) for mask, c in self._terms.items()}
 
     def coefficient(self, vars_: Iterable[int]) -> Fraction:
         mask = 0
         for i in vars_:
             mask |= 1 << i
-        return self._terms.get(mask, Fraction(0))
+        return Fraction(self._terms.get(mask, 0), self._den)
 
     @property
     def degree(self) -> int:
@@ -395,7 +419,7 @@ class PseudoBoolean(_TermTable):
         return not self._terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
+        return hash((self.n, self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         return f"PseudoBoolean({self.n}, {self.to_text()!r})"
@@ -435,7 +459,7 @@ class PseudoBoolean(_TermTable):
     __radd__ = __add__
 
     def __neg__(self):
-        return PseudoBoolean._of(self.n, {m: -c for m, c in self._terms.items()})
+        return PseudoBoolean._of(self.n, {m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, PseudoBoolean):
@@ -451,7 +475,7 @@ class PseudoBoolean(_TermTable):
             # x*x = x: a product monomial is the union of its factors' variable subsets
             right = other._terms.items()
             pairs = ((m1 | m2, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in right)
-            return PseudoBoolean._of(self.n, _accumulate({}, pairs))
+            return PseudoBoolean._of(self.n, _accumulate({}, pairs), self._den * other._den)
         return self._times(other)
 
     __rmul__ = __mul__
@@ -476,7 +500,7 @@ class PseudoBoolean(_TermTable):
             return _mask(targets, arity, "mapped index")
 
         pairs = ((seat(mask), c) for mask, c in self._terms.items())
-        return PseudoBoolean._of(arity, _accumulate({}, pairs))
+        return PseudoBoolean._of(arity, _accumulate({}, pairs), self._den)
 
     # -- evaluation ----------------------------------------------------
 
@@ -484,11 +508,7 @@ class PseudoBoolean(_TermTable):
         """Exact value at a Boolean assignment."""
         _check_assignment(x, self.n)
         xmask = sum(1 << i for i, b in enumerate(x) if b)
-        total = Fraction(0)
-        for mask, c in self._terms.items():
-            if mask & xmask == mask:
-                total += c
-        return total
+        return Fraction(sum(c for mask, c in self._terms.items() if mask & xmask == mask), self._den)
 
     def eval_real(self, r: Sequence) -> Fraction:
         """Multilinear extension evaluated at a point of [0,1]^n."""
@@ -507,16 +527,17 @@ class PseudoBoolean(_TermTable):
                 p *= coords[i]
                 m &= m - 1
             total += p
-        return total
+        return total / self._den
 
     def _cube_values(self, cap: int, what: str) -> tuple:
-        """(vals, denom) with vals[mask] == denom * f(x) for every varmask."""
+        """(vals, denom) with vals[mask] == denom * f(x) for every varmask, on
+        the dtype of :func:`_scaled`'s bound 2 * sum(|numerators|)."""
         _check_cap(self.n, cap, what)
-        coeffs, denom = _scaled(self._terms.values())
-        vals = np.zeros(1 << self.n, dtype=coeffs.dtype)
+        coeffs = list(self._terms.values())
+        vals = np.zeros(1 << self.n, dtype=_int_dtype(2 * sum(map(abs, coeffs))))
         vals[list(self._terms)] = coeffs
         _subset_transform(vals, self.n, 1)
-        return vals, denom
+        return vals, self._den
 
     def to_disjoint_form(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
         """Value table a with a[index_of(x)] = f(x) for all 2^n assignments.
@@ -566,27 +587,27 @@ def boolean_to_spin(f: PseudoBoolean) -> PseudoBoolean:
     The returned object reuses the multilinear representation, with
     variable i read as z_i in {-1, +1}.
     """
-    return _substitute_affine(f, Fraction(1, 2), -1)
+    return _substitute_affine(f, 2, -1)
 
 
 def spin_to_boolean(g: PseudoBoolean) -> PseudoBoolean:
     """Substitute z_i = 1 - 2 x_i; exact inverse of :func:`boolean_to_spin`."""
-    return _substitute_affine(g, Fraction(1), -2)
+    return _substitute_affine(g, 1, -2)
 
 
-def _substitute_affine(f: PseudoBoolean, alpha: Fraction, ratio: int) -> PseudoBoolean:
-    """Replace every variable v by alpha * (1 + ratio * v'), ratio a nonzero int.
+def _substitute_affine(f: PseudoBoolean, scale: int, ratio: int) -> PseudoBoolean:
+    """Replace every variable v by (1 + ratio * v') / scale, both nonzero ints.
 
-    Each c * v_M is scaled by alpha^|M| and the results are cleared once to
-    integers over their LCM.  Then, one variable at a time, every term that
-    holds the variable becomes ratio times itself and adds its coefficient to
-    the term without it.  The table only ever holds subsets of input
-    monomials, so at most sum 2^|M| keys.
+    With d the degree, each c * v_M becomes the numerator of c times
+    scale^(d - |M|) over the polynomial's denominator times scale^d.  Then,
+    one variable at a time, every term that holds the variable becomes ratio
+    times itself and adds its numerator to the term without it.  The table
+    only ever holds subsets of input monomials, so at most sum 2^|M| keys.
     """
-    nums, denom = _numerators(c * alpha ** mask.bit_count() for mask, c in f._terms.items())
-    table = dict(zip(f._terms, nums))
+    d = f.degree
+    table = {mask: c * scale ** (d - mask.bit_count()) for mask, c in f._terms.items()}
     for bit in (1 << i for i in range(f.n)):
         held = [(mask, c) for mask, c in table.items() if mask & bit]
         table.update((mask, ratio * c) for mask, c in held)
         _accumulate(table, ((mask ^ bit, c) for mask, c in held))
-    return PseudoBoolean._of(f.n, {mask: Fraction(c, denom) for mask, c in table.items()})
+    return PseudoBoolean._of(f.n, table, f._den * scale ** d)

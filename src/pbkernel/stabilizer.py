@@ -16,7 +16,6 @@ generators (with sign consistency).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -237,8 +236,8 @@ def conjugate_sum(circuit: CliffordCircuit, hsum: PauliSum) -> PauliSum:
     """Termwise conjugation of a Pauli sum, signs folded into coefficients."""
     if circuit.n != hsum.n:
         raise DimensionError(f"arity mismatch: circuit {circuit.n} vs sum {hsum.n}")
-    images = ((conjugate(circuit, SymplecticPauli.from_letters(w)), c) for w, c in hsum.terms())
-    return PauliSum._of(circuit.n, _accumulate({}, ((q.letters(), q.sign * c) for q, c in images)))
+    images = ((conjugate(circuit, SymplecticPauli.from_letters(w)), c) for w, c in sorted(hsum._terms.items()))
+    return PauliSum._of(circuit.n, _accumulate({}, ((q.letters(), q.sign * c) for q, c in images)), hsum._den)
 
 
 def conjugated_generators(circuit: CliffordCircuit) -> list:
@@ -257,10 +256,8 @@ def projector_parent(circuit: CliffordCircuit) -> PauliSum:
     independent.
     """
     n = circuit.n
-    half = Fraction(1, 2)
-    pairs = [("I" * n, Fraction(n, 2))]
-    pairs += ((p.letters(), -half * p.sign) for p in conjugated_generators(circuit))
-    return PauliSum._of(n, _accumulate({}, pairs))
+    pairs = [("I" * n, n)] + [(p.letters(), -p.sign) for p in conjugated_generators(circuit)]
+    return PauliSum._of(n, _accumulate({}, pairs), 2)
 
 
 def ghz_circuit(n: int) -> CliffordCircuit:

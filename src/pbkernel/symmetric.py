@@ -162,20 +162,20 @@ def profile_to_pbf(p: WeightProfile) -> PseudoBoolean:
     """Multilinear polynomial taking value p.values[|x|] at every x.
 
     Every monomial of size k carries the k-th forward difference of the
-    profile at 0, sum_j (-1)^(k-j) C(k, j) v_j; the monomials of one size
-    share one Fraction.  They are picked from the 2^n Hamming weights, so
-    n over ``DEFAULT_ENUMERATION_CAP`` raises EnumerationCapError before
-    that array exists.
+    profile at 0, sum_j (-1)^(k-j) C(k, j) v_j, as an integer numerator over
+    the values' one denominator.  They are picked from the 2^n Hamming
+    weights, so n over ``DEFAULT_ENUMERATION_CAP`` raises EnumerationCapError
+    before that array exists.
     """
     _check_cap(p.n, DEFAULT_ENUMERATION_CAP, "profile expansion")
     diffs, denom = _numerators(p.values)
     coeffs = []
     for _ in range(p.n + 1):
-        coeffs.append(Fraction(diffs[0], denom))
+        coeffs.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     weights = _hamming_weights(p.n)
     masks = np.flatnonzero(np.array([c != 0 for c in coeffs])[weights])
-    return PseudoBoolean._of(p.n, {m: coeffs[w] for m, w in zip(masks.tolist(), weights[masks].tolist())})
+    return PseudoBoolean._of(p.n, {m: coeffs[w] for m, w in zip(masks.tolist(), weights[masks].tolist())}, denom)
 
 
 def canonical_coefficients(f: PseudoBoolean) -> list | None:
@@ -186,13 +186,13 @@ def canonical_coefficients(f: PseudoBoolean) -> list | None:
     form, complementary to the value-based :func:`detect_symmetric`.
     """
     by_size: dict = {}
-    for mask, c in f.masked_terms().items():
+    for mask, c in f._terms.items():
         by_size.setdefault(mask.bit_count(), []).append(c)
     out = [Fraction(0)] * (f.n + 1)
     for j, coeffs in by_size.items():
         if len(set(coeffs)) != 1 or len(coeffs) != math.comb(f.n, j):
             return None
-        out[j] = coeffs[0]
+        out[j] = Fraction(coeffs[0], f._den)
     return out
 
 

@@ -1515,11 +1515,11 @@ class _RefRunParser:
         table = {}
         while True:
             negate, term = self.parse_term()
-            pairs = term._terms.items()
+            pairs = term.masked_terms().items()
             _accumulate(table, ((m, -c) for m, c in pairs) if negate else pairs)
             if self.peek()[0] not in ("+", "-"):
                 break
-        return PseudoBoolean._of(self.arity, table)
+        return PseudoBoolean(self.arity, table)
 
     def parse_term(self) -> tuple:
         negate = False
@@ -1536,14 +1536,14 @@ class _RefRunParser:
             kind, value, _ = self.peek()
             if kind == "var":
                 if not run:
-                    self.check_product(pos, len(acc._terms))
+                    self.check_product(pos, len(acc.masked_terms()))
                 self.take()
                 run |= 1 << (value - 1)
                 continue
             factor = self.parse_factor()
             if run:
                 acc, run = acc * PseudoBoolean(self.arity, {run: 1}), 0
-            self.check_product(pos, len(acc._terms) * len(factor._terms))
+            self.check_product(pos, len(acc.masked_terms()) * len(factor.masked_terms()))
             acc = acc * factor
         if run:
             acc = acc * PseudoBoolean(self.arity, {run: 1})
@@ -1602,7 +1602,7 @@ class _RefParser(_RefRunParser):
         while self.peek()[0] == "*":
             pos = self.take()[2]
             factor = self.parse_factor()
-            count = len(acc._terms) * len(factor._terms)
+            count = len(acc.masked_terms()) * len(factor.masked_terms())
             if count > expr.PRODUCT_CAP:
                 raise ParseError(
                     f"product at {self.where(pos)} needs {count} term products, over cap {expr.PRODUCT_CAP}",
@@ -1620,7 +1620,7 @@ class _RefOnePassParser(_RefRunParser):
         table = {}
         while True:
             negate, term = self.parse_term()
-            for mask, c in term._terms.items():
+            for mask, c in term.masked_terms().items():
                 s = table.get(mask, 0) + (-c if negate else c)
                 if s:
                     table[mask] = s
@@ -1674,8 +1674,8 @@ def ref_accumulate(table, pairs):
 
 def ref_add(f, g):
     """``f + g``: g's terms added into a copy of f's table."""
-    terms = dict(f._terms)
-    for mask, c in g._terms.items():
+    terms = f.masked_terms()
+    for mask, c in g.masked_terms().items():
         s = terms.get(mask, Fraction(0)) + c
         if s:
             terms[mask] = s
@@ -1687,8 +1687,8 @@ def ref_add(f, g):
 def ref_mul(f, g):
     """``f * g``: every pair of terms, f's outer, g's inner."""
     terms = {}
-    for m1, c1 in f._terms.items():
-        for m2, c2 in g._terms.items():
+    for m1, c1 in f.masked_terms().items():
+        for m2, c2 in g.masked_terms().items():
             mask = m1 | m2
             s = terms.get(mask, Fraction(0)) + c1 * c2
             if s:
@@ -1703,7 +1703,7 @@ def ref_embed(f, arity, mapping=None):
     if mapping is None:
         mapping = list(range(f.n))
     terms = {}
-    for mask, c in f._terms.items():
+    for mask, c in f.masked_terms().items():
         new_mask = 0
         for i in range(f.n):
             if mask & (1 << i):
@@ -1768,8 +1768,8 @@ def ref_compose(netlist):
 
 def ref_pauli_add(h, k):
     """``h + k`` for Pauli sums: k's terms added into a copy of h's table."""
-    terms = dict(h._terms)
-    for w, c in k._terms.items():
+    terms = {w: h.coefficient(w) for w in h._terms}  # h's key order, read as Fractions
+    for w, c in ((w, k.coefficient(w)) for w in k._terms):
         s = terms.get(w, Fraction(0)) + c
         if s:
             terms[w] = s

@@ -531,6 +531,24 @@ class TestExitCodesAndDeterminism:
         assert lines[1::2] == ["exit 0"] * len(commands) and runs[0].stderr == b""
         assert runs[0].stdout == runs[1].stdout
 
+    @pytest.mark.parametrize("flags", [["--arity", "16", "--json"], ["--arity", "3"]], ids=["json", "human"])
+    def test_a_closed_stdout_ends_quietly_with_141(self, tmp_path, flags):
+        # 65536 kernel points in JSON fail inside print; the short human report
+        # at arity 3 fails at main's flush, after its elapsed line
+        zero = tmp_path / "zero.pbf"
+        zero.write_text("0\n")
+        argv = [sys.executable, "-m", "pbkernel.cli", "pbf", "kernel", str(zero), *flags]
+        src = str(Path(pbkernel.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout block-buffered
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte is written
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141 and proc.stderr == b""
+
     def test_json_builds_no_text_rendering(self, capsys, monkeypatch, tmp_path, delta_file, ghz3_file):
         net = tmp_path / "net.json"
         net.write_text(json.dumps({"gates": [{"type": "and", "inputs": ["a", "b"], "output": "c"}]}))

@@ -142,7 +142,7 @@ def test_one_int64_rule_at_2_63():
 def test_opposed_pair_on_both_sides_of_the_rule(c, dtype):
     # c*x1 - c*x2: the coefficient bound 2 * sum |c| is 2^63 - 4, then 2^64
     f = PseudoBoolean.from_terms(2, {(0,): c, (1,): -c})
-    assert _scaled(f._terms.values())[0].dtype == dtype
+    assert _scaled(f.masked_terms().values())[0].dtype == f._cube_values(2, "kernel")[0].dtype == dtype
     assert f.kernel() == ref_kernel(f) == {(0, 0), (1, 1)}
     assert f.is_nonnegative() == (False, (0, 1)) == ref_nonnegative(f)
 

@@ -307,7 +307,7 @@ def test_no_caller_passes_a_bool(monkeypatch):
         seen.extend(type(c) for _, c in pairs)
         return _accumulate(table, pairs)
 
-    for module in (pbf, expr, gadgets, stabilizer, ising_kernel):  # PauliSum sums in pbf
+    for module in (pbf, gadgets, stabilizer, ising_kernel):  # expression and PauliSum sums in pbf
         monkeypatch.setattr(module, "_accumulate", checked)
     f = expr.parse("3*x1*x2 - 1/2*x3 + ~x1*(x2 + x3) + 2")
     g = (f * f + f).embed(5, [4, 0, 2])

@@ -242,8 +242,23 @@ class TestSharedTermTable:
     def test_scaling_by_zero_keeps_the_arity(self, table):
         for zero in (0 * table, table * 0, table * Fraction(0)):
             assert type(zero) is type(table) and zero.n == 3
-            assert zero._terms == {} and zero == type(table).zero(3)
-        assert (table * Fraction(1, 2))._terms == {k: v / 2 for k, v in table._terms.items()}
+            assert zero.terms() == [] and zero == type(table).zero(3)
+        assert (table * Fraction(1, 2)).terms() == [(k, v / 2) for k, v in table.terms()]
+
+    @pytest.mark.parametrize("cls, arity, key", [(PseudoBoolean, 3, 0b1000), (PauliSum, 2, "XYZ")])
+    def test_a_bad_key_raises_whatever_its_coefficient(self, cls, arity, key):
+        # the key is checked before its coefficient is read: a zero or a bad number does not hide it
+        for coeff in (0, Fraction(0), 1, "not a number"):
+            with pytest.raises(ValueError, match="mask|Pauli word"):
+                cls(arity, {key: coeff})
+
+    def test_pauli_arity_is_not_negative(self):
+        for arity in (-1, -5):
+            with pytest.raises(ValueError, match="arity"):
+                PauliSum(arity)
+            with pytest.raises(ValueError, match="arity"):
+                PauliSum.identity(arity)
+        assert PauliSum(0).n == 0 and PauliSum(0, {"": 3}).coefficient("") == 3
 
 
 class TestIsingForm:

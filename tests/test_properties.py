@@ -7,6 +7,7 @@ reproducible, and the example counts keep the module to seconds.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from fractions import Fraction
 from itertools import product
@@ -215,8 +216,10 @@ def cancelling_polynomials(draw, max_arity=4):
 
 
 def items(table_owner):
-    """A term table in its key order: what the sums must reproduce exactly."""
-    return list(table_owner._terms.items())
+    """A term table in its key order, read as Fractions: what the sums must reproduce exactly."""
+    if isinstance(table_owner, PseudoBoolean):
+        return list(table_owner.masked_terms().items())
+    return [(w, table_owner.coefficient(w)) for w in table_owner._terms]
 
 
 def outcome(fn, *args):
@@ -323,6 +326,63 @@ def test_a_key_that_cancels_and_comes_back_moves_to_the_end():
     assert items(compose(netlist)) == items(ref_compose(netlist))
     h = PauliSum(2, {"XI": 1, "ZZ": 2})
     assert items(h + PauliSum(2, {"XI": -1, "YY": 1})) == [("ZZ", 2), ("YY", 1)]
+
+
+# -- one canonical form for every term table ---------------------------------
+
+def assert_one_form(tables):
+    """Term tables built along different paths: equal, held as the same int
+    numerators over the same least denominator, and (polynomials) equal hashes."""
+    first = tables[0]
+    for t in tables:
+        assert t == first and t._den == first._den and t._terms == first._terms
+        assert all(type(c) is int for c in t._terms.values())
+        assert t._den > 0 and math.gcd(t._den, *t._terms.values()) == 1
+        if isinstance(t, PseudoBoolean):
+            assert hash(t) == hash(first)
+
+
+@FIXED
+@given(polynomials())
+def test_every_path_gives_one_canonical_polynomial(f):
+    n = f.n
+    halves = [str(c / 2) + "".join(f"*x{i + 1}" for i in vars_) for vars_, c in f.terms()] or ["0"]
+    assert_one_form([
+        f,
+        PseudoBoolean.from_terms(n, dict(f.terms())),
+        parse(" + ".join(halves * 2), arity=n),  # every coefficient as its two halves
+        PseudoBoolean.from_disjoint_form(f.to_disjoint_form()),
+        (2 * f) * PseudoBoolean.constant(n, Fraction(1, 2)),
+        f * 2 * Fraction(1, 2),
+        f + f - f,
+        spin_to_boolean(boolean_to_spin(f)),
+    ])
+    assert_one_form([PseudoBoolean.zero(n), f * 0, 0 * f, f - f, f * Fraction(0)])
+    z = pbf_to_pauli(f)
+    assert_one_form([z, PauliSum(n, dict(z.terms())), pbf_to_pauli(pauli_to_pbf(z))])
+
+
+@FIXED
+@given(circuits(max_qubits=4), st.data())
+def test_every_path_gives_one_canonical_pauli_sum(circuit, data):
+    n = circuit.n
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    h = PauliSum(n, data.draw(st.dictionaries(words, rationals, max_size=6)))
+    paths = [h, PauliSum(n, dict(h.terms())), 2 * h * Fraction(1, 2), h + h - h]
+    if len(h):
+        paths.append(PauliSum.from_text(h.to_text()))
+    assert_one_form(paths)
+    assert_one_form([PauliSum.zero(n), h * 0, h - h])
+    parent = projector_parent(circuit)
+    assert_one_form([parent, PauliSum(n, dict(parent.terms())), ref_projector_parent(circuit)])
+    assert parent._den == 2
+
+
+def test_cancelling_denominators_leave_integer_tables():
+    assert_one_form([parse("1/2*x1 + 1/2*x1"), parse("x1"), PseudoBoolean.from_terms(1, {(0,): 1})])
+    assert_one_form([parse("(2*x1)*(1/2*x2)"), parse("x1*x2"), PseudoBoolean.from_terms(2, {(0, 1): 1})])
+    assert parse("(2*x1)*(1/2*x2)")._den == 1
+    assert_one_form([parse("1/3*x1 + 1/6*x1 - 1/2"), PseudoBoolean.from_terms(1, {(0,): "1/2", (): "-1/2"})])
 
 
 # -- the integer root search against the Fraction search it replaced ---------

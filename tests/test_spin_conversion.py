@@ -113,8 +113,10 @@ def fractions_calls(convert, f):
 def test_substitution_work_is_linear_in_the_table(convert, monkeypatch):
     n = 10
     f = dense_pbf(random.Random(n), n)
-    # a few calls per input and output term; a per-subset expansion makes about 7.7 * 3^n
-    assert 0 < fractions_calls(convert, f) <= 16 << n
+    # the pass builds no Fraction; reading its output as Fractions is a few calls
+    # per term, where a per-subset expansion makes about 7.7 * 3^n
+    assert fractions_calls(convert, f) == 0
+    assert 0 < fractions_calls(lambda g: convert(g).masked_terms(), f) <= 16 << n
     # the integer work: one (term without the variable, coefficient) pair per
     # variable and held term, at most n * 2^(n-1), where subsets number 3^n
     pairs = []

@@ -168,7 +168,8 @@ class Netlist:
         """Read ``{"gates": [{"type", "inputs", "output"}, ...], "clamps": {wire: bit}}``.
 
         Wire names are strings, ``inputs`` is a list of them and clamp
-        values are 0 or 1; any other shape is a :class:`NetlistError`.
+        values are the ints 0 or 1 (not a bool, not a float); any other shape
+        is a :class:`NetlistError`.
         """
         if not isinstance(data, Mapping):
             raise NetlistError(f"netlist must be an object, got {type(data).__name__}")
@@ -192,9 +193,9 @@ class Netlist:
         if not isinstance(clamps, Mapping):
             raise NetlistError(f"'clamps' must be an object, got {type(clamps).__name__}")
         for wire, value in clamps.items():
-            if value not in (0, 1):
+            if type(value) is not int or value not in (0, 1):  # not true, not 1.0
                 raise NetlistError(f"clamp on wire {wire!r}: value must be 0 or 1, got {value!r}")
-        return cls(tuple(gates), tuple(sorted((str(k), int(v)) for k, v in clamps.items())))
+        return cls(tuple(gates), tuple(sorted((str(k), v) for k, v in clamps.items())))
 
     @classmethod
     def from_json(cls, text: str) -> "Netlist":

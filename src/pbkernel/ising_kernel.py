@@ -21,11 +21,14 @@ certificate (from the unbounded ray).  Its rows come from one integer
 feature matrix over the basis-state indices of the points.
 
 Each LP row is cleared once, when the LPInstance is built, to integers
-over the LCM of its own denominators; the LP keeps them as one integer
-array and builds its Fraction rows only if they are read.  An integer
-array row is its own numerators, so the feature matrix reaches the LP
-without Python lists.  The tableau is built with numpy from those rows
-as the initial tableau T0.  A pivot rewrites only K = [Q | Q b], the row
+over the LCM of its own denominators by the package's one table reader,
+:func:`pbkernel.pbf._numerators`: Python ints are their own numerators,
+and every other entry (a numpy integer too) is read by
+:func:`pbkernel.pbf._coerce` as a Fraction of Python ints.  The LP keeps
+the rows as one integer array and builds its Fraction rows only if they
+are read.  An integer array row is its own numerators, so the feature
+matrix reaches the LP without Python lists.  The tableau is built with
+numpy from those rows as the initial tableau T0.  A pivot rewrites only K = [Q | Q b], the row
 operations since the start, and each entering column is one product of K
 and T0, made on demand (revised simplex).  Row i of Q T0 over its gcd is
 the Bareiss and Edmonds row over its gcd, so Bland's rule takes the
@@ -98,17 +101,10 @@ class OneBodyForm:
 
 def one_body(form: OneBodyForm) -> PseudoBoolean:
     """Expand the one-body form into its multilinear polynomial."""
-    n = form.n
-    terms: dict = {(): form.offset}
+    pairs = [(0, form.offset)]
     for k, (c, t) in enumerate(zip(form.coeffs, form.tau)):
-        if c == 0:
-            continue
-        if t == 1:
-            terms[(k,)] = terms.get((k,), Fraction(0)) + c
-        else:
-            terms[()] = terms.get((), Fraction(0)) + c
-            terms[(k,)] = terms.get((k,), Fraction(0)) - c
-    return PseudoBoolean.from_terms(n, terms)
+        pairs += [(1 << k, c)] if t else [(0, c), (1 << k, -c)]  # c * x_k, or c - c * x_k
+    return PseudoBoolean(form.n, _accumulate({}, pairs))
 
 
 class OneBodyKernel(NamedTuple):
@@ -191,9 +187,12 @@ class LPInstance:
     ``_matrix`` holds those numerators as one read-only array (eq rows
     first, right-hand side last; of the dtype :func:`pbkernel.pbf._int_dtype`
     gives its largest |entry|), ``_lcm`` each row's LCM, and ``_cost`` the
-    objective's numerators over their LCM.  Python ints, and an integer
-    array row with a Python-int right-hand side, are their own numerators
-    over 1; any other entry is read as a Fraction, so a bad one raises here.
+    objective's numerators over their LCM.  An integer array row with a
+    Python-int right-hand side is its own numerators over 1; every other
+    row and the objective are read by :func:`pbkernel.pbf._numerators`, which
+    takes Python ints as their own numerators over 1 and reads any other
+    entry by :func:`pbkernel.pbf._coerce` (a numpy integer as a Python int),
+    so a bad one raises here.
     ``objective``, ``eq`` and ``geq`` are built as Fractions on first access.
     """
 
@@ -211,7 +210,7 @@ class LPInstance:
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be min or max, got {self.sense!r}")
-        nums, denom = _cleared(self.objective)
+        nums, denom = _numerators(self.objective)
         if len(nums) != self.num_vars:
             raise DimensionError("objective length != num_vars")
         nonneg = tuple(self.nonneg) if self.nonneg else (True,) * self.num_vars
@@ -236,9 +235,9 @@ class LPInstance:
             coeffs = coeffs.tolist()
         entries = list(coeffs)
         if len(entries) != self.num_vars:
-            _cleared(entries)  # a bad entry raises before the width does
+            _numerators(entries)  # a bad entry raises before the width does
             raise DimensionError("row width != num_vars")
-        nums, denom = _cleared((*entries, rhs))
+        nums, denom = _numerators((*entries, rhs))
         return nums[:-1], nums[-1], denom
 
     def __getattr__(self, name: str):
@@ -256,12 +255,6 @@ class LPInstance:
 
 
 del LPInstance.eq, LPInstance.geq  # class defaults would hide the rows from __getattr__; __init__ keeps its own
-
-
-def _cleared(values) -> tuple:
-    """:func:`pbkernel.pbf._numerators`, where Python ints (bool excluded) are their own over 1."""
-    values = list(values)
-    return (values, 1) if all(type(v) is int for v in values) else _numerators(values)
 
 
 @dataclass
@@ -544,7 +537,7 @@ def verify_certificate(lp: LPInstance, cert: list) -> None:
         if ref not in position:
             raise ValueError(f"unknown row reference {ref!r}")
         y[position[ref]] += mult
-    if _check_duals_ints(lp, *_cleared(y), ((0,) * lp.num_vars, 1), "min") <= 0:
+    if _check_duals_ints(lp, *_numerators(y), ((0,) * lp.num_vars, 1), "min") <= 0:
         raise AssertionError("certificate right-hand side is not positive")
 
 
@@ -606,7 +599,7 @@ def _check_duals_ints(lp: LPInstance, nums: list, denom: int, cost: tuple, sense
 
 def _check_ray(lp: LPInstance, ray: dict) -> None:
     """A ray {v: value}, Fractions or integers over one denominator: feasible and improving."""
-    ray = dict(zip(ray, _cleared(ray.values())[0]))
+    ray = dict(zip(ray, _numerators(ray.values())[0]))
     _check_point_ints(lp, ray, 0)
     gain = sum(lp._cost[0][v] * d for v, d in ray.items())
     if lp.sense == "max" and gain <= 0:

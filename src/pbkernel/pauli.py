@@ -64,8 +64,8 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, NotDiagonalError, ParseError
 from .expr import rational, records
-from .pbf import (PseudoBoolean, _check_assignment, _int_dtype, _scaled, _shared_fractions, _swap_order,
-                  _TermTable, boolean_to_spin, index_of, spin_to_boolean)
+from .pbf import (PseudoBoolean, _accumulate, _check_assignment, _coerce, _count, _int_dtype, _scaled,
+                  _shared_fractions, _swap_order, _TermTable, boolean_to_spin, index_of, spin_to_boolean)
 
 #: dense objects (statevectors, diagonals) are capped at 2^16 entries
 STATE_CAP = 16
@@ -118,14 +118,14 @@ class ExactComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        """Each part is read by :func:`pbkernel.pbf._coerce`."""
+        self.re, self.im = _coerce(re), _coerce(im)
 
     def __add__(self, other):
+        if isinstance(other, Rational):  # an exact scalar, read as the constructor reads a part
+            other = ExactComplex(other)
         if isinstance(other, ExactComplex):
             return ExactComplex(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex(self.re + other, self.im)
         return complex(self) + other
 
     __radd__ = __add__
@@ -140,13 +140,13 @@ class ExactComplex:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Rational):
+            other = ExactComplex(other)
         if isinstance(other, ExactComplex):
             return ExactComplex(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex(self.re * other, self.im * other)
         return complex(self) * other
 
     __rmul__ = __mul__
@@ -155,10 +155,10 @@ class ExactComplex:
         return ExactComplex(self.re, -self.im)
 
     def __eq__(self, other):
+        if isinstance(other, Rational):
+            other = ExactComplex(other)
         if isinstance(other, ExactComplex):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         return complex(self) == other
 
     def __hash__(self):
@@ -197,13 +197,12 @@ def _odd_parity(x: np.ndarray) -> np.ndarray:
 
 
 def _exact_parts(k: int, a) -> tuple | None:
-    """(re, im) of an exact amplitude (a numpy integer read as an int, so that
-    no sum wraps), None for an inexact one; anything else is a TypeError
-    naming the index k."""
+    """(re, im) of an exact amplitude, as given (the table reader reads them),
+    None for an inexact one; anything else is a TypeError naming the index k."""
     if isinstance(a, ExactComplex):
         return a.re, a.im
     if isinstance(a, Rational):
-        return (int(a) if isinstance(a, Integral) else a), 0
+        return a, 0
     if not isinstance(a, Complex):
         raise TypeError(f"amplitude {k} is a {type(a).__name__}, not a number")
     return None
@@ -487,7 +486,7 @@ class PauliSum(_TermTable):
 
     @staticmethod
     def _arity(arity) -> int:
-        n = int(arity)
+        n = _count(arity, "arity")
         if n < 0:
             raise ValueError(f"arity must be >= 0, got {arity}")
         return n
@@ -554,7 +553,7 @@ class PauliSum(_TermTable):
 
     @classmethod
     def from_text(cls, text: str, arity: int | None = None) -> "PauliSum":
-        terms: dict = {}
+        pairs = []
         n = arity
         for lineno, parts in records(text):
             if len(parts) != 2:
@@ -564,10 +563,10 @@ class PauliSum(_TermTable):
                 n = len(word)
             if len(word) != n or any(ch not in PAULI_LETTERS for ch in word):
                 raise ParseError(f"line {lineno}: bad Pauli word {word!r}")
-            terms[word] = terms.get(word, Fraction(0)) + coeff
+            pairs.append((word, coeff))
         if n is None:
             raise ParseError("no terms found")
-        return cls(n, terms)
+        return cls(n, _accumulate({}, pairs))
 
 
 def pauli_cardinality(h: PauliSum) -> int:

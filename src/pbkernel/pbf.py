@@ -23,9 +23,23 @@ constructor, equality, sum and scaling by a number are shared with
 reads the integers; the readers (``terms``, ``coefficient``,
 ``masked_terms``, ``eval``, ``to_dict``, ``to_text``) build the rational
 coefficients as Fractions on each read.
+
+Every number from outside reaches an exact table by one rule.  A single
+number goes through :func:`_coerce`: any ``numbers.Rational`` (an int, a
+Fraction, a numpy integer scalar, a Fraction over numpy integers) becomes a
+Fraction of Python ints, so a numpy integer is read as a Python int and no
+int64 sum or product can wrap; anything else goes to ``Fraction()``, which
+raises for a bad one.  A sequence goes through :func:`_read_table` (behind
+``_numerators`` and ``_scaled``), which takes Python ints as their own
+numerators and reads every other entry by :func:`_coerce`; a text field
+goes through :func:`pbkernel.expr.rational`.  A number that names a count,
+such as an arity, is read by :func:`_count`: an int, a numpy integer or a
+decimal string; a float or a bool is a ValueError, never truncated.
+
 Every sum of sparse term tables in the package (polynomial sums and
-products, re-seating, clamping, the expression parser, Pauli sums and
-their Clifford conjugates) runs through one rule, :func:`_accumulate`:
+products, re-seating, clamping, the expression parser, JSON polynomials,
+one-body forms, Pauli sums, Pauli text files and their Clifford
+conjugates) runs through one rule, :func:`_accumulate`:
 add the (key, numerator) pairs in order over one denominator and drop a
 key as soon as its sum is zero, so a table's key order is that of the
 pairs it was built from.
@@ -58,6 +72,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral, Rational
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -114,17 +129,22 @@ def _int_dtype(bound: int):
 def _read_table(values: Iterable) -> tuple:
     """(nums, denom, inverse, counts): each distinct object of ``values`` read once.
 
-    Entries are ints, Fractions or anything else ``Fraction()`` accepts.
-    Objects are told apart by id: one numpy sort of the ids finds whether
-    any object repeats, so an input where none does (the amplitudes of a
-    state file, an LP vector) pays no more numpy than that.  Each distinct
-    object is coerced once, in first-occurrence order (so the first bad
-    entry raises first), and ``nums`` holds its numerator over the LCM
+    When every entry is a Python int (a bool is not one), the entries are
+    their own numerators over 1, in entry order, with no further pass; the
+    check stops at the first entry that is not one.  Otherwise objects are
+    told apart by id: one numpy sort of the ids finds whether any object
+    repeats, so an input where none does (the amplitudes of a state file,
+    an LP vector) pays no more numpy than that.  Each distinct object that
+    is not a Python int is read by :func:`_coerce` once, in first-occurrence
+    order (so the first bad entry raises first, and a numpy integer is read
+    as a Python int), and ``nums`` holds its numerator over the LCM
     ``denom`` of all denominators.  When no object repeats, ``inverse`` and
     ``counts`` are None and ``nums`` is in entry order; otherwise entry i
     holds ``nums[inverse[i]]`` and ``counts[j]`` entries share object j.
     """
     values = list(values)  # keeps every entry alive, so equal ids mean one object
+    if all(type(v) is int for v in values):
+        return values, 1, None, None
     count = len(values)
     ids = np.fromiter(map(id, values), np.uintp, count)
     keys = ids.copy()
@@ -144,7 +164,7 @@ def _read_table(values: Iterable) -> tuple:
         inverse[order] = rank[new.cumsum() - 1]
         counts = np.bincount(inverse).tolist()
         values = [values[i] for i in firsts[seq].tolist()]
-    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    exact = [v if type(v) is int else _coerce(v) for v in values]
     denom = math.lcm(*{v.denominator for v in exact})
     if denom == 1:
         return [v.numerator for v in exact], denom, inverse, counts
@@ -221,8 +241,15 @@ def _shared_fractions(nums: np.ndarray, denom: int) -> list:
 
 
 def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+    """The one rule for a single outside number: any ``numbers.Rational`` (an
+    int, a bool, a numpy integer, a Fraction, even one over numpy integers)
+    becomes a Fraction of Python ints, and a Fraction that already is one is
+    returned as it is; anything else goes to ``Fraction()`` and raises what
+    that raises."""
+    if type(value) is Fraction and type(value.numerator) is int is type(value.denominator):
         return value
+    if isinstance(value, Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     return Fraction(value)
 
 
@@ -252,10 +279,22 @@ def _mask(vars_: Iterable[int], arity: int, what: str = "variable index") -> int
     return mask
 
 
-def _check_arity(arity: int) -> int:
+def _count(value, what: str) -> int:
+    """A number that names a count, as a Python int: an int, a numpy integer
+    or a decimal string (which :meth:`PseudoBoolean.from_dict` reads); a
+    float, a bool or anything else is a ValueError naming it.  A Python int
+    pays one type check."""
+    value = int(value) if isinstance(value, str) else value
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_arity(arity) -> int:
+    arity = _count(arity, "arity")
     if arity < 0 or arity > MAX_ARITY:
         raise ValueError(f"arity must be in 0..{MAX_ARITY}, got {arity}")
-    return int(arity)
+    return arity
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -571,14 +610,17 @@ class PseudoBoolean(_TermTable):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PseudoBoolean":
-        arity = int(data["arity"])
-        terms = {}
+        """Read :meth:`to_dict`'s form.  The arity and each variable index are
+        read by :func:`_count`, each coefficient by :func:`_coerce`, and the
+        terms add up in order, whatever the order of a monomial's variables."""
+        arity = _check_arity(data["arity"])
+        pairs = []
         for entry in data["terms"]:
-            vars_ = tuple(int(v) - 1 for v in entry["vars"])
+            vars_ = [_count(v, "variable index") - 1 for v in entry["vars"]]
             if any(v < 0 for v in vars_):
                 raise ValueError("JSON variable indices are 1-based")
-            terms[vars_] = Fraction(entry["coeff"])
-        return cls.from_terms(arity, terms)
+            pairs.append((_mask(vars_, arity), _coerce(entry["coeff"])))
+        return cls(arity, _accumulate({}, pairs))
 
 
 def boolean_to_spin(f: PseudoBoolean) -> PseudoBoolean:

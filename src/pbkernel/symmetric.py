@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,7 +63,13 @@ class WeightProfile:
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """Power-basis coefficients c_0..c_n of a symmetric function."""
+    """Power-basis coefficients c_0..c_n of a symmetric function.
+
+    An exact coefficient (any ``numbers.Rational``) is read by
+    :func:`pbkernel.pbf._coerce`, so a numpy integer is held as a Python int
+    and :meth:`weight_value` cannot wrap; a float or complex coefficient (a
+    numeric form, such as :func:`reconstruct` builds) is held as given.
+    """
 
     n: int
     power_coeffs: tuple
@@ -72,6 +79,8 @@ class SymmetricForm:
             raise ValueError(
                 f"power form needs {self.n + 1} coefficients, got {len(self.power_coeffs)}"
             )
+        coeffs = (_coerce(c) if isinstance(c, Rational) else c for c in self.power_coeffs)
+        object.__setattr__(self, "power_coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -239,13 +248,10 @@ def canonical_to_power(a: Sequence) -> SymmetricForm:
 
 def power_to_canonical(s: SymmetricForm) -> list:
     """a = B c, returned as the full vector (a_0 .. a_n)."""
-    n = s.n
-    if n == 0:
-        return [_coerce(s.power_coeffs[0])]
-    B = stirling_matrix(n)
+    B = stirling_matrix(s.n) if s.n else []
     a = [_coerce(s.power_coeffs[0])]
-    for i in range(1, n + 1):
-        a.append(sum((B[i - 1][j - 1] * s.power_coeffs[j] for j in range(i, n + 1)), Fraction(0)))
+    for i in range(1, s.n + 1):
+        a.append(sum((B[i - 1][j - 1] * s.power_coeffs[j] for j in range(i, s.n + 1)), Fraction(0)))
     return a
 
 

@@ -441,6 +441,12 @@ class TestExitCodesAndDeterminism:
          "clamp on wire 'b': value must be 0 or 1, got 1.5"),
         ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"}], "clamps": {"b": "1"}}',
          "clamp on wire 'b': value must be 0 or 1, got '1'"),
+        ('{"gates": [{"type": "and", "inputs": ["a", "b"], "output": "c"}], "clamps": {"c": true}}',
+         "clamp on wire 'c': value must be 0 or 1, got True"),
+        ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"}], "clamps": {"b": 1.0}}',
+         "clamp on wire 'b': value must be 0 or 1, got 1.0"),
+        ('{"gates": [{"type": "not", "inputs": ["a"], "output": "b"}], "clamps": {"b": false}}',
+         "clamp on wire 'b': value must be 0 or 1, got False"),
     ])
     def test_malformed_netlist_shapes(self, capsys, tmp_path, netlist, message):
         path = tmp_path / "net.json"

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from pbkernel import (
@@ -275,6 +276,16 @@ class TestCompose:
         names = Netlist.from_dict({"gates": gates}).variable_order()
         assert names == ["__slack0_0", "__slack1_0", "a", "b", "c", "d", "e", "f"]
         assert compose(Netlist.from_dict({"gates": gates})).n == len(names)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0, np.int64(1), Fraction(1)])
+    def test_a_clamp_is_the_int_0_or_1(self, value):
+        # equal to a bit is not enough: a bool or a float is not a clamp value
+        gates = [{"type": "not", "inputs": ["a"], "output": "b"}]
+        with pytest.raises(NetlistError, match=r"^clamp on wire 'b': value must be 0 or 1, got "):
+            Netlist.from_dict({"gates": gates, "clamps": {"b": value}})
+        for bit in (0, 1):
+            netlist = Netlist.from_dict({"gates": gates, "clamps": {"b": bit}})
+            assert netlist.clamps == (("b", bit),) and type(netlist.clamps[0][1]) is int
 
     def test_from_json_reads_the_gates_and_clamps(self):
         text = (

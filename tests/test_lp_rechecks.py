@@ -153,13 +153,23 @@ def test_python_int_rows_are_their_own_numerators():
 
 
 def cleared_by(monkeypatch, build):
-    """(the LP ``build()`` returns, how many rows it cleared with ``_numerators``)."""
-    calls = []
+    """(the LP ``build()`` returns, how many rows it cleared with ``_numerators``).
+
+    The objective is read by ``_numerators`` too, as num_vars values; a row
+    read passes its entries and its right-hand side, one value more, and
+    only those reads are counted."""
+    sizes = []
     numerators = ising_kernel._numerators
-    monkeypatch.setattr(ising_kernel, "_numerators", lambda values: calls.append(1) or numerators(values))
+
+    def counting(values):
+        values = list(values)
+        sizes.append(len(values))
+        return numerators(values)
+
+    monkeypatch.setattr(ising_kernel, "_numerators", counting)
     lp = build()
     monkeypatch.setattr(ising_kernel, "_numerators", numerators)
-    return lp, len(calls)
+    return lp, sizes.count(lp.num_vars + 1)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])

@@ -1,5 +1,6 @@
 """Operator/state embeddings, Z-basis conversions, statevector action."""
 
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -259,6 +260,16 @@ class TestSharedTermTable:
             with pytest.raises(ValueError, match="arity"):
                 PauliSum.identity(arity)
         assert PauliSum(0).n == 0 and PauliSum(0, {"": 3}).coefficient("") == 3
+
+    @pytest.mark.parametrize("arity", [1.9, 1.0, True, Fraction(1)])
+    def test_pauli_arity_is_an_integer(self, arity):
+        # PauliSum(1.9, {"X": 1}) was a sum on one qubit
+        for build in (lambda: PauliSum(arity, {"X": 1}), lambda: PauliSum(arity)):
+            with pytest.raises(ValueError, match=rf"^arity must be an integer, got {re.escape(repr(arity))}$"):
+                build()
+        for n in (1, np.int64(1), np.uint8(1)):
+            h = PauliSum(n, {"X": 1})
+            assert h == PauliSum(1, {"X": 1}) and type(h.n) is int
 
 
 class TestIsingForm:

@@ -1,9 +1,11 @@
 """Core polynomial algebra: evaluation, canonical forms, spin map, kernels."""
 
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pbkernel import (
@@ -283,6 +285,44 @@ class TestEmbedAndSerialization:
     def test_json_round_trip(self, rng):
         f = random_pbf(rng, 5)
         assert PseudoBoolean.from_dict(f.to_dict()) == f
+
+    def test_json_sums_a_repeated_monomial_in_either_order(self):
+        def read(*vars_lists, coeffs=None):
+            coeffs = coeffs or ["1"] * len(vars_lists)
+            terms = [{"vars": v, "coeff": c} for v, c in zip(vars_lists, coeffs)]
+            return PseudoBoolean.from_dict({"arity": 2, "terms": terms})
+
+        twice = PseudoBoolean.from_terms(2, {(0, 1): 2})
+        assert read([1, 2], [1, 2]) == read([1, 2], [2, 1]) == read([2, 1], [2, 1]) == twice
+        assert read([1, 2], [2, 1], coeffs=["1/2", "-1/2"]).is_zero()
+        third_x1 = PseudoBoolean.variable(2, 0) * Fraction(1, 3)
+        assert read([1, 2], [2, 1], [1], coeffs=["3", "-3", "1/3"]) == third_x1
+        assert read([], [1], [], coeffs=["1", "2", "-1"]) == 2 * PseudoBoolean.variable(2, 0)
+
+    def test_json_counts_are_integers(self):
+        # the decimal strings from_dict has always read stay accepted
+        assert PseudoBoolean.from_dict({"arity": "2", "terms": [{"vars": ["2"], "coeff": "3"}]}) == (
+            3 * PseudoBoolean.variable(2, 1))
+        assert PseudoBoolean.from_dict({"arity": np.int64(2), "terms": []}) == PseudoBoolean.zero(2)
+        for bad in (2.9, 2.0, True):
+            with pytest.raises(ValueError, match=rf"^arity must be an integer, got {bad!r}$"):
+                PseudoBoolean.from_dict({"arity": bad, "terms": []})
+        for bad in (1.9, True):
+            with pytest.raises(ValueError, match=rf"^variable index must be an integer, got {bad!r}$"):
+                PseudoBoolean.from_dict({"arity": 2, "terms": [{"vars": [bad], "coeff": "1"}]})
+
+    @pytest.mark.parametrize("arity", [2.7, 3.0, True, False, Fraction(3)])
+    def test_arity_is_an_integer(self, arity):
+        # PseudoBoolean(2.7, {3: 1}) was a polynomial of arity 2
+        for build in (lambda: PseudoBoolean(arity, {3: 1}), lambda: PseudoBoolean.zero(arity),
+                      lambda: PseudoBoolean.from_terms(arity, {(0,): 1}), lambda: PseudoBoolean(2).embed(arity)):
+            with pytest.raises(ValueError, match=rf"^arity must be an integer, got {re.escape(repr(arity))}$"):
+                build()
+
+    def test_arity_may_be_a_numpy_integer(self):
+        for dtype in (np.int8, np.int64, np.uint64):
+            f = PseudoBoolean(dtype(2), {3: 1})
+            assert f == PseudoBoolean(2, {3: 1}) and type(f.n) is int
 
     def test_json_uses_one_based_strings(self):
         d = DELTA3.to_dict()

@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, NetlistError
-from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _assignments, _point_indices,
+from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _assignments, _count, _point_indices,
                   _scaled, _swap_order)
 from .pauli import STATE_CAP, DiagonalOperator, StateVector
 
@@ -280,8 +280,9 @@ def clamp(f: PseudoBoolean, var: int, value: int) -> PseudoBoolean:
     """
     if not 0 <= var < f.n:
         raise ValueError(f"variable {var} out of range for arity {f.n}")
+    value = _count(value, "clamp value")  # True and 1.0 are not bits; np.int64(1) is
     if value not in (0, 1):
-        raise ValueError(f"clamp value must be a bit, got {value!r}")
+        raise ValueError(f"clamp value must be 0 or 1, got {value!r}")
     bit = 1 << var
     low = bit - 1
     # keep the bits below var and shift those above it down one; bit var itself drops out

@@ -499,6 +499,7 @@ class PauliSum(_TermTable):
 
     @classmethod
     def identity(cls, arity: int, coeff=1) -> "PauliSum":
+        arity = cls._arity(arity)  # before "I" * arity reads a bool or fails on a float
         return cls(arity, {"I" * arity: coeff})
 
     def terms(self) -> list:

@@ -4,7 +4,10 @@ Every cube oracle (kernel, non-negativity, minimization, symmetry
 detection, both disjoint-form directions and the realizability margin
 check) must give the same answer as the reference in ``conftest``,
 witnesses included, on integer and rational coefficients and on both
-sides of the int64 bound of the engine.  The table reader behind
+sides of the int64 bound of the engine.  At n = 9..12, where the low
+passes run as strided columns, the zeta, Moebius and Walsh-Hadamard
+transforms must equal their per-point definitions on int64 and on Python
+ints.  The table reader behind
 ``_numerators`` and ``_scaled`` must read what the per-entry reader it
 replaced reads, on tables of shared objects, of own objects and of mixed
 entry types, and a value table must hold, and build, one object per
@@ -145,6 +148,90 @@ def test_opposed_pair_on_both_sides_of_the_rule(c, dtype):
     assert _scaled(f.masked_terms().values())[0].dtype == f._cube_values(2, "kernel")[0].dtype == dtype
     assert f.kernel() == ref_kernel(f) == {(0, 0), (1, 1)}
     assert f.is_nonnegative() == (False, (0, 1)) == ref_nonnegative(f)
+
+
+def parity(p):
+    """|p| mod 2 of each entry of an array of masks below 2^16."""
+    for shift in (8, 4, 2, 1):
+        p = p ^ (p >> shift)
+    return p & 1
+
+
+#: the weight of input t in the output at point x, both varmasks, per transform
+WEIGHTS = {
+    "zeta": lambda x, t: (t & ~x) == 0,
+    "moebius": lambda x, t: ((t & ~x) == 0) * (1 - 2 * parity(x ^ t)),
+    "hadamard": lambda x, t: 1 - 2 * parity(x & t),
+}
+
+TRANSFORMS = {
+    "zeta": lambda vals, n: pbf._subset_transform(vals, n, 1),
+    "moebius": lambda vals, n: pbf._subset_transform(vals, n, -1),
+    "hadamard": pbf._hadamard_transform,
+}
+
+
+def by_points(coeffs, n, weight):
+    """sum_t weight(x, t) * coeffs[t] at every point x, exactly: each input
+    splits as hi * 2^40 + lo, whose int64 sums over 2^12 inputs cannot wrap."""
+    hi, lo = (np.array(part, dtype=np.int64) for part in zip(*(divmod(c, 1 << 40) for c in coeffs)))
+    inputs = np.arange(1 << n)
+    out = []
+    for start in range(0, 1 << n, 256):
+        w = weight(inputs[start:start + 256, None], inputs).astype(np.int64)
+        out += [(h << 40) + l for h, l in zip((w @ hi).tolist(), (w @ lo).tolist())]
+    return out
+
+
+def test_low_passes_split_above_2_8_entries():
+    # passes 0, 1 and 2 run as 1 + 2 + 4 column views from n = 9 on
+    assert [len(list(pbf._passes(np.zeros(1 << n), n))) for n in (0, 3, 8, 9, 12)] == [0, 3, 8, 13, 16]
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("n", range(9, 13))
+def test_split_passes_against_the_per_point_definition(transform, n):
+    rng = random.Random(n)
+    for scale, dtype in ((9, np.int64), (1 << 70, object)):
+        coeffs = [rng.randint(-scale, scale) for _ in range(1 << n)]
+        vals = np.array(coeffs, dtype=dtype)
+        TRANSFORMS[transform](vals, n)
+        assert vals.dtype == dtype
+        assert vals.tolist() == by_points(coeffs, n, WEIGHTS[transform])
+
+
+def wide_polynomials(c):
+    """Arity-10 forms with coefficients +-c, whose cube passes split."""
+    rng = random.Random(c)
+    n = 10
+    out = [
+        PseudoBoolean.from_terms(n, {(0,): c, (9,): -c}),
+        PseudoBoolean.from_terms(n, {(0,): c, (9,): -c, (3, 5): 1}),
+        PseudoBoolean.from_terms(n, {(1,): c, (2,): c, (1, 2): -2 * c}),  # c (x2 - x3)^2
+    ]
+    for _ in range(3):
+        terms = {}
+        for _ in range(rng.randint(2, 6)):
+            terms[tuple(sorted(rng.sample(range(n), rng.randint(0, 4))))] = rng.choice((c, -c, 1, -1))
+        out.append(PseudoBoolean.from_terms(n, terms))
+    return out
+
+
+WIDE = [f for c in ((1 << 61) - 1, BIG) for f in wide_polynomials(c)]
+
+
+def test_wide_inputs_straddle_the_int64_bound():
+    dtypes = [f._cube_values(f.n, "cube")[0].dtype for f in WIDE]
+    assert dtypes[:2] == [np.int64, np.int64]
+    assert dtypes[len(WIDE) // 2:] == [object] * (len(WIDE) // 2)
+
+
+@pytest.mark.parametrize("f", WIDE)
+def test_split_passes_against_the_reference_oracles(f):
+    assert f.kernel() == ref_kernel(f)
+    assert tuple(f.is_nonnegative()) == ref_nonnegative(f)
+    table = ref_to_disjoint_form(f)
+    assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table) == f
 
 
 @pytest.mark.parametrize("f", CASES + TIES)

@@ -324,6 +324,20 @@ class TestClamp:
         with pytest.raises(ValueError):
             clamp(DELTA3, 3, 1)
 
+    @pytest.mark.parametrize("value", [True, 1.0, 2, -1, "x"])
+    def test_value_that_is_not_a_bit(self, value):
+        # True and 1.0 clamped x2 to 1 with no error
+        f = PseudoBoolean.from_terms(2, {(0, 1): 1})
+        with pytest.raises(ValueError, match=repr(value)):
+            clamp(f, 1, value)
+
+    def test_numpy_integer_and_decimal_string_bits(self):
+        # read as pbf._count reads a count: the string "0" clamps to 0, though it is truthy
+        f = PseudoBoolean.from_terms(2, {(0, 1): 1})
+        for one, zero in ((np.int64(1), np.int64(0)), ("1", "0")):
+            assert clamp(f, 1, one) == PseudoBoolean.variable(1, 0)
+            assert clamp(f, 1, zero).is_zero()
+
 
 class TestMinimize:
     def test_nonnegative_min_is_kernel(self):

@@ -263,13 +263,15 @@ class TestSharedTermTable:
 
     @pytest.mark.parametrize("arity", [1.9, 1.0, True, Fraction(1)])
     def test_pauli_arity_is_an_integer(self, arity):
-        # PauliSum(1.9, {"X": 1}) was a sum on one qubit
-        for build in (lambda: PauliSum(arity, {"X": 1}), lambda: PauliSum(arity)):
+        # PauliSum(1.9, {"X": 1}) was a sum on one qubit; PauliSum.identity(1.9) raised TypeError
+        builds = (lambda: PauliSum(arity, {"X": 1}), lambda: PauliSum(arity), lambda: PauliSum.identity(arity))
+        for build in builds:
             with pytest.raises(ValueError, match=rf"^arity must be an integer, got {re.escape(repr(arity))}$"):
                 build()
         for n in (1, np.int64(1), np.uint8(1)):
             h = PauliSum(n, {"X": 1})
             assert h == PauliSum(1, {"X": 1}) and type(h.n) is int
+            assert PauliSum.identity(n) == PauliSum(1, {"I": 1})
 
 
 class TestIsingForm:

@@ -17,8 +17,8 @@ number takes its term's signs, and a run of plain-variable factors
 (``x2*x5`` in ``3*x2*x5*(x1+x4)``) becomes one monomial multiplied in with
 one ``PseudoBoolean.__mul__``.  Every product is checked against
 :data:`PRODUCT_CAP` before it is formed (a run at its first ``*``: a
-monomial never adds terms), and the arity where the first polynomial is
-built.
+monomial never adds terms), and the arity once, where the first
+polynomial is built; every table after it trusts that arity.
 
 The line-oriented input files (state, strings, circuit and Pauli-sum text)
 share two readers here: :func:`records`, the one line rule, and
@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError
-from .pbf import PseudoBoolean
+from .pbf import PseudoBoolean, _check_arity
 
 _OPS = set("+-*()/")
 _DIGITS = re.compile(r"\d*").match  # \d is str.isdecimal: Unicode category Nd
@@ -117,6 +117,12 @@ class _Parser:
         self.pos = 0
         self.arity = arity
         self.text = text
+        self.of = self._first_of  # the first table checks the arity; every later one trusts it
+
+    def _first_of(self, arity, table, den=1):
+        self.arity = _check_arity(arity)
+        self.of = PseudoBoolean._of
+        return self.of(self.arity, table, den)
 
     def where(self, pos):
         return _line_col(self.text, pos) if pos >= 0 else "end of input"
@@ -143,7 +149,7 @@ class _Parser:
 
     def parse_term(self) -> PseudoBoolean:
         """One term times the signs before it; a leading number takes them."""
-        tokens, pos, of = self.tokens, self.pos, PseudoBoolean._of
+        tokens, pos = self.tokens, self.pos
         negate = False
         while tokens[pos][0] in ("+", "-"):
             negate ^= tokens[pos][0] == "-"
@@ -159,7 +165,7 @@ class _Parser:
                 pos += 3
             else:
                 den, pos = 1, pos + 1
-            acc = of(self.arity, {0: num} if num else {}, den)
+            acc = self.of(self.arity, {0: num} if num else {}, den)
         else:
             self.pos = pos
             acc = self.parse_factor()
@@ -179,19 +185,19 @@ class _Parser:
             factor = self.parse_factor()
             pos = self.pos
             if run:
-                acc, run = acc * of(self.arity, {run: 1}), 0
+                acc, run = acc * self.of(self.arity, {run: 1}), 0
             self.check_product(star, len(acc._terms) * len(factor._terms))
             acc = acc * factor
         self.pos = pos
         if run:
-            acc = acc * of(self.arity, {run: 1})
+            acc = acc * self.of(self.arity, {run: 1})
         return -acc if negate else acc
 
     def parse_factor(self) -> PseudoBoolean:
         kind, value, pos = self.tokens[self.pos]
         self.pos += 1
         if kind == "var" or kind == "~var":
-            x = PseudoBoolean._of(self.arity, {1 << (value - 1): 1})
+            x = self.of(self.arity, {1 << (value - 1): 1})
             return x if kind == "var" else 1 - x
         if kind == "(":
             inner = self.parse_expr()
@@ -214,7 +220,7 @@ def parse(text: str, arity: int | None = None) -> PseudoBoolean:
     max_idx = max((v for k, v, _ in tokens if k in ("var", "~var")), default=0)
     if arity is None:
         arity = max_idx
-    elif max_idx and arity < max_idx:  # a constant text leaves a bad arity to the polynomial
+    elif max_idx and arity < max_idx:  # a constant text leaves a bad arity to its first table
         raise ParseError(f"expression uses x{max_idx} but arity {arity} was requested", 0)
     parser = _Parser(tokens + [_END], arity, text)
     try:

@@ -278,6 +278,7 @@ def clamp(f: PseudoBoolean, var: int, value: int) -> PseudoBoolean:
 
     The arity shrinks by one and higher variable indices shift down.
     """
+    var = _count(var, "variable index")  # True and 1.0 name no variable; np.int64(1) does
     if not 0 <= var < f.n:
         raise ValueError(f"variable {var} out of range for arity {f.n}")
     value = _count(value, "clamp value")  # True and 1.0 are not bits; np.int64(1) is

@@ -17,35 +17,38 @@ Feasibility is decided by an exact two-phase simplex with Bland's rule;
 the margin system itself has 2^n rows, so the solve runs on its dual
 (whose row count is the number of unknowns) and recovers either a
 coefficient vector (from the optimal dual multipliers) or a Farkas
-certificate (from the unbounded ray).  Its rows come from one integer
-feature matrix over the basis-state indices of the points.
+certificate (from the unbounded ray).  The target set is read once, by
+lookups in a per-n cache (:func:`_cube`) that also holds the features of
+all 2^n points as one integer matrix: the LP's rows are one gather of it.
 
 Each LP row is cleared once, when the LPInstance is built, to integers
-over the LCM of its own denominators by the package's one table reader,
+over the LCM of its own denominators.  Rows that numpy reads at once as
+integers int64 holds are stacked by that one read; any other row goes
+through the package's one table reader,
 :func:`pbkernel.pbf._numerators`: Python ints are their own numerators,
 and every other entry (a numpy integer too) is read by
 :func:`pbkernel.pbf._coerce` as a Fraction of Python ints.  The LP keeps
 the rows as one integer array and builds its Fraction rows only if they
-are read.  An integer array row is its own numerators, so the feature
-matrix reaches the LP without Python lists.  The tableau is built with
-numpy from those rows as the initial tableau T0.  A pivot rewrites only K = [Q | Q b], the row
-operations since the start, and each entering column is one product of K
-and T0, made on demand (revised simplex).  Row i of Q T0 over its gcd is
-the Bareiss and Edmonds row over its gcd, so Bland's rule takes the
-pivots a Fraction tableau would.  Each answer is read off K and T0 as
-integers over one denominator and re-checked on them against the LP's
-integer rows: one primal check (A x against b, or 0 for a ray) and one
-dual check (y^T A against c, returning y^T b) cover points, rays, duals
-and Farkas certificates, each one integer matrix product; a Fraction is
-built only for an output entry.  A recovered realization is re-checked
-at every point of the cube by one Walsh-Hadamard pass over its integer
-spin coefficients.
+are read.  The tableau builds its initial tableau T0 by columns, one
+gather of a per-variable source.  A pivot rewrites only K = [Q | Q b],
+the row operations since the start, and each entering column is one
+product of K and T0, made on demand (revised simplex).  Row i of Q T0
+over its gcd is the Bareiss and Edmonds row over its gcd, so Bland's
+rule takes the pivots a Fraction tableau would.  Each answer is read off
+K and T0 as integers over one denominator and re-checked on them against
+the LP's integer rows: one primal check (A x against b, or 0 for a ray)
+and one dual check (y^T A against c, returning y^T b) cover points,
+rays, duals and Farkas certificates, each one integer matrix product; a
+Fraction is built only for an output entry.  A recovered realization is
+re-checked at every point of the cube by one Walsh-Hadamard pass over
+its integer spin coefficients, a certificate (its multipliers one
+Fraction each, of the ray's integer numerators) on the cached features
+of its points.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import reprlib
 import warnings
@@ -57,7 +60,7 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
 from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _coerce, _hadamard_transform, _int_dtype
-from .pbf import _numerators, _point_indices, _scaled, _swap_order, bits_of, index_of, spin_to_boolean
+from .pbf import _numerators, _point_indices, _scaled, _swap_order, bits_of, spin_to_boolean
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -187,9 +190,10 @@ class LPInstance:
     ``_matrix`` holds those numerators as one read-only array (eq rows
     first, right-hand side last; of the dtype :func:`pbkernel.pbf._int_dtype`
     gives its largest |entry|), ``_lcm`` each row's LCM, and ``_cost`` the
-    objective's numerators over their LCM.  An integer array row with a
-    Python-int right-hand side is its own numerators over 1; every other
-    row and the objective are read by :func:`pbkernel.pbf._numerators`, which
+    objective's numerators over their LCM, ``_peak`` its largest |entry|.
+    Rows that numpy reads at once as integers int64 holds are their own
+    numerators over 1; every other row and the objective are read by
+    :func:`pbkernel.pbf._numerators`, which
     takes Python ints as their own numerators over 1 and reads any other
     entry by :func:`pbkernel.pbf._coerce` (a numpy integer as a Python int),
     so a bad one raises here.
@@ -206,6 +210,7 @@ class LPInstance:
     _lcm: tuple = field(init=False, repr=False, compare=False)
     _cost: tuple = field(init=False, repr=False, compare=False)
     _neq: int = field(init=False, repr=False, compare=False)
+    _peak: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -217,21 +222,18 @@ class LPInstance:
         if len(nonneg) != self.num_vars:
             raise DimensionError("nonneg length != num_vars")
         eq = list(self.eq)
-        rows = [self._row(coeffs, rhs) for coeffs, rhs in (*eq, *self.geq)]
-        vars(self).update(nonneg=nonneg, _matrix=_stack(rows, self.num_vars), _cost=(tuple(nums), denom),
-                          _lcm=tuple(lcm for *_, lcm in rows), _neq=len(eq))
+        matrix, peak, lcm = _stack((*eq, *self.geq), self.num_vars, self._row)
+        vars(self).update(nonneg=nonneg, _matrix=matrix, _peak=peak, _cost=(tuple(nums), denom), _lcm=lcm,
+                          _neq=len(eq))
         for name in ("objective", "eq", "geq"):
             del vars(self)[name]  # __getattr__ builds them again
 
     def _row(self, coeffs, rhs) -> tuple:
         """(integer coefficients, integer rhs, LCM) of one row; its entries
         are read first, then its width, then its rhs."""
-        if isinstance(coeffs, np.ndarray):  # read by its dtype, which int64 must hold
+        if isinstance(coeffs, np.ndarray):  # its entries as Python numbers
             if coeffs.ndim != 1:
                 raise DimensionError("row width != num_vars")
-            own = coeffs.dtype.kind in "iu" and np.can_cast(coeffs.dtype, np.int64)
-            if own and type(rhs) is int and len(coeffs) == self.num_vars:
-                return coeffs, rhs, 1
             coeffs = coeffs.tolist()
         entries = list(coeffs)
         if len(entries) != self.num_vars:
@@ -311,57 +313,67 @@ class _Tableau:
     """
 
     def __init__(self, lp: LPInstance):
-        free = np.logical_not(lp.nonneg, dtype=bool)
-        self.var = np.repeat(np.arange(lp.num_vars), 1 + free)
-        self.sign = np.ones(len(self.var), dtype=np.int64)
-        self.sign[np.cumsum(1 + free)[free] - 1] = -1
-        neq, m = lp._neq, len(lp._lcm)
-        self.sigma = [-1 if b < 0 else 1 for b in lp._matrix[:, -1].tolist()]  # std row = sigma * row
-        # initial basis: a negated geq row exposes its surplus at +1;
-        # everything else gets an artificial column
-        surplus = len(self.var) - neq  # geq row i has its surplus in column surplus + i
-        art = [i < neq or s > 0 for i, s in enumerate(self.sigma)]
-        self.first_art = surplus + m
-        arts = itertools.count(self.first_art)
-        self.init_col = [next(arts) if a else surplus + i for i, a in enumerate(art)]
-        self.ncols = ncols = next(arts)
-        self.basis = list(self.init_col)
+        nv, neq, m, lcm = lp.num_vars, lp._neq, len(lp._lcm), lp._lcm
+        # the columns before the artificial ones, each a row of the source below:
+        # x_v, then -x_v for a free v, then one surplus column per geq row
+        cols = np.arange(nv + m - neq).repeat(2 - np.fromiter((*lp.nonneg, *(True,) * (m - neq)), bool))
+        sign = np.ones(len(cols), dtype=np.int64)
+        sign[1:][cols[1:] == cols[:-1]] = -1  # the second column of a free variable
+        self.first_art = first = len(cols)
+        surplus = first - m  # geq row i has its surplus in column surplus + i
+        self.var, self.sign = cols[: surplus + neq], sign[: surplus + neq]
+        rhs = lp._matrix[:, -1].tolist()
+        self.sigma = sigma = [-1 if b < 0 else 1 for b in rhs]  # std row = sigma * row
+        # initial basis: a negated geq row exposes its surplus at +1, any other row an artificial
+        art = [i for i, b in enumerate(rhs) if i < neq or b >= 0]
+        self.ncols = ncols = first + len(art)
+        R = m + 1 + (ncols > first)  # with the phase-2 row, and the phase-1 row while needed
         # phase 1 costs 1 per artificial; over L, the LCM of their basic
         # entries, its reduced costs are -sum (L / lcm_i) row_i (0 on the artificials)
-        L = math.lcm(*(l for a, l in zip(art, lp._lcm) if a))
-        weights = [L // l if a else 0 for a, l in zip(art, lp._lcm)]
-        # phase-2 costs over the LCM of the objective's denominators; the
-        # initial basic columns cost 0, so these are its reduced costs
+        L = math.lcm(*map(lcm.__getitem__, art))
+        self.init_col, weights, units = list(range(surplus, first)), [0] * m, []
+        for k, i in enumerate(art):  # artificial column first + k holds lcm_i in row i
+            self.init_col[i], weights[i] = first + k, L // lcm[i]
+            units.append((first + k) * (R + 1) + i)
+        self.basis = list(self.init_col)
+        # phase-2 costs over the LCM of the objective's denominators (the initial basic columns
+        # cost 0, so these are its reduced costs); every |entry| below is at most the LP's, a row
+        # LCM or a cost, and every partial sum of the phase-1 row sum(weights) times that
         obj, denom = lp._cost
-        # every |entry| below is at most top and every partial sum of the phase-1
-        # row at most sum(weights) * top
-        top = max(_top(lp._matrix), *lp._lcm, *map(abs, obj), 0)
-        dtype = _int_dtype((sum(weights) + 1) * top)
-        nums, lcm, sign, sigma, weights, obj = (
-            np.asarray(v, dtype) for v in (lp._matrix, lp._lcm, self.sign, self.sigma, weights, obj)
-        )
-        R = m + 1 + (ncols > self.first_art)  # with the phase-2 row, and the phase-1 row while needed
-        T0 = np.zeros((R + 1, ncols + 1), dtype)  # the last row stays 0
-        rows = T0[:m]
-        rows[:, : len(self.var)] = nums[:, self.var] * sign
-        rows[:, -1] = nums[:, -1]
-        geq = np.arange(neq, m)
-        rows[geq, surplus + geq] = -lcm[neq:]
-        rows *= sigma[:, None]
-        rows[np.arange(m), self.init_col] = lcm
-        T0[m, : len(self.var)] = (1 if lp.sense == "min" else -1) * obj[self.var] * sign
+        top = max(map(abs, obj), default=0)
+        dtype = _int_dtype((sum(weights) + 1) * max(lp._peak, *lcm, top))
+        # per variable, per surplus column, then the rhs: its entries in sigma * [A | b],
+        # its reduced costs in phase 2 and phase 1, each row over its gcd, and T0's zero row
+        src = np.zeros((nv + m - neq + 1, R + 1), dtype)
+        src[:nv, :m], src[-1, :m] = lp._matrix[:, :-1].T, lp._matrix[:, -1]
+        if neq < m:  # surplus column i: -lcm_i in row i
+            src[nv:-1].reshape(-1)[neq :: R + 2] = [-l for l in lcm[neq:]]
+        if -1 in sigma:
+            src[:, :m] *= np.array(sigma, dtype)
+        g = math.gcd(*obj) or 1
+        flip = g if lp.sense == "min" else -g  # an exact division, negated for max
+        src[:nv, m] = obj if flip == 1 else [a // flip for a in obj]
+        self.scale = [[g, denom]]  # per reduced-cost row [a, d]: its reduced costs are (K T0) * a / d
+        tops, top_k = [lp._peak, *lcm, top // g], max(map(abs, rhs), default=0)  # of T0, of K's rhs
         if R > m + 1:
-            T0[-2] = -(weights @ rows)
-            T0[-2, self.first_art : -1] = 0
-        self.scale = []  # per reduced-cost row [a, d]: its reduced costs are (K T0) * a / d
-        for z, d in zip(T0[m:R], (denom, L)):
-            g = int(np.gcd.reduce(z)) or 1
-            z //= g
-            self.scale.append([g, d])
-        self.K = np.eye(R, R + 1, dtype=dtype)
-        self.K[:, -1] = T0[:R, -1]
-        self.T0T, self.growth = T0.T, 2 * (R + 1) * _top(T0)  # updates < growth top_K^2
-        self._cast(_int_dtype(self.growth * _top(self.K) ** 2))
+            c = np.matmul(src[:, :m], np.array([-w for w in weights], dtype), out=src[:, m + 1])
+            cl = c.tolist()
+            g = math.gcd(*cl) or 1
+            if g > 1:
+                c //= g
+            self.scale.append([g, L])
+            tops.append(max(map(abs, cl)) // g)
+            top_k = max(top_k, abs(cl[-1]) // g)
+        T0T = np.zeros((ncols + 1, R + 1), dtype)  # T0 by columns
+        np.multiply(src.take(cols, 0), sign[:, None], out=T0T[:first])
+        T0T[-1] = src[-1]
+        T0T.put(units, [lcm[i] for i in art])
+        self.K = np.eye(R, R + 1, dtype=dtype)  # [I | Q b] with Q = I
+        self.K[:, -1] = T0T[-1, :R]
+        self.T0T, self.growth = T0T, 2 * (R + 1) * max(tops)  # updates < growth top_K^2
+        cast = _int_dtype(self.growth * max(1, top_k) ** 2)
+        if cast is not dtype:
+            self._cast(cast)
 
     def _cast(self, dtype) -> None:
         self.K, self.T0T = self.K.astype(dtype), np.ascontiguousarray(self.T0T, dtype)
@@ -425,9 +437,9 @@ class _Tableau:
         solution for j = -1), summed by variable over the basic structural columns."""
         basis = np.array(self.basis, dtype=np.intp)
         col = self.column(j)[: len(basis)]
-        rows = np.flatnonzero((col != 0) & (basis < len(self.var)))
-        cols = basis[rows]
-        basic = (self.K[rows] * self.T0T[cols]).sum(axis=1).tolist()
+        rows = ((col != 0) & (basis < len(self.var))).nonzero()[0]
+        cols = basis.take(rows)
+        basic = np.add.reduce(self.K.take(rows, 0) * self.T0T.take(cols, 0), axis=1).tolist()
         denom = math.lcm(*basic)
         entries = zip(self.var[cols].tolist(), (sign * self.sign[cols]).tolist(), col[rows].tolist(), basic)
         values = _accumulate({}, ((v, s * a * (denom // p)) for v, s, a, p in entries))
@@ -438,29 +450,43 @@ class _Tableau:
         """(numerators, d): sign times the multiplier per original row over d, read off
         the initial identity columns, whose costs are 1 from column ``unit_from`` on and
         0 below it: sigma * ((j >= unit_from) * d - a * z_j) / d for the scale [a, d]."""
-        (a, d), z = self.scale[-1], (self.T0T[self.init_col] @ self.K[-1]).tolist()
+        (a, d), z = self.scale[-1], (self.T0T.take(self.init_col, 0) @ self.K[-1]).tolist()
         return [sign * s * ((j >= unit_from) * d - a * zj) for s, j, zj in zip(self.sigma, self.init_col, z)], d
 
 
-def _stack(rows: list, width: int) -> np.ndarray:
-    """Integer rows (coefficients, rhs, _) as one read-only (rows, width + 1)
-    array of :func:`pbkernel.pbf._int_dtype` of its largest |entry|."""
+def _stack(rows: tuple, width: int, read_row) -> tuple:
+    """(matrix, top, lcm) of rows (coeffs, rhs): their numerators as one read-only
+    (rows, width + 1) array, rhs last, of the dtype :func:`pbkernel.pbf._int_dtype`
+    gives its largest |entry| top, and each row's LCM.  Rows that one numpy read
+    gives as integers int64 holds are their own numerators over 1; otherwise
+    ``read_row`` clears each to (coefficients, rhs, LCM)."""
+    try:
+        ints = np.array([coeffs for coeffs, _ in rows]), np.array([rhs for _, rhs in rows])
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry numpy cannot read
+        ints = ()
+    shaped = [a.shape for a in ints] == [(len(rows), width), (len(rows),)]
+    if shaped and all(a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64) for a in ints):
+        (coeffs, rhs), lcm = ints, (1,) * len(rows)
+    else:
+        read = [read_row(coeffs, rhs) for coeffs, rhs in rows]
+        coeffs, rhs, lcm = [c for c, _, _ in read], [b for _, b, _ in read], tuple(l for *_, l in read)
     for dtype in (np.int64, object):
-        matrix = np.empty((len(rows), width + 1), dtype)
+        matrix = np.empty((len(rhs), width + 1), dtype)
         try:
-            for i, (coeffs, rhs, _) in enumerate(rows):
-                matrix[i, :-1], matrix[i, -1] = coeffs, rhs
+            if len(rhs):
+                matrix[:, :-1], matrix[:, -1] = coeffs, rhs
         except OverflowError:  # a Python int past int64
             continue
-        if _int_dtype(_top(matrix)) is dtype:
+        top = _top(matrix)
+        if _int_dtype(top) is dtype:
             break
     matrix.flags.writeable = False
-    return matrix
+    return matrix, top, lcm
 
 
 def _top(a: np.ndarray) -> int:
     """The largest |entry| of an integer array, as a Python int (0 if empty)."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    return max(int(np.maximum.reduce(a, None, initial=0)), -int(np.minimum.reduce(a, None, initial=0)))
 
 
 def _reduced(nums: list, denom: int) -> tuple:
@@ -541,11 +567,12 @@ def verify_certificate(lp: LPInstance, cert: list) -> None:
         raise AssertionError("certificate right-hand side is not positive")
 
 
-def _weighted_row_sum(weights: list, rows: np.ndarray) -> list:
-    """sum_i weights[i] * rows[i] for integer weights and an integer row array, as Python
-    ints: one matrix product, of the dtype :func:`pbkernel.pbf._int_dtype` gives sum
-    |weights| times the largest |entry| (each at least 1), which bounds every partial sum."""
-    dtype = _int_dtype(max(sum(map(abs, weights)), 1) * max(_top(rows), 1))
+def _weighted_row_sum(weights: list, rows: np.ndarray, top: int) -> list:
+    """sum_i weights[i] * rows[i] for integer weights and an integer row array whose
+    |entries| are at most ``top``, as Python ints: one matrix product, of the dtype
+    :func:`pbkernel.pbf._int_dtype` gives sum |weights| times top (each at least 1), which
+    bounds every partial sum."""
+    dtype = _int_dtype(max(sum(map(abs, weights)), 1) * max(top, 1))
     return (np.array(weights, dtype=dtype) @ rows.astype(dtype, copy=False)).tolist()
 
 
@@ -561,7 +588,7 @@ def _check_point_ints(lp: LPInstance, support: dict, rhs: int) -> None:
     sign-constrained variable, then each row A_i x = b_i (eq) or >= b_i (geq)."""
     if any(a < 0 and lp.nonneg[v] for v, a in support.items()):
         raise AssertionError("negative value on a sign-constrained variable")
-    gaps = _weighted_row_sum([*support.values(), -rhs], lp._matrix.T[[*support, -1]])
+    gaps = _weighted_row_sum([*support.values(), -rhs], lp._matrix.take([*support, -1], 1).T, lp._peak)
     if any(gaps[: lp._neq]):
         raise AssertionError("equality row violated")
     if any(gap < 0 for gap in gaps):
@@ -584,7 +611,7 @@ def _check_duals_ints(lp: LPInstance, nums: list, denom: int, cost: tuple, sense
         raise AssertionError("dual sign violated on an inequality row")
     # y_i / L_i = nums_i * (L / L_i) / (denom * L), L the LCM of the row LCMs
     L = math.lcm(*lp._lcm)
-    combo = _weighted_row_sum([a * (L // lcm) for a, lcm in zip(nums, lp._lcm)], lp._matrix)
+    combo = _weighted_row_sum([a * (L // lcm) for a, lcm in zip(nums, lp._lcm)], lp._matrix, lp._peak)
     denom *= L
     cost, cden = cost
     for v, (c, a, nonneg) in enumerate(zip(cost, combo, lp.nonneg)):
@@ -622,13 +649,24 @@ def _pairs(n: int) -> tuple:
     return first, second
 
 
-def _feature_rows(idx: np.ndarray, n: int) -> np.ndarray:
-    """Margin-row features (1, z_l, z_l * z_k for l < k) of the points with
-    basis-state indices ``idx``, one row each: z = 1 - 2x, x_l the bit of
-    variable l (variable 0 the most significant)."""
-    z = 1 - 2 * ((np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+#: a bit of a target entry: '0', '1', or a value equal to 0 or 1 (True, 1.0, a numpy 1)
+_BIT = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
+@functools.lru_cache(maxsize=16)
+def _cube(n: int) -> tuple:
+    """(points, index, features) of the n-cube, built once per n: the 2^n bit
+    tuples in basis-state order, {bit tuple or bit string: basis-state index},
+    and the margin-row features (1, z_l, z_l * z_k for l < k; z = 1 - 2x,
+    variable 0 the most significant bit) as one read-only array, a column per point."""
+    points = [bits_of(i, n) for i in range(1 << n)]
+    index = {bits: i for i, bits in enumerate(points)}
+    index.update({"".join(map(str, bits)): i for bits, i in index.items()})
+    z = 1 - 2 * np.array(points, dtype=np.int64).T
     first, second = _pairs(n)
-    return np.hstack([np.ones((len(z), 1), dtype=np.int64), z, z[:, first] * z[:, second]])
+    features = np.concatenate([np.ones((1, 1 << n), dtype=np.int64), z, z[first] * z[second]])
+    features.flags.writeable = False
+    return points, index, features
 
 
 @dataclass
@@ -704,32 +742,39 @@ def quadratic_realizability(
     For diagonal operators the span condition of the Ising Kernel
     Problem reduces to the set-level margin system; see the module
     docstring for the normalization and the dual-form solve.
+
+    Each entry of S is a str of n characters '0' and '1' or a sequence of
+    n bits, each '0', '1' or a value equal to 0 or 1 (True, 1.0), as
+    :func:`pbkernel.pbf._check_assignment` reads one; any other entry (1.5,
+    a space, a Unicode digit such as '\u0660') is a ``bad bit string``.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > cap:
         raise EnumerationCapError(f"2^{n} margin rows exceed cap 2^{cap}")
-    target = set()
-    for item in S:
-        bits = tuple(int(b) for b in item)
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bad bit string {reprlib.repr(item)} for n = {n}")  # shortened if long
-        target.add(bits)
-    if not target:
+    points, index, features = _cube(n)
+    found = []
+    for item in S:  # a str is looked up whole, any other entry by its bits
+        try:
+            found.append(index[item if isinstance(item, str) else tuple(map(_BIT.get, item))])
+        except (KeyError, TypeError):  # not a point, not a sequence, or an unhashable bit
+            raise ValueError(f"bad bit string {reprlib.repr(item)} for n = {n}") from None  # shortened if long
+    if not found:
         raise ValueError("S must be nonempty")
 
     # the points by basis-state index, S first, then the rest
-    on_s = np.zeros(1 << n, dtype=bool)
-    on_s[[index_of(bits) for bits in target]] = True
-    idx = np.concatenate([np.flatnonzero(on_s), np.flatnonzero(~on_s)])
+    off_s = np.ones(1 << n, dtype=bool)
+    off_s[found] = False
+    idx = off_s.argsort(kind="stable")
+    target = {points[i] for i in found}
     ns = len(target)
 
     # dual of {phi(s).w = 0, phi(x).w >= 1}: free v per s row, u >= 0 per
-    # x row, maximize sum(u) subject to sum v phi(s) + sum u phi(x) = 0.
+    # x row, maximize sum(u) subject to sum v phi(s) + sum u phi(x) = 0
     lp = LPInstance(
         num_vars=len(idx),
         objective=[0] * ns + [1] * (len(idx) - ns),
-        eq=[(column, 0) for column in _feature_rows(idx, n).T],
+        eq=[(row, 0) for row in features.take(idx, 1)],
         nonneg=[False] * ns + [True] * (len(idx) - ns),
         sense="max",
     )
@@ -747,11 +792,14 @@ def quadratic_realizability(
         return real
     if result.status != "unbounded":
         raise AssertionError(f"unexpected simplex status {result.status}")
-    ray = result.ray
-    total = sum((d for j, d in ray.items() if j >= ns), Fraction(0))
+    # the ray's numerators over one denominator; each multiplier is one over their margin total
+    denom = math.lcm(*(d.denominator for d in result.ray.values()))
+    ray = {j: d.numerator * (denom // d.denominator) for j, d in sorted(result.ray.items())}
+    total = sum(a for j, a in ray.items() if j >= ns)
     if total <= 0:
         raise AssertionError("unbounded ray carries no inequality mass")
-    certificate = [(bits_of(int(idx[j]), n), ray[j] / total) for j in sorted(ray)]
+    idx = idx.tolist()
+    certificate = [(points[idx[j]], Fraction(a, total)) for j, a in ray.items()]
     real = QuadraticRealization(feasible=False, n=n, certificate=certificate)
     verify_infeasibility(real, target, n)
     return real
@@ -767,8 +815,9 @@ def verify_infeasibility(
     margin = [a for (bits, _), a in zip(real.certificate, nums) if bits not in target]
     if any(a < 0 for a in margin):
         raise AssertionError("negative multiplier on a margin row")
-    rows = _feature_rows([index_of(bits) for bits, _ in real.certificate], n)
-    if any(_weighted_row_sum(nums, rows)):
+    _, index, features = _cube(n)
+    rows = features.take([index[bits] for bits, _ in real.certificate], 1).T
+    if any(_weighted_row_sum(nums, rows, 1)):  # features are +-1
         raise AssertionError("certificate does not cancel the feature columns")
     if sum(margin) <= 0:
         raise AssertionError("certificate has no mass on the margin rows")

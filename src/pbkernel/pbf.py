@@ -358,10 +358,12 @@ class _TermTable:
 
     @classmethod
     def _of(cls, arity: int, table: dict, den: int = 1):
-        """Wrap a trusted {key: nonzero int} table over ``den`` > 0, divided by
-        their gcd into least terms; its arity goes through ``_arity``."""
+        """Wrap a trusted {key: nonzero int} table over ``den`` > 0 on a checked
+        arity, divided by their gcd into least terms: each caller passes an
+        existing table's n or an arity it checked once (the parser,
+        ``from_disjoint_form``, ``profile_to_pbf``)."""
         out = object.__new__(cls)
-        out.n = cls._arity(arity)
+        out.n = arity
         g = math.gcd(den, *table.values())
         out._terms = {key: c // g for key, c in table.items()} if g > 1 else table
         out._den = den // g

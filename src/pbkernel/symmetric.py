@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _check_cap, _coerce,
+from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _check_arity, _check_cap, _coerce,
                   _numerators)
 
 #: numeric roots with |Im| below tol*(1+|root|) are treated as real
@@ -177,6 +177,7 @@ def profile_to_pbf(p: WeightProfile) -> PseudoBoolean:
     before that array exists.
     """
     _check_cap(p.n, DEFAULT_ENUMERATION_CAP, "profile expansion")
+    _check_arity(p.n)  # the polynomial below trusts it
     diffs, denom = _numerators(p.values)
     coeffs = []
     for _ in range(p.n + 1):

@@ -18,7 +18,9 @@ per-monomial subset expansion it used before its per-variable integer
 pass, the 2^n value table and Moebius round trip of ``profile_to_pbf``
 before its per-size differences, the Fraction re-checks of LP answers
 and the per-point margin-row features the library used before its
-integer LP rows and feature matrix, the
+integer LP rows and feature matrix, the realizability target loop, LP
+build call, tableau constructor and Fraction certificate build it used
+before its one target read and per-n cube features, the
 term-by-term expression parser the library used before its one-pass
 parse, and its tokenizer and one-pass parser before flat-term operands,
 the hand-written add-and-drop-zero loops the library used before
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -1142,6 +1145,137 @@ def ref_simplex_solve(lp):
     duals = tuple(sign * y for y in mults)
     ref_check_duals(lp, duals, value)
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
+
+
+# -- a realizability decision before its one target read, its gathered LP rows,
+#    its lean tableau constructor and its integer certificate build -------------
+
+def ref_read_target(S, n):
+    """(target, idx): the target loop before the one read (``int()`` per entry,
+    then one ``index_of`` per point), and the points S first, then the rest."""
+    from pbkernel.pbf import index_of
+
+    target = set()
+    for item in S:
+        bits = tuple(int(b) for b in item)
+        if len(bits) != n or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"bad bit string {reprlib.repr(item)} for n = {n}")
+        target.add(bits)
+    if not target:
+        raise ValueError("S must be nonempty")
+    on_s = np.zeros(1 << n, dtype=bool)
+    on_s[[index_of(bits) for bits in target]] = True
+    return target, np.concatenate([np.flatnonzero(on_s), np.flatnonzero(~on_s)])
+
+
+def ref_feature_rows(idx, n):
+    """The margin-row features of the points ``idx``, one ``np.hstack`` per call."""
+    z = 1 - 2 * ((np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    first, second = np.triu_indices(n, 1)
+    return np.hstack([np.ones((len(z), 1), dtype=np.int64), z, z[:, first] * z[:, second]])
+
+
+def ref_realizability_lp(idx, ns, n):
+    """The LP build call before the gathered rows: one feature row per point,
+    each LP row a column of that matrix, read by the constructor row by row."""
+    from pbkernel import LPInstance
+
+    return LPInstance(
+        num_vars=len(idx),
+        objective=[0] * ns + [1] * (len(idx) - ns),
+        eq=[(column, 0) for column in ref_feature_rows(idx, n).T],
+        nonneg=[False] * ns + [True] * (len(idx) - ns),
+        sense="max",
+    )
+
+
+def ref_tableau_fields(lp):
+    """The fields ``_Tableau.__init__`` set before its per-variable source:
+    T0 built by rows and transposed, ``var`` and ``sign`` by a cumulative sum,
+    every |entry| bound read off the arrays."""
+    import itertools
+
+    from pbkernel.pbf import _int_dtype
+
+    def top(a):
+        return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+    out = {}
+    free = np.logical_not(lp.nonneg, dtype=bool)
+    var = out["var"] = np.repeat(np.arange(lp.num_vars), 1 + free)
+    sign = out["sign"] = np.ones(len(var), dtype=np.int64)
+    sign[np.cumsum(1 + free)[free] - 1] = -1
+    neq, m = lp._neq, len(lp._lcm)
+    sigma = out["sigma"] = [-1 if b < 0 else 1 for b in lp._matrix[:, -1].tolist()]
+    surplus = len(var) - neq
+    art = [i < neq or s > 0 for i, s in enumerate(sigma)]
+    first_art = out["first_art"] = surplus + m
+    arts = itertools.count(first_art)
+    init_col = out["init_col"] = [next(arts) if a else surplus + i for i, a in enumerate(art)]
+    ncols = out["ncols"] = next(arts)
+    out["basis"] = list(init_col)
+    L = math.lcm(*(l for a, l in zip(art, lp._lcm) if a))
+    weights = [L // l if a else 0 for a, l in zip(art, lp._lcm)]
+    obj, denom = lp._cost
+    bound = max(top(lp._matrix), *lp._lcm, *map(abs, obj), 0)
+    dtype = _int_dtype((sum(weights) + 1) * bound)
+    nums, lcm, sign_, sigma_, weights, obj = (
+        np.asarray(v, dtype) for v in (lp._matrix, lp._lcm, sign, sigma, weights, obj)
+    )
+    R = m + 1 + (ncols > first_art)
+    T0 = np.zeros((R + 1, ncols + 1), dtype)
+    rows = T0[:m]
+    rows[:, : len(var)] = nums[:, var] * sign_
+    rows[:, -1] = nums[:, -1]
+    geq = np.arange(neq, m)
+    rows[geq, surplus + geq] = -lcm[neq:]
+    rows *= sigma_[:, None]
+    rows[np.arange(m), init_col] = lcm
+    T0[m, : len(var)] = (1 if lp.sense == "min" else -1) * obj[var] * sign_
+    if R > m + 1:
+        T0[-2] = -(weights @ rows)
+        T0[-2, first_art:-1] = 0
+    out["scale"] = []
+    for z, d in zip(T0[m:R], (denom, L)):
+        g = int(np.gcd.reduce(z)) or 1
+        z //= g
+        out["scale"].append([g, d])
+    K = np.eye(R, R + 1, dtype=dtype)
+    K[:, -1] = T0[:R, -1]
+    out["growth"] = 2 * (R + 1) * top(T0)
+    cast = _int_dtype(out["growth"] * top(K) ** 2)
+    out["K"], out["T0T"] = K.astype(cast), np.ascontiguousarray(T0.T, cast)
+    return out
+
+
+def ref_certificate(ray, idx, ns, n):
+    """The certificate build before the ray's integer numerators: a Fraction
+    sum of the margin mass, one Fraction division and one ``bits_of`` per entry."""
+    from pbkernel.pbf import bits_of
+
+    total = sum((d for j, d in ray.items() if j >= ns), Fraction(0))
+    if total <= 0:
+        raise AssertionError("unbounded ray carries no inequality mass")
+    return [(bits_of(int(idx[j]), n), ray[j] / total) for j in sorted(ray)]
+
+
+def ref_quadratic_realizability(S, n):
+    """``quadratic_realizability`` from the four references above and the
+    library's solve and re-checks."""
+    target, idx = ref_read_target(S, n)
+    ns = len(target)
+    result = ising_kernel.simplex_solve(ref_realizability_lp(idx, ns, n))
+    if result.status == "optimal":
+        w = result.duals
+        pairs = [(l, k) for l in range(n) for k in range(l + 1, n)]
+        real = ising_kernel.QuadraticRealization(
+            feasible=True, n=n, constant=w[0], fields=w[1 : n + 1], couplings=dict(zip(pairs, w[n + 1 :]))
+        )
+        assert real.verify(target)
+        return real
+    real = ising_kernel.QuadraticRealization(feasible=False, n=n, certificate=ref_certificate(result.ray, idx, ns, n))
+    ising_kernel.verify_infeasibility(real, target, n)
+    return real
 
 
 # -- Bareiss integer tableau (reference for the primitive-row tableau) -------

@@ -169,3 +169,24 @@ def test_rational_refuses_with_the_line(token, message):
     assert str(exc.value) == "state line 9: " + message.format(sys.get_int_max_str_digits())
     assert exc.value.position is None
 
+
+@pytest.mark.parametrize("text, arity, error, message", [
+    ("3", -1, ValueError, "arity must be in 0..64, got -1"),
+    ("3", 65, ValueError, "arity must be in 0..64, got 65"),
+    ("x2", 1, ParseError, "expression uses x2 but arity 1 was requested (at position 0)"),
+])
+def test_a_bad_requested_arity_keeps_its_message(text, arity, error, message):
+    with pytest.raises(error) as exc:
+        expr.parse(text, arity)
+    assert str(exc.value) == message
+
+
+def test_the_arity_is_checked_once_per_parse(monkeypatch):
+    # every table after the first trusts the arity (``_TermTable._of`` checks none)
+    calls = []
+    check = expr._check_arity
+    monkeypatch.setattr(expr, "_check_arity", lambda arity: calls.append(arity) or check(arity))
+    text = "3*x1*x2 - (x1 + ~x3)*(x2 + 1/2)*x4 + x5*x6"
+    assert expr.parse(text, 8) == ref_parse(text, 8)
+    assert expr.parse(text) == ref_parse(text)
+    assert calls == [8, 6]

@@ -331,6 +331,14 @@ class TestClamp:
         with pytest.raises(ValueError, match=repr(value)):
             clamp(f, 1, value)
 
+    @pytest.mark.parametrize("var", [True, 1.0])
+    def test_variable_index_that_is_not_an_integer(self, var):
+        # True clamped x2 with no error, and 1.0 raised a TypeError from 1 << 1.0
+        f = PseudoBoolean(2, {3: 1})
+        with pytest.raises(ValueError, match=f"^variable index must be an integer, got {var!r}$"):
+            clamp(f, var, 1)
+        assert clamp(f, np.int64(1), 1) == PseudoBoolean.variable(1, 0)
+
     def test_numpy_integer_and_decimal_string_bits(self):
         # read as pbf._count reads a count: the string "0" clamps to 0, though it is truthy
         f = PseudoBoolean.from_terms(2, {(0, 1): 1})

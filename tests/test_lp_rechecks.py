@@ -236,9 +236,9 @@ def test_realizability_rows_reach_the_lp_as_arrays(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_feature_rows_match_the_per_point_features(n):
     pairs = ref_pair_order(n)
-    rows = ising_kernel._feature_rows(np.arange(1 << n), n)
-    assert rows.tolist() == [ref_features(bits, pairs) for bits in assignments(n)]
-    assert [bits_of(i, n) for i in range(1 << n)] == assignments(n)
+    points, _, features = ising_kernel._cube(n)  # one column per point
+    assert features.T.tolist() == [ref_features(bits, pairs) for bits in assignments(n)]
+    assert [bits_of(i, n) for i in range(1 << n)] == points == assignments(n)
 
 
 def realizability_certificates():

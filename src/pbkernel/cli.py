@@ -255,9 +255,9 @@ def _cmd_gadget_compose(args) -> int:
     netlist = gadgets.Netlist.from_dict(data)
     extra = []
     for spec_ in args.clamp or []:
-        if "=" not in spec_:
-            raise _UsageError(f"--clamp needs WIRE=BIT, got {spec_!r}")
         wire, _, val = spec_.partition("=")
+        if val not in ("0", "1"):  # the one bit rule of clamps, --at, state and strings files
+            raise _UsageError(f"--clamp needs WIRE=BIT, got {spec_!r}")
         extra.append((wire, int(val)))
     if extra:
         netlist = gadgets.Netlist(netlist.gates, tuple(sorted(set(netlist.clamps) | set(extra))))

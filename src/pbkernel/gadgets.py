@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, NetlistError
 from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _assignments, _count, _point_indices,
-                  _scaled, _swap_order)
+                  _scaled, _swap_order, index_of)
 from .pauli import STATE_CAP, DiagonalOperator, StateVector
 
 ROLE_INPUT = "input"
@@ -302,9 +302,8 @@ def minimize_bruteforce(
     """Exact global minimum and the full argmin set over {0,1}^n."""
     table = f.to_disjoint_form(cap=cap)
     vals, _ = _scaled(table)
-    hits = np.flatnonzero(vals == vals.min())
-    bits = (hits[:, None] >> np.arange(f.n - 1, -1, -1)) & 1  # state order: variable 0 is the MSB
-    return MinimizeResult(table[hits[0]], frozenset(map(tuple, bits.tolist())))
+    argmin = _assignments(np.flatnonzero(_swap_order(vals == vals.min(), f.n)), f.n)
+    return MinimizeResult(table[index_of(argmin[0])], frozenset(argmin))
 
 
 def sat_embed(clauses: Sequence[Sequence[int]], num_vars: int) -> PseudoBoolean:

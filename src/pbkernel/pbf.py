@@ -54,11 +54,18 @@ entries on the three lowest passes run column by column, because numpy
 runs a 2-D op whose inner axis holds 2 or 4 entries row by row (at n = 15
 pass 1 took about an eighth of the time as two strided columns).  A value
 table handed out as Fractions holds one object per distinct value, shared
-by every entry equal to it, gathered from the distinct values in one numpy
-pass; reading a table back tells its objects apart by id in one numpy
-sort, coerces and scales each distinct object once and gathers the
-integers back in one pass.  Minimization takes its minimum on the integer
-array, not over Fractions.
+by every entry equal to it, written by one of three paths chosen by the
+table's size, dtype and span (:func:`_shared_fractions`): a dict from each
+distinct value to its Fraction up to 2^8 entries, where numpy's fixed cost
+would dominate, and for Python ints at any size, which np.unique would sort
+by Python comparisons; a range table for int64 whose span max - min is
+below its length, one bincount and one gather with no sort; and
+np.unique and one gather for a wider int64 span.  Reading a table back
+tells its objects apart by id in one numpy sort, coerces and scales each
+distinct object once and gathers the integers back in one pass.
+Minimization takes its minimum on the integer array, not over Fractions.
+The assignment tuples of kernels, witnesses and argmin sets are joined
+from cached 8-bit chunk tuples (:func:`_assignments`).
 
 Every exact integer array in the package takes its dtype from one rule,
 :func:`_int_dtype`: int64 when a bound the caller's arithmetic proves on
@@ -75,7 +82,9 @@ n * 2^n dict updates rather than 3^n, and no Fraction is built.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 from numbers import Integral, Rational
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -119,9 +128,20 @@ def _point_indices(members, n: int) -> list:
     return [index_of(b) for b in members if len(b) == n and set(b) <= {0, 1}]
 
 
+@functools.cache
+def _bit_chunks(width: int) -> tuple:
+    """The assignment tuple of every varmask 0 .. 2^width - 1 (width <= 8)."""
+    return tuple(tuple(m >> i & 1 for i in range(width)) for m in range(1 << width))
+
+
 def _assignments(masks: np.ndarray, n: int) -> list:
-    """Assignment tuples of an array of varmask-order positions."""
-    return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
+    """Assignment tuples of an array of varmask-order positions: each is the
+    cached :func:`_bit_chunks` tuples of its 8-bit chunks, lowest variables
+    first, joined by ``operator.add``, one lookup per 8 variables."""
+    out = map(_bit_chunks(min(n, 8)).__getitem__, (masks & 255).tolist())
+    for lo in range(8, n, 8):
+        out = map(operator.add, out, map(_bit_chunks(min(n - lo, 8)).__getitem__, (masks >> lo & 255).tolist()))
+    return list(out)
 
 
 def _int_dtype(bound: int):
@@ -249,16 +269,32 @@ def _swap_order(vals: np.ndarray, n: int) -> np.ndarray:
 
 def _shared_fractions(nums: np.ndarray, denom: int) -> list:
     """[Fraction(v, denom) for v in nums], built as one Fraction per distinct
-    value, so equal entries share one object.  Up to 2^8 entries, where
-    np.unique's fixed cost would dominate, a dict gives each entry its
-    Fraction; a larger table is one np.unique and one gather, which beat
-    the per-entry lookups there."""
-    if nums.size <= 1 << 8:
+    value, so equal entries share one object.  The path follows the table's
+    size, dtype and span:
+
+    * up to 2^8 entries, and Python ints (object) at any size, a dict from
+      each distinct value to its Fraction: numpy's fixed cost would dominate
+      a small table, and np.unique sorts objects by Python comparisons (on a
+      2^20-entry table, 1.5 s against 0.4 s for the dict);
+    * int64 whose span max - min is below its length, a range table: each
+      entry's offset from the minimum indexes an object table over the span,
+      which holds the Fractions of the offsets present (one ``bincount``), so
+      one gather writes the table in O(2^n), with no sort;
+    * wider int64 spans, one np.unique and one gather.
+    """
+    if nums.size <= 1 << 8 or nums.dtype == object:
         values = nums.tolist()
         shared = {v: Fraction(v, denom) for v in set(values)}
         return list(map(shared.__getitem__, values))
-    distinct, inverse = np.unique(nums, return_inverse=True)
-    shared = np.array([Fraction(v, denom) for v in distinct.tolist()], dtype=object)
+    low, high = int(nums.min()), int(nums.max())
+    if high - low < nums.size:
+        inverse = nums - low
+        present = np.flatnonzero(np.bincount(inverse))
+        shared = np.empty(high - low + 1, dtype=object)
+        shared[present] = [Fraction(v + low, denom) for v in present.tolist()]
+    else:
+        distinct, inverse = np.unique(nums, return_inverse=True)
+        shared = np.array([Fraction(v, denom) for v in distinct.tolist()], dtype=object)
     return shared[inverse].tolist()
 
 
@@ -606,7 +642,11 @@ class PseudoBoolean(_TermTable):
         """Value table a with a[index_of(x)] = f(x) for all 2^n assignments.
 
         Entries equal in value are one shared Fraction: one is built per
-        distinct value and gathered into state order.
+        distinct value and gathered into state order by
+        :func:`_shared_fractions`, which at n >= 9 takes the range table when
+        the values span fewer integers than the table has entries (the usual
+        case for small coefficients), np.unique for a wider int64 span and a
+        dict for Python ints.
         """
         vals, denom = self._cube_values(cap, "disjoint-form table")
         return _shared_fractions(_swap_order(vals, self.n), denom)

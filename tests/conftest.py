@@ -4,8 +4,10 @@ Everything here recomputes expected values through a different route
 than the library code under test: naive term-by-term evaluation, the
 per-point Fraction cube scans the library used before its exact integer
 engine, the per-entry table reader and Fraction minimum scan the library
-used before it read each distinct value once, the dense Fraction simplex
-tableau the library used before its fraction-free integer tableau and the
+used before it read each distinct value once, the ``np.unique`` value-table
+writer and per-bit assignment tuples it used before its lookup tables, the
+dense Fraction simplex tableau the library used before its fraction-free
+integer tableau and the
 Bareiss integer tableau it used before its primitive rows, the
 list-built tableau constructor it used before its numpy one, the
 ``LPInstance`` constructor that coerced every entry to a ``Fraction``
@@ -153,6 +155,25 @@ def ref_numerators(values):
     if denom == 1:
         return [v.numerator for v in values], denom
     return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def ref_shared_fractions(nums, denom):
+    """``pbf._shared_fractions`` before its range table and its dict for
+    Python ints: a dict up to 2^8 entries, and above that one ``np.unique``
+    and one gather, whatever the dtype and span."""
+    if nums.size <= 1 << 8:
+        values = nums.tolist()
+        shared = {v: Fraction(v, denom) for v in set(values)}
+        return list(map(shared.__getitem__, values))
+    distinct, inverse = np.unique(nums, return_inverse=True)
+    shared = np.array([Fraction(v, denom) for v in distinct.tolist()], dtype=object)
+    return shared[inverse].tolist()
+
+
+def ref_assignments(masks, n):
+    """``pbf._assignments`` before its 8-bit chunk tables: one shift and mask
+    per variable, then one tuple per row."""
+    return list(map(tuple, ((masks[:, None] >> np.arange(n)) & 1).tolist()))
 
 
 def ref_profile_to_pbf(p):

@@ -285,6 +285,15 @@ class TestGadgetCommand:
         code, _, err = run(capsys, "gadget", "compose", str(path), "--clamp", "p")
         assert code == 2 and "WIRE=BIT" in err
 
+    @pytest.mark.parametrize("spec", ["c=١", "c=+1", "c= 1", "c=a", "c=10", "c="])
+    def test_clamp_bit_is_the_character_0_or_1(self, capsys, tmp_path, spec):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"gates": [{"type": "and", "inputs": ["a", "b"], "output": "c"}]}))
+        code, out, err = run(capsys, "gadget", "compose", str(path), "--clamp", spec, "--json")
+        assert (code, out, err) == (2, "", f"error: --clamp needs WIRE=BIT, got {spec!r}\n")
+        code, out, _ = run(capsys, "gadget", "compose", str(path), "--clamp", "c=1", "--minimize", "--json")
+        assert code == 0 and json.loads(out)["argmin"] == ["11"]
+
 
 class TestIsingCommand:
     def test_realize_parity_infeasible(self, capsys, tmp_path):

@@ -28,6 +28,7 @@ from pbkernel import (
     SupportSet,
     WeightProfile,
     detect_symmetric,
+    embed_diagonal,
     minimize_bruteforce,
     profile_to_pbf,
     quadratic_realizability,
@@ -340,8 +341,17 @@ def test_shared_objects_of_mixed_types():
         assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table)
 
 
-@pytest.mark.parametrize("f", CASES[::2] + TIES)
-def test_disjoint_form_builds_one_fraction_per_distinct_value(f, monkeypatch):
+#: past 2^8 entries: int64 spans below the length (the range table) and past
+#: it (np.unique), and Python ints (the dict)
+LARGE = [
+    PseudoBoolean.from_terms(10, {(i,): 1 for i in range(10)}),
+    PseudoBoolean.from_terms(10, {(i,): Fraction(1 << i, 3) for i in range(10)}),  # 1024 values, span 1023
+    PseudoBoolean.from_terms(9, {**{(i,): 1 << i for i in range(9)}, (0, 8): 7}),  # span 518
+    PseudoBoolean.from_terms(9, {(i,): BIG + i for i in range(9)}),
+]
+
+
+def assert_one_fraction_per_distinct_value(f, build, monkeypatch):
     built = []
 
     class CountingFraction(Fraction):
@@ -351,10 +361,22 @@ def test_disjoint_form_builds_one_fraction_per_distinct_value(f, monkeypatch):
             return Fraction(*args)
 
     monkeypatch.setattr(pbf, "Fraction", CountingFraction)
-    table = f.to_disjoint_form()
+    table = build()
     monkeypatch.undo()
     assert table == ref_to_disjoint_form(f)
+    assert all(type(v) is Fraction for v in table)
     assert len(built) == len(set(table)) == len({id(v) for v in table})
+
+
+@pytest.mark.parametrize("f", CASES[::2] + TIES + LARGE)
+def test_disjoint_form_builds_one_fraction_per_distinct_value(f, monkeypatch):
+    assert_one_fraction_per_distinct_value(f, f.to_disjoint_form, monkeypatch)
+
+
+@pytest.mark.parametrize("f", CASES[::2] + TIES + LARGE)
+def test_diagonal_builds_one_fraction_per_distinct_value(f, monkeypatch):
+    op = embed_diagonal(f)
+    assert_one_fraction_per_distinct_value(f, lambda: op.diag, monkeypatch)
 
 
 @pytest.mark.parametrize("f", CASES)

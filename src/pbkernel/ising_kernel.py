@@ -59,8 +59,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _coerce, _hadamard_transform, _int_dtype
-from .pbf import _numerators, _point_indices, _scaled, _swap_order, bits_of, spin_to_boolean
+from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _assignments, _coerce, _hadamard_transform,
+                  _int_dtype, _numerators, _point_indices, _scaled, _swap_order, spin_to_boolean)
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -130,16 +130,11 @@ def one_body_kernel(form: OneBodyForm, explicit_cap: int = DEFAULT_ENUMERATION_C
     pinned = {k: 1 - form.tau[k] for k, c in enumerate(form.coeffs) if c > 0}
     free = tuple(k for k, c in enumerate(form.coeffs) if c == 0)
     assignments = None
-    if form.n <= explicit_cap:
-        assignments = set()
-        for free_bits in range(1 << len(free)):
-            row = [0] * form.n
-            for k, v in pinned.items():
-                row[k] = v
-            for j, k in enumerate(free):
-                row[k] = (free_bits >> j) & 1
-            assignments.add(tuple(row))
-        assignments = frozenset(assignments)
+    if form.n <= explicit_cap:  # the pinned bits' varmask OR-ed with each subset of the free bits
+        masks = np.array([sum(1 << k for k, v in pinned.items() if v)], dtype=_int_dtype(1 << form.n))
+        for k in free:
+            masks = np.concatenate([masks, masks | 1 << k])
+        assignments = frozenset(_assignments(masks, form.n))
     return OneBodyKernel(pinned, free, False, assignments)
 
 
@@ -659,7 +654,7 @@ def _cube(n: int) -> tuple:
     tuples in basis-state order, {bit tuple or bit string: basis-state index},
     and the margin-row features (1, z_l, z_l * z_k for l < k; z = 1 - 2x,
     variable 0 the most significant bit) as one read-only array, a column per point."""
-    points = [bits_of(i, n) for i in range(1 << n)]
+    points = _assignments(_swap_order(np.arange(1 << n), n), n)
     index = {bits: i for i, bits in enumerate(points)}
     index.update({"".join(map(str, bits)): i for bits, i in index.items()})
     z = 1 - 2 * np.array(points, dtype=np.int64).T

@@ -43,7 +43,10 @@ numerators| over their LCM for a Pauli sum, the largest |numerator| of a
 diagonal.  Gates act on halves of the ``(2,)*n`` view of the copy, a
 Pauli word is one gather by ``idx ^ flip``, one sign from the parity of
 ``idx & zmask`` and one rotation by i^(number of Y), and a diagonal is one
-multiply.  Each result is reduced to least terms.
+multiply.  Each result is reduced to least terms.  That one reading of a
+word (``_word_action``: row j of P_w has i^ny * sign[j] in column src[j])
+also writes :meth:`PauliSum.to_dense`, one scatter per word, and reads
+:func:`dense_pauli_coefficients`, one 2^n gather per trace.
 
 The per-entry forms are built on each read: :attr:`StateVector.amps`
 gives one shared ``Fraction(0)`` per zero amplitude, a ``Fraction`` per
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from numbers import Complex, Integral, Rational
 from typing import NamedTuple, Sequence
 
@@ -71,7 +75,7 @@ from .pbf import (PseudoBoolean, _accumulate, _check_assignment, _coerce, _count
 STATE_CAP = 16
 #: widest sum :meth:`PauliSum.to_dense` writes out as a 2^n x 2^n matrix
 DENSE_CAP = 12
-#: widest matrix :func:`dense_pauli_coefficients` expands, one trace per 4^n words
+#: widest matrix :func:`dense_pauli_coefficients` expands, one 2^n gather per 4^n words
 PAULI_BASIS_CAP = 6
 #: bound on the Z-basis expansion: the keys the per-variable pass in
 #: :func:`pbkernel.pbf.boolean_to_spin` can hold, min(sum of 2^|M| over the
@@ -79,13 +83,6 @@ PAULI_BASIS_CAP = 6
 EXPANSION_CAP = 1 << 16
 
 PAULI_LETTERS = "IXYZ"
-
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _pauli_masks(word: str) -> tuple:
@@ -102,14 +99,6 @@ def _pauli_masks(word: str) -> tuple:
 def _pauli_word(x: int, z: int, n: int) -> str:
     """Inverse of :func:`_pauli_masks` for n letters."""
     return "".join("IXZY"[(x >> i & 1) | (z >> i & 1) << 1] for i in range(n))
-
-
-def _pauli_matrix(word: str) -> np.ndarray:
-    """Dense matrix of one Pauli string: the Kronecker product, letter 0 first."""
-    m = np.array([[1.0]], dtype=complex)
-    for ch in word:
-        m = np.kron(m, _PAULI_MATRICES[ch])
-    return m
 
 
 class ExactComplex:
@@ -194,6 +183,15 @@ def _odd_parity(x: np.ndarray) -> np.ndarray:
     for shift in (8, 4, 2, 1):
         x = x ^ (x >> shift)
     return (x & 1).astype(bool)
+
+
+def _word_action(word: str, idx: np.ndarray) -> tuple:
+    """(src, sign, ny) of the Pauli word P_w on the basis indices idx = 0 .. 2^n - 1:
+    row j of P_w has its one nonzero, i^ny * sign[j], in column src[j], so
+    (P_w v)[j] = i^ny sign[j] v[src[j]]."""
+    flip, zmask = _pauli_masks(word[::-1])  # letter 0 is the most significant bit
+    src = idx ^ flip
+    return src, np.where(_odd_parity(src & zmask), -1, 1), word.count("Y")
 
 
 def _exact_parts(k: int, a) -> tuple | None:
@@ -396,10 +394,8 @@ def _pauli_sum(parts: tuple, n: int, words: list, coeffs: list) -> tuple:
     (re, im), idx = parts, np.arange(1 << n)
     out_re, out_im = np.zeros((2, idx.size), dtype=re.dtype)
     for word, c in zip(words, coeffs):
-        flip, zmask = _pauli_masks(word[::-1])  # letter 0 is the most significant bit
-        src = idx ^ flip  # (P_w v)[j] = i^#Y (-1)^|src_j & zmask| v[src_j]
-        ny = word.count("Y")  # i^ny: a sign when ny & 2, then times i when ny & 1
-        scale = np.where(_odd_parity(src & zmask), -1, 1).astype(re.dtype) * (-c if ny & 2 else c)
+        src, sign, ny = _word_action(word, idx)  # i^ny: a sign when ny & 2, then times i when ny & 1
+        scale = sign.astype(re.dtype) * (-c if ny & 2 else c)
         t_re, t_im = re[src] * scale, im[src] * scale
         if ny & 1:  # times i
             t_re, t_im = -t_im, t_re
@@ -539,13 +535,17 @@ class PauliSum(_TermTable):
         return StateVector._of(v.n, *_pauli_sum(parts, v.n, list(self._terms), coeffs), v.denom * den)
 
     def to_dense(self) -> np.ndarray:
-        """Dense complex matrix; desk-scale only."""
+        """Dense complex matrix; desk-scale only.  Each word adds c / den times
+        i^ny * sign[j] at row j, column src[j] (:func:`_word_action`), to the
+        real part or, for odd ny, the imaginary part."""
         if self.n > DENSE_CAP:
             raise EnumerationCapError(f"dense matrix at arity {self.n} is over cap {DENSE_CAP}")
-        size = 1 << self.n
-        out = np.zeros((size, size), dtype=complex)
-        for word, coeff in self._terms.items():
-            out += coeff / self._den * _pauli_matrix(word)
+        idx = np.arange(1 << self.n)
+        out = np.zeros((idx.size, idx.size), dtype=complex)
+        for word, c in self._terms.items():
+            src, sign, ny = _word_action(word, idx)
+            part = out.imag if ny & 1 else out.real
+            part[idx, src] += c / self._den * (-sign if ny & 2 else sign)
         return out
 
     def to_text(self) -> str:
@@ -622,21 +622,22 @@ def ising_form(f: PseudoBoolean) -> IsingForm:
 def dense_pauli_coefficients(mat: np.ndarray, tol: float = 1e-12) -> dict:
     """Pauli-basis coefficients of a dense Hermitian matrix.
 
-    Brute-force trace inner products over all 4^n strings; intended for
-    small n (the trivial-construction cardinality measurements).
+    Trace inner products over all 4^n strings, each tr(P_w M) read as
+    i^ny * sum_j sign[j] M[src[j], j] (:func:`_word_action`), one 2^n
+    gather per word; intended for small n (the trivial-construction
+    cardinality measurements).
     """
     size = mat.shape[0]
     n = size.bit_length() - 1
-    if 1 << n != size or mat.shape != (size, size):
+    if size == 0 or 1 << n != size or mat.shape != (size, size):
         raise DimensionError(f"matrix shape {mat.shape} is not square 2^n")
     if n > PAULI_BASIS_CAP:
         raise EnumerationCapError(f"4^{n} trace inner products is over cap 4^{PAULI_BASIS_CAP}")
-    coeffs = {}
-    words = [""]
-    for _ in range(n):
-        words = [w + ch for w in words for ch in PAULI_LETTERS]
-    for word in words:
-        c = np.trace(_pauli_matrix(word) @ mat) / size
+    idx, coeffs = np.arange(size), {}
+    for letters in product(PAULI_LETTERS, repeat=n):
+        word = "".join(letters)
+        src, sign, ny = _word_action(word, idx)
+        c = (1, 1j, -1, -1j)[ny & 3] * (sign * mat[src, idx]).sum() / size
         if abs(c) > tol:
             coeffs[word] = complex(c)
     return coeffs

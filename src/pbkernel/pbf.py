@@ -124,8 +124,9 @@ def bits_of(index: int, n: int) -> tuple:
 
 
 def _point_indices(members, n: int) -> list:
-    """Basis-state indices of the members that are n-bit assignments; others name no point."""
-    return [index_of(b) for b in members if len(b) == n and set(b) <= {0, 1}]
+    """Basis-state indices of the members that are n-bit assignments (each bit
+    read through ``int``, so 1.0 and True are 1); others name no point."""
+    return [index_of(map(int, b)) for b in members if len(b) == n and set(b) <= {0, 1}]
 
 
 @functools.cache

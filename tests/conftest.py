@@ -39,7 +39,11 @@ falling-factorial rows, the ``parent support`` command that built the
 2^n statevector of a state file and scanned it back for its support,
 dense numpy
 matrices built from hard-coded gate definitions, a brute-force CNF
-solution scanner, and an exact minimal-face feasibility decider.
+solution scanner, an exact minimal-face feasibility decider, the
+Kronecker-product builders of ``PauliSum.to_dense`` and
+``dense_pauli_coefficients`` the library used before it read each Pauli
+word as one gather, and the per-bit loop of ``one_body_kernel`` before
+its assignment tuples came from the one tuple writer.
 """
 
 from __future__ import annotations
@@ -539,6 +543,27 @@ def dense_word(word: str) -> np.ndarray:
     return m
 
 
+def ref_to_dense(psum) -> np.ndarray:
+    """The Kronecker sum: each word's dense matrix times c / den, in ``_terms`` order."""
+    size = 1 << psum.n
+    out = np.zeros((size, size), dtype=complex)
+    for word, c in psum._terms.items():
+        out += c / psum._den * dense_word(word)
+    return out
+
+
+def ref_dense_pauli_coefficients(mat: np.ndarray, tol: float = 1e-12) -> dict:
+    """tr(P_w M) / 2^n for every word, each P_w a Kronecker product multiplied out."""
+    size = mat.shape[0]
+    coeffs = {}
+    for letters in product("IXYZ", repeat=size.bit_length() - 1):
+        word = "".join(letters)
+        c = np.trace(dense_word(word) @ mat) / size
+        if abs(c) > tol:
+            coeffs[word] = complex(c)
+    return coeffs
+
+
 def dense_pauli_sum(psum) -> np.ndarray:
     size = 1 << psum.n
     out = np.zeros((size, size), dtype=complex)
@@ -593,6 +618,29 @@ def random_clifford_circuit(rng: random.Random, n: int, num_gates: int = 12):
         else:
             gates.append(CliffordGate(kind, rng.randrange(n)))
     return CliffordCircuit(n, tuple(gates))
+
+
+# -- the one-body kernel before the one tuple writer ------------------------
+
+
+def ref_one_body_kernel(form, explicit_cap: int = 20):
+    """``one_body_kernel`` with its per-bit loop: each kernel row written bit by bit."""
+    if form.offset > 0:
+        return ising_kernel.OneBodyKernel({}, (), True, frozenset())
+    pinned = {k: 1 - form.tau[k] for k, c in enumerate(form.coeffs) if c > 0}
+    free = tuple(k for k, c in enumerate(form.coeffs) if c == 0)
+    assignments = None
+    if form.n <= explicit_cap:
+        assignments = set()
+        for free_bits in range(1 << len(free)):
+            row = [0] * form.n
+            for k, v in pinned.items():
+                row[k] = v
+            for j, k in enumerate(free):
+                row[k] = (free_bits >> j) & 1
+            assignments.add(tuple(row))
+        assignments = frozenset(assignments)
+    return ising_kernel.OneBodyKernel(pinned, free, False, assignments)
 
 
 # -- Boolean / CNF oracle ----------------------------------------------------

@@ -517,6 +517,13 @@ def test_margin_check_on_tampered_coefficients():
     assert True in verdicts and False in verdicts
 
 
+def test_members_with_float_or_bool_bits_name_their_point():
+    assert quadratic_realizability(["00", "11"], 2).verify({(0.0, 0), (1, 1.0)}) is True
+    op = support_parent(SupportSet(2, frozenset({(1.0, 0)})))
+    assert op.nums[2] == 0 and op.kernel_indices() == [2]
+    assert support_parent(SupportSet(2, frozenset({(True, False)}))).kernel_indices() == [2]
+
+
 def test_members_that_are_not_assignments_name_no_point():
     op = support_parent(SupportSet(3, frozenset({(0, 1, 1), (1, 1), (2, 0, 0), "001"})))
     assert op.kernel_indices() == [0b011]

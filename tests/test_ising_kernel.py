@@ -26,6 +26,7 @@ from conftest import (
     face_enumeration_feasible,
     random_target,
     ref_features,
+    ref_one_body_kernel,
     ref_pair_order,
 )
 
@@ -113,6 +114,19 @@ class TestOneBodyKernel:
             )
             desc = one_body_kernel(form)
             assert desc.assignments == frozenset(one_body(form).kernel())
+
+    def test_matches_the_per_bit_loop(self, rng):
+        """The kernel tuples come from the one tuple writer; bits given as
+        bools or floats pin as the per-bit loop pins them."""
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            form = OneBodyForm(tuple(rng.choice([0, 0, 1, Fraction(1, 2), 2.0]) for _ in range(n)),
+                               tuple(rng.choice([0, 1, True, False, 0.0, 1.0]) for _ in range(n)),
+                               rng.choice([0, 0, 0, 1]))
+            cap = rng.choice([n, n - 1, 20])
+            assert one_body_kernel(form, cap) == ref_one_body_kernel(form, cap)
+        wide = OneBodyForm((0, 0) + (1,) * 62, (1, 0) * 32)  # two free bits; bit 63 pinned to 1 leaves int64
+        assert one_body_kernel(wide, 64) == ref_one_body_kernel(wide, 64)
 
     def test_gauge_invariance_of_kernels(self, rng):
         for _ in range(10):

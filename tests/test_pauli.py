@@ -25,7 +25,7 @@ from pbkernel import (
     pbf_to_pauli,
 )
 from pbkernel.pauli import _ZERO
-from conftest import assignments, dense_pauli_sum, random_pbf
+from conftest import assignments, dense_pauli_sum, random_pbf, ref_to_dense
 
 DELTA3 = parse("1 - x1 - x2 - x3 + x2*x3 + x1*x3 + x1*x2")
 
@@ -196,6 +196,20 @@ class TestDenseAndApprox:
             assert dense.shape == (1 << n, 1 << n)
             assert np.allclose(dense, dense.conj().T)  # Hermitian
             assert np.allclose(dense @ v.to_numpy(), ps.apply(v).to_numpy())
+            assert np.array_equal(dense, ref_to_dense(ps))  # apply and to_dense share one word reading
+
+    def test_to_dense_is_the_kronecker_sum_bit_for_bit(self, rng):
+        """Both parts, and the sign of every zero, equal the Kronecker sum's, also
+        for coefficients that round (1/3, and -2^-1100, which underflows to -0.0)."""
+        tiny = Fraction(-1, 2**1100)
+        sums = [PauliSum(2, {"XY": Fraction(1, 3), "YX": Fraction(-1, 3), "ZZ": tiny, "II": Fraction(2, 7)}),
+                PauliSum(1, {"X": 1, "Y": Fraction(-5, 3), "Z": tiny}), PauliSum(0, {"": Fraction(-7, 9)})]
+        sums += [random_pauli_sum(rng, n, rng.randint(0, 8 if n < 9 else 3))
+                 for n in range(11) for _ in range(4 if n < 9 else 1)]
+        for ps in sums:
+            got, want = ps.to_dense(), ref_to_dense(ps)
+            for a, b in ((got.real, want.real), (got.imag, want.imag)):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_to_dense_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -478,3 +492,10 @@ class TestErrorPaths:
         with pytest.raises(EnumerationCapError, match=r"^4\^2 trace inner products is over cap 4\^1$"):
             dense_pauli_coefficients(np.eye(4))
         assert PauliSum.identity(2).to_dense().shape == (4, 4)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (4, 2), (2, 4), (2, 2, 2)])
+    def test_pauli_coefficients_refuse_a_matrix_that_is_not_square_2_to_the_n(self, shape):
+        from pbkernel import DimensionError, dense_pauli_coefficients
+
+        with pytest.raises(DimensionError, match=re.escape(f"matrix shape {shape} is not square 2^n")):
+            dense_pauli_coefficients(np.zeros(shape))

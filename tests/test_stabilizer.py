@@ -32,6 +32,7 @@ from conftest import (
     dense_word,
     random_clifford_circuit,
     random_pbf,
+    ref_dense_pauli_coefficients,
     ref_pauli_mul,
 )
 
@@ -321,6 +322,21 @@ class TestTrivialParent:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             trivial_parent(StateVector.ghz_state(3))
+
+    def test_pauli_coefficients_match_the_kronecker_traces(self, rng):
+        """Same keys in the same order and == values (a zero part may differ
+        in sign) as tr(P_w M) / 2^n with each P_w multiplied out."""
+        for n in range(1, 6):
+            states = [StateVector.ghz_state(n, normalized=True), StateVector.plus_state(n, normalized=True)]
+            for _ in range(3):
+                vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << n)])
+                states.append(StateVector(n, list(vec / np.linalg.norm(vec))))
+            for v in states:
+                gamma = trivial_parent(v)
+                got, want = dense_pauli_coefficients(gamma), ref_dense_pauli_coefficients(gamma)
+                assert list(got) == list(want) and all(got[w] == want[w] for w in want)
+        real = np.diag([0.5, -0.25, 0.0, 1.0])  # a real matrix reads as the complex one does
+        assert dense_pauli_coefficients(real) == ref_dense_pauli_coefficients(real)
 
 
 class TestTextFormat:

@@ -59,8 +59,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError
-from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _assignments, _coerce, _hadamard_transform,
-                  _int_dtype, _numerators, _point_indices, _scaled, _swap_order, spin_to_boolean)
+from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _accumulate, _assignments, _coerce, _count,
+                  _hadamard_transform, _int_dtype, _numerators, _point_indices, _scaled, _swap_order, spin_to_boolean)
 
 #: brute-force cap for the realizability decision (2^n constraint rows)
 REALIZABILITY_CAP = 12
@@ -125,6 +125,7 @@ class OneBodyKernel(NamedTuple):
 
 
 def one_body_kernel(form: OneBodyForm, explicit_cap: int = DEFAULT_ENUMERATION_CAP) -> OneBodyKernel:
+    explicit_cap = _count(explicit_cap, "explicit_cap")
     if form.offset > 0:
         return OneBodyKernel({}, (), True, frozenset())
     pinned = {k: 1 - form.tau[k] for k, c in enumerate(form.coeffs) if c > 0}
@@ -743,6 +744,7 @@ def quadratic_realizability(
     :func:`pbkernel.pbf._check_assignment` reads one; any other entry (1.5,
     a space, a Unicode digit such as '\u0660') is a ``bad bit string``.
     """
+    cap = _count(cap, "cap")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > cap:

@@ -455,9 +455,10 @@ class DiagonalOperator:
 def _embedded_table(f: PseudoBoolean, cap: int, what: str) -> tuple:
     """(nums, denom): f's values in state order over one denominator, which is
     in least terms because the values and the coefficients are integer
-    combinations of each other.  A cap above ``STATE_CAP`` counts as
-    ``STATE_CAP``, so the check comes before the 2^n table exists."""
-    cap = min(cap, STATE_CAP)
+    combinations of each other.  The cap is read by :func:`_count`, and a
+    cap above ``STATE_CAP`` counts as ``STATE_CAP``, so the check comes
+    before the 2^n table exists."""
+    cap = min(_count(cap, "cap"), STATE_CAP)
     if f.n > cap:
         raise EnumerationCapError(f"{what} embedding at arity {f.n} exceeds cap {cap}")
     vals, denom = f._cube_values(cap, f"{what} embedding")

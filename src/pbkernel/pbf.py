@@ -356,7 +356,9 @@ def _check_arity(arity) -> int:
     return arity
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
+def _check_cap(n: int, cap, what: str) -> None:
+    """EnumerationCapError when 2^n points pass 2^cap, the cap read by :func:`_count`."""
+    cap = _count(cap, "cap")
     if n > cap:
         raise EnumerationCapError(f"{what} would enumerate 2^{n} points (cap 2^{cap})")
 

@@ -11,7 +11,8 @@ ints.  The table reader behind
 ``_numerators`` and ``_scaled`` must read what the per-entry reader it
 replaced reads, on tables of shared objects, of own objects and of mixed
 entry types, and a value table must hold, and build, one object per
-distinct value.
+distinct value.  Minimization reads no table back, and every ``cap``
+argument is read as a count.
 """
 
 import random
@@ -24,12 +25,15 @@ import pytest
 
 from pbkernel import (
     EnumerationCapError,
+    OneBodyForm,
     PseudoBoolean,
     SupportSet,
     WeightProfile,
     detect_symmetric,
     embed_diagonal,
+    embed_state,
     minimize_bruteforce,
+    one_body_kernel,
     profile_to_pbf,
     quadratic_realizability,
     support_parent,
@@ -241,6 +245,17 @@ def test_minimum_and_argmin(f):
     best, argmin = ref_minimize(f)
     assert type(res.value) is Fraction
     assert (res.value, res.argmin) == (best, argmin)
+
+
+@pytest.mark.parametrize("scale", [1, BIG], ids=["int64", "pyint"])
+def test_minimize_reads_no_table_back(monkeypatch, scale):
+    def refuse(values):
+        raise AssertionError("a table was read back")
+
+    monkeypatch.setattr(pbf, "_read_table", refuse)
+    for f in (g * scale for g in polynomials(9)):
+        res = minimize_bruteforce(f)
+        assert (res.value, res.argmin) == ref_minimize(f)
 
 
 @pytest.mark.parametrize("f", CASES)
@@ -462,6 +477,37 @@ def test_cap_messages(call, what):
     with pytest.raises(EnumerationCapError) as exc:
         call(PseudoBoolean.zero(4))
     assert str(exc.value) == f"{what} would enumerate 2^4 points (cap 2^3)"
+
+
+def test_minimize_cap_message_at_the_default_cap():
+    with pytest.raises(EnumerationCapError) as exc:
+        minimize_bruteforce(PseudoBoolean.zero(21))
+    assert str(exc.value) == "disjoint-form table would enumerate 2^21 points (cap 2^20)"
+
+
+F3 = PseudoBoolean.from_terms(3, {(0,): 1, (1, 2): -1})
+
+CAP_CALLS = {
+    "kernel": lambda cap: F3.kernel(cap=cap),
+    "is_nonnegative": lambda cap: F3.is_nonnegative(cap=cap),
+    "to_disjoint_form": lambda cap: F3.to_disjoint_form(cap=cap),
+    "minimize_bruteforce": lambda cap: minimize_bruteforce(F3, cap=cap),
+    "detect_symmetric": lambda cap: detect_symmetric(F3, cap=cap),
+    "embed_diagonal": lambda cap: embed_diagonal(F3, cap=cap),
+    "embed_state": lambda cap: embed_state(F3, cap=cap),
+    "quadratic_realizability": lambda cap: quadratic_realizability(["000", "111"], 3, cap=cap),
+    "one_body_kernel": lambda cap: one_body_kernel(OneBodyForm((1, 0, 2), (0, 1, 1)), cap),
+}
+
+
+@pytest.mark.parametrize("call", CAP_CALLS.values(), ids=CAP_CALLS)
+def test_every_cap_is_read_as_a_count(call):
+    """A decimal string is its integer; a bool, a float or None is a
+    ValueError naming it (the one-body kernel's argument is explicit_cap)."""
+    assert call("3") == call(3)
+    for bad in (True, 2.5, None):
+        with pytest.raises(ValueError, match=rf"^(explicit_)?cap must be an integer, got {bad!r}$"):
+            call(bad)
 
 
 def test_witnesses_follow_varmask_order():

@@ -95,16 +95,21 @@ def test_assignments_at_the_chunk_boundaries(n):
         assert all(type(b) is int for row in got[:50] for b in row)
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 7, 8, 9, 10])
+@pytest.mark.parametrize("n", [0, 1, 3, 7, 8, 9, 10, 16])
 def test_minimize_argmin_matches_the_reference(n):
+    """On int64 cubes and on Python-int cubes (every coefficient times 2^62);
+    at n = 16 one random case, as the reference scan takes about 0.5 s."""
     rng = random.Random(40 + n)
-    cases = [random_pbf(rng, n, 6, lo=-2, hi=2) for _ in range(4)] + [PseudoBoolean.zero(n)]
+    cases = [random_pbf(rng, n, 6, lo=-2, hi=2) for _ in range(4 if n <= 10 else 1)] + [PseudoBoolean.zero(n)]
     if n:  # x1 * x_n: the minimum 0 ties over every point without both
         cases.append(PseudoBoolean.from_terms(n, {(0, n - 1): 1}))
-    for f in cases:
-        res = minimize_bruteforce(f)
-        assert (res.value, res.argmin) == ref_minimize(f)
-        assert type(res.value) is Fraction
+    for scale, dtype in ((1, np.int64), (1 << 62, object)):
+        for f in (g * scale for g in cases):
+            if f._terms:
+                assert f._cube_values(n, "cube")[0].dtype == dtype
+            res = minimize_bruteforce(f)
+            assert (res.value, res.argmin) == ref_minimize(f)
+            assert type(res.value) is Fraction and type(res.value.numerator) is int is type(res.value.denominator)
 
 
 @pytest.mark.parametrize("n", range(17))

@@ -39,16 +39,12 @@ from .pbf import _check_arity
 VERIFY_STATE_CAP = 12
 
 
-class _UsageError(Exception):
-    """Input or usage problem; reported on stderr with exit code 2."""
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror}") from exc
+        raise PBKernelError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _bitstring(bits) -> str:
@@ -115,7 +111,7 @@ def _cmd_pbf(args) -> int:
         _emit(payload, args.json, lambda: [f"arity {f.n}"] + ker)
     elif args.action == "eval":
         if args.at is None:
-            raise _UsageError("pbf eval needs --at BITSTRING")
+            raise PBKernelError("pbf eval needs --at BITSTRING")
         value = f.eval(_parse_bits(args.at))
         payload = {"command": "pbf eval", "at": args.at, "value": str(value)}
         _emit(payload, args.json, lambda: [f"f({args.at}) = {value}"])
@@ -163,7 +159,7 @@ def _cmd_sym(args) -> int:
         return 0
     # factor
     if sym.profile is None:
-        raise _UsageError("input is not a symmetric function")
+        raise PBKernelError("input is not a symmetric function")
     form = symmetric.canonical_to_power(symmetric.canonical_coefficients(f))
     rf = symmetric.factorize(form)
     payload = {"command": "sym factor"}
@@ -249,15 +245,15 @@ def _cmd_gadget_compose(args) -> int:
     try:
         data = json.loads(_read(args.netlist))
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed netlist JSON: {exc}") from exc
+        raise PBKernelError(f"malformed netlist JSON: {exc}") from exc
     except RecursionError:  # the decoder recurses once per nested array or object
-        raise _UsageError("malformed netlist JSON: nested too deeply") from None
+        raise PBKernelError("malformed netlist JSON: nested too deeply") from None
     netlist = gadgets.Netlist.from_dict(data)
     extra = []
     for spec_ in args.clamp or []:
         wire, _, val = spec_.partition("=")
         if val not in ("0", "1"):  # the one bit rule of clamps, --at, state and strings files
-            raise _UsageError(f"--clamp needs WIRE=BIT, got {spec_!r}")
+            raise PBKernelError(f"--clamp needs WIRE=BIT, got {spec_!r}")
         extra.append((wire, int(val)))
     if extra:
         netlist = gadgets.Netlist(netlist.gates, tuple(sorted(set(netlist.clamps) | set(extra))))
@@ -389,7 +385,7 @@ def main(argv=None) -> int:
         # what is still buffered goes to devnull, so shutdown's flush writes nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (_UsageError, PBKernelError) as exc:
+    except PBKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -54,6 +54,7 @@ import reprlib
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -286,13 +287,12 @@ class _Tableau:
     and a zero row.  ``K`` = [Q | Q b] is the row operations since the start (Q
     square, initially the identity) and the right-hand side, which meets that
     zero row, so K times a row of ``T0T`` is Q times a column of T0.  Row i of
-    Q T0 is a positive multiple of row i of B^-1 [A | b], basic entry > 0;
-    ``matrix`` gives each over its gcd, the primitive (Bareiss 1968, Edmonds
-    1967) row.  Pricing is one product of T0 with the last row of K, the
-    entering column one of K with its row of ``T0T`` (revised simplex, Dantzig &
-    Orchard-Hays 1954).  A pivot on p = (Q T0)[r, j] > 0 sets each row of K with
-    f = (Q T0)[i, j] != 0 to p K_i - f K_r and divides none: no sign or ratio
-    sees a row's scale.
+    Q T0 is a positive multiple of row i of B^-1 [A | b], basic entry > 0, and
+    over its gcd is the primitive (Bareiss 1968, Edmonds 1967) row.  Pricing is
+    one product of T0 with the last row of K, the entering column one of K with
+    its row of ``T0T`` (revised simplex, Dantzig & Orchard-Hays 1954).  A pivot
+    on p = (Q T0)[r, j] > 0 sets each row of K with f = (Q T0)[i, j] != 0 to
+    p K_i - f K_r and divides none: no sign or ratio sees a row's scale.
 
     The columns are the structural ones, where column j is ``sign[j]`` times
     x_``var[j]`` (x_v, then -x_v for a free v), then one surplus column per geq
@@ -374,13 +374,6 @@ class _Tableau:
     def _cast(self, dtype) -> None:
         self.K, self.T0T = self.K.astype(dtype), np.ascontiguousarray(self.T0T, dtype)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The primitive rows: Q T0 over its row gcds, in the dtype ``_int_dtype(2 top^2)``."""
-        rows = self.K @ self.T0T.T
-        rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
-        return rows.astype(_int_dtype(2 * _top(rows) ** 2))
-
     def column(self, j: int) -> np.ndarray:
         """Column j of Q T0 (the right-hand side for j = -1)."""
         return self.K @ self.T0T[j]
@@ -406,15 +399,15 @@ class _Tableau:
                 self._cast(object)
         self.basis[r] = j
 
-    def run(self, end: int) -> None:
+    def run(self, end: int) -> int | None:
         """Bland-rule simplex on the last reduced-cost row, entering only
-        columns below ``end`` (basic ones have reduced cost 0).  Raises on
-        unbounded via _Unbounded."""
+        columns below ``end`` (basic ones have reduced cost 0).  Returns None
+        at an optimum, or the entering column when the LP is unbounded."""
         basis, m = self.basis, len(self.basis)
         while True:
             entering = (self.T0T[:end] @ self.K[-1] < 0).nonzero()[0]
             if not len(entering):
-                return
+                return None
             enter = int(entering[0])
             col = self.column(enter)
             # exact min of rhs / a over a > 0 (a row's scale cancels), ties to the lower basis index
@@ -425,7 +418,7 @@ class _Tableau:
                     if d < 0 or (d == 0 and basis[i] < basis[leave]):
                         leave, lead_a, lead_rhs = i, a, rhs
             if leave is None:
-                raise _Unbounded(enter)
+                return enter
             self._pivot(leave, enter, col)
 
     def column_values(self, j: int, sign: int = 1) -> tuple:
@@ -491,11 +484,6 @@ def _reduced(nums: list, denom: int) -> tuple:
     return [a // g for a in nums], denom // g
 
 
-class _Unbounded(Exception):
-    def __init__(self, col):
-        self.col = col
-
-
 def simplex_solve(lp: LPInstance) -> SimplexResult:
     """Exact two-phase simplex; every exit path is verified exactly.
 
@@ -508,7 +496,8 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
 
     # phase 1: minimize the artificial sum, -a K[-1, -1] / d for the scale [a, d]
     if tab.ncols > tab.first_art:
-        tab.run(tab.ncols)
+        if tab.run(tab.ncols) is not None:
+            raise AssertionError("phase 1 is bounded below by 0")
         if tab.K[-1, -1] < 0:  # a positive sum: the certificate is each multiplier over it
             nums, denom = _reduced(tab.row_multipliers(tab.first_art)[0], -tab.scale[-1][0] * int(tab.K[-1, -1]))
             certificate = list(zip(lp.row_refs(), nums))
@@ -526,10 +515,8 @@ def simplex_solve(lp: LPInstance) -> SimplexResult:
         tab.scale.pop()
 
     # phase 2
-    try:
-        tab.run(tab.first_art)
-    except _Unbounded as unb:  # the ray: +1 on the entering column, -(B^-1 a_enter) on the basic ones
-        j = unb.col
+    j = tab.run(tab.first_art)
+    if j is not None:  # the ray: +1 on the entering column, -(B^-1 a_enter) on the basic ones
         support, denom = tab.column_values(j, -1)
         ray = _accumulate({int(tab.var[j]): int(tab.sign[j]) * denom} if j < len(tab.var) else {}, support.items())
         _check_ray(lp, ray)
@@ -572,12 +559,6 @@ def _weighted_row_sum(weights: list, rows: np.ndarray, top: int) -> list:
     return (np.array(weights, dtype=dtype) @ rows.astype(dtype, copy=False)).tolist()
 
 
-def _check_point(lp: LPInstance, x: Sequence, ray: bool = False) -> None:
-    """:func:`_check_point_ints` on a point (or ray) given as one value per variable."""
-    nums, denom = _numerators(x)
-    _check_point_ints(lp, {v: a for v, a in enumerate(nums) if a}, 0 if ray else denom)
-
-
 def _check_point_ints(lp: LPInstance, support: dict, rhs: int) -> None:
     """One primal check of x = {v: numerator} over one denominator, 0 where absent, with
     b weighted by ``rhs`` (that denominator for a point, 0 for a ray): x_v >= 0 on every
@@ -589,11 +570,6 @@ def _check_point_ints(lp: LPInstance, support: dict, rhs: int) -> None:
         raise AssertionError("equality row violated")
     if any(gap < 0 for gap in gaps):
         raise AssertionError("inequality row violated")
-
-
-def _check_duals(lp: LPInstance, y: Sequence, objective: Sequence, sense: str) -> Fraction:
-    """:func:`_check_duals_ints` on duals and an objective given as values."""
-    return _check_duals_ints(lp, *_numerators(y), _numerators(objective), sense)
 
 
 def _check_duals_ints(lp: LPInstance, nums: list, denom: int, cost: tuple, sense: str) -> Fraction:
@@ -636,15 +612,6 @@ def _check_ray(lp: LPInstance, ray: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _pairs(n: int) -> tuple:
-    """The coupling pairs l < k in feature order, as two read-only index
-    arrays built once per n."""
-    first, second = np.triu_indices(n, 1)
-    first.flags.writeable = second.flags.writeable = False
-    return first, second
-
-
 #: a bit of a target entry: '0', '1', or a value equal to 0 or 1 (True, 1.0, a numpy 1)
 _BIT = {"0": 0, "1": 1, 0: 0, 1: 1}
 
@@ -659,7 +626,7 @@ def _cube(n: int) -> tuple:
     index = {bits: i for i, bits in enumerate(points)}
     index.update({"".join(map(str, bits)): i for bits, i in index.items()})
     z = 1 - 2 * np.array(points, dtype=np.int64).T
-    first, second = _pairs(n)
+    first, second = np.triu_indices(n, 1)
     features = np.concatenate([np.ones((1, 1 << n), dtype=np.int64), z, z[first] * z[second]])
     features.flags.writeable = False
     return points, index, features
@@ -744,7 +711,7 @@ def quadratic_realizability(
     :func:`pbkernel.pbf._check_assignment` reads one; any other entry (1.5,
     a space, a Unicode digit such as '\u0660') is a ``bad bit string``.
     """
-    cap = _count(cap, "cap")
+    n, cap = _count(n, "n"), _count(cap, "cap")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > cap:
@@ -780,23 +747,21 @@ def quadratic_realizability(
         if result.value != 0:
             raise AssertionError("dual optimum must be zero when the margin system is feasible")
         w = result.duals  # c0, the h_l, then the J_lk in pair order
-        pairs = zip(*(ks.tolist() for ks in _pairs(n)))  # Python-int keys
-        real = QuadraticRealization(
-            feasible=True, n=n, constant=w[0], fields=w[1 : n + 1], couplings=dict(zip(pairs, w[n + 1 :]))
-        )
+        couplings = dict(zip(combinations(range(n), 2), w[n + 1 :]))  # Python-int keys
+        real = QuadraticRealization(feasible=True, n=n, constant=w[0], fields=w[1 : n + 1], couplings=couplings)
         if not real.verify(target):
             raise AssertionError("recovered coefficients fail the margin re-verification")
         return real
     if result.status != "unbounded":
         raise AssertionError(f"unexpected simplex status {result.status}")
     # the ray's numerators over one denominator; each multiplier is one over their margin total
-    denom = math.lcm(*(d.denominator for d in result.ray.values()))
-    ray = {j: d.numerator * (denom // d.denominator) for j, d in sorted(result.ray.items())}
-    total = sum(a for j, a in ray.items() if j >= ns)
+    ray = dict(sorted(result.ray.items()))
+    nums, _ = _numerators(ray.values())
+    total = sum(a for j, a in zip(ray, nums) if j >= ns)
     if total <= 0:
         raise AssertionError("unbounded ray carries no inequality mass")
     idx = idx.tolist()
-    certificate = [(points[idx[j]], Fraction(a, total)) for j, a in ray.items()]
+    certificate = [(points[idx[j]], Fraction(a, total)) for j, a in zip(ray, nums)]
     real = QuadraticRealization(feasible=False, n=n, certificate=certificate)
     verify_infeasibility(real, target, n)
     return real

@@ -220,11 +220,11 @@ class StateVector:
         """Each amplitude is an :class:`ExactComplex` or a ``numbers.Rational``
         (exact), or another ``numbers.Complex``, which makes the vector a float
         one; anything else is a TypeError naming its index."""
-        size = self._size(arity)
-        if len(amps) != size:
-            raise DimensionError(f"need {size} amplitudes, got {len(amps)}")
+        n = self._arity(arity)
+        if len(amps) != 1 << n:
+            raise DimensionError(f"need {1 << n} amplitudes, got {len(amps)}")
         parts = [_exact_parts(k, a) for k, a in enumerate(amps)]
-        self.n, self.denom = arity, 1
+        self.n, self.denom = n, 1
         if any(p is None for p in parts):  # float64 (re, im) pairs
             pairs = np.array([complex(a) for a in amps]).view(np.float64)
         else:  # integer (re, im) pairs over their LCM, which is in least terms
@@ -247,22 +247,26 @@ class StateVector:
         return v
 
     @staticmethod
-    def _size(arity: int) -> int:
-        """The 2^arity amplitudes of a statevector, once the arity is within
-        the cap; every constructor asks here before it allocates them."""
+    def _arity(arity) -> int:
+        """The arity, read by :func:`pbkernel.pbf._count`, once it is within
+        the cap; every constructor asks here before it allocates its 2^arity
+        amplitudes."""
+        arity = _count(arity, "arity")
         if arity < 0 or arity > STATE_CAP:
             raise EnumerationCapError(f"statevector arity {arity} outside 0..{STATE_CAP}")
-        return 1 << arity
+        return arity
 
     @classmethod
     def zeros(cls, arity: int) -> "StateVector":
-        return cls._of(arity, np.zeros(cls._size(arity), dtype=np.int64))
+        n = cls._arity(arity)
+        return cls._of(n, np.zeros(1 << n, dtype=np.int64))
 
     @classmethod
     def basis_state(cls, arity: int, x) -> "StateVector":
-        re = np.zeros(cls._size(arity), dtype=np.int64)
-        re[_basis_index(x, arity)] = 1
-        return cls._of(arity, re)
+        n = cls._arity(arity)
+        re = np.zeros(1 << n, dtype=np.int64)
+        re[_basis_index(x, n)] = 1
+        return cls._of(n, re)
 
     @classmethod
     def plus_state(cls, arity: int, normalized: bool = False) -> "StateVector":
@@ -271,16 +275,19 @@ class StateVector:
         The unnormalized version is 2^(n/2) times the unit-norm plus
         state, which keeps the amplitudes exact.
         """
-        return cls._of(arity, np.full(cls._size(arity), 2.0 ** (-arity / 2) if normalized else 1))
+        n = cls._arity(arity)
+        return cls._of(n, np.full(1 << n, 2.0 ** (-n / 2) if normalized else 1))
 
     @classmethod
     def ghz_state(cls, arity: int, normalized: bool = False) -> "StateVector":
         """|0..0> + |1..1>, rational amplitudes unless normalized."""
-        if arity < 1:
+        n = _count(arity, "arity")
+        if n < 1:
             raise ValueError("GHZ state needs at least one qubit")
-        re = np.zeros(cls._size(arity), dtype=np.float64 if normalized else np.int64)
+        n = cls._arity(n)
+        re = np.zeros(1 << n, dtype=np.float64 if normalized else np.int64)
         re[[0, -1]] = 2.0 ** (-1 / 2) if normalized else 1
-        return cls._of(arity, re)
+        return cls._of(n, re)
 
     @property
     def exact(self) -> bool:
@@ -411,11 +418,12 @@ class DiagonalOperator:
     __slots__ = ("n", "nums", "denom")
 
     def __init__(self, arity: int, diag: Sequence):
-        if arity < 0 or arity > STATE_CAP:
-            raise EnumerationCapError(f"diagonal arity {arity} outside 0..{STATE_CAP}")
-        if len(diag) != 1 << arity:
-            raise DimensionError(f"need {1 << arity} entries, got {len(diag)}")
-        self.n = arity
+        n = _count(arity, "arity")
+        if n < 0 or n > STATE_CAP:
+            raise EnumerationCapError(f"diagonal arity {n} outside 0..{STATE_CAP}")
+        if len(diag) != 1 << n:
+            raise DimensionError(f"need {1 << n} entries, got {len(diag)}")
+        self.n = n
         self.nums, self.denom = _scaled(diag)
 
     @classmethod

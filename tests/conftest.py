@@ -44,6 +44,10 @@ Kronecker-product builders of ``PauliSum.to_dense`` and
 ``dense_pauli_coefficients`` the library used before it read each Pauli
 word as one gather, and the per-bit loop of ``one_body_kernel`` before
 its assignment tuples came from the one tuple writer.
+
+It also holds the views of the library's LP that only tests read: the
+primitive rows of its integer tableau and its integer re-checks on
+points and duals given as values.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ import pytest
 
 from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, ising_kernel, stabilizer
 from pbkernel.errors import DimensionError, NetlistError, ParseError
-from pbkernel.pbf import _accumulate, _numerators, _point_indices, _scaled, _swap_order
+from pbkernel.ising_kernel import _check_duals_ints, _check_point_ints, _top
+from pbkernel.pbf import _accumulate, _int_dtype, _numerators, _point_indices, _scaled, _swap_order
 
 
 def assignments(n):
@@ -896,7 +901,36 @@ class RefLPInstance:
         object.__setattr__(self, "_lcm", tuple(lcm for *_, lcm in ints))
 
 
+# -- test-side views of the library's LP ---------------------------------------
+
+def primitive_rows(tab) -> np.ndarray:
+    """The primitive rows of a library ``_Tableau``: Q T0 over its row gcds, in
+    the dtype ``_int_dtype(2 top^2)``."""
+    rows = tab.K @ tab.T0T.T
+    rows //= np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
+    return rows.astype(_int_dtype(2 * _top(rows) ** 2))
+
+
+def int_check_point(lp, x) -> None:
+    """The library's primal check on a point given as one value per variable."""
+    nums, denom = _numerators(x)
+    _check_point_ints(lp, {v: a for v, a in enumerate(nums) if a}, denom)
+
+
+def int_check_duals(lp, y, objective, sense: str) -> Fraction:
+    """The library's dual check on duals and an objective given as values."""
+    return _check_duals_ints(lp, *_numerators(y), _numerators(objective), sense)
+
+
 # -- Fraction simplex tableau (reference for the integer tableau) -----------
+
+class RefUnbounded(Exception):
+    """Raised by a reference tableau's ``run`` on an unbounded LP; ``col``
+    is the entering column."""
+
+    def __init__(self, col):
+        self.col = col
+
 
 class RefTableau:
     """Dense Fraction simplex tableau with Bland's anti-cycling rule: the
@@ -991,8 +1025,6 @@ class RefTableau:
         self.basis[r] = j
 
     def run(self, cost, banned):
-        from pbkernel.ising_kernel import _Unbounded
-
         z = list(cost)
         for i, b in enumerate(self.basis):
             if cost[b]:
@@ -1023,7 +1055,7 @@ class RefTableau:
                         best = theta
                         leave = i
             if leave is None:
-                raise _Unbounded(enter)
+                raise RefUnbounded(enter)
             self._pivot(leave, enter, z)
 
     def objective_value(self, cost):
@@ -1176,7 +1208,7 @@ def ref_verify_infeasibility(real, target, n):
 def ref_simplex_solve(lp):
     """``simplex_solve`` on the Fraction tableau, with the Fraction
     re-checks above on every exit."""
-    from pbkernel.ising_kernel import SimplexResult, _Unbounded
+    from pbkernel.ising_kernel import SimplexResult
 
     tab = RefTableau(lp)
     m = len(tab.matrix)
@@ -1203,7 +1235,7 @@ def ref_simplex_solve(lp):
             cost2[j] = sign * col[2] * lp.objective[col[1]]
     try:
         z2 = tab.run(cost2, banned=tab.artificial)
-    except _Unbounded as unb:
+    except RefUnbounded as unb:
         ray = _ref_extract_ray(tab, unb.col)
         ref_check_ray(lp, ray)
         return SimplexResult(status="unbounded", ray=ray)
@@ -1421,9 +1453,7 @@ class RefBareissTableau:
 
     def run(self, cost: list, banned: set) -> None:
         """Bland-rule simplex on the given cost vector, leaving the final
-        reduced-cost row in ``z``.  Raises on unbounded via _Unbounded."""
-        from pbkernel.ising_kernel import _Unbounded
-
+        reduced-cost row in ``z``.  Raises RefUnbounded on an unbounded LP."""
         self.zscale = math.lcm(*(c.denominator for c in cost))
         scaled = [c.numerator * (self.zscale // c.denominator) for c in cost]
         z = [self.den * c for c in scaled] + [0]
@@ -1455,7 +1485,7 @@ class RefBareissTableau:
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:
-                raise _Unbounded(enter)
+                raise RefUnbounded(enter)
             self._pivot(leave, enter)
 
     def objective_value(self) -> Fraction:
@@ -1501,9 +1531,7 @@ def _ref_bareiss_extract_ray(tab, enter):
 def ref_bareiss_simplex_solve(lp):
     """``simplex_solve`` on the Bareiss tableau, with the library's integer
     re-checks on every exit."""
-    from pbkernel.ising_kernel import (
-        SimplexResult, _Unbounded, _check_duals, _check_point, _check_ray, verify_certificate,
-    )
+    from pbkernel.ising_kernel import SimplexResult, _check_ray, verify_certificate
 
     tab = RefBareissTableau(lp)
     m = len(tab.matrix)
@@ -1529,15 +1557,15 @@ def ref_bareiss_simplex_solve(lp):
             cost2[j] = sign * col[2] * lp.objective[col[1]]
     try:
         tab.run(cost2, banned=tab.artificial)
-    except _Unbounded as unb:
+    except RefUnbounded as unb:
         ray = _ref_bareiss_extract_ray(tab, unb.col)
         _check_ray(lp, ray)
         return SimplexResult(status="unbounded", ray=ray)
     x = tab.solution()
     value = sum((lp.objective[v] * x[v] for v in range(lp.num_vars)), Fraction(0))
-    _check_point(lp, x)
+    int_check_point(lp, x)
     duals = tuple(sign * y for y in tab.row_multipliers(cost2))
-    if _check_duals(lp, duals, lp.objective, lp.sense) != value:
+    if int_check_duals(lp, duals, lp.objective, lp.sense) != value:
         raise AssertionError("dual bound does not match the optimal value")
     return SimplexResult(status="optimal", x=tuple(x), value=value, duals=duals)
 

@@ -24,6 +24,7 @@ from conftest import (
     RefTableau,
     assignments,
     fuzz_lp,
+    primitive_rows,
     random_target,
     rational_lp,
     ref_bareiss_simplex_solve,
@@ -73,7 +74,8 @@ def traced(monkeypatch, solve, cls, lp, snapshot=lambda tab: None):
     pivot = cls._pivot
 
     def recording(self, r, j, *rest):
-        negative.append(self.matrix[r][j] < 0)
+        rows = primitive_rows(self) if cls is ising_kernel._Tableau else self.matrix
+        negative.append(rows[r][j] < 0)
         pivot(self, r, j, *rest)
         steps.append((tuple(self.basis), snapshot(self)))
 
@@ -92,7 +94,7 @@ def assert_same_solve(monkeypatch, lp):
     primitive-row invariants after every pivot; returns (status, any
     negative pivot, the tableau's dtype after each pivot)."""
     got, steps, negative = traced(
-        monkeypatch, simplex_solve, ising_kernel._Tableau, lp, lambda tab: tab.matrix.copy()
+        monkeypatch, simplex_solve, ising_kernel._Tableau, lp, primitive_rows
     )
     want, ref_steps, _ = traced(monkeypatch, ref_simplex_solve, RefTableau, lp)
     bareiss, bareiss_steps, _ = traced(
@@ -142,22 +144,23 @@ def test_rational_rows_start_at_their_own_row_lcm():
         geq=[([Fraction(1, 5), 1], Fraction(-2, 5)), ([1, -1], 0)],
     )
     tab = ising_kernel._Tableau(lp)
-    assert [tab.matrix[i, b] for i, b in enumerate(tab.basis)] == [12, 5, 1]
+    rows = primitive_rows(tab)
+    assert [rows[i, b] for i, b in enumerate(tab.basis)] == [12, 5, 1]
     bareiss = RefBareissTableau(lp)
     assert bareiss.den == 12 * 5 * 1
     for i, row in enumerate(bareiss.matrix):
-        assert tab.matrix[i].tolist() == primitive(row)
+        assert rows[i].tolist() == primitive(row)
 
 
 def test_rows_past_2_31_run_on_python_ints(monkeypatch):
-    assert ising_kernel._Tableau(WIDE_LP).matrix.dtype == object
+    assert primitive_rows(ising_kernel._Tableau(WIDE_LP)).dtype == object
     status, _, dtypes = assert_same_solve(monkeypatch, WIDE_LP)
     assert status == "optimal"
     assert dtypes and all(dtype == object for dtype in dtypes)
 
 
 def test_rows_passing_2_31_mid_solve_switch_to_python_ints(monkeypatch):
-    assert ising_kernel._Tableau(CROSSING_LP).matrix.dtype == np.int64
+    assert primitive_rows(ising_kernel._Tableau(CROSSING_LP)).dtype == np.int64
     status, _, dtypes = assert_same_solve(monkeypatch, CROSSING_LP)
     assert status == "optimal"
     assert len(dtypes) >= 2 and all(dtype == object for dtype in dtypes)
@@ -170,7 +173,7 @@ def test_stored_row_operations_stay_int64_where_the_rows_pass_2_31(monkeypatch):
     assert (tab.K.dtype, tab.T0T.dtype) == (np.int64, np.int64)
     _, steps, _ = traced(
         monkeypatch, simplex_solve, ising_kernel._Tableau, CROSSING_LP,
-        lambda tab: (tab.K.dtype, tab.T0T.dtype, tab.matrix.dtype),
+        lambda tab: (tab.K.dtype, tab.T0T.dtype, primitive_rows(tab).dtype),
     )
     assert len(steps) >= 2
     assert all(dtypes == (np.int64, np.int64, object) for _, dtypes in steps)
@@ -244,7 +247,7 @@ def int64_throughout(monkeypatch, target, n):
     _, lps = realize_lps(monkeypatch, target, n)
     (lp,) = lps
     _, steps, _ = traced(
-        monkeypatch, simplex_solve, ising_kernel._Tableau, lp, lambda tab: tab.matrix.dtype
+        monkeypatch, simplex_solve, ising_kernel._Tableau, lp, lambda tab: primitive_rows(tab).dtype
     )
     return bool(steps) and all(dtype == np.int64 for _, dtype in steps)
 

@@ -1,6 +1,9 @@
 """One-body classification, exact simplex, Ising Kernel decisions."""
 
+import hashlib
+import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +34,29 @@ from conftest import (
 )
 
 EVEN_PARITY_3 = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+
+#: the answers to the README's two examples, as repr shows them
+README_REPRS = [
+    ({"0000", "1111"}, 4, "QuadraticRealization(feasible=True, n=4, constant=Fraction(1, 1), fields=(Fraction(0, 1), "
+     "Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), couplings={(0, 1): Fraction(0, 1), (0, 2): Fraction(-1, 4), "
+     "(0, 3): Fraction(-1, 4), (1, 2): Fraction(-1, 4), (1, 3): Fraction(-1, 4), (2, 3): Fraction(0, 1)}, "
+     "certificate=None)"),
+    ({"000", "011", "101", "110"}, 3, "QuadraticRealization(feasible=False, n=3, constant=None, fields=None, "
+     "couplings=None, certificate=[((0, 0, 0), Fraction(-1, 4)), ((0, 1, 1), Fraction(-1, 4)), ((1, 0, 1), "
+     "Fraction(-1, 4)), ((1, 1, 0), Fraction(-1, 4)), ((0, 0, 1), Fraction(1, 4)), ((0, 1, 0), Fraction(1, 4)), "
+     "((1, 0, 0), Fraction(1, 4)), ((1, 1, 1), Fraction(1, 4))])"),
+]
+
+#: sha256 prefixes of repr and of the sorted to_dict() JSON of the answer for the
+#: weight-1 pair {10...0, 01...1}, by n
+WEIGHT1_DIGESTS = {
+    2: ("5b453cadc98397d0", "126ce18e57cff26d"),
+    3: ("d52fe6522c8bae17", "c9ec25ee80439151"),
+    4: ("5f722eb84f275b01", "8989f4209da136c9"),
+    5: ("297378c7e728f6e1", "e66e3fe2a9d74a68"),
+    6: ("ecd25a5ec7f564a7", "5e92a50a249f3e94"),
+    7: ("4a76152ac7b94943", "683f0e0becd80d71"),
+}
 
 
 def margin_system(target, n):
@@ -355,6 +381,22 @@ class TestRealizability:
         with pytest.raises(ValueError):
             quadratic_realizability(["0012"], 4)
 
+    @pytest.mark.parametrize("index", range(len(README_REPRS)))
+    def test_readme_examples_repr(self, index):
+        S, n, want = README_REPRS[index]
+        assert repr(quadratic_realizability(S, n)) == want
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_coupling_keys_are_python_int_pairs_in_combinations_order(self, n):
+        real = quadratic_realizability(["1" + "0" * (n - 1), "0" + "1" * (n - 1)], n)
+        assert list(real.couplings) == list(combinations(range(n), 2))
+        assert all(type(a) is int for pair in real.couplings for a in pair)  # a numpy int would change repr
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        assert (digest(repr(real)), digest(json.dumps(real.to_dict(), sort_keys=True))) == WEIGHT1_DIGESTS[n]
+
     def test_json_shapes(self):
         feasible = quadratic_realizability(["00", "11"], 2).to_dict()
         assert feasible["feasible"] is True
@@ -406,3 +448,11 @@ class TestErrorPaths:
 
         with pytest.raises(EnumerationCapError):
             quadratic_realizability([(0,) * 13], 13)
+
+    @pytest.mark.parametrize("n", [True, 2.0, None])
+    def test_n_is_read_as_a_count(self, n):
+        # n = True was read as 1, 2.0 and None leaked TypeError
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+            quadratic_realizability(["0"], n)
+        real = quadratic_realizability(["00", "11"], "2")
+        assert real == quadratic_realizability(["00", "11"], 2) and type(real.n) is int

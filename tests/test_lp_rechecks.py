@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 
 from pbkernel import LPInstance, ising_kernel, quadratic_realizability, simplex_solve
-from pbkernel.ising_kernel import _check_duals, _check_point, _check_ray, verify_certificate
+from pbkernel.ising_kernel import _check_ray, verify_certificate
 from pbkernel.pbf import bits_of
 from conftest import (
     assignments,
     fuzz_lp,
+    int_check_duals,
+    int_check_point,
     random_target,
     rational_lp,
     ref_check_duals,
@@ -48,7 +50,7 @@ def passes(check, *args):
 
 def check_duals(lp, duals, value):
     """The dual re-check of an optimal solve, as ``simplex_solve`` makes it."""
-    if _check_duals(lp, duals, lp.objective, lp.sense) != value:
+    if int_check_duals(lp, duals, lp.objective, lp.sense) != value:
         raise AssertionError("dual bound does not match the optimal value")
 
 
@@ -75,7 +77,7 @@ def lp_verdicts():
         res = simplex_solve(lp)
         if res.status == "optimal":
             for x in tampered(res.x):
-                seen["point"].append((passes(_check_point, lp, x), passes(ref_check_point, lp, x)))
+                seen["point"].append((passes(int_check_point, lp, x), passes(ref_check_point, lp, x)))
             for y in tampered(res.duals):
                 got = passes(check_duals, lp, y, res.value)
                 seen["duals"].append((got, passes(ref_check_duals, lp, y, res.value)))
@@ -116,7 +118,7 @@ def test_rechecks_on_rational_rows():
     assert res.status == "optimal" and res.x == (Fraction(1, 2), Fraction(1, 3))
     for x in ([Fraction(1, 2), Fraction(1, 3) + Fraction(1, 10**9)], [Fraction(1, 3), Fraction(4, 9)]):
         with pytest.raises(AssertionError):
-            _check_point(lp, x)
+            int_check_point(lp, x)
         with pytest.raises(AssertionError):
             ref_check_point(lp, x)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pbkernel import (
+    DiagonalOperator,
     DimensionError,
     EnumerationCapError,
     ExactComplex,
@@ -477,6 +478,22 @@ class TestErrorPaths:
             tracemalloc.stop()
         assert peak < 1 << 16  # 2^22 amplitudes would take 32 MB
         assert build(3).n == 3
+
+    @pytest.mark.parametrize("arity", [True, 1.0, None])
+    @pytest.mark.parametrize("build", [
+        StateVector.zeros,
+        lambda n: StateVector.basis_state(n, 0),
+        StateVector.plus_state,
+        StateVector.ghz_state,
+        lambda n: StateVector(n, [0, 1]),
+        lambda n: DiagonalOperator(n, [1, 2]),
+    ])
+    def test_state_and_diagonal_arities_are_read_as_counts(self, build, arity):
+        # True was stored as the arity; 1.0 and None leaked TypeError
+        with pytest.raises(ValueError, match=rf"^arity must be an integer, got {arity!r}$"):
+            build(arity)
+        built = build("1")
+        assert built.n == 1 and type(built.n) is int
 
     def test_dense_caps_are_named_and_named_in_the_refusal(self, monkeypatch):
         from pbkernel import dense_pauli_coefficients, pauli

@@ -34,7 +34,8 @@ raises for a bad one.  A sequence goes through :func:`_read_table` (behind
 numerators and reads every other entry by :func:`_coerce`; a text field
 goes through :func:`pbkernel.expr.rational`.  A number that names a count,
 such as an arity, is read by :func:`_count`: an int, a numpy integer or a
-decimal string; a float or a bool is a ValueError, never truncated.
+string of ASCII digits after an optional ``-``; a float, a bool or any other
+string is a ValueError naming the argument, never truncated.
 
 Every sum of sparse term tables in the package (polynomial sums and
 products, re-seating, clamping, the expression parser, JSON polynomials,
@@ -61,8 +62,10 @@ would dominate, and for Python ints at any size, which np.unique would sort
 by Python comparisons; a range table for int64 whose span max - min is
 below its length, one bincount and one gather with no sort; and
 np.unique and one gather for a wider int64 span.  Reading a table back
-tells its objects apart by id in one numpy sort, coerces and scales each
-distinct object once and gathers the integers back in one pass.
+takes its entries' references as one uintp array (the bytes of an object
+array of them), groups equal references by one sort and a searchsorted into
+the distinct ones, coerces and scales each distinct object once and gathers
+the integers back in one pass.
 Minimization takes its minimum on the integer array, not over Fractions.
 The assignment tuples of kernels, witnesses and argmin sets are joined
 from cached 8-bit chunk tuples (:func:`_assignments`).
@@ -157,40 +160,44 @@ def _read_table(values: Iterable) -> tuple:
 
     When every entry is a Python int (a bool is not one), the entries are
     their own numerators over 1, in entry order, with no further pass; the
-    check stops at the first entry that is not one.  Otherwise objects are
-    told apart by id: one numpy sort of the ids finds whether any object
-    repeats, so an input where none does (the amplitudes of a state file,
-    an LP vector) pays no more numpy than that.  Each distinct object that
-    is not a Python int is read by :func:`_coerce` once, in first-occurrence
-    order (so the first bad entry raises first, and a numpy integer is read
-    as a Python int), and ``nums`` holds its numerator over the LCM
-    ``denom`` of all denominators.  When no object repeats, ``inverse`` and
-    ``counts`` are None and ``nums`` is in entry order; otherwise entry i
-    holds ``nums[inverse[i]]`` and ``counts[j]`` entries share object j.
+    check stops at the first entry that is not one.  Otherwise the entries
+    go into one object array, whose bytes are their references (on CPython
+    their ids), read as one uintp array: two entries are one object exactly
+    when their references are equal, and the array keeps every entry alive.
+    One sort of the references finds whether any object repeats, so an
+    input where none does (the amplitudes of a state file, an LP vector)
+    pays no more numpy than that, and ``nums`` is in entry order with
+    ``inverse`` and ``counts`` None.  Otherwise each entry finds its object's
+    group by ``searchsorted`` into the distinct references, so ``nums`` is
+    in reference order, not entry order: entry i holds ``nums[inverse[i]]``
+    and ``counts[j]`` entries share object j.  Each distinct object that is
+    not a Python int is read by :func:`_coerce` once (a numpy integer is
+    read as a Python int), and ``nums`` holds its numerator over the LCM
+    ``denom`` of all denominators.  If a read fails, the entries are read
+    again in entry order, so the first bad entry raises first.
     """
-    values = list(values)  # keeps every entry alive, so equal ids mean one object
-    if all(type(v) is int for v in values):
-        return values, 1, None, None
-    count = len(values)
-    ids = np.fromiter(map(id, values), np.uintp, count)
-    keys = ids.copy()
+    entries = list(values)
+    if all(type(v) is int for v in entries):
+        return entries, 1, None, None
+    objs = np.fromiter(entries, object, len(entries))
+    refs = np.frombuffer(objs.tobytes(), np.uintp)
+    keys = refs.copy()
     keys.sort()
     same = keys[1:] == keys[:-1]  # sorted neighbours that are one object
     inverse = counts = None
+    distinct = entries
     if np.count_nonzero(same):
-        new = np.empty(count, dtype=bool)  # new[p]: sorted position p starts a distinct object
-        new[0] = True
-        np.logical_not(same, out=new[1:])
-        order = ids.argsort()
-        firsts = np.minimum.reduceat(order, new.nonzero()[0])  # first entry of each distinct object
-        seq = firsts.argsort()  # distinct objects in first-occurrence order
-        rank = np.empty_like(seq)
-        rank[seq] = np.arange(seq.size)
-        inverse = np.empty(count, dtype=np.intp)
-        inverse[order] = rank[new.cumsum() - 1]
+        keys = keys[np.concatenate(([True], ~same))]  # the distinct references, ascending
+        inverse = keys.searchsorted(refs)
         counts = np.bincount(inverse).tolist()
-        values = [values[i] for i in firsts[seq].tolist()]
-    exact = [v if type(v) is int else _coerce(v) for v in values]
+        first = np.empty(keys.size, dtype=np.intp)
+        first[inverse] = np.arange(objs.size)  # any entry of a group is its object
+        distinct = objs[first].tolist()
+    try:
+        exact = [v if type(v) is int else _coerce(v) for v in distinct]
+    except Exception:
+        list(map(_coerce, entries))  # re-read in entry order: the first bad entry raises
+        raise
     denom = math.lcm(*{v.denominator for v in exact})
     if denom == 1:
         return [v.numerator for v in exact], denom, inverse, counts
@@ -340,10 +347,12 @@ def _mask(vars_: Iterable[int], arity: int, what: str = "variable index") -> int
 
 def _count(value, what: str) -> int:
     """A number that names a count, as a Python int: an int, a numpy integer
-    or a decimal string (which :meth:`PseudoBoolean.from_dict` reads); a
-    float, a bool or anything else is a ValueError naming it.  A Python int
-    pays one type check."""
-    value = int(value) if isinstance(value, str) else value
+    or a decimal string, an optional ``-`` then ASCII digits only (which
+    :meth:`PseudoBoolean.from_dict` reads); any other string (``' 3'``,
+    ``'1_0'``, a Unicode digit), a float, a bool or anything else is a
+    ValueError naming it.  A Python int pays one type check."""
+    if isinstance(value, str) and (digits := value.removeprefix("-")).isascii() and digits.isdigit():
+        value = int(value)
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)

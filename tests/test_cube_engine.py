@@ -264,9 +264,34 @@ def test_disjoint_form_shares_one_object_per_value(f):
     assert len({id(v) for v in table}) == len(set(table))
 
 
+def changed_and_shared_tables():
+    """Value tables of 2^n entries for the table reader: ``to_disjoint_form``
+    tables a caller changed (one entry an equal but new Fraction, one another
+    value, one a numpy integer), a table of shared objects whose references
+    sort against the order in which the entries first hold them, and a
+    2^16-entry table of shared objects of mixed types."""
+    rng = random.Random(40)
+    out = []
+    for n in (2, 5, 9, 12):
+        table = random_rational_pbf(rng, n).to_disjoint_form()
+        i, j, k = rng.sample(range(1 << n), 3)
+        old = table[i]
+        table[i] = Fraction(old.numerator, old.denominator)
+        assert table[i] == old and table[i] is not old
+        table[j] += Fraction(1, 7)
+        table[k] = np.int64(-3)
+        out.append(table)
+    pool = sorted((Fraction(v, 6) for v in range(-20, 20)), key=id, reverse=True)
+    out.append(pool + [rng.choice(pool) for _ in range(1024 - len(pool))])
+    pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(37)] + [np.int64(3), 7, "1/3", 0.5]
+    out.append([rng.choice(pool) for _ in range(1 << 16)])
+    return out
+
+
 def numerator_tables():
     """Value lists for the table reader: shared objects, equal but distinct
-    objects, mixed entry types and both sides of the int64 bound."""
+    objects, mixed entry types, both sides of the int64 bound and
+    :func:`changed_and_shared_tables`."""
     rng = random.Random(9)
     pool = [Fraction(1, 3), Fraction(-2, 5), 7, "3/4"]
     out = [
@@ -279,7 +304,7 @@ def numerator_tables():
         [Fraction(1 << 58, 3), "0", f"-{1 << 57}/5", -1, Fraction(1 << 58, 3)],
     ]
     out += [f.to_disjoint_form() for f in boundary_polynomials()]
-    return out
+    return out + changed_and_shared_tables()
 
 
 @pytest.mark.parametrize("table", numerator_tables())
@@ -293,11 +318,17 @@ def test_numerators_against_the_per_entry_reader(table):
     assert vals.dtype == (np.int64 if sum(map(abs, want[0])) < BIG else object)
 
 
+#: two bad strings, the one with the higher reference first
+EARLY, LATE = sorted(("".join(["tw", "o"]), "".join(["thr", "ee"])), key=id, reverse=True)
+
+
 @pytest.mark.parametrize("table", [
     [0, "two", 1, "two", None],
     [Fraction(1, 2), None, "1/0x", None],
     ["1/0x", "two", "1/0x"],
     [1, 2, [3], 4, [3]],
+    [Fraction(1, 2), EARLY, 3, EARLY] * 8,  # one bad object shared by many entries
+    [Fraction(1, 2), 3, EARLY, LATE] * 8,  # read in reference order, LATE would raise first
 ])
 def test_numerators_raise_the_first_bad_entry(table):
     with pytest.raises(Exception) as want:
@@ -354,6 +385,20 @@ def test_shared_objects_of_mixed_types():
         assert (vals.tolist(), denom) == want
         assert vals.dtype == (np.int64 if sum(map(abs, want[0])) < BIG else object)
         assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table)
+
+
+def test_an_object_arrays_bytes_are_its_entries_ids():
+    """The invariant the table reader rests on: the bytes of an object array,
+    read as uintp, are its entries' references, which are their ids."""
+    shared = Fraction(1, 3)
+    values = [shared, 7, "3/4", shared, np.int64(5), None, [3], shared, 1.25, BIG]
+    objs = np.fromiter(values, object, len(values))
+    assert np.frombuffer(objs.tobytes(), np.uintp).tolist() == [id(v) for v in values]
+
+
+@pytest.mark.parametrize("table", changed_and_shared_tables())
+def test_from_disjoint_form_on_changed_and_shared_tables(table):
+    assert PseudoBoolean.from_disjoint_form(table) == ref_from_disjoint_form(table)
 
 
 #: past 2^8 entries: int64 spans below the length (the range table) and past
@@ -502,12 +547,28 @@ CAP_CALLS = {
 
 @pytest.mark.parametrize("call", CAP_CALLS.values(), ids=CAP_CALLS)
 def test_every_cap_is_read_as_a_count(call):
-    """A decimal string is its integer; a bool, a float or None is a
-    ValueError naming it (the one-body kernel's argument is explicit_cap)."""
+    """A decimal string is its integer; a bool, a float, None or any other
+    string is a ValueError naming it (the one-body kernel's argument is
+    explicit_cap)."""
     assert call("3") == call(3)
-    for bad in (True, 2.5, None):
+    for bad in (True, 2.5, None, " 3", "1_0", "\u0663", "x"):
         with pytest.raises(ValueError, match=rf"^(explicit_)?cap must be an integer, got {bad!r}$"):
             call(bad)
+
+
+@pytest.mark.parametrize("text", [" 3", "3 ", "1_0", "\u0663", "x", "+3", "-", "--1", ""])
+def test_a_count_string_is_an_optional_minus_then_ascii_digits(text):
+    with pytest.raises(ValueError) as exc:
+        pbf._count(text, "n")
+    assert str(exc.value) == f"n must be an integer, got {text!r}"
+
+
+def test_a_count_string_of_digits_is_its_integer():
+    assert [pbf._count(text, "n") for text in ("3", "-1", "007", "0")] == [3, -1, 7, 0]
+    with pytest.raises(ValueError, match=r"^arity must be in 0\.\.64, got -1$"):
+        pbf._check_arity("-1")
+    with pytest.raises(EnumerationCapError, match=r"\(cap 2\^-1\)$"):
+        F3.kernel(cap="-1")
 
 
 def test_witnesses_follow_varmask_order():

@@ -449,10 +449,14 @@ class TestErrorPaths:
         with pytest.raises(EnumerationCapError):
             quadratic_realizability([(0,) * 13], 13)
 
-    @pytest.mark.parametrize("n", [True, 2.0, None])
+    @pytest.mark.parametrize("n", [True, 2.0, None, " 3", "1_0", "\u0663", "x"])
     def test_n_is_read_as_a_count(self, n):
         # n = True was read as 1, 2.0 and None leaked TypeError
         with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
             quadratic_realizability(["0"], n)
         real = quadratic_realizability(["00", "11"], "2")
         assert real == quadratic_realizability(["00", "11"], 2) and type(real.n) is int
+
+    def test_a_negative_n_string_reaches_the_range_check(self):
+        with pytest.raises(ValueError, match=r"^n must be positive, got -1$"):
+            quadratic_realizability(["0"], "-1")

@@ -32,11 +32,7 @@ from fractions import Fraction
 
 from . import expr, gadgets, ising_kernel, pauli, stabilizer, symmetric
 from .errors import EnumerationCapError, PBKernelError
-from .pbf import _check_arity
-
-#: widest circuit whose state ``parent clifford --verify`` builds (2^n amplitudes)
-#: to check that the parent annihilates it
-VERIFY_STATE_CAP = 12
+from .pbf import _check_arity, _count
 
 
 def _read(path: str) -> str:
@@ -51,9 +47,18 @@ def _bitstring(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _parse_bits(text: str) -> tuple:
+def _count_flag(text: str) -> int:
+    """-n or --arity, read by the package's count rule; argparse reports a refusal as a usage error."""
+    try:
+        return _count(text, "count")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_bits(text: str, where: str = "") -> tuple:
+    """The one 0/1 rule of --at and of state and strings files; ``where`` prefixes the diagnostic."""
     if any(ch not in "01" for ch in text):  # '' is the one point of arity 0
-        raise PBKernelError(f"bad bit string {text!r}")
+        raise PBKernelError(f"{where}bad bit string {text!r}")
     return tuple(int(ch) for ch in text)
 
 
@@ -64,12 +69,11 @@ def _bit_lines(path: str, where: str, count: int, usage: str):
     for lineno, fields in expr.records(_read(path)):
         if len(fields) != count:
             raise PBKernelError(f"{where} {lineno}: expected {usage}")
-        if any(ch not in "01" for ch in fields[0]):
-            raise PBKernelError(f"{where} {lineno}: bad bit string {fields[0]!r}")
-        n = n or len(fields[0])
-        if len(fields[0]) != n:
+        bits = _parse_bits(fields[0], f"{where} {lineno}: ")
+        n = n or len(bits)
+        if len(bits) != n:
             raise PBKernelError(f"{where} {lineno}: inconsistent width")
-        yield lineno, tuple(map(int, fields[0])), fields
+        yield lineno, bits, fields
 
 
 def _load_support(path: str) -> gadgets.SupportSet:
@@ -139,32 +143,23 @@ def _cmd_pbf(args) -> int:
 
 def _cmd_sym(args) -> int:
     f = expr.parse(_read(args.exprfile), arity=args.arity)
-    sym = symmetric.detect_symmetric(f)
-    if args.action == "profile":
-        if sym.profile is None:
-            a, b = sym.witness
-            payload = {
-                "command": "sym profile",
-                "symmetric": False,
-                "witness": [_bitstring(a), _bitstring(b)],
-            }
-            _emit(payload, args.json, lambda: [f"not symmetric: f({_bitstring(a)}) != f({_bitstring(b)})"])
-        else:
-            payload = {
-                "command": "sym profile",
-                "symmetric": True,
-                "profile": [str(v) for v in sym.profile.values],
-            }
-            _emit(payload, args.json, lambda: [f"weight {j}: {v}" for j, v in enumerate(sym.profile.values)])
+    if args.action == "factor":  # symmetric iff each monomial size has one coefficient: no cube scan
+        a = symmetric.canonical_coefficients(f)
+        if a is None:
+            raise PBKernelError("input is not a symmetric function")
+        rf = symmetric.factorize(symmetric.canonical_to_power(a))
+        payload = {"command": "sym factor", **rf.to_dict()}
+        _emit(payload, args.json, lambda: [f"K = {rf.scale}"] + [f"root: {r}" for r in rf.roots])
         return 0
-    # factor
+    sym = symmetric.detect_symmetric(f)  # profile: the scan finds a witness pair
     if sym.profile is None:
-        raise PBKernelError("input is not a symmetric function")
-    form = symmetric.canonical_to_power(symmetric.canonical_coefficients(f))
-    rf = symmetric.factorize(form)
-    payload = {"command": "sym factor"}
-    payload.update(rf.to_dict())
-    _emit(payload, args.json, lambda: [f"K = {rf.scale}"] + [f"root: {r}" for r in rf.roots])
+        a, b = map(_bitstring, sym.witness)
+        payload = {"command": "sym profile", "symmetric": False, "witness": [a, b]}
+        _emit(payload, args.json, lambda: [f"not symmetric: f({a}) != f({b})"])
+    else:
+        values = sym.profile.values
+        payload = {"command": "sym profile", "symmetric": True, "profile": [str(v) for v in values]}
+        _emit(payload, args.json, lambda: [f"weight {j}: {v}" for j, v in enumerate(values)])
     return 0
 
 
@@ -174,21 +169,21 @@ def _cmd_sym(args) -> int:
 def _cmd_parent_clifford(args) -> int:
     circuit = stabilizer.CliffordCircuit.from_text(_read(args.circuitfile))
     parent = stabilizer.projector_parent(circuit)
+    terms = parent.terms()
     payload = {
         "command": "parent clifford",
         "qubits": circuit.n,
-        "terms": [[str(c), w] for w, c in parent.terms()],
+        "terms": [[str(c), w] for w, c in terms],
     }
     human = []  # lines after the parent's own
     failed = False
     if args.verify:
         # the parent is (n I - sum_l P_l) / 2 over the n distinct images P_l of
         # the Z_l, so each non-identity term w with coefficient c is P_l = -2c w
-        gens = [stabilizer.SymplecticPauli.from_letters(w, int(-2 * c))
-                for w, c in parent.terms() if w.strip("I")]
+        gens = [stabilizer.SymplecticPauli.from_letters(w, int(-2 * c)) for w, c in terms if w.strip("I")]
         kdim = stabilizer.kernel_dimension(gens)
         annihilates = None
-        if circuit.n <= VERIFY_STATE_CAP:
+        if circuit.n <= pauli.STATE_CAP:  # the widest state StateVector holds
             state = stabilizer.apply_circuit(
                 circuit, pauli.StateVector.basis_state(circuit.n, 0)
             )
@@ -312,20 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="group", required=True)
 
+    def leaf(p, func):
+        """A runnable command: --json after its own arguments, and its handler."""
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
+
     pbf_p = sub.add_parser("pbf", help="pseudo-Boolean polynomial operations")
     pbf_p.add_argument("action", choices=["kernel", "eval", "nonneg", "pauli"])
     pbf_p.add_argument("exprfile")
     pbf_p.add_argument("--at", help="bit string for eval")
-    pbf_p.add_argument("--arity", type=int, default=None)
-    pbf_p.add_argument("--json", action="store_true")
-    pbf_p.set_defaults(func=_cmd_pbf)
+    pbf_p.add_argument("--arity", type=_count_flag, default=None)
+    leaf(pbf_p, _cmd_pbf)
 
     sym_p = sub.add_parser("sym", help="symmetric-function analysis")
     sym_p.add_argument("action", choices=["factor", "profile"])
     sym_p.add_argument("exprfile")
-    sym_p.add_argument("--arity", type=int, default=None)
-    sym_p.add_argument("--json", action="store_true")
-    sym_p.set_defaults(func=_cmd_sym)
+    sym_p.add_argument("--arity", type=_count_flag, default=None)
+    leaf(sym_p, _cmd_sym)
 
     parent_p = sub.add_parser("parent", help="parent-operator constructions")
     parent_sub = parent_p.add_subparsers(dest="construction", required=True)
@@ -333,18 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc = parent_sub.add_parser("clifford", help="conjugated-projector parent")
     pc.add_argument("circuitfile")
     pc.add_argument("--verify", action="store_true")
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(func=_cmd_parent_clifford)
+    leaf(pc, _cmd_parent_clifford)
 
     psup = parent_sub.add_parser("support", help="support-complement parent")
     psup.add_argument("statefile")
-    psup.add_argument("--json", action="store_true")
-    psup.set_defaults(func=_cmd_parent_support)
+    leaf(psup, _cmd_parent_support)
 
     pghz = parent_sub.add_parser("ghz-quadratic", help="product-form GHZ parent")
-    pghz.add_argument("-n", type=int, required=True)
-    pghz.add_argument("--json", action="store_true")
-    pghz.set_defaults(func=_cmd_parent_ghz_quadratic)
+    pghz.add_argument("-n", type=_count_flag, required=True)
+    leaf(pghz, _cmd_parent_ghz_quadratic)
 
     gad = sub.add_parser("gadget", help="netlist composition")
     gad_sub = gad.add_subparsers(dest="action", required=True)
@@ -352,16 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     gcomp.add_argument("netlist")
     gcomp.add_argument("--clamp", action="append", metavar="WIRE=BIT")
     gcomp.add_argument("--minimize", action="store_true")
-    gcomp.add_argument("--json", action="store_true")
-    gcomp.set_defaults(func=_cmd_gadget_compose)
+    leaf(gcomp, _cmd_gadget_compose)
 
     isg = sub.add_parser("ising", help="Ising kernel decisions")
     isg_sub = isg.add_subparsers(dest="action", required=True)
     ireal = isg_sub.add_parser("realize")
     ireal.add_argument("stringsfile")
-    ireal.add_argument("-n", type=int, required=True)
-    ireal.add_argument("--json", action="store_true")
-    ireal.set_defaults(func=_cmd_ising_realize)
+    ireal.add_argument("-n", type=_count_flag, required=True)
+    leaf(ireal, _cmd_ising_realize)
 
     return top
 

@@ -145,22 +145,15 @@ def ghz_quadratic(c: Sequence, a: Sequence) -> PseudoBoolean:
 
     The kernel statement needs every coefficient strictly positive: a
     zero c_k (or a_k) frees that bit in the corresponding factor and the
-    kernel grows past the two fully-aligned strings.
+    kernel grows past the two fully-aligned strings.  The factors are the
+    one-body forms with tau = 1^n and tau = 0^n.
     """
-    c = [_coerce(v) for v in c]
-    a = [_coerce(v) for v in a]
-    if len(c) != len(a) or not c:
+    first, second = OneBodyForm(c, (1,) * len(c)), OneBodyForm(a, (0,) * len(a))
+    if first.n != second.n or not first.n:
         raise DimensionError("coefficient vectors must share a positive length")
-    if any(v < 0 for v in c + a):
-        raise ValueError("coefficients must be non-negative")
-    if any(v == 0 for v in c + a):
+    if 0 in first.coeffs + second.coeffs:
         warnings.warn("zero coefficient: kernel may strictly contain {0^n, 1^n}", stacklevel=2)
-    n = len(c)
-    first = PseudoBoolean.from_terms(n, {(k,): c[k] for k in range(n)})
-    second = PseudoBoolean.constant(n, sum(a, Fraction(0))) + PseudoBoolean.from_terms(
-        n, {(k,): -a[k] for k in range(n)}
-    )
-    return first * second
+    return one_body(first) * one_body(second)
 
 
 def square_form(form: OneBodyForm) -> PseudoBoolean:
@@ -632,6 +625,15 @@ def _cube(n: int) -> tuple:
     return points, index, features
 
 
+def _point(index: dict, item, n: int) -> int:
+    """Basis-state index of one point given as :func:`quadratic_realizability`
+    reads an entry of S: a str looked up whole, any other entry by its bits."""
+    try:
+        return index[item if isinstance(item, str) else tuple(map(_BIT.get, item))]
+    except (KeyError, TypeError):  # not a point, not a sequence, or an unhashable bit
+        raise ValueError(f"bad bit string {reprlib.repr(item)} for n = {n}") from None  # shortened if long
+
+
 @dataclass
 class QuadraticRealization:
     """Answer to the Ising Kernel Problem for a target set S.
@@ -717,12 +719,7 @@ def quadratic_realizability(
     if n > cap:
         raise EnumerationCapError(f"2^{n} margin rows exceed cap 2^{cap}")
     points, index, features = _cube(n)
-    found = []
-    for item in S:  # a str is looked up whole, any other entry by its bits
-        try:
-            found.append(index[item if isinstance(item, str) else tuple(map(_BIT.get, item))])
-        except (KeyError, TypeError):  # not a point, not a sequence, or an unhashable bit
-            raise ValueError(f"bad bit string {reprlib.repr(item)} for n = {n}") from None  # shortened if long
+    found = [_point(index, item, n) for item in S]
     if not found:
         raise ValueError("S must be nonempty")
 
@@ -772,13 +769,14 @@ def verify_infeasibility(
 ) -> None:
     """Exact Farkas check: the certificate multipliers cancel every
     feature column, are non-negative off S, and carry unit total mass on
-    the margin rows, so any form vanishing on S would need 0 >= 1."""
+    the margin rows, so any form vanishing on S would need 0 >= 1.  An
+    entry that is not a point of the n-cube is a ``bad bit string``."""
+    _, index, features = _cube(n)
+    rows = features.take([_point(index, bits, n) for bits, _ in real.certificate], 1).T
     nums, _ = _numerators(mult for _, mult in real.certificate)
     margin = [a for (bits, _), a in zip(real.certificate, nums) if bits not in target]
     if any(a < 0 for a in margin):
         raise AssertionError("negative multiplier on a margin row")
-    _, index, features = _cube(n)
-    rows = features.take([index[bits] for bits, _ in real.certificate], 1).T
     if any(_weighted_row_sum(nums, rows, 1)):  # features are +-1
         raise AssertionError("certificate does not cancel the feature columns")
     if sum(margin) <= 0:

@@ -85,9 +85,11 @@ n * 2^n dict updates rather than 3^n, and no Fraction is built.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
+import reprlib
 from fractions import Fraction
 from numbers import Integral, Rational
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -349,12 +351,14 @@ def _count(value, what: str) -> int:
     """A number that names a count, as a Python int: an int, a numpy integer
     or a decimal string, an optional ``-`` then ASCII digits only (which
     :meth:`PseudoBoolean.from_dict` reads); any other string (``' 3'``,
-    ``'1_0'``, a Unicode digit), a float, a bool or anything else is a
-    ValueError naming it.  A Python int pays one type check."""
+    ``'1_0'``, a Unicode digit, more digits than ``int()`` reads), a float,
+    a bool or anything else is a ValueError naming it, its repr shortened
+    by :mod:`reprlib`.  A Python int pays one type check."""
     if isinstance(value, str) and (digits := value.removeprefix("-")).isascii() and digits.isdigit():
-        value = int(value)
+        with contextlib.suppress(ValueError):  # past int()'s digit limit the str is refused below
+            value = int(value)
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -472,9 +476,7 @@ class PseudoBoolean(_TermTable):
 
     @classmethod
     def variable(cls, arity: int, i: int) -> "PseudoBoolean":
-        if not 0 <= i < arity:
-            raise ValueError(f"variable index {i} out of range for arity {arity}")
-        return cls(arity, {1 << i: 1})
+        return cls(arity, {_mask((i,), arity): 1})
 
     @classmethod
     def from_terms(cls, arity: int, terms: Mapping[Iterable[int], object]) -> "PseudoBoolean":

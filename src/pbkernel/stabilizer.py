@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionError, EnumerationCapError, ParseError
 from .expr import records
 from .pauli import PauliSum, StateVector, _gate, _pauli_masks, _pauli_word
-from .pbf import _accumulate
+from .pbf import _accumulate, _count
 
 GATE_KINDS = ("h", "s", "x", "z", "cnot")
 
@@ -39,6 +39,8 @@ class CliffordGate:
     control: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "target", _count(self.target, "target"))
+        object.__setattr__(self, "control", None if self.control is None else _count(self.control, "control"))
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if (self.kind == "cnot") != (self.control is not None):
@@ -75,6 +77,7 @@ class CliffordCircuit:
     gates: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _count(self.n, "circuit width"))
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"circuit width must be 1..{MAX_QUBITS}, got {self.n}")
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -110,7 +113,7 @@ class CliffordCircuit:
 
         def number(token: str, what: str, high: int) -> int:
             try:
-                value = int(token)
+                value = _count(token, what)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad {what} {token!r}") from None
             if not 1 <= value <= high:
@@ -153,6 +156,7 @@ class SymplecticPauli:
     sign: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _count(self.n, "n"))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
         if self.x >> self.n or self.z >> self.n or self.x < 0 or self.z < 0:
@@ -262,6 +266,7 @@ def projector_parent(circuit: CliffordCircuit) -> PauliSum:
 
 def ghz_circuit(n: int) -> CliffordCircuit:
     """Hadamard on qubit 0 followed by the CNOT ladder 0->1->...->n-1."""
+    n = _count(n, "n")
     if n < 2:
         raise ValueError(f"GHZ circuit needs n > 1, got {n}")
     gates = [h(0)] + [cnot(j, j + 1) for j in range(n - 1)]

@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .pbf import (DEFAULT_ENUMERATION_CAP, PseudoBoolean, _assignments, _check_arity, _check_cap, _coerce,
-                  _numerators)
+                  _count, _numerators)
 
 #: numeric roots with |Im| below tol*(1+|root|) are treated as real
 REAL_ROOT_TOL = 1e-9
@@ -220,6 +220,7 @@ def stirling_matrix(n: int) -> list:
     Rows and columns are 1-based in the formula; the returned nested list
     is 0-based (entry [i-1][j-1]).  Upper triangular with diagonal i!.
     """
+    n = _count(n, "n")
     if not 1 <= n <= 64:
         raise ValueError(f"n must be in 1..64, got {n}")
     # S[j][i], Stirling numbers of the second kind
@@ -430,6 +431,7 @@ def delta_product_form(k: int) -> SymmetricForm:
     not its value at the all-ones input (see the package docs; the k = 2
     case gives 1 - X, which is -1 at weight 2).
     """
+    k = _count(k, "k")
     if not 2 <= k <= 20:
         raise ValueError(f"k must be in 2..20, got {k}")
     poly = _expand(Fraction((-1) ** (k - 1), math.factorial(k - 1)), range(1, k))
@@ -445,8 +447,7 @@ def symmetric_ising(J, h, n: int) -> PseudoBoolean:
     The kernel is the union of the weight hyperplanes X = 0 and
     X = 1 - 4h/J.
     """
-    J = _coerce(J)
-    h = _coerce(h)
+    J, h, n = _coerce(J), _coerce(h), _count(n, "n")
     if J == 0:
         raise ValueError("J = 0 makes the model trivial")
     if n < 1:

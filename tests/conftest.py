@@ -57,6 +57,7 @@ import operator
 import random
 import reprlib
 import sys
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -67,7 +68,7 @@ import pytest
 from pbkernel import PauliSum, PseudoBoolean, expr, gadgets, ising_kernel, stabilizer
 from pbkernel.errors import DimensionError, NetlistError, ParseError
 from pbkernel.ising_kernel import _check_duals_ints, _check_point_ints, _top
-from pbkernel.pbf import _accumulate, _int_dtype, _numerators, _point_indices, _scaled, _swap_order
+from pbkernel.pbf import _accumulate, _coerce, _int_dtype, _numerators, _point_indices, _scaled, _swap_order
 
 
 def assignments(n):
@@ -646,6 +647,25 @@ def ref_one_body_kernel(form, explicit_cap: int = 20):
             assignments.add(tuple(row))
         assignments = frozenset(assignments)
     return ising_kernel.OneBodyKernel(pinned, free, False, assignments)
+
+
+def ref_ghz_quadratic(c, a):
+    """``ghz_quadratic`` before it was two one-body forms: its own coercion and
+    checks, and each factor summed from ``from_terms``."""
+    c = [_coerce(v) for v in c]
+    a = [_coerce(v) for v in a]
+    if len(c) != len(a) or not c:
+        raise DimensionError("coefficient vectors must share a positive length")
+    if any(v < 0 for v in c + a):
+        raise ValueError("coefficients must be non-negative")
+    if any(v == 0 for v in c + a):
+        warnings.warn("zero coefficient: kernel may strictly contain {0^n, 1^n}", stacklevel=2)
+    n = len(c)
+    first = PseudoBoolean.from_terms(n, {(k,): c[k] for k in range(n)})
+    second = PseudoBoolean.constant(n, sum(a, Fraction(0))) + PseudoBoolean.from_terms(
+        n, {(k,): -a[k] for k in range(n)}
+    )
+    return first * second
 
 
 # -- Boolean / CNF oracle ----------------------------------------------------

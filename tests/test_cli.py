@@ -135,6 +135,26 @@ class TestSymCommands:
         code, _, err = run(capsys, "sym", "factor", str(path), "--arity", "2")
         assert code == 2 and "symmetric" in err
 
+    def test_factor_decides_symmetry_without_a_cube_scan(self, capsys, tmp_path, monkeypatch, delta_file):
+        """Symmetry is read off the monomials once, so a sum of 21 variables
+        (past the 2^20 scan cap) factors and no input reaches the scan."""
+        from pbkernel import symmetric
+
+        def scan(*args, **kwargs):
+            raise AssertionError("sym factor ran the symmetry scan")
+
+        monkeypatch.setattr(symmetric, "detect_symmetric", scan)
+        path = tmp_path / "sum21.pbf"
+        path.write_text(" + ".join(f"x{i}" for i in range(1, 22)) + "\n")
+        code, out, err = run(capsys, "sym", "factor", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"K": [1.0, 0.0], "command": "sym factor", "exact_roots": ["0"], "roots": [[0.0, 0.0]]}
+        path.write_text(" + ".join(f"x{i}" for i in range(1, 22)) + " + x1*x2\n")
+        code, out, err = run(capsys, "sym", "factor", str(path), "--json")
+        assert (code, out, err) == (2, "", "error: input is not a symmetric function\n")
+        code, out, _ = run(capsys, "sym", "factor", delta_file, "--json")
+        assert code == 0 and json.loads(out)["exact_roots"] == ["1", "2"]
+
 
 class TestParentCommands:
     def test_clifford_ghz3_verify(self, capsys, ghz3_file):
@@ -159,14 +179,22 @@ class TestParentCommands:
         assert "elapsed" in out
 
     def test_verify_state_cap_is_the_named_constant(self, capsys, ghz3_file, monkeypatch):
-        from pbkernel import cli
+        from pbkernel import pauli
 
-        assert cli.VERIFY_STATE_CAP == 12
+        assert pauli.STATE_CAP == 16  # --verify builds every state StateVector holds
         for cap, annihilates in ((3, True), (2, None)):  # above the cap the state is not built
-            monkeypatch.setattr(cli, "VERIFY_STATE_CAP", cap)
+            monkeypatch.setattr(pauli, "STATE_CAP", cap)
             code, out, _ = run(capsys, "parent", "clifford", ghz3_file, "--verify", "--json")
             assert code == 0
             assert json.loads(out)["verify"] == {"kernel_dimension": 1, "annihilates_state": annihilates, "ok": True}
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_verify_builds_the_state_up_to_the_state_cap(self, capsys, tmp_path, n):
+        path = tmp_path / "ghz.qc"
+        path.write_text(stabilizer.ghz_circuit(n).to_text())
+        code, out, _ = run(capsys, "parent", "clifford", str(path), "--verify", "--json")
+        assert code == 0
+        assert json.loads(out)["verify"] == {"kernel_dimension": 1, "annihilates_state": True, "ok": True}
 
     def test_clifford_verify_reads_the_generators_off_the_parent(self, capsys, tmp_path, monkeypatch):
         rng = random.Random(1010)
@@ -471,6 +499,11 @@ class TestExitCodesAndDeterminism:
         ("qubits 2\ncnot 2 2\n", "line 2: cnot control and target must differ"),
         ("qubits x\n", "line 1: bad qubit count 'x'"),
         ("qubits 65\n", "line 1: qubit count 65 out of range 1..64"),
+        # counts are read by the package's count rule: ASCII digits only
+        ("qubits \u0663\nh 1\n", "line 1: bad qubit count '\u0663'"),
+        ("qubits +3\n", "line 1: bad qubit count '+3'"),
+        ("qubits 3\nh 1_0\n", "line 2: bad qubit index '1_0'"),
+        ("qubits 3\n# comment\ncnot \u0661 2\n", "line 3: bad qubit index '\u0661'"),
     ])
     def test_circuit_diagnostics_name_the_line_and_index(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.qc"
@@ -497,6 +530,22 @@ class TestExitCodesAndDeterminism:
         with pytest.raises(SystemExit) as exc:
             main(["pbf", "frobnicate", "x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", " 3", "+3"])
+    @pytest.mark.parametrize("argv", [
+        ["pbf", "kernel", "f.pbf", "--arity"],
+        ["sym", "factor", "f.pbf", "--arity"],
+        ["parent", "ghz-quadratic", "-n"],
+        ["ising", "realize", "s.txt", "-n"],
+    ], ids=["pbf", "sym", "ghz-quadratic", "realize"])
+    def test_count_flags_are_read_by_the_count_rule(self, capsys, argv, value):
+        """-n and --arity take the count rule of the files and the library: a
+        digit string the rule refuses is a usage error naming the flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value, "--json"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(f"error: argument {argv[-1]}: count must be an integer, got {value!r}\n")
 
     def test_json_output_is_byte_identical(self, capsys, ghz3_file):
         _, first, _ = run(capsys, "parent", "clifford", ghz3_file, "--verify", "--json")

@@ -12,10 +12,11 @@ ints.  The table reader behind
 replaced reads, on tables of shared objects, of own objects and of mixed
 entry types, and a value table must hold, and build, one object per
 distinct value.  Minimization reads no table back, and every ``cap``
-argument is read as a count.
+argument, and every count a constructor compares, is read as a count.
 """
 
 import random
+import reprlib
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -38,7 +39,7 @@ from pbkernel import (
     quadratic_realizability,
     support_parent,
 )
-from pbkernel import pbf
+from pbkernel import pbf, stabilizer, symmetric
 from pbkernel.pbf import _numerators, _scaled
 from conftest import (
     assignments,
@@ -556,11 +557,14 @@ def test_every_cap_is_read_as_a_count(call):
             call(bad)
 
 
-@pytest.mark.parametrize("text", [" 3", "3 ", "1_0", "\u0663", "x", "+3", "-", "--1", ""])
+@pytest.mark.parametrize("text", [" 3", "3 ", "1_0", "\u0663", "x", "+3", "-", "--1", "",
+                                  pytest.param("9" * 5000, id="past-the-int-digit-limit")])
 def test_a_count_string_is_an_optional_minus_then_ascii_digits(text):
+    """A string of more digits than int() reads is refused by name too, its repr shortened."""
     with pytest.raises(ValueError) as exc:
         pbf._count(text, "n")
-    assert str(exc.value) == f"n must be an integer, got {text!r}"
+    assert str(exc.value) == f"n must be an integer, got {reprlib.repr(text)}"
+    assert len(str(exc.value)) < 80
 
 
 def test_a_count_string_of_digits_is_its_integer():
@@ -569,6 +573,42 @@ def test_a_count_string_of_digits_is_its_integer():
         pbf._check_arity("-1")
     with pytest.raises(EnumerationCapError, match=r"\(cap 2\^-1\)$"):
         F3.kernel(cap="-1")
+
+
+#: constructors that compare a count: (the count's name, a call with it)
+CONSTRUCTOR_COUNTS = {
+    "CliffordCircuit": ("circuit width", lambda v: stabilizer.CliffordCircuit(v)),
+    "CliffordGate": ("target", lambda v: stabilizer.CliffordGate("h", v)),
+    "SymplecticPauli": ("n", lambda v: stabilizer.SymplecticPauli(v, 1, 0)),
+    "ghz_circuit": ("n", stabilizer.ghz_circuit),
+    "stirling_matrix": ("n", symmetric.stirling_matrix),
+    "delta_product_form": ("k", symmetric.delta_product_form),
+    "symmetric_ising": ("n", lambda v: symmetric.symmetric_ising(1, 1, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, None])
+@pytest.mark.parametrize("what, call", CONSTRUCTOR_COUNTS.values(), ids=CONSTRUCTOR_COUNTS)
+def test_a_constructor_reads_its_counts_by_the_count_rule(what, call, bad):
+    """A bool, a float or None is a ValueError naming the count, not a 1, a
+    leaked TypeError or a width of True; None is also a gate's "no control"."""
+    with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {bad!r}$"):
+        call(bad)
+    if bad is not None:
+        with pytest.raises(ValueError, match=rf"^control must be an integer, got {bad!r}$"):
+            stabilizer.CliffordGate("cnot", 0, bad)
+
+
+def test_a_constructor_stores_its_counts_as_python_ints():
+    gate = stabilizer.CliffordGate("cnot", np.int64(1), np.uint8(0))
+    circuit = stabilizer.CliffordCircuit(np.int32(2), (gate,))
+    p = stabilizer.SymplecticPauli(np.int16(2), 1, 0)
+    assert [type(v) for v in (gate.target, gate.control, circuit.n, p.n)] == [int] * 4
+    assert circuit == stabilizer.CliffordCircuit(2, (stabilizer.cnot(0, 1),))
+    assert stabilizer.ghz_circuit(np.int64(3)) == stabilizer.ghz_circuit(3)
+    assert symmetric.stirling_matrix(np.int64(3)) == symmetric.stirling_matrix(3)
+    assert symmetric.delta_product_form(np.int64(3)) == symmetric.delta_product_form(3)
+    assert symmetric.symmetric_ising(1, 1, np.int64(3)) == symmetric.symmetric_ising(1, 1, 3)
 
 
 def test_witnesses_follow_varmask_order():

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pbkernel import (
@@ -12,6 +14,7 @@ from pbkernel import (
     LPInstance,
     OneBodyForm,
     PseudoBoolean,
+    QuadraticRealization,
     ghz_quadratic,
     ising_form,
     one_body,
@@ -29,6 +32,7 @@ from conftest import (
     face_enumeration_feasible,
     random_target,
     ref_features,
+    ref_ghz_quadratic,
     ref_one_body_kernel,
     ref_pair_order,
 )
@@ -195,6 +199,34 @@ class TestGhzQuadratic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ghz_quadratic([1, -1], [1, 1])
+
+    @pytest.mark.parametrize("kind", ["fraction", "numpy"])
+    def test_matches_the_from_terms_reference(self, rng, kind):
+        """Two one-body forms give the reference's polynomial: its repr, its
+        JSON form and its key order, on Fraction and NumPy-integer inputs."""
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            if kind == "fraction":
+                c, a = ([Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(2))
+            else:
+                c, a = (np.array([rng.randint(1, 1 << 40) for _ in range(n)], dtype=np.int64) for _ in range(2))
+            got, want = ghz_quadratic(c, a), ref_ghz_quadratic(c, a)
+            assert repr(got) == repr(want)
+            assert got.to_dict() == want.to_dict()
+            assert list(got._terms) == list(want._terms)
+
+    def test_zero_coefficient_matches_the_reference(self):
+        for c, a in (([1, 0, 2], [1, 1, 1]), ([0, 0], [0, 3]), ([0], [0])):
+            with pytest.warns(UserWarning, match="zero coefficient"):
+                got = ghz_quadratic(c, a)
+            with pytest.warns(UserWarning, match="zero coefficient"):
+                want = ref_ghz_quadratic(c, a)
+            assert (repr(got), list(got._terms)) == (repr(want), list(want._terms))
+
+    @pytest.mark.parametrize("c, a", [([1, 1], [1]), ([], []), ([1], [1, 1])])
+    def test_length_mismatch_is_a_dimension_error(self, c, a):
+        with pytest.raises(DimensionError, match="^coefficient vectors must share a positive length$"):
+            ghz_quadratic(c, a)
 
     def test_same_kernel_as_support_parent(self):
         f = ghz_quadratic([1, 1, 1], [1, 1, 1])
@@ -380,6 +412,15 @@ class TestRealizability:
     def test_bad_string_rejected(self):
         with pytest.raises(ValueError):
             quadratic_realizability(["0012"], 4)
+
+    @pytest.mark.parametrize("bits", [(0, 2), (0, 0, 0), "0a", [0, [1]]])
+    def test_certificate_entry_off_the_cube_is_a_bad_bit_string(self, bits):
+        """The Farkas check reads a certificate's points as the decision reads
+        S, so an entry that is not a point of the n-cube is the decision's
+        ValueError, not a KeyError."""
+        real = QuadraticRealization(feasible=False, n=2, certificate=[((0, 0), Fraction(-1)), (bits, Fraction(1))])
+        with pytest.raises(ValueError, match=rf"^bad bit string {re.escape(repr(bits))} for n = 2$"):
+            verify_infeasibility(real, {(0, 0)}, 2)
 
     @pytest.mark.parametrize("index", range(len(README_REPRS)))
     def test_readme_examples_repr(self, index):
